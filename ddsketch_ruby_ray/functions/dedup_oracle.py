@@ -143,6 +143,13 @@ def _bucket_fold_ctes(num_hashes: int, bands: int, key: str = "key") -> str:
     ``buckets`` (key, band, bucket HUGEINT in [0, 2^64)).  Bucket equality
     classes match the Python int64 buckets exactly (uint64<->int64 is a
     bijection, and only equality is ever used).
+
+    The fused id ``bb = splitmix64(bucket + splitmix64(band))`` built after
+    the chain is what both sides group on, so it also fixes the cross-band
+    collision class: (b1, x) and (b2, y) with b1 != b2 share ``bb`` iff
+    ``y = x + splitmix64(b1) - splitmix64(b2) mod 2^64`` (~2^-64 per pair).
+    The pipeline makes the same pairs candidates, so this mirror matches it
+    on such collisions by construction and cannot flag them.
     """
     r = num_hashes // bands
     ctes = []

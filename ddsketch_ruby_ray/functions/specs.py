@@ -11,8 +11,10 @@ Used by:
   * :class:`ddsketch_ruby_ray.stages.accumulate.SketchStateAccumulator` -
     actor-pool map_batches stage turning raw rows into per-(batch, group)
     state rows (so only KB-sized states ever reach a shuffle);
-  * :class:`ddsketch_ruby_ray.functions.aggregates.SketchStateMergeAgg` -
-    the groupby-side merge of those states;
+  * :class:`ddsketch_ruby_ray.stages.accumulate.StateBlockMerger` - the
+    per-partition merge + finalize after the one state exchange
+    (``merge_sketch_states``); ``SketchStateMergeAgg`` is the same merge
+    as a Ray aggregate;
   * the checkpoint writer/reader (state tables ARE the checkpoint format).
 """
 

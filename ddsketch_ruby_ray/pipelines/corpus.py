@@ -1,13 +1,14 @@
 """Flagship pipeline: per-group quantile sketches over a source-file corpus.
 
 Shape (north_star): read -> map_batches(derive metric columns + accumulate
-per-(batch, group) sketch states, zero-copy Arrow, actor pool) -> coalesce the
-tiny state table -> groupby(keys).aggregate(state merge) -> finalize per group.
+per-(batch, group) sketch states, zero-copy Arrow, actor pool) -> route each
+state row to a hash partition of its group keys -> ONE keyed exchange ->
+per-partition fold (merge states per group, finalize).
 
 Two-level merge (SURVEY.md §4.2): raw rows NEVER cross a shuffle - each map
-task emits at most ``num_groups`` KB-sized sketch states, the groupby then
-merges O(num_batches x num_groups) states.  Hot-key skew (Zipf langs) costs
-the hot key O(num_batches) states, not O(rows), and the wide step is
+task emits at most ``num_groups`` KB-sized sketch states, and the single
+exchange moves O(num_batches x num_groups) states.  Hot-key skew (Zipf langs)
+costs the hot key O(num_batches) states, not O(rows), and the wide step is
 negligible at any scale.
 """
 
@@ -16,10 +17,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..functions.specs import DDSketchSpec, SketchSpec, XorSigSpec
-from ..functions.aggregates import SketchStateMergeAgg
 from ..stages import derive_content_metrics, unnest
 from ..stages.derive import add_sha64
-from ..stages.accumulate import SketchStateAccumulator, coalesce_states
+from ..stages.accumulate import SketchStateAccumulator, StateBlockMerger
+from .fold import _part_of
 
 __all__ = [
     "sketch_states",
@@ -46,9 +47,8 @@ def sketch_states(
     more flexibly - both execute the identical vectorized kernel.
 
     NULL group keys: the accumulator groups them correctly (their own group,
-    like SQL GROUP BY), and ``merge_sketch_states`` encodes them to
-    (filled value, validity flag) pairs around the shuffle, since Ray's
-    sort-shuffle cannot ORDER null keys.
+    like SQL GROUP BY); ``merge_sketch_states`` shuffles on a hash partition
+    id, never on the keys, so nulls need no encoding around the exchange.
     """
     acc = SketchStateAccumulator(specs, group_keys, derive=derive)
     kwargs = {}
@@ -62,113 +62,56 @@ def sketch_states(
     )
 
 
-def _null_fill_value(ty):
-    import pyarrow as pa
-
-    if pa.types.is_string(ty) or pa.types.is_large_string(ty):
-        return ""
-    if pa.types.is_floating(ty):
-        return 0.0
-    if pa.types.is_integer(ty):
-        return 0
-    if pa.types.is_boolean(ty):
-        return False
-    return None  # unsupported type: leave nulls alone (Ray will raise as before)
-
-
-def _encode_null_keys(states, group_keys):
-    """Null group keys -> (filled value, validity flag) column pairs.
-
-    Ray's sort-based shuffle cannot order null keys; SQL GROUP BY treats null
-    as its own group.  Encoding each key as (fill_null(k, default),
-    ``_isnull_k`` in {0,1}) and grouping by BOTH preserves exact SQL
-    semantics (a null never collides with a real default value because the
-    flag differs) through a null-free shuffle; ``_decode_null_keys``
-    restores the nulls afterwards.
-    """
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    keys = list(group_keys)
-
-    def enc(t: pa.Table) -> pa.Table:
-        for k in keys:
-            col = t.column(k)
-            fill = _null_fill_value(col.type)
-            flag = pc.cast(pc.is_null(col), pa.int32())
-            if fill is not None:
-                idx = t.schema.get_field_index(k)
-                t = t.set_column(idx, k, pc.fill_null(col, fill))
-            t = t.append_column(f"_isnull_{k}", flag)
-        return t
-
-    return states.map_batches(enc, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _decode_null_keys(out, group_keys):
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    keys = list(group_keys)
-
-    def dec(t: pa.Table) -> pa.Table:
-        for k in keys:
-            mask = pc.cast(t.column(f"_isnull_{k}"), pa.bool_())
-            col = t.column(k)
-            idx = t.schema.get_field_index(k)
-            t = t.set_column(idx, k, pc.if_else(mask, pa.scalar(None, type=col.type), col))
-        return t.drop_columns([f"_isnull_{k}" for k in keys])
-
-    return out.map_batches(dec, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _auto_coalesce_blocks() -> int:
-    """Coalesce target for the state table: ~one block per cluster CPU.
-
-    The local-combiner stage (StateBlockMerger) runs one task per coalesced
-    block; a FIXED target (the old default, 8) serializes that stage into an
-    8-task tail whatever the cluster size — profiled at 1.6 s of the 16M-row
-    flagship's 7.7 s wall on 32 cpus.  One block per CPU keeps the combiner
-    a single fully-parallel wave at any cluster size while the downstream
-    aggregate still sorts only O(cpus x groups) KB-sized rows.
-    """
+def _num_partitions(group_keys) -> int:
+    """Partitions of the state exchange: one per cluster CPU, so the fold is
+    a single parallel wave; one without group keys (a single group)."""
+    if not group_keys:
+        return 1
     try:
         import ray
 
         cpus = int(ray.cluster_resources().get("CPU", 0))
     except Exception:  # pragma: no cover - cluster introspection unavailable
         cpus = 0
-    return max(8, cpus)
+    return max(1, cpus)
 
 
-def merge_sketch_states(
-    states,
-    specs: Sequence[SketchSpec],
-    group_keys: Sequence[str] = (),
-    *,
-    coalesce: int | str | None = "auto",
-):
-    """Stage 2: shuffle + merge the state table; finalize one row per group.
+def merge_sketch_states(states, specs: Sequence[SketchSpec], group_keys: Sequence[str] = ()):
+    """Stage 2: one keyed exchange of the state table; one row per group.
 
-    Output: one struct column per spec (``spec.name``), flattened by callers
-    via :func:`ddsketch_ruby_ray.stages.unnest`.
+    A route step (fused by Ray into the upstream map task) tags each state
+    row with ``_part``, a content hash of its group keys mod P (P = cluster
+    CPUs).  ``groupby("_part").map_groups`` is then the only exchange, and
+    each partition's fold merges its states per group and finalizes them
+    (:meth:`StateBlockMerger.finalize_groups`).
 
-    NULL group keys are supported: keys are encoded to (filled value,
-    validity flag) pairs around the shuffle - SQL GROUP BY semantics (null is
-    its own group) at the cost of one int32 per key on the KB-sized state
-    table.
+    Output: the group keys plus one struct column per spec (``spec.name``),
+    flattened by callers via :func:`ddsketch_ruby_ray.stages.unnest`.
+    Rows come out in no particular order.
+
+    NULL group keys form their own group (SQL GROUP BY semantics): they
+    hash like any value, and the fold groups them apart from every real
+    value.  Without group keys the whole table is one group; an empty input
+    gives an empty result.
     """
-    if coalesce == "auto":
-        coalesce = _auto_coalesce_blocks()
-    if coalesce:
-        states = coalesce_states(states, coalesce, specs=specs, group_keys=group_keys)
-    aggs = [SketchStateMergeAgg(spec) for spec in specs]
-    if group_keys:
-        states = _encode_null_keys(states, group_keys)
-        shuffle_keys = list(group_keys) + [f"_isnull_{k}" for k in group_keys]
-        out = states.groupby(shuffle_keys).aggregate(*aggs)
-        return _decode_null_keys(out, group_keys)
-    return states.aggregate(*aggs)
+    import numpy as np
+    import pyarrow as pa
+
+    keys = list(group_keys)
+    num_partitions = _num_partitions(keys)
+
+    def route(t: pa.Table) -> pa.Table:
+        if keys and t.num_rows:
+            part = _part_of(t, keys, num_partitions)
+        else:
+            part = np.zeros(t.num_rows, dtype=np.int32)
+        return t.append_column("_part", pa.array(part))
+
+    return (
+        states.map_batches(route, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
+        .groupby("_part", num_partitions=num_partitions)
+        .map_groups(StateBlockMerger(specs, keys).finalize_groups, batch_format="pyarrow")
+    )
 
 
 def grouped_sketch_pipeline(
@@ -179,7 +122,6 @@ def grouped_sketch_pipeline(
     derive=None,
     batch_size: int | None = None,
     concurrency=None,
-    coalesce: int | str | None = "auto",
     prefixes: dict | None = None,
     strategy: str = "states",
     salt: int = 0,
@@ -189,9 +131,11 @@ def grouped_sketch_pipeline(
 
     ``strategy`` picks the distribution plan:
       * ``"states"`` (default) - the two-level merge: per-(block, group)
-        states inside the (fused) map stage, then a tiny state shuffle.
-        Optimal when groups << rows-per-block (e.g. 20 languages): raw rows
-        never shuffle and hot keys cost O(blocks) states.
+        states inside the (fused) map stage, then ONE keyed exchange of
+        those states with a per-partition merge + finalize
+        (:func:`merge_sketch_states`).  Optimal when groups << rows-per-block
+        (e.g. 20 languages): raw rows never shuffle and hot keys cost
+        O(blocks) states.
       * ``"rows"`` - derive compact metric rows in the map stage, then
         ``groupby(keys).aggregate(SpecAgg)``: Ray's sort-shuffle moves the
         (pruned, ~tens of bytes) rows and ONE sketch per group is built.
@@ -239,7 +183,7 @@ def grouped_sketch_pipeline(
                 *[SpecAgg(spec, emit_state=True) for spec in specs]
             )
             phase1 = phase1.drop_columns(["_salt"])
-            out = merge_sketch_states(phase1, specs, group_keys, coalesce=None)
+            out = merge_sketch_states(phase1, specs, group_keys)
         else:
             aggs = [SpecAgg(spec) for spec in specs]
             out = (
@@ -251,7 +195,7 @@ def grouped_sketch_pipeline(
         states = sketch_states(
             ds, specs, group_keys, derive=derive, batch_size=batch_size, concurrency=concurrency
         )
-        out = merge_sketch_states(states, specs, group_keys, coalesce=coalesce)
+        out = merge_sketch_states(states, specs, group_keys)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     for spec in specs:

@@ -476,6 +476,16 @@ def lsh_candidate_pairs_pipeline(
     Band bucket = splitmix64 fold of the band's minhash slots (int64, fully
     vectorized; the SQL oracle mirrors the fold bit-for-bit via a CTE chain).
 
+    Candidate classes are the fused ids ``bb = splitmix64(bucket +
+    splitmix64(band)) mod 2^64``, not (band, bucket) pairs.  splitmix64 is a
+    bijection, so within one band ``bb`` equality is exactly bucket
+    equality; ACROSS bands, (b1, x) and (b2, y) collide iff
+    ``y = x + splitmix64(b1) - splitmix64(b2) mod 2^64`` - about 2^-64 per
+    pair of entries in different bands - and such a collision makes its two
+    docs candidates.  This cross-band class is part of the contract: the
+    SQL oracle folds the same fused id, so it contains the same pairs and
+    the correctness gate cannot detect one.
+
     ``max_bucket`` is the standard LSH skew guard for real corpora: a bucket
     with B members emits B^2/2 pairs, so one template-spammed bucket of 10^5
     docs would emit 5*10^9 candidates and dominate the run.  Buckets larger

@@ -89,14 +89,23 @@ def strict_key_int64(col, *, name: str = "key") -> np.ndarray:
 
 
 def _part_of(tbl: pa.Table, key_cols: list[str], num_partitions: int) -> np.ndarray:
-    """Content-hash partition id over one or more key columns."""
+    """Content-hash partition id over one or more key columns.
+
+    Equal keys always share a partition; NULLs route like some fixed value.
+    Key types with no int64 cast (dates, bools, dictionaries, ...) hash
+    their string form."""
+    import pyarrow.compute as pc
+
     h = np.zeros(tbl.num_rows, dtype=np.uint64)
     for k in key_cols:
         col = tbl.column(k)
-        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        t = col.type
+        if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t):
             hk = hash64_str_fast(col)
-        else:
+        elif pa.types.is_integer(t) or pa.types.is_floating(t) or pa.types.is_timestamp(t):
             hk = hash64_int(null_safe_int64(col))
+        else:
+            hk = hash64_str_fast(pc.cast(col, pa.string()))
         h = splitmix64(h ^ hk)
     return (h % np.uint64(num_partitions)).astype(np.int32)
 

@@ -62,12 +62,10 @@ _MAX_BROADCAST_NODES = 16_000_000
 # Partition count for the PageRank build exchanges.  This is also a LEVER on
 # the outdeg meta exchange's volume: deg partials exist per (dst-partition,
 # src), so a src with outdeg d lands in ~P·(1−(1−1/P)^d) partitions — fewer,
-# larger partitions mean fewer partials per src.  GRAFT_PR_PARTS overrides
-# for measurement (tools / BASELINE.md); the default must stay >= 2× the
-# benched cpu level so no fold task starves the pool.
-import os as _os
-
-_PR_REDUCE_PARTS = int(_os.environ.get("GRAFT_PR_PARTS", "64"))
+# larger partitions mean fewer partials per src.  Yet P=32 measured worse
+# than 64 (scaling efficiency 0.683 vs 0.700, NOTES_ROUND5.md #10): the
+# bigger per-task sorts cost more than the fewer partials save.
+_PR_REDUCE_PARTS = 64
 
 
 def _with_part(t: pa.Table, col: str, num_partitions: int) -> pa.Table:

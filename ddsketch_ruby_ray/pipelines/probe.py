@@ -42,17 +42,17 @@ def _group_reduce(
 ):
     """-> Dataset[(key_col, _exact)]: per-key count (weight=None) or sum.
 
-    Two regimes, mirroring the states/rows/pairs strategy table
-    (SURVEY.md §8.5), both measured at sf0.1/32 cpus:
+    Two plans (SURVEY.md §8.5):
 
     * ``"native"``: Ray ``groupby().count()/sum()``.  Its reduce iterates
-      groups in Python (~250us/group) but its aggregate tree beats a sort
-      shuffle at low cardinality (<~10^4 keys: 1500-key query 1.5-3 s
-      native vs 4.7 s partition).
+      groups in Python (~250us/group).  It does NOT win at low cardinality:
+      the exact side of ``cms_user_frequencies`` (1,500 keys, sf0.1, 4 cpus)
+      takes 1.56 s native vs 0.45 s partition, 3.5x slower.
     * ``"partition"``: per-block np.unique+bincount pre-agg -> key-hash
       partition shuffle -> one more unique+bincount per partition.  ZERO
-      per-group Python - the only viable regime at 10^5+ keys (20k-key
-      query: 4 s vs native's ~5 s and growing linearly in key count).
+      per-group Python; also the only viable plan at 10^5+ keys (20k-key
+      query at 32 cpus: 4 s vs native's ~5 s, growing linearly in key
+      count).
 
     Keys must be non-null (int or string).  Float weight sums follow block
     order: bit-reproducibility (and oracle parity) needs integer-valued

@@ -129,6 +129,16 @@ def sessionize_pipeline(
     return parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
 
 
+def _int32_lane(a: np.ndarray, what: str) -> np.ndarray:
+    """int64 lane -> int32, raising unless every value is in [-2^31, 2^31)."""
+    if a.size and (int(a.min()) < -(2**31) or int(a.max()) >= 2**31):
+        raise ValueError(
+            f"ordered_analytics_pipeline(compact_lanes=True): {what} out of "
+            "int32 range [-2^31, 2^31); use the default int64 lanes"
+        )
+    return a.astype(np.int32)
+
+
 def ordered_analytics_pipeline(
     ds,
     *,
@@ -173,12 +183,7 @@ def ordered_analytics_pipeline(
         keys = t.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
         part = (hash64_int(keys) % np.uint64(num_partitions)).astype(np.int32)
         if compact_lanes:
-            if keys.size and max(int(keys.max()), -int(keys.min())) >= 2**31:
-                raise ValueError(
-                    "ordered_analytics_pipeline(compact_lanes=True): key out "
-                    "of int32 range; use the default int64 lanes"
-                )
-            keys = keys.astype(np.int32)
+            keys = _int32_lane(keys, "key")
         cols = {"_part": pa.array(part), key_col: pa.array(keys)}
         cols["_ts"] = t.column(ts_col).cast(pa.int64())
         cols["_tb"] = t.column(tiebreak_col).cast(pa.int64())
@@ -186,13 +191,7 @@ def ordered_analytics_pipeline(
             v = t.column(value_col).to_numpy(zero_copy_only=False)
             v6 = round_half_away(v * value_scale).astype(np.int64)
             if compact_lanes:
-                if v6.size and max(int(v6.max()), -int(v6.min())) >= 2**31:
-                    raise ValueError(
-                        "ordered_analytics_pipeline(compact_lanes=True): "
-                        "scaled value out of int32 range; use the default "
-                        "int64 lanes"
-                    )
-                v6 = v6.astype(np.int32)
+                v6 = _int32_lane(v6, "scaled value")
             cols["_v"] = pa.array(v6)
         for c in carry_cols:
             cols[c] = t.column(c)

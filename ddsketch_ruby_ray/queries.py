@@ -188,10 +188,11 @@ def dd_cubic_mapping_by_lang(sf_dir: str):
 
 def dd_nullkey_quantiles(sf_dir: str):
     """NULL group key through the DEFAULT states strategy: lang 'en' is mapped
-    to null, which must survive the state shuffle as its own group (SQL GROUP
-    BY semantics; merge_sketch_states' validity-flag key encoding).  The null
-    is restored after the shuffle and labelled '(null)' only in the final
-    projection so the driver's hash compare stays null-free."""
+    to null, which must survive the state exchange as its own group (SQL
+    GROUP BY semantics: merge_sketch_states shuffles on a hash partition id,
+    and its per-partition fold groups null apart from every value).  The
+    null is labelled '(null)' only in the final projection so the oracle's
+    hash compare stays null-free."""
     import pyarrow as pa
     import pyarrow.compute as pc
 

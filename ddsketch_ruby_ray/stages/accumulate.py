@@ -12,7 +12,7 @@ Usage::
     acc = SketchStateAccumulator(specs, group_keys=("lang",), derive=fn)
     states = ds.map_batches(acc, batch_format="pyarrow", zero_copy_batch=True,
                             batch_size=..., concurrency=...)
-    merged = merge_sketch_states(states, group_keys, specs)   # tiny shuffle
+    merged = merge_sketch_states(states, specs, group_keys)   # one keyed exchange
 
 The accumulator is a callable CLASS so ``map_batches(..., concurrency=N)``
 runs it as an actor pool: spec construction (mapping constants etc.) happens
@@ -29,7 +29,7 @@ import pyarrow as pa
 
 from ..functions.specs import SketchSpec
 
-__all__ = ["SketchStateAccumulator", "StateBlockMerger", "group_codes", "coalesce_states"]
+__all__ = ["SketchStateAccumulator", "StateBlockMerger", "group_codes"]
 
 
 def group_codes(batch: pa.Table, group_keys: Sequence[str]):
@@ -57,6 +57,20 @@ def group_codes(batch: pa.Table, group_keys: Sequence[str]):
     return inverse, first
 
 
+def group_slices(batch: pa.Table, group_keys: Sequence[str]):
+    """-> ``(first_row_index, [row indices of each group])`` for one table.
+
+    Without group keys a non-empty table is one group."""
+    n = batch.num_rows
+    if not (group_keys and n):
+        return np.zeros(1 if n else 0, dtype=np.int64), ([np.arange(n)] if n else [])
+    inverse, first = group_codes(batch, group_keys)
+    order = np.argsort(inverse, kind="stable")
+    # boundaries[i]:boundaries[i+1] slices group i's rows in `order`
+    boundaries = np.searchsorted(inverse[order], np.arange(len(first) + 1))
+    return first, [order[boundaries[g] : boundaries[g + 1]] for g in range(len(first))]
+
+
 class SketchStateAccumulator:
     """map_batches callable: one Arrow batch -> one state row per group.
 
@@ -81,23 +95,12 @@ class SketchStateAccumulator:
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.derive is not None:
             batch = self.derive(batch)
-        n = batch.num_rows
         # Native dtypes preserved: int64 columns (e.g. 60-bit content hashes)
         # must NOT round-trip through float64.  Specs cast as they need.
         arrays = {
             c: batch.column(c).to_numpy(zero_copy_only=False) for c in self._value_cols
         }
-
-        if self.group_keys:
-            inverse, first = self.group_codes(batch)
-            order = np.argsort(inverse, kind="stable")
-            sorted_inv = inverse[order]
-            # boundaries[i]:boundaries[i+1] slices group i's rows in `order`
-            boundaries = np.searchsorted(sorted_inv, np.arange(len(first) + 1))
-            group_rows = [order[boundaries[g] : boundaries[g + 1]] for g in range(len(first))]
-        else:
-            first = np.zeros(1, dtype=np.int64) if n else np.zeros(0, dtype=np.int64)
-            group_rows = [np.arange(n)] if n else []
+        first, group_rows = group_slices(batch, self.group_keys)
 
         out_cols: dict[str, object] = {}
         for k in self.group_keys:
@@ -114,68 +117,59 @@ class SketchStateAccumulator:
         names = list(self.group_keys) + [s.name for s in self.specs]
         return pa.Table.from_arrays([out_cols[c] for c in names], names=names)
 
-    def group_codes(self, batch: pa.Table):
-        return group_codes(batch, self.group_keys)
 
-
-def coalesce_states(states, target_blocks: int = 8, specs=None, group_keys=()):
-    """Coalesce the (tiny) state table into few blocks before the groupby.
-
-    The sort-shuffle behind ``groupby().aggregate()`` launches one map task
-    per input block and one reduce task per output partition; with hundreds of
-    KB-sized state blocks that is O(blocks^2) object-store traffic for no
-    work.  States are orders of magnitude smaller than the input, so a cheap
-    repartition first makes the wide step negligible at any scale.
-
-    With ``specs`` the coalesced blocks are also LOCALLY pre-merged
-    (:class:`StateBlockMerger`), so the downstream aggregate sorts/encodes
-    O(target_blocks x groups) state rows instead of one per reader batch.
-    """
-    out = states.repartition(target_blocks)
-    if specs is not None:
-        out = out.map_batches(
-            StateBlockMerger(specs, group_keys),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=None,
-        )
-    return out
+def _state_rows(col) -> list:
+    """State struct column -> one dict (or None) per row, like ``to_pylist``
+    but with each list-of-numbers field as a numpy slice of one writable
+    copy of its values: no Python float per bin (``to_pylist`` of DDSketch
+    bins was most of the merge's CPU)."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    fields = {}
+    for i, field in enumerate(col.type):
+        child, ty = col.field(i), field.type
+        if (
+            pa.types.is_list(ty)
+            and (pa.types.is_integer(ty.value_type) or pa.types.is_floating(ty.value_type))
+            and child.values.null_count == 0
+        ):
+            offs = child.offsets.to_numpy()
+            vals = child.values.to_numpy(zero_copy_only=False).copy()
+            ok = child.is_valid().to_numpy(zero_copy_only=False)
+            fields[field.name] = [
+                vals[a:b] if v else None for a, b, v in zip(offs[:-1], offs[1:], ok)
+            ]
+        else:
+            fields[field.name] = child.to_pylist()
+    valid = col.is_valid().to_numpy(zero_copy_only=False)
+    return [
+        dict(zip(fields, row)) if ok else None
+        for ok, row in zip(valid, zip(*fields.values()))
+    ]
 
 
 class StateBlockMerger:
-    """map_batches callable: merge state rows per group WITHIN one block.
+    """map_batches callable: merge state rows per group WITHIN one table.
 
-    The local combiner between the accumulate stage and the global state
-    shuffle.  Fused read tasks emit one state row per (parquet row-group,
-    group) — a 125k-row file with 8k-row row-groups yields 16x more state
-    rows than blocks.  Merging them down to one row per group per coalesced
-    block keeps the groupby aggregate's sort/encode work at
-    O(target_blocks x groups) regardless of reader batching.  Merge
+    Emits one state row per group (same schema as its input, minus any
+    extra columns).  :meth:`finalize_groups` is the same per-group merge
+    ending in ``spec.finalize``: the per-partition fold of
+    :func:`ddsketch_ruby_ray.pipelines.merge_sketch_states`.  Merge
     associativity (base_sketch.rb:146-171 semantics) makes the result
-    bit-identical with or without this stage.
+    independent of how state rows were split into tables.
     """
 
     def __init__(self, specs: Sequence[SketchSpec], group_keys: Sequence[str] = ()):
         self.specs = list(specs)
         self.group_keys = tuple(group_keys)
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if self.group_keys and n:
-            inverse, first = group_codes(t, self.group_keys)
-            order = np.argsort(inverse, kind="stable")
-            sorted_inv = inverse[order]
-            boundaries = np.searchsorted(sorted_inv, np.arange(len(first) + 1))
-            group_rows = [order[boundaries[g] : boundaries[g + 1]] for g in range(len(first))]
-        else:
-            first = np.zeros(1 if n else 0, dtype=np.int64)
-            group_rows = [np.arange(n)] if n else []
-
-        out_cols: dict[str, object] = {}
-        for k in self.group_keys:
-            out_cols[k] = t.column(k).take(pa.array(first))
+    def merged(self, t: pa.Table):
+        """-> (key columns, {spec name: merged sketch or None per group})."""
+        first, group_rows = group_slices(t, self.group_keys)
+        keys = [t.column(k).take(pa.array(first)) for k in self.group_keys]
+        sketches = {}
         for spec in self.specs:
-            col = t.column(spec.name).to_pylist()
+            col = _state_rows(t.column(spec.name))
             merged = []
             for rows in group_rows:
                 acc = None
@@ -185,7 +179,35 @@ class StateBlockMerger:
                         continue
                     sk = spec.from_state(st)
                     acc = sk if acc is None else spec.merge(acc, sk)
-                merged.append(None if acc is None else spec.to_state(acc))
-            out_cols[spec.name] = pa.array(merged, type=spec.state_type())
+                merged.append(acc)
+            sketches[spec.name] = merged
+        return keys, sketches
+
+    def _table(self, keys, results) -> pa.Table:
         names = list(self.group_keys) + [s.name for s in self.specs]
-        return pa.Table.from_arrays([out_cols[c] for c in names], names=names)
+        return pa.Table.from_arrays(keys + results, names=names)
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        keys, sketches = self.merged(t)
+        return self._table(keys, [
+            pa.array(
+                [None if sk is None else spec.to_state(sk) for sk in sketches[spec.name]],
+                type=spec.state_type(),
+            )
+            for spec in self.specs
+        ])
+
+    def finalize_groups(self, t: pa.Table) -> pa.Table:
+        """Merge per group, then one ``spec.finalize`` struct per spec.
+
+        The merged sketch is finalized directly (no state round trip).  Each
+        struct's type is that of ``spec.finalize(None)``, so every output
+        table, an empty one included, has the same schema."""
+        keys, sketches = self.merged(t)
+        return self._table(keys, [
+            pa.array(
+                [spec.finalize(sk) for sk in sketches[spec.name]],
+                type=pa.array([spec.finalize(None)]).type,
+            )
+            for spec in self.specs
+        ])

@@ -134,14 +134,12 @@ class CheckpointedRun:
             raise FileNotFoundError(f"no committed state checkpoints under {self.dir}")
         return rd.read_parquet(files)
 
-    def result(self, *, coalesce: int | None = 8):
+    def result(self):
         """Merge all committed states -> finalized per-group result Dataset."""
         from ..pipelines.corpus import merge_sketch_states
         from ..stages import unnest
 
-        out = merge_sketch_states(
-            self.states_dataset(), self.specs, self.group_keys, coalesce=coalesce
-        )
+        out = merge_sketch_states(self.states_dataset(), self.specs, self.group_keys)
         for spec in self.specs:
             out = unnest(out, columns=[spec.name], prefix=f"{spec.name}_")
         return out

@@ -116,3 +116,118 @@ def test_null_group_keys_int_and_multi_key():
     assert mask.sum() == 1 and out.loc[mask, "count"].iloc[0] == 1.0
     zero = out[(out["g1"] == 0) & (out["g2"] == "x")]
     assert len(zero) == 1 and zero["count"].iloc[0] == 1.0
+
+
+def test_date_and_bool_group_keys_through_states_strategy():
+    """Key types with no int64 cast (date, bool) still route through the
+    state exchange; every key combination, NULLs included, is one group."""
+    import datetime
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ddsketch_ruby_ray.functions.specs import DDSketchSpec
+    from ddsketch_ruby_ray.pipelines import grouped_sketch_pipeline
+
+    d1, d2 = datetime.date(2020, 1, 1), datetime.date(2020, 1, 2)
+    t = pa.table(
+        {
+            "d": pa.array([d1, None, d2, d1, None], pa.date32()),
+            "b": pa.array([True, False, None, True, None]),
+            "v": pa.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+        }
+    )
+    spec = DDSketchSpec(on="v", name="s", quantiles=())
+    rows = grouped_sketch_pipeline(
+        rd.from_arrow(t).repartition(2), [spec], ("d", "b")
+    ).take_all()
+    counts = {(r["d"], r["b"]): r["count"] for r in rows}
+    assert counts == {(d1, True): 2.0, (None, False): 1.0, (d2, None): 1.0, (None, None): 1.0}
+
+
+def _sequential_fold(table, specs, group_keys):
+    """Sequential in-process reference: ``spec.merge`` over each group's
+    state rows in table order, then ``spec.finalize``."""
+    groups: dict = {}
+    for row in table.to_pylist():
+        key = tuple(row[k] for k in group_keys)
+        acc = groups.setdefault(key, {})
+        for spec in specs:
+            st = row[spec.name]
+            if st is None:
+                continue
+            sk = spec.from_state(st)
+            acc[spec.name] = sk if spec.name not in acc else spec.merge(acc[spec.name], sk)
+    return {
+        key: {spec.name: spec.finalize(acc.get(spec.name)) for spec in specs}
+        for key, acc in groups.items()
+    }
+
+
+@pytest.mark.parametrize("group_keys", [("k",), ()])
+def test_merge_sketch_states_equals_sequential_fold(group_keys):
+    """One keyed exchange over a multi-block state table with fewer groups
+    (3, one of them NULL) than partitions (one per CPU) gives exactly the
+    sequential in-process merge fold, with one typed struct per spec."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from ddsketch_ruby_ray.functions.specs import DDSketchSpec, XorSigSpec
+    from ddsketch_ruby_ray.pipelines import merge_sketch_states
+    from ddsketch_ruby_ray.stages.accumulate import SketchStateAccumulator, StateBlockMerger
+
+    assert ray.cluster_resources()["CPU"] > 3
+    specs = [
+        DDSketchSpec(on="v", name="s", relative_accuracy=0.02, quantiles=(0.1, 0.5, 0.99)),
+        XorSigSpec(on="h", name="sig"),
+    ]
+    acc = SketchStateAccumulator(specs, group_keys)
+    rng = np.random.default_rng(5)
+    blocks = []
+    for _ in range(6):
+        n = 200
+        blocks.append(acc(pa.table({
+            "k": pa.array(rng.choice(["a", "b", None], n).tolist(), pa.string()),
+            "v": pa.array(rng.lognormal(3, 1, n)),
+            "h": pa.array(rng.integers(0, 2**60, n)),
+        })))
+    states = pa.concat_tables(blocks)
+    assert states.num_rows >= len(blocks)
+
+    ds = merge_sketch_states(rd.from_arrow(blocks), specs, group_keys).materialize()
+    types = {spec.name: pa.array([spec.finalize(None)]).type for spec in specs}
+    schema = ds.schema().base_schema
+    assert schema.names == list(group_keys) + ["s", "sig"]
+    for name, ty in types.items():
+        assert schema.field(name).type == ty, name
+
+    got = {
+        tuple(row[k] for k in group_keys): {s.name: row[s.name] for s in specs}
+        for row in ds.take_all()
+    }
+    want = _sequential_fold(states, specs, group_keys)
+    assert got.keys() == want.keys() and len(got) == (3 if group_keys else 1)
+    for key in want:
+        for name in types:
+            g, w = got[key][name], want[key][name]
+            assert g.keys() == w.keys(), (key, name)
+            for f in w:
+                assert g[f] == w[f] or (g[f] != g[f] and w[f] != w[f]), (key, name, f)
+
+    empty = StateBlockMerger(specs, group_keys).finalize_groups(states.slice(0, 0))
+    assert empty.num_rows == 0 and empty.schema == schema
+
+
+def test_corpus_sketch_pipeline_runs_one_exchange():
+    """The state merge is ONE all-to-all operator (the route step fuses into
+    the read->accumulate task; no Repartition before the merge)."""
+    from ddsketch_ruby_ray.state.metrics import parse_stage_metrics
+
+    ds = corpus_sketch_pipeline(
+        corpus_dataset(2000, override_num_blocks=4), group_keys=("lang",), verify_sha256=True
+    ).materialize()
+    ops = parse_stage_metrics(ds.stats())
+    exchanges = [op["name"] for op in ops if op["tasks"] is None]
+    assert len(exchanges) == 1, [op["name"] for op in ops]
+    assert ds.sum("bytes_count") == 2000

@@ -575,3 +575,53 @@ class TestCanonicalLayoutInvariance:
                 lo = vals[max(0, int((q - 0.025) * len(vals)) - 1)]
                 hi = vals[min(len(vals) - 1, int((q + 0.025) * len(vals)))]
                 assert lo <= est <= hi, (spec_name, grp, col, est, lo, hi)
+
+
+def test_state_rows_decode_equals_to_pylist():
+    """The state merge's decoder (numpy slices for list fields) reads every
+    family's state column exactly as ``to_pylist`` does - sliced columns and
+    null rows included - and its merged states equal a ``to_pylist`` merge."""
+    from ddsketch_ruby_ray.functions.family_specs import (
+        AMSSpec, BloomSpec, CMSSpec, HLLSpec, KLLSpec, KMVSpec, TDigestSpec,
+    )
+    from ddsketch_ruby_ray.functions.specs import DDSketchSpec, XorSigSpec
+    from ddsketch_ruby_ray.stages import accumulate
+    from ddsketch_ruby_ray.stages.accumulate import SketchStateAccumulator, StateBlockMerger
+
+    specs = [
+        HLLSpec(on="x", p=8), KMVSpec(on="x", k=16), BloomSpec(on="x", m_bits=256),
+        CMSSpec(on="x", w=16, d=2), TDigestSpec(on="y"), KLLSpec(on="y", k=16),
+        AMSSpec(on="x"), XorSigSpec(on="x", name="xs"), DDSketchSpec(on="y", name="dd"),
+        DDSketchSpec(on="y", name="ddc", store="collapse_lowest", bin_limit=8),
+    ]
+    rng = np.random.default_rng(9)
+    acc = SketchStateAccumulator(specs, ("g",))
+    states = pa.concat_tables([
+        acc(pa.table({
+            "g": rng.choice(["a", "b", "c"], 300),
+            "x": rng.integers(0, 500, 300),
+            "y": rng.normal(0, 10, 300),
+        }))
+        for _ in range(4)
+    ])
+    for spec in specs:
+        col = states.column(spec.name).combine_chunks()
+        null = pa.array([None], col.type)
+        col = pa.concat_arrays([null, col, null]).slice(1)  # offset + trailing null
+        want = col.to_pylist()
+        got = accumulate._state_rows(col)
+        assert [r is None for r in got] == [r is None for r in want], spec.name
+        for g, w in zip(got, want):
+            if w is not None:
+                assert {k: v.tolist() if isinstance(v, np.ndarray) else v
+                        for k, v in g.items()} == w, spec.name
+
+    merger = StateBlockMerger(specs, ("g",))
+    fast = merger(states), merger.finalize_groups(states)
+    orig = accumulate._state_rows
+    accumulate._state_rows = lambda col: col.to_pylist()
+    try:
+        slow = merger(states), merger.finalize_groups(states)
+    finally:
+        accumulate._state_rows = orig
+    assert fast[0].equals(slow[0]) and fast[1].equals(slow[1])

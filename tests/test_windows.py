@@ -158,17 +158,23 @@ class TestOrderedAnalytics:
         import numpy as np
         import pytest
 
-        tbl = pa.table(
-            {
-                "eid": pa.array(np.arange(4), pa.int64()),
-                "k": pa.array([2**40] * 4, pa.int64()),  # out of int32
-                "ts": pa.array(
-                    np.arange(4) * 1_000_000, pa.int64()
-                ).cast(pa.timestamp("us")),
-            }
-        )
-        with pytest.raises(Exception, match="int32"):
-            self._run(tbl, compact_lanes=True)
+        def tbl(key):
+            return pa.table(
+                {
+                    "eid": pa.array(np.arange(4), pa.int64()),
+                    "k": pa.array([key] * 4, pa.int64()),
+                    "ts": pa.array(
+                        np.arange(4) * 1_000_000, pa.int64()
+                    ).cast(pa.timestamp("us")),
+                }
+            )
+
+        # the guard's domain is exactly int32's: [-2^31, 2^31)
+        got = self._run(tbl(-(2**31)), compact_lanes=True)
+        assert (got["k"] == -(2**31)).all() and list(got["rn"]) == [1, 2, 3, 4]
+        for bad in (2**31, -(2**31) - 1, 2**40):
+            with pytest.raises(Exception, match="int32"):
+                self._run(tbl(bad), compact_lanes=True)
 
 
 class TestRoundHalfAway:
