@@ -1,12 +1,11 @@
 """Aggregate functions (mergeable sketch UDAFs) and their SQL oracles."""
 
-from .aggregates import DDSketchAgg, DDSketchStateAgg, SketchAgg, quantile_name
+from .aggregates import DDSketchAgg, SketchAgg, quantile_name
 from .oracle import ddsketch_group_sql, ddsketch_quantile_sql
 
 __all__ = [
     "SketchAgg",
     "DDSketchAgg",
-    "DDSketchStateAgg",
     "quantile_name",
     "ddsketch_quantile_sql",
     "ddsketch_group_sql",

@@ -20,7 +20,7 @@ Use ``ds.groupby(keys).aggregate(DDSketchAgg(on=...), HLLAgg(on=...), ...)``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -192,71 +192,21 @@ class DDSketchAgg(SketchAgg):
         return out
 
 
-class SpecAgg(AggregateFnV2):
-    """Raw-row aggregation of ANY SketchSpec (the high-cardinality path).
-
-    ``groupby(keys).aggregate(SpecAgg(spec))`` lets Ray's sort-shuffle move
-    the (compact, derived) rows and build ONE sketch per group - the right
-    trade when groups-per-block approaches rows-per-block, where the
-    per-(block x group) state path would instantiate millions of KB-sized
-    states (see pipelines/corpus.py strategy notes).
-    """
-
-    def __init__(self, spec, name: str | None = None, emit_state: bool = False):
-        self._spec = spec
-        self._emit_state = emit_state
-        super().__init__(
-            name=name or spec.name, zero_factory=lambda: None, on=None, ignore_nulls=True
-        )
-
-    def get_target_column(self):
-        # multi-column extraction -> opt out of single-column pruning
-        return self._spec.columns[0] if len(self._spec.columns) == 1 else None
-
-    def aggregate_block(self, block):
-        import numpy as np
-
-        sk = self._spec.zero()
-        if hasattr(block, "column_names"):  # pyarrow
-            arrays = {
-                c: block.column(c).to_numpy(zero_copy_only=False) for c in self._spec.columns
-            }
-        else:  # pandas
-            arrays = {c: np.asarray(block[c]) for c in self._spec.columns}
-        self._spec.accumulate(sk, arrays)
-        return self._spec.to_state(sk)  # Arrow-native partial state (see SketchAgg)
-
-    def _unwire(self, st):
-        return self._spec.from_state(st) if isinstance(st, dict) else st
-
-    def combine(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return self._spec.to_state(self._spec.merge(self._unwire(a), self._unwire(b)))
-
-    def finalize(self, acc) -> dict:
-        acc = self._unwire(acc) if acc is not None else self._spec.zero()
-        if self._emit_state:
-            return self._spec.to_state(acc)
-        return self._spec.finalize(acc)
-
-
 class SketchStateMergeAgg(AggregateFnV2):
-    """Merges pre-accumulated sketch-state rows (stage 2 of the two-level merge).
+    """Merges pre-accumulated sketch-state rows as a Ray aggregate.
 
     Input: the state table produced by
     :class:`ddsketch_ruby_ray.stages.accumulate.SketchStateAccumulator` - one
-    Arrow struct column per sketch.  ``groupby(keys).aggregate(...)`` over it
-    shuffles only KB-sized states; this agg deserializes + merges them and
-    finalizes to the sketch's result struct.  Merge stays associative and
-    commutative and never mutates operands (base_sketch.rb:146-171 semantics).
+    Arrow struct column per sketch; ``finalize`` returns the sketch's result
+    struct.  The library itself merges states through one keyed exchange
+    (:func:`ddsketch_ruby_ray.pipelines.merge_states`); this is the same
+    merge for callers that want Ray's ``aggregate``.  Merge stays
+    associative and commutative and never mutates operands
+    (base_sketch.rb:146-171 semantics).
     """
 
-    def __init__(self, spec, name: str | None = None, emit_state: bool = False):
+    def __init__(self, spec, name: str | None = None):
         self._spec = spec
-        self._emit_state = emit_state
         super().__init__(
             name=name or spec.name, zero_factory=lambda: None, on=spec.name, ignore_nulls=True
         )
@@ -288,20 +238,4 @@ class SketchStateMergeAgg(AggregateFnV2):
     def finalize(self, acc) -> dict:
         if acc is not None:
             acc = self._unwire(acc)
-        if self._emit_state:
-            if acc is None:
-                acc = self._spec.zero()
-            return self._spec.to_state(acc)
         return self._spec.finalize(acc)
-
-
-class DDSketchStateAgg(DDSketchAgg):
-    """Variant that finalizes to the serialized sketch state (for checkpoints
-    or further cross-dataset merging) instead of quantile scalars."""
-
-    def finalize(self, acc):
-        acc = self._zero() if acc is None else self._from_wire(acc)
-        st = acc.to_state()
-        st["bins"] = np.asarray(st["bins"], dtype=np.float64)
-        st["neg_bins"] = np.asarray(st["neg_bins"], dtype=np.float64)
-        return st

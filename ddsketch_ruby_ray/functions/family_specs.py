@@ -6,9 +6,10 @@ sketch, per north_rule.
 Each spec plugs into the same machinery as DDSketchSpec:
 :class:`~ddsketch_ruby_ray.stages.accumulate.SketchStateAccumulator` (actor
 pool stage: rows -> per-(block, group) states),
-:class:`~ddsketch_ruby_ray.functions.aggregates.SketchStateMergeAgg`
-(groupby shuffle of KB states), and the checkpoint writer (state tables ARE
-the checkpoint format).
+:class:`~ddsketch_ruby_ray.stages.accumulate.StateBlockMerger` (the fold
+after the one keyed exchange of KB states: ``merge_states`` /
+``merge_sketch_states``), and the checkpoint writer (state tables ARE the
+checkpoint format).
 """
 
 from __future__ import annotations

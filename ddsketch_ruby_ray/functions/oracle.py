@@ -130,7 +130,8 @@ def ddsketch_quantile_sql(
     bin_limit: int = 2048,
     mapping: str = "log",
 ) -> str:
-    """SQL computing exactly what ``DDSketchAgg(on=value_expr)`` finalizes.
+    """SQL computing exactly what ``DDSketchSpec(on=value_expr).finalize`` (or
+    the ``DDSketchAgg`` UDAF) returns per group.
 
     Output columns: ``{group_col}, {prefix}count, [{prefix}sum, {prefix}avg,]
     {prefix}min, {prefix}max, {prefix}p50, ...``.

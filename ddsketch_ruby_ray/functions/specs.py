@@ -12,9 +12,9 @@ Used by:
     actor-pool map_batches stage turning raw rows into per-(batch, group)
     state rows (so only KB-sized states ever reach a shuffle);
   * :class:`ddsketch_ruby_ray.stages.accumulate.StateBlockMerger` - the
-    per-partition merge + finalize after the one state exchange
-    (``merge_sketch_states``); ``SketchStateMergeAgg`` is the same merge
-    as a Ray aggregate;
+    per-partition fold after the one keyed state exchange: merge +
+    finalize (``merge_sketch_states``) or merge back to a state
+    (``merge_states``); every state merge in the library runs through it;
   * the checkpoint writer/reader (state tables ARE the checkpoint format).
 """
 

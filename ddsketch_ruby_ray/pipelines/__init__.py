@@ -43,8 +43,10 @@ _configure_ray_data()
 from .corpus import (  # noqa: E402
     corpus_sketch_pipeline,
     documents_sketch_pipeline,
+    group_sketches,
     grouped_sketch_pipeline,
     merge_sketch_states,
+    merge_states,
     read_corpus,
     sketch_states,
 )
@@ -52,8 +54,10 @@ from .corpus import (  # noqa: E402
 __all__ = [
     "corpus_sketch_pipeline",
     "documents_sketch_pipeline",
+    "group_sketches",
     "grouped_sketch_pipeline",
     "merge_sketch_states",
+    "merge_states",
     "read_corpus",
     "sketch_states",
 ]

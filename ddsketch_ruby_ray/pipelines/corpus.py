@@ -25,6 +25,8 @@ from .fold import _part_of
 __all__ = [
     "sketch_states",
     "merge_sketch_states",
+    "merge_states",
+    "group_sketches",
     "grouped_sketch_pipeline",
     "corpus_sketch_pipeline",
     "documents_sketch_pipeline",
@@ -76,23 +78,16 @@ def _num_partitions(group_keys) -> int:
     return max(1, cpus)
 
 
-def merge_sketch_states(states, specs: Sequence[SketchSpec], group_keys: Sequence[str] = ()):
-    """Stage 2: one keyed exchange of the state table; one row per group.
+def _state_exchange(states, group_keys: Sequence[str], fold):
+    """Route each state row to a hash partition of its group keys, then ONE
+    keyed exchange whose per-partition ``fold`` merges the states per group.
 
-    A route step (fused by Ray into the upstream map task) tags each state
-    row with ``_part``, a content hash of its group keys mod P (P = cluster
-    CPUs).  ``groupby("_part").map_groups`` is then the only exchange, and
-    each partition's fold merges its states per group and finalizes them
-    (:meth:`StateBlockMerger.finalize_groups`).
-
-    Output: the group keys plus one struct column per spec (``spec.name``),
-    flattened by callers via :func:`ddsketch_ruby_ray.stages.unnest`.
-    Rows come out in no particular order.
-
-    NULL group keys form their own group (SQL GROUP BY semantics): they
-    hash like any value, and the fold groups them apart from every real
-    value.  Without group keys the whole table is one group; an empty input
-    gives an empty result.
+    The route step (fused by Ray into the upstream map task) tags each row
+    with ``_part``, a content hash of its group keys mod P (P = cluster
+    CPUs); ``groupby("_part").map_groups(fold)`` is the only exchange.
+    NULL group keys hash like any value, and the fold groups them apart
+    from every real value (SQL GROUP BY semantics).  Without group keys the
+    whole table is one group.  Rows come out in no particular order.
     """
     import numpy as np
     import pyarrow as pa
@@ -110,8 +105,43 @@ def merge_sketch_states(states, specs: Sequence[SketchSpec], group_keys: Sequenc
     return (
         states.map_batches(route, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
         .groupby("_part", num_partitions=num_partitions)
-        .map_groups(StateBlockMerger(specs, keys).finalize_groups, batch_format="pyarrow")
+        .map_groups(fold, batch_format="pyarrow")
     )
+
+
+def merge_sketch_states(states, specs: Sequence[SketchSpec], group_keys: Sequence[str] = ()):
+    """Stage 2: one keyed exchange of the state table; one result row per group.
+
+    Each partition's fold merges its states per group and finalizes them
+    (:meth:`StateBlockMerger.finalize_groups`).  Output: the group keys plus
+    one struct column per spec (``spec.name``), flattened by callers via
+    :func:`ddsketch_ruby_ray.stages.unnest`.  An empty input gives an empty
+    result.
+    """
+    return _state_exchange(states, group_keys, StateBlockMerger(specs, group_keys).finalize_groups)
+
+
+def merge_states(states, specs: Sequence[SketchSpec], group_keys: Sequence[str] = ()):
+    """The same keyed exchange as :func:`merge_sketch_states`, ending in one
+    merged STATE row per group instead of a finalized result.
+
+    Output: the group keys plus one state struct per spec, typed
+    ``spec.state_type()`` like the input, so it can be merged again at a
+    coarser grouping (rollup, cube) or decoded with ``spec.from_state``.
+    """
+    return _state_exchange(states, group_keys, StateBlockMerger(specs, group_keys).__call__)
+
+
+def group_sketches(ds, spec: SketchSpec, group_col: str, *, derive=None) -> dict:
+    """rows -> ``{group key: merged sketch}`` on the driver.
+
+    One state row per group is pulled (KB-sized each), so the driver holds
+    O(groups) sketches, never rows."""
+    states = sketch_states(ds, [spec], (group_col,), derive=derive)
+    return {
+        r[group_col]: spec.from_state(r[spec.name])
+        for r in merge_states(states, [spec], (group_col,)).take_all()
+    }
 
 
 def grouped_sketch_pipeline(
@@ -124,7 +154,6 @@ def grouped_sketch_pipeline(
     concurrency=None,
     prefixes: dict | None = None,
     strategy: str = "states",
-    salt: int = 0,
     num_partitions: int = 64,
 ):
     """rows -> per-group sketch results, flat columns.
@@ -133,20 +162,14 @@ def grouped_sketch_pipeline(
       * ``"states"`` (default) - the two-level merge: per-(block, group)
         states inside the (fused) map stage, then ONE keyed exchange of
         those states with a per-partition merge + finalize
-        (:func:`merge_sketch_states`).  Optimal when groups << rows-per-block
-        (e.g. 20 languages): raw rows never shuffle and hot keys cost
-        O(blocks) states.
-      * ``"rows"`` - derive compact metric rows in the map stage, then
-        ``groupby(keys).aggregate(SpecAgg)``: Ray's sort-shuffle moves the
-        (pruned, ~tens of bytes) rows and ONE sketch per group is built.
-        General (any spec), but Ray's aggregate machinery iterates groups in
-        Python (~250 us/group).
+        (:func:`merge_sketch_states`).  Any spec; optimal when groups <<
+        rows-per-block (e.g. 20 languages): raw rows never shuffle and hot
+        keys cost O(blocks) states.
       * ``"pairs"`` - the extreme-cardinality plan (DDSketch specs with the
         logarithmic mapping; dense AND collapsing stores, weighted or not):
         vectorized pair-table pre-aggregation + hash-partitioned vectorized
-        finalize, no per-group Python in the hot path (pipelines/pairs.py;
-        ~8x faster than "rows" at 10^6 groups).
-    All strategies produce identical results (merge associativity).
+        finalize, no per-group Python in the hot path (pipelines/pairs.py).
+    Both strategies produce identical results (merge associativity).
 
     ``prefixes`` maps spec name -> output column prefix for the unnested
     result struct (default: no prefix).
@@ -158,46 +181,12 @@ def grouped_sketch_pipeline(
             ds, specs, group_keys, derive=derive, prefixes=prefixes,
             batch_size=batch_size, num_partitions=num_partitions,
         )
-    if strategy == "rows":
-        from ..functions.aggregates import SpecAgg
-
-        if derive is not None:
-            ds = ds.map_batches(derive, batch_format="pyarrow", zero_copy_batch=True,
-                                batch_size=batch_size)
-        if salt and group_keys:
-            # Skewed hot keys: phase 1 aggregates per (keys, salt bucket) so a
-            # 40%-of-rows key splits across `salt` reduce tasks; phase 2 merges
-            # the <=salt KB-sized states per key (SURVEY.md §4.2).
-            def add_salt(t):
-                import numpy as np
-                import pyarrow as pa
-
-                # round-robin within each batch: splits any hot key across
-                # `salt` phase-1 groups; merge associativity makes the final
-                # result independent of the assignment
-                s = (np.arange(t.num_rows) % salt).astype(np.int32)
-                return t.append_column("_salt", pa.array(s))
-
-            salted = ds.map_batches(add_salt, batch_format="pyarrow", zero_copy_batch=True)
-            phase1 = salted.groupby(list(group_keys) + ["_salt"]).aggregate(
-                *[SpecAgg(spec, emit_state=True) for spec in specs]
-            )
-            phase1 = phase1.drop_columns(["_salt"])
-            out = merge_sketch_states(phase1, specs, group_keys)
-        else:
-            aggs = [SpecAgg(spec) for spec in specs]
-            out = (
-                ds.groupby(list(group_keys)).aggregate(*aggs)
-                if group_keys
-                else ds.aggregate(*aggs)
-            )
-    elif strategy == "states":
-        states = sketch_states(
-            ds, specs, group_keys, derive=derive, batch_size=batch_size, concurrency=concurrency
-        )
-        out = merge_sketch_states(states, specs, group_keys)
-    else:
+    if strategy != "states":
         raise ValueError(f"unknown strategy {strategy!r}")
+    states = sketch_states(
+        ds, specs, group_keys, derive=derive, batch_size=batch_size, concurrency=concurrency
+    )
+    out = merge_sketch_states(states, specs, group_keys)
     for spec in specs:
         prefix = (prefixes or {}).get(spec.name)
         out = unnest(out, columns=[spec.name], prefix=prefix)

@@ -37,18 +37,15 @@ __all__ = ["sketch_drift_pipeline", "sketch_ks_pipeline", "psi_pipeline"]
 
 
 def _group_hists(ds, spec, group_col, derive=None):
-    from ..functions.aggregates import SketchStateMergeAgg
-    from .corpus import sketch_states
+    from .corpus import group_sketches
 
-    states = sketch_states(ds, [spec], (group_col,), derive=derive)
-    merged = states.groupby(group_col).aggregate(SketchStateMergeAgg(spec, emit_state=True))
     out = {}
-    for r in merged.take_all():  # one KB state row per group
-        store = spec.from_state(r["s"]).store
+    for g, sk in group_sketches(ds, spec, group_col, derive=derive).items():
+        store = sk.store
         bins = np.asarray(store.bins, dtype=np.float64)
         nz = np.nonzero(bins)[0]
         keys = nz + (int(store.min_key) if nz.size else 0)
-        out[r[group_col]] = dict(zip(keys.tolist(), bins[nz].astype(np.int64).tolist()))
+        out[g] = dict(zip(keys.tolist(), bins[nz].astype(np.int64).tolist()))
     return out
 
 

@@ -37,13 +37,12 @@ def sketch_histogram_pipeline(
 ):
     """-> Dataset[(group_col, k: int64, cnt: double)] - non-empty positive-store
     bins of one DDSketch per group."""
-    from ..functions.aggregates import SketchStateMergeAgg
     from ..functions.specs import DDSketchSpec
-    from .corpus import sketch_states
+    from .corpus import merge_states, sketch_states
 
     spec = DDSketchSpec(on=value_col, name="s", relative_accuracy=alpha, quantiles=())
     states = sketch_states(ds, [spec], (group_col,), derive=derive)
-    merged = states.groupby(group_col).aggregate(SketchStateMergeAgg(spec, emit_state=True))
+    merged = merge_states(states, [spec], (group_col,))
 
     def explode(t: pa.Table) -> pa.Table:
         groups, keys, cnts = [], [], []

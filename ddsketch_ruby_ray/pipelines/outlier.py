@@ -42,19 +42,15 @@ def ddsketch_outlier_pipeline(
     (``mode="trim"``) their group's q-quantile estimate."""
     import ray
 
-    from ..functions.aggregates import SketchStateMergeAgg
     from ..functions.specs import DDSketchSpec
-    from .corpus import sketch_states
+    from .corpus import group_sketches
 
     if mode not in ("above", "trim"):
         raise ValueError(f"unknown mode {mode!r}")
     carry_cols = list(carry_cols)
     spec = DDSketchSpec(on=value_col, name="s", relative_accuracy=alpha, quantiles=())
-    states = sketch_states(ds, [spec], (group_col,))
-    merged = states.groupby(group_col).aggregate(SketchStateMergeAgg(spec, emit_state=True))
     thresholds = {
-        r[group_col]: spec.from_state(r["s"]).get_quantile_value(q)
-        for r in merged.take_all()  # one KB-sized state row per group
+        g: sk.get_quantile_value(q) for g, sk in group_sketches(ds, spec, group_col).items()
     }
     ref = ray.put(thresholds)
     above = mode == "above"
@@ -94,21 +90,16 @@ def ddsketch_bucketize_pipeline(
     ``bucket`` in [0, len(quantiles)]."""
     import ray
 
-    from ..functions.aggregates import SketchStateMergeAgg
     from ..functions.specs import DDSketchSpec
-    from .corpus import sketch_states
+    from .corpus import group_sketches
 
     carry_cols = list(carry_cols)
     qs = list(quantiles)
     spec = DDSketchSpec(on=value_col, name="s", relative_accuracy=alpha, quantiles=())
-    states = sketch_states(ds, [spec], (group_col,))
-    merged = states.groupby(group_col).aggregate(SketchStateMergeAgg(spec, emit_state=True))
-    thresholds = {}
-    for r in merged.take_all():  # one KB state row per group
-        sk = spec.from_state(r["s"])
-        thresholds[r[group_col]] = np.array(
-            [sk.get_quantile_value(q) for q in qs], dtype=np.float64
-        )
+    thresholds = {
+        g: np.array([sk.get_quantile_value(q) for q in qs], dtype=np.float64)
+        for g, sk in group_sketches(ds, spec, group_col).items()
+    }
     ref = ray.put(thresholds)
 
     def assign(t: pa.Table) -> pa.Table:

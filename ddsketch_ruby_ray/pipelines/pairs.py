@@ -1,8 +1,7 @@
 """Extreme-cardinality DDSketch aggregation: the vectorized "pairs" plan.
 
-Why: Ray's aggregate machinery (and therefore both the "states" and "rows"
-strategies) iterates GROUPS in Python - fine at 10^1..10^5 groups, ~100-250us
-per group beyond that.  At lang x repo cardinality (10^6..10^8 groups) the
+Why: the "states" strategy's fold merges and finalizes one sketch per GROUP
+in Python - fine at 10^1..10^5 groups, ~100-250us per group beyond that.  At lang x repo cardinality (10^6..10^8 groups) the
 hot path must never touch Python per group.
 
 Plan (all group-cardinality-proportional work is numpy):
@@ -14,7 +13,7 @@ Plan (all group-cardinality-proportional work is numpy):
       rides along, so every group's pairs meet in exactly one partition.
       The ORIGINAL group-key columns (native dtypes) ride along too - one
       representative value per pair row - so the output schema matches the
-      states/rows strategies exactly.
+      states strategy exactly.
   stage B: groupby("_part") -> P map_groups calls (P ~ cpus, NOT groups);
       inside each: lexsort + reduceat re-aggregation across blocks, then a
       BOUNDARY-VECTORIZED multi-quantile walk (global-cumsum searchsorted
@@ -23,7 +22,7 @@ Plan (all group-cardinality-proportional work is numpy):
       per DISTINCT key through the mapping's scalar (libm) path, preserving
       bit-parity with the SQL oracle.
 
-Results are bit-identical to the "states"/"rows" strategies for
+Results are bit-identical to the "states" strategy for
 DDSketchSpecs of ANY mapping (log / linear / cubic), dense or collapsing
 stores, weighted or not - same keys, same rank arithmetic (the walk
 replicates base_sketch.rb:121-138); sums are exact for integer-valued

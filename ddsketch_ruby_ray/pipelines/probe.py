@@ -14,17 +14,17 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.aggregates import SketchStateMergeAgg
-from .corpus import sketch_states
+from .corpus import merge_states, sketch_states
+from .fold import partitioned_group_agg
 
 __all__ = ["build_sketch", "bloom_membership_pipeline", "cms_frequency_pipeline"]
 
 
-def build_sketch(ds, spec, *, batch_size=None, concurrency=None):
-    """rows -> ONE merged sketch (global aggregate; driver gets KBs, not rows)."""
-    states = sketch_states(ds, [spec], (), batch_size=batch_size, concurrency=concurrency)
-    out = states.aggregate(SketchStateMergeAgg(spec, emit_state=True))
-    return spec.from_state(out[spec.name])
+def build_sketch(ds, spec):
+    """rows -> ONE merged sketch (global aggregate; driver gets KBs, not
+    rows); ``spec.zero()`` for an empty input."""
+    rows = merge_states(sketch_states(ds, [spec]), [spec]).take_all()
+    return spec.from_state(rows[0][spec.name]) if rows else spec.zero()
 
 
 def _broadcast(obj):
@@ -33,101 +33,36 @@ def _broadcast(obj):
     return ray.put(obj)
 
 
-def _group_reduce(
-    ds,
-    key_col: str,
-    weight: str | None,
-    num_partitions: int = 64,
-    strategy: str = "native",
-):
+def _group_reduce(ds, key_col: str, weight: str | None):
     """-> Dataset[(key_col, _exact)]: per-key count (weight=None) or sum.
 
-    Two plans (SURVEY.md §8.5):
-
-    * ``"native"``: Ray ``groupby().count()/sum()``.  Its reduce iterates
-      groups in Python (~250us/group).  It does NOT win at low cardinality:
-      the exact side of ``cms_user_frequencies`` (1,500 keys, sf0.1, 4 cpus)
-      takes 1.56 s native vs 0.45 s partition, 3.5x slower.
-    * ``"partition"``: per-block np.unique+bincount pre-agg -> key-hash
-      partition shuffle -> one more unique+bincount per partition.  ZERO
-      per-group Python; also the only viable plan at 10^5+ keys (20k-key
-      query at 32 cpus: 4 s vs native's ~5 s, growing linearly in key
-      count).
+    One keyed fold (:func:`.fold.partitioned_group_agg`): per-block Arrow
+    hash pre-aggregation -> key-hash partition exchange -> one more hash
+    aggregation per partition; zero per-group Python.  Ray's native
+    ``groupby().count()/sum()`` lost at every measured cardinality (the
+    exact side of ``cms_user_frequencies``, 1,500 keys at sf0.1 on 4 cpus:
+    1.56 s native vs 0.45 s partitioned) and is not used.
 
     Keys must be non-null (int or string).  Float weight sums follow block
     order: bit-reproducibility (and oracle parity) needs integer-valued
     weights - the standing exact-sum convention of this repo's oracles.
     """
-    if strategy == "native":
-        if weight is None:
-            per = ds.groupby(key_col).count()
-            src = "count()"
-        else:
-            per = ds.groupby(key_col).sum(weight)
-            src = f"sum({weight})"
+    import pyarrow.compute as pc
 
-        def rename(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
+    agg = (key_col, "count") if weight is None else (weight, "sum")
+    src = f"{agg[1]}({agg[0]})"
 
-            return pa.table(
-                {
-                    key_col: t.column(key_col),
-                    "_exact": pc.cast(t.column(src), pa.float64()),
-                }
-            )
-
-        return per.map_batches(rename, batch_format="pyarrow", zero_copy_batch=True)
-    from ..core.hashing import hash256_str, hash64_int
-
-    def _uniq_part(col: pa.Array, values: np.ndarray):
-        if pa.types.is_integer(col.type):
-            h = hash64_int(values.astype(np.int64))
-        else:
-            h = hash256_str(np.array(values, dtype=object), lanes=1)[0]
-        return (h % np.uint64(num_partitions)).astype(np.int32)
-
-    def preagg(t: pa.Table) -> pa.Table:
-        col = t.column(key_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        k = col.to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(k, return_inverse=True)
-        if weight is None:
-            sums = np.bincount(inv, minlength=len(uniq)).astype(np.float64)
-        else:
-            w = t.column(weight).to_numpy(zero_copy_only=False).astype(np.float64)
-            sums = np.bincount(inv, weights=w, minlength=len(uniq))
+    def rename(t: pa.Table) -> pa.Table:
         return pa.table(
-            {
-                key_col: pa.array(uniq.tolist(), type=col.type),
-                "_w": pa.array(sums, pa.float64()),
-                "_part": pa.array(_uniq_part(col, uniq)),
-            }
+            {key_col: t.column(key_col), "_exact": pc.cast(t.column(src), pa.float64())}
         )
 
-    def combine(g: pa.Table) -> pa.Table:
-        col = g.column(key_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        k = col.to_numpy(zero_copy_only=False)
-        w = g.column("_w").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(k, return_inverse=True)
-        sums = np.bincount(inv, weights=w, minlength=len(uniq))
-        return pa.table(
-            {
-                key_col: pa.array(uniq.tolist(), type=col.type),
-                "_exact": pa.array(sums, pa.float64()),
-            }
-        )
-
-    return (
-        ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(combine, batch_format="pyarrow")
+    return partitioned_group_agg(ds, key_col, [agg]).map_batches(
+        rename, batch_format="pyarrow", zero_copy_batch=True
     )
 
 
-def bloom_membership_pipeline(build_ds, probe_ds, *, build_spec, probe_col: str, out_key: str, exact_strategy: str = "native"):
+def bloom_membership_pipeline(build_ds, probe_ds, *, build_spec, probe_col: str, out_key: str):
     """Build a Bloom filter over ``build_ds[build_spec.on]``; probe the
     DISTINCT values of ``probe_ds[probe_col]``.
 
@@ -140,7 +75,7 @@ def bloom_membership_pipeline(build_ds, probe_ds, *, build_spec, probe_col: str,
     ref = _broadcast(filt)
     kind = build_spec.kind
 
-    distinct = _group_reduce(probe_ds, probe_col, None, strategy=exact_strategy).drop_columns(["_exact"])
+    distinct = _group_reduce(probe_ds, probe_col, None).drop_columns(["_exact"])
 
     def probe(batch: pa.Table) -> pa.Table:
         f = ray.get(ref)
@@ -156,7 +91,7 @@ def bloom_membership_pipeline(build_ds, probe_ds, *, build_spec, probe_col: str,
     return distinct.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def cms_frequency_pipeline(ds, *, spec, out_key: str, exact_strategy: str = "native"):
+def cms_frequency_pipeline(ds, *, spec, out_key: str):
     """Build a count-min sketch over ``ds[spec.on]``; emit the estimate and
     the exact count for every distinct key.
 
@@ -173,7 +108,7 @@ def cms_frequency_pipeline(ds, *, spec, out_key: str, exact_strategy: str = "nat
     key_col = spec.on
     weight = spec.weight
 
-    per_key = _group_reduce(ds, key_col, weight, strategy=exact_strategy)
+    per_key = _group_reduce(ds, key_col, weight)
     exact_col = "_exact"
 
     def probe(batch: pa.Table) -> pa.Table:

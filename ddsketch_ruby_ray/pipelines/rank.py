@@ -35,29 +35,22 @@ def ddsketch_rank_pipeline(
     """-> Dataset[(carry_cols..., group_col, rank_lt)] - one row per input row."""
     import ray
 
-    from ..functions.aggregates import SketchStateMergeAgg
     from ..functions.specs import DDSketchSpec
-    from .corpus import sketch_states
+    from .corpus import group_sketches
 
     carry_cols = list(carry_cols)
     spec = DDSketchSpec(
         on=value_col, name="s", relative_accuracy=alpha, quantiles=()
     )
-    states = sketch_states(ds, [spec], (group_col,))
-    merged = states.groupby(group_col).aggregate(
-        SketchStateMergeAgg(spec, emit_state=True)
-    )
-    rows = merged.take_all()  # one KB-sized state row per group
     lut = {}
     mapping = None
-    for r in rows:
-        sk = spec.from_state(r["s"])
+    for g, sk in group_sketches(ds, spec, group_col).items():
         mapping = sk.mapping
         st = sk.store
         if len(st.bins):
-            lut[r[group_col]] = (int(st.min_key), np.cumsum(st.bins))
+            lut[g] = (int(st.min_key), np.cumsum(st.bins))
         else:
-            lut[r[group_col]] = (0, np.zeros(0))
+            lut[g] = (0, np.zeros(0))
     ref = ray.put((lut, mapping))
 
     def probe(t: pa.Table) -> pa.Table:

@@ -30,6 +30,46 @@ __all__ = ["rollup_sketch_pipeline", "cube_sketch_pipeline", "ROLLUP_FILL"]
 ROLLUP_FILL = "(all)"
 
 
+def _finalize_level(states, spec, keys: list[str], present: list[str], fill: str):
+    """State rows -> (group_key, finalize...) rows; absent keys filled."""
+    from ..stages.util import unnest_struct
+
+    def fin(t: pa.Table) -> pa.Table:
+        structs = [spec.finalize(spec.from_state(st)) for st in t.column(spec.name).to_pylist()]
+        parts = []
+        for k in keys:
+            if k in present:
+                col = t.column(k).to_pylist()
+                parts.append([v if v is not None else "" for v in col])
+            else:
+                parts.append([fill] * t.num_rows)
+        gk = pa.array(["|".join(p) for p in zip(*parts)] if t.num_rows else [], pa.string())
+        out = pa.table({"group_key": gk, spec.name: pa.array(structs)})
+        return unnest_struct(out, columns=[spec.name])
+
+    return states.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _grand_total(level, spec, keys: list[str], fill: str):
+    """Merge one level's (few) state rows on the driver into the grand-total
+    row, ``group_key == fill * n`` joined with '|'."""
+    import ray.data as rd
+
+    from ..stages.util import unnest_struct
+
+    acc = None
+    for r in level.take_all():
+        sk = spec.from_state(r[spec.name])
+        acc = sk if acc is None else spec.merge(acc, sk)
+    t = pa.table(
+        {
+            "group_key": pa.array(["|".join([fill] * len(keys))]),
+            spec.name: pa.array([spec.finalize(acc)]),
+        }
+    )
+    return rd.from_arrow(unnest_struct(t, columns=[spec.name]))
+
+
 def rollup_sketch_pipeline(
     ds,
     spec,
@@ -44,63 +84,21 @@ def rollup_sketch_pipeline(
     ``keys`` must be string columns (composite key join); the grand-total row
     has ``group_key == fill * n`` joined with '|'.
     """
-    import ray.data as rd
-
-    from ..functions.aggregates import SketchStateMergeAgg
-    from ..stages.util import unnest_struct
-    from .corpus import sketch_states
+    from .corpus import merge_states, sketch_states
 
     keys = list(keys)
-
-    def finalize_level(states, present: list[str]):
-        """State rows -> (group_key, finalize...) rows; absent keys filled."""
-
-        def fin(t: pa.Table) -> pa.Table:
-            structs = [spec.finalize(spec.from_state(st)) for st in t.column(spec.name).to_pylist()]
-            parts = []
-            for k in keys:
-                if k in present:
-                    col = t.column(k).to_pylist()
-                    parts.append([v if v is not None else "" for v in col])
-                else:
-                    parts.append([fill] * t.num_rows)
-            gk = pa.array(["|".join(p) for p in zip(*parts)] if t.num_rows else [], pa.string())
-            out = pa.table({"group_key": gk, spec.name: pa.array(structs)})
-            return unnest_struct(out, columns=[spec.name])
-
-        return states.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True)
-
     # one corpus read: finest-level per-(block, group) states
     states = sketch_states(ds, [spec], keys, derive=derive)
-    cur = (
-        states.groupby(keys)
-        .aggregate(SketchStateMergeAgg(spec, emit_state=True))
-        .materialize()  # tiny: one KB state row per finest group
-    )
-    outs = [finalize_level(cur, keys)]
-    for i in range(len(keys) - 1, -1, -1):
-        sub = keys[:i]
-        if sub:
-            cur = (
-                cur.groupby(sub)
-                .aggregate(SketchStateMergeAgg(spec, emit_state=True))
-                .materialize()
-            )
-            outs.append(finalize_level(cur, sub))
-        else:
-            # grand total: merge the coarsest level's handful of states on the
-            # driver (bounded by the first key's cardinality)
-            acc = None
-            for r in cur.take_all():
-                sk = spec.from_state(r[spec.name])
-                acc = sk if acc is None else spec.merge(acc, sk)
-            row = {"group_key": "|".join([fill] * len(keys)), spec.name: spec.finalize(acc)}
-            t = pa.table({"group_key": pa.array([row["group_key"]]), spec.name: pa.array([row[spec.name]])})
-            outs.append(rd.from_arrow(unnest_struct(t, columns=[spec.name])))
-    out = outs[0]
-    for o in outs[1:]:
-        out = out.union(o)
-    return out
+    # tiny: one KB state row per finest group
+    cur = merge_states(states, [spec], keys).materialize()
+    outs = [_finalize_level(cur, spec, keys, keys, fill)]
+    for i in range(len(keys) - 1, 0, -1):
+        cur = merge_states(cur, [spec], keys[:i]).materialize()
+        outs.append(_finalize_level(cur, spec, keys, keys[:i], fill))
+    # grand total: the coarsest level's handful of states, merged on the
+    # driver (bounded by the first key's cardinality)
+    outs.append(_grand_total(cur, spec, keys, fill))
+    return outs[0].union(*outs[1:])
 
 
 def cube_sketch_pipeline(
@@ -121,60 +119,19 @@ def cube_sketch_pipeline(
     Output schema matches :func:`rollup_sketch_pipeline` (composite
     ``group_key`` with ``fill`` for absent keys).
     """
-    from itertools import combinations as _combos
+    from itertools import combinations
 
-    import ray.data as rd
-
-    from ..functions.aggregates import SketchStateMergeAgg
-    from ..stages.util import unnest_struct
-    from .corpus import sketch_states
+    from .corpus import merge_states, sketch_states
 
     keys = list(keys)
-
-    def finalize_level(states, present: list[str]):
-        def fin(t: pa.Table) -> pa.Table:
-            structs = [spec.finalize(spec.from_state(st)) for st in t.column(spec.name).to_pylist()]
-            parts = []
-            for k in keys:
-                if k in present:
-                    col = t.column(k).to_pylist()
-                    parts.append([v if v is not None else "" for v in col])
-                else:
-                    parts.append([fill] * t.num_rows)
-            gk = pa.array(["|".join(p) for p in zip(*parts)] if t.num_rows else [], pa.string())
-            out = pa.table({"group_key": gk, spec.name: pa.array(structs)})
-            return unnest_struct(out, columns=[spec.name])
-
-        return states.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True)
-
     states = sketch_states(ds, [spec], keys, derive=derive)
-    finest = (
-        states.groupby(keys)
-        .aggregate(SketchStateMergeAgg(spec, emit_state=True))
-        .materialize()  # tiny: one KB state row per finest group
-    )
-    outs = [finalize_level(finest, keys)]
-    subsets = [
-        list(c)
-        for r in range(len(keys) - 1, 0, -1)
-        for c in _combos(keys, r)
-    ]
-    for sub in subsets:
-        lvl = finest.groupby(sub).aggregate(SketchStateMergeAgg(spec, emit_state=True))
-        outs.append(finalize_level(lvl, sub))
+    # tiny: one KB state row per finest group
+    finest = merge_states(states, [spec], keys).materialize()
+    outs = [_finalize_level(finest, spec, keys, keys, fill)]
+    for r in range(len(keys) - 1, 0, -1):
+        for sub in combinations(keys, r):
+            lvl = merge_states(finest, [spec], list(sub))
+            outs.append(_finalize_level(lvl, spec, keys, list(sub), fill))
     # grand total: merge the finest states on the driver (tiny)
-    acc = None
-    for r in finest.take_all():
-        sk = spec.from_state(r[spec.name])
-        acc = sk if acc is None else spec.merge(acc, sk)
-    t = pa.table(
-        {
-            "group_key": pa.array(["|".join([fill] * len(keys))]),
-            spec.name: pa.array([spec.finalize(acc)]),
-        }
-    )
-    outs.append(rd.from_arrow(unnest_struct(t, columns=[spec.name])))
-    out = outs[0]
-    for o in outs[1:]:
-        out = out.union(o)
-    return out
+    outs.append(_grand_total(finest, spec, keys, fill))
+    return outs[0].union(*outs[1:])

@@ -79,9 +79,8 @@ def sketch_exact_quantiles_pipeline(
     single broadcast filter)."""
     import ray
 
-    from ..functions.aggregates import SketchStateMergeAgg
     from ..functions.specs import DDSketchSpec
-    from .corpus import sketch_states
+    from .corpus import group_sketches
 
     qs = tuple(qs)
     if not qs:
@@ -89,14 +88,11 @@ def sketch_exact_quantiles_pipeline(
     qcols = [f"exact_{_qname(q)}" for q in qs]
 
     spec = DDSketchSpec(on=value_col, name="s", relative_accuracy=alpha, quantiles=())
-    states = sketch_states(ds, [spec], (group_col,))
-    merged = states.groupby(group_col).aggregate(SketchStateMergeAgg(spec, emit_state=True))
 
     # group -> {q_index: ("zero",) | ("bucket", bucket_key, local_rank)}
     targets: dict = {}
     mapping = None
-    for r in merged.take_all():  # one KB state row per group
-        sk = spec.from_state(r["s"])
+    for g, sk in group_sketches(ds, spec, group_col).items():
         mapping = sk.mapping
         if sk.negative_store.count:
             raise ValueError("sketch_exact_quantiles_pipeline: positive values only")
@@ -116,13 +112,13 @@ def sketch_exact_quantiles_pipeline(
             b_idx = int(np.searchsorted(cum, k - zc, side="right"))
             if bins[b_idx] > max_candidates_per_group:
                 raise ValueError(
-                    f"bucket for group {r[group_col]!r} holds {int(bins[b_idx])} rows"
+                    f"bucket for group {g!r} holds {int(bins[b_idx])} rows"
                     f" (> {max_candidates_per_group}); pick a different quantile or"
                     " raise the limit"
                 )
             local = (k - zc) - (int(cum[b_idx - 1]) if b_idx else 0)
             plan[qi] = ("bucket", int(st.min_key) + b_idx, local)
-        targets[r[group_col]] = plan
+        targets[g] = plan
     ref = ray.put((targets, mapping))
 
     def candidates(t: pa.Table) -> pa.Table:
@@ -224,21 +220,17 @@ def sketch_exact_weighted_quantile_pipeline(
     Positive values only."""
     import ray
 
-    from ..functions.aggregates import SketchStateMergeAgg
     from ..functions.specs import DDSketchSpec
-    from .corpus import sketch_states
+    from .corpus import group_sketches
 
     qcol = f"exact_w{_qname(q)}"
     spec = DDSketchSpec(
         on=value_col, name="s", relative_accuracy=alpha, quantiles=(), weight=weight_col
     )
-    states = sketch_states(ds, [spec], (group_col,))
-    merged = states.groupby(group_col).aggregate(SketchStateMergeAgg(spec, emit_state=True))
 
     targets: dict = {}
     mapping = None
-    for r in merged.take_all():  # one KB state row per group
-        sk = spec.from_state(r["s"])
+    for g, sk in group_sketches(ds, spec, group_col).items():
         mapping = sk.mapping
         if sk.negative_store.count:
             raise ValueError(
@@ -252,17 +244,17 @@ def sketch_exact_weighted_quantile_pipeline(
         cum = np.cumsum(bins)
         k = int(math.floor(q * (w_total - 1)))
         if k < zc:
-            targets[r[group_col]] = ("zero",)
+            targets[g] = ("zero",)
             continue
         b_idx = int(np.searchsorted(cum, k - zc, side="right"))
         if bins[b_idx] > max_candidate_mass_per_group:
             raise ValueError(
-                f"bucket for group {r[group_col]!r} holds mass {int(bins[b_idx])}"
+                f"bucket for group {g!r} holds mass {int(bins[b_idx])}"
                 f" (> {max_candidate_mass_per_group}); pick a different quantile"
                 " or raise the limit"
             )
         local = (k - zc) - (int(cum[b_idx - 1]) if b_idx else 0)
-        targets[r[group_col]] = ("bucket", int(sk.store.min_key) + b_idx, local)
+        targets[g] = ("bucket", int(sk.store.min_key) + b_idx, local)
     ref = ray.put((targets, mapping))
 
     def candidates(t: pa.Table) -> pa.Table:
@@ -348,19 +340,15 @@ def sketch_exact_interp_quantile_pipeline(
     values — no global sort); positive integer values only."""
     import ray
 
-    from ..functions.aggregates import SketchStateMergeAgg
     from ..functions.specs import DDSketchSpec
-    from .corpus import sketch_states
+    from .corpus import group_sketches
 
     spec = DDSketchSpec(on=value_col, name="s", relative_accuracy=alpha, quantiles=())
-    states = sketch_states(ds, [spec], (group_col,))
-    merged = states.groupby(group_col).aggregate(SketchStateMergeAgg(spec, emit_state=True))
 
     # group -> (n, [(which, plan), ...]) with which in {"lo", "hi"}
     targets: dict = {}
     mapping = None
-    for r in merged.take_all():  # one KB state row per group
-        sk = spec.from_state(r["s"])
+    for g, sk in group_sketches(ds, spec, group_col).items():
         mapping = sk.mapping
         if sk.negative_store.count:
             raise ValueError(
@@ -383,12 +371,12 @@ def sketch_exact_interp_quantile_pipeline(
             b_idx = int(np.searchsorted(cum, k - zc, side="right"))
             if bins[b_idx] > max_candidates_per_group:
                 raise ValueError(
-                    f"bucket for group {r[group_col]!r} holds {int(bins[b_idx])} "
+                    f"bucket for group {g!r} holds {int(bins[b_idx])} "
                     f"rows (> {max_candidates_per_group})"
                 )
             local = (k - zc) - (int(cum[b_idx - 1]) if b_idx else 0)
             plan[which] = ("bucket", int(st.min_key) + b_idx, local)
-        targets[r[group_col]] = (n, plan)
+        targets[g] = (n, plan)
     ref = ray.put((targets, mapping))
 
     def candidates(t: pa.Table) -> pa.Table:

@@ -43,17 +43,11 @@ def kmv_overlap_pipeline(
     import numpy as np
     import ray.data as rd
 
-    from ..functions.aggregates import SketchStateMergeAgg
     from ..functions.family_specs import KMVSpec
-    from .corpus import sketch_states
+    from .corpus import group_sketches
 
     spec = KMVSpec(on=value_col, name="s", k=k, kind=kind)
-    states = sketch_states(ds, [spec], (group_col,))
-    merged = states.groupby(group_col).aggregate(SketchStateMergeAgg(spec, emit_state=True))
-    sks = {
-        r[group_col]: spec.from_state(r["s"])
-        for r in merged.take_all()  # one <=k-uint64 state row per group
-    }
+    sks = group_sketches(ds, spec, group_col)  # one <=k-uint64 sketch per group
     cols = ("type_a", "type_b", "union_distinct", "jaccard", "intersection",
             "only_a", "only_b")
     rows = {c: [] for c in cols}

@@ -131,16 +131,20 @@ def duplicate_spans_pipeline(
         by-hash exchange had scattered them).  On duplication-heavy
         corpora, where instances are corpus-scale (the bench corpus
         measures 156M duplicated instances of 156M windows), this removes
-        the last full-scale exchange from the plan.  Duplicate key VALUES
-        split across blocks would stay unmerged here (the classic plan
-        merges them); key_col is a per-row doc id everywhere in this repo,
-        so the plans agree — asserted nowhere, documented here."""
+        the last full-scale exchange from the plan.  It needs ``key_col``
+        to be a per-row doc id: a block holding one key in several rows
+        raises instead of merging different documents' positions."""
+        keys = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        if np.unique(keys).size != keys.size:
+            raise ValueError(
+                f"duplicate_spans_pipeline: key column {key_col!r} repeats a key "
+                "within one block; spans need one row per document key"
+            )
         d = ray.get(dup_ref)  # zero-copy numpy view of the plasma buffer
         flat, bounds = _doc_window_hashes(batch, text_col, n)
         if not d.size or not flat.size:
             return empty_spans
         counts = np.diff(bounds)
-        keys = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
         pos = np.arange(flat.size, dtype=np.int64) - np.repeat(bounds[:-1], counts) + 1
         idx = np.searchsorted(d, flat)
         isdup = (idx < d.size) & (d[np.minimum(idx, d.size - 1)] == flat)
@@ -148,7 +152,7 @@ def duplicate_spans_pipeline(
         p_s = pos[isdup]
         if not k_s.size:
             return empty_spans
-        o = np.lexsort((p_s, k_s))  # same-key rows in one block merge too
+        o = np.lexsort((p_s, k_s))
         k_s, p_s = k_s[o], p_s[o]
         new = np.empty(k_s.size, dtype=bool)
         new[0] = True

@@ -13,8 +13,9 @@ None of these functions calls ray.init(); the driver owns the session.
 from __future__ import annotations
 
 from .core.numeric import round_half_away
-from .functions import DDSketchAgg, ddsketch_group_sql, ddsketch_quantile_sql
-from .pipelines import documents_sketch_pipeline
+from .functions import ddsketch_group_sql, ddsketch_quantile_sql
+from .functions.specs import DDSketchSpec
+from .pipelines import documents_sketch_pipeline, grouped_sketch_pipeline
 from .stages import unnest
 
 ALPHA = 0.01
@@ -27,35 +28,33 @@ def _read(sf_dir: str, table: str, columns):
     return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=list(columns))
 
 
+def _dd_by(ds, group_col: str, on: str, *, quantiles=QUANTILES, include_sum_avg=True, derive=None):
+    """One DDSketch of ``on`` per ``group_col`` value, flat result columns
+    (count/sum/avg/min/max + quantiles), through the two-level state merge."""
+    spec = DDSketchSpec(
+        on=on, name="s", relative_accuracy=ALPHA, quantiles=quantiles,
+        include_sum_avg=include_sum_avg,
+    )
+    return grouped_sketch_pipeline(ds, [spec], (group_col,), derive=derive)
+
+
 # -- sketch queries ----------------------------------------------------------
 
 def dd_stats_by_lang(sf_dir: str):
     """Exact side stats carried by the sketch (count/sum/min/max/avg)."""
-    ds = _read(sf_dir, "documents", ["lang", "n_chars"])
-    out = ds.groupby("lang").aggregate(
-        DDSketchAgg(on="n_chars", relative_accuracy=ALPHA, quantiles=(), name="s")
-    )
-    return unnest(out, columns=["s"])
+    return _dd_by(_read(sf_dir, "documents", ["lang", "n_chars"]), "lang", "n_chars", quantiles=())
 
 
 def dd_quantiles_by_lang(sf_dir: str):
     """DDSketch quantiles of document length by language."""
-    ds = _read(sf_dir, "documents", ["lang", "n_chars"])
-    out = ds.groupby("lang").aggregate(
-        DDSketchAgg(on="n_chars", relative_accuracy=ALPHA, quantiles=QUANTILES, name="s")
-    )
-    return unnest(out, columns=["s"])
+    return _dd_by(_read(sf_dir, "documents", ["lang", "n_chars"]), "lang", "n_chars")
 
 
 def dd_quantiles_by_event_type(sf_dir: str):
     """DDSketch quantiles of event value by type (fractional values ->
     sum/avg omitted: their fp accumulation order is not SQL-reproducible)."""
     ds = _read(sf_dir, "events", ["event_type", "value"])
-    out = ds.groupby("event_type").aggregate(
-        DDSketchAgg(on="value", relative_accuracy=ALPHA, quantiles=QUANTILES, name="s")
-    )
-    out = unnest(out, columns=["s"])
-    return out.drop_columns(["sum", "avg"])
+    return _dd_by(ds, "event_type", "value", include_sum_avg=False)
 
 
 def flagship_docs_metrics(sf_dir: str):
@@ -372,11 +371,7 @@ def dd_ship_latency_by_priority(sf_dir: str):
             {"o_orderpriority": t.column("o_orderpriority"), "latency_days": days}
         )
 
-    ds = joined.map_batches(derive, batch_format="pyarrow", zero_copy_batch=True)
-    out = ds.groupby("o_orderpriority").aggregate(
-        DDSketchAgg(on="latency_days", relative_accuracy=ALPHA, quantiles=QUANTILES, name="s")
-    )
-    return unnest(out, columns=["s"])
+    return _dd_by(joined, "o_orderpriority", "latency_days", derive=derive)
 
 
 def dd_interarrival_by_event_type(sf_dir: str):
@@ -394,10 +389,7 @@ def dd_interarrival_by_event_type(sf_dir: str):
         tiebreak_col="event_id",
         carry_cols=["event_type"],
     )
-    out = ordered.groupby("event_type").aggregate(
-        DDSketchAgg(on="prev_gap_us", relative_accuracy=ALPHA, quantiles=QUANTILES, name="s")
-    )
-    return unnest(out, columns=["s"])
+    return _dd_by(ordered, "event_type", "prev_gap_us")
 
 
 def rfm_customer_segments(sf_dir: str):
@@ -1754,17 +1746,14 @@ def ams_join_size_events_orders(sf_dir: str):
     import pyarrow as pa
     import ray.data as rd
 
-    from .functions.aggregates import SketchStateMergeAgg
     from .functions.family_specs import AMSSpec
-    from .pipelines.corpus import sketch_states
+    from .pipelines.probe import build_sketch
 
     d = 5
-    sides = {}
-    for tbl, col in (("events", "user_id"), ("orders", "o_custkey")):
-        spec = AMSSpec(on=col, name="s", d=d)
-        states = sketch_states(_read(sf_dir, tbl, [col]), [spec])
-        st = states.aggregate(SketchStateMergeAgg(spec, emit_state=True))
-        sides[tbl] = spec.from_state(st["s"])
+    sides = {
+        tbl: build_sketch(_read(sf_dir, tbl, [col]), AMSSpec(on=col, name="s", d=d))
+        for tbl, col in (("events", "user_id"), ("orders", "o_custkey"))
+    }
     a, b = sides["events"], sides["orders"]
     prods = sorted(int(x) * int(y) for x, y in zip(a.sums, b.sums))
     return rd.from_arrow(
@@ -1858,9 +1847,6 @@ def cms_weighted_part_quantities(sf_dir: str):
         ds,
         spec=CMSSpec(on="l_partkey", weight="l_quantity", w=4096, d=4, kind="int"),
         out_key="l_partkey",
-        # 20k distinct parts at sf0.1 (200k at sf1, ...): the per-group
-        # Python of the native aggregate is the wrong regime here
-        exact_strategy="partition",
     )
 
 
@@ -4172,11 +4158,7 @@ def props_k_quantiles_by_type(sf_dir: str):
         )
         return out.filter(pc.is_valid(kv))
 
-    out = ds.map_batches(derive, batch_format="pyarrow", zero_copy_batch=True)
-    agg = out.groupby("event_type").aggregate(
-        DDSketchAgg(on="k", relative_accuracy=ALPHA, quantiles=QUANTILES, name="s")
-    )
-    return unnest(agg, columns=["s"])
+    return _dd_by(ds, "event_type", "k", derive=derive)
 
 
 def tukey_outlier_events(sf_dir: str):
@@ -4558,22 +4540,15 @@ def dd_session_duration_quantiles(sf_dir: str):
     def secs(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
+        # global sketch: the constant group key "g" keeps the output column
         return pa.table(
-            {"dur_s": pc.divide(t.column("duration_us"), 1_000_000)}
+            {
+                "g": pa.array(["all"] * t.num_rows, pa.string()),
+                "dur_s": pc.divide(t.column("duration_us"), 1_000_000),
+            }
         )
 
-    d = sess.map_batches(secs, batch_format="pyarrow", zero_copy_batch=True)
-    # global (un-keyed) sketch: a constant group key reuses the grouped path
-    d2 = d.map_batches(
-        lambda t: t.append_column("g", pa.array(["all"] * t.num_rows, pa.string())),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    out = d2.groupby("g").aggregate(
-        DDSketchAgg(on="dur_s", relative_accuracy=ALPHA, quantiles=QUANTILES, name="s")
-    )
-    out = unnest(out, columns=["s"])
-    return out
+    return _dd_by(sess, "g", "dur_s", derive=secs)
 
 
 def ks_exact_by_lang_train_val(sf_dir: str):

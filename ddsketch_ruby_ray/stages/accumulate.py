@@ -2,7 +2,7 @@
 
 This is stage 1 of the two-level merge (`SURVEY.md §4.2`): each map task turns
 its Arrow batch into at most ``num_groups`` KB-sized state rows, so the
-downstream ``groupby(keys)`` shuffle moves sketch STATES, never raw rows.  A
+downstream keyed exchange moves sketch STATES, never raw rows.  A
 hot key (Zipf ``lang``) therefore costs O(num_batches) small states instead of
 O(rows) - the skew answer mandated by the north_rule.
 

@@ -32,33 +32,37 @@ class TestActorPool:
 
 
 class TestStrategies:
-    def test_rows_strategy_identical_to_states(self, ray_session, sf_dir):
-        """High-cardinality plan (raw-row groupby) == two-level state merge."""
+    def test_states_strategy_identical_to_one_pass_build(self, ray_session, sf_dir):
+        """Multi-block two-level state merge == one sketch per group built
+        from all of its raw rows in one pass (merge associativity)."""
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
         import ray.data as rd
 
         from ddsketch_ruby_ray.functions.specs import DDSketchSpec
         from ddsketch_ruby_ray.functions.family_specs import HLLSpec
         from ddsketch_ruby_ray.pipelines import grouped_sketch_pipeline
 
-        def run(strategy):
-            ds = rd.read_parquet(
-                f"{sf_dir}/documents.parquet", columns=["lang", "n_chars", "doc_id"]
-            )
-            out = grouped_sketch_pipeline(
-                ds,
-                [
-                    DDSketchSpec(on="n_chars", name="s", quantiles=(0.5, 0.99)),
-                    HLLSpec(on="doc_id", name="h", p=12),
-                ],
-                ("lang",),
-                strategy=strategy,
-            )
-            df = out.to_pandas().sort_values("lang").reset_index(drop=True)
-            return df[sorted(df.columns)]
-
-        a, b = run("states"), run("rows")
-        assert list(a.columns) == list(b.columns)
-        assert (a.values == b.values).all()
+        specs = [
+            DDSketchSpec(on="n_chars", name="s", quantiles=(0.5, 0.99)),
+            HLLSpec(on="doc_id", name="h", p=12),
+        ]
+        tbl = pq.read_table(f"{sf_dir}/documents.parquet", columns=["lang", "n_chars", "doc_id"])
+        out = grouped_sketch_pipeline(
+            rd.from_arrow(tbl).repartition(5), specs, ("lang",)
+        ).to_pandas().set_index("lang")
+        for lang in set(tbl.column("lang").to_pylist()):
+            rows = tbl.filter(pc.equal(tbl.column("lang"), lang))
+            arrays = {c: rows.column(c).to_numpy(zero_copy_only=False) for c in ("n_chars", "doc_id")}
+            want = {}
+            for spec in specs:
+                sk = spec.zero()
+                spec.accumulate(sk, arrays)
+                want.update(spec.finalize(sk))
+            got = out.loc[lang]
+            assert set(want) == set(out.columns)
+            for c, w in want.items():
+                assert got[c] == w or (got[c] != got[c] and w != w), (lang, c)
 
     def test_pairs_strategy_identical_incl_signed_and_zero(self, ray_session):
         """The vectorized extreme-cardinality plan == states, with negative
@@ -121,9 +125,9 @@ class TestStrategies:
         a, b = run("states"), run("pairs")
         assert (a.values == b.values).all()  # integer weights -> bit-exact
 
-    def test_salted_rows_identical_on_skewed_keys(self, ray_session):
-        """salt=K splits a hot key over K phase-1 groups; the phase-2 state
-        merge restores the identical result (SURVEY §4.2 skew answer)."""
+    def test_pairs_identical_to_states_on_skewed_keys(self, ray_session):
+        """An 80%-of-rows hot key: the states plan (hot key costs O(blocks)
+        states) and the pairs plan give the identical result."""
         import numpy as np
         import pyarrow as pa
         import ray.data as rd
@@ -138,14 +142,15 @@ class TestStrategies:
         tbl = pa.table({"g": pa.array(keys.tolist()), "v": pa.array(rng.lognormal(0, 1, n))})
         spec = DDSketchSpec(on="v", name="s", quantiles=(0.5, 0.99), include_sum_avg=False)
 
-        def run(**kw):
+        def run(strategy):
             df = grouped_sketch_pipeline(
-                rd.from_arrow(tbl).repartition(7), [spec], ("g",), strategy="rows", **kw
+                rd.from_arrow(tbl).repartition(7), [spec], ("g",), strategy=strategy
             ).to_pandas()
             return df.sort_values("g").reset_index(drop=True)[sorted(df.columns)]
 
-        a, b = run(), run(salt=8)
-        assert (a.values == b.values).all()
+        a, b = run("states"), run("pairs")
+        assert len(a) == 101
+        self._assert_frames(a, b)
 
     def test_pairs_collapsing_stores_identical(self, ray_session):
         """Collapsing clamp model at finalize == collapse-during-accumulate,
@@ -177,9 +182,8 @@ class TestStrategies:
             self._assert_frames(run("states"), run("pairs"))
 
     def test_null_keys_and_values(self, ray_session):
-        """Null group keys group like SQL GROUP BY in the rows strategy;
-        null values drop per spec; the states path documents that Ray's
-        sort-shuffle cannot order null keys."""
+        """Null group keys group like SQL GROUP BY in the states strategy
+        (their own group); null values drop per spec."""
         import pyarrow as pa
         import ray.data as rd
 
@@ -194,7 +198,7 @@ class TestStrategies:
         )
         spec = DDSketchSpec(on="v", name="s", quantiles=(0.5,))
         df = (
-            grouped_sketch_pipeline(rd.from_arrow(tbl), [spec], ("g",), strategy="rows")
+            grouped_sketch_pipeline(rd.from_arrow(tbl), [spec], ("g",), strategy="states")
             .to_pandas()
             .set_index("g")
         )

@@ -41,7 +41,7 @@ def _conformance_table() -> tuple[pa.Table, dict]:
     )
 
 
-@pytest.mark.parametrize("strategy", ["states", "rows", "pairs"])
+@pytest.mark.parametrize("strategy", ["states", "pairs"])
 @pytest.mark.parametrize("blocks", [1, 13])
 def test_distribution_corpus_through_pipeline(ray_session, strategy, blocks):
     import ray.data as rd

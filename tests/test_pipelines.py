@@ -164,17 +164,30 @@ def _sequential_fold(table, specs, group_keys):
     }
 
 
+def _assert_results_equal(got: dict, want: dict, names) -> None:
+    """Per-group finalize dicts equal field by field (NaN == NaN)."""
+    assert got.keys() == want.keys()
+    for key in want:
+        for name in names:
+            g, w = got[key][name], want[key][name]
+            assert g.keys() == w.keys(), (key, name)
+            for f in w:
+                assert g[f] == w[f] or (g[f] != g[f] and w[f] != w[f]), (key, name, f)
+
+
 @pytest.mark.parametrize("group_keys", [("k",), ()])
 def test_merge_sketch_states_equals_sequential_fold(group_keys):
     """One keyed exchange over a multi-block state table with fewer groups
     (3, one of them NULL) than partitions (one per CPU) gives exactly the
-    sequential in-process merge fold, with one typed struct per spec."""
+    sequential in-process merge fold: ``merge_sketch_states`` as one typed
+    result struct per spec, ``merge_states`` as one state per group typed
+    like its input.  An empty state table gives no rows and typed folds."""
     import pyarrow as pa
     import ray
     import ray.data as rd
 
     from ddsketch_ruby_ray.functions.specs import DDSketchSpec, XorSigSpec
-    from ddsketch_ruby_ray.pipelines import merge_sketch_states
+    from ddsketch_ruby_ray.pipelines import merge_sketch_states, merge_states
     from ddsketch_ruby_ray.stages.accumulate import SketchStateAccumulator, StateBlockMerger
 
     assert ray.cluster_resources()["CPU"] > 3
@@ -194,29 +207,155 @@ def test_merge_sketch_states_equals_sequential_fold(group_keys):
         })))
     states = pa.concat_tables(blocks)
     assert states.num_rows >= len(blocks)
+    want = _sequential_fold(states, specs, group_keys)
+    assert len(want) == (3 if group_keys else 1)
+    names = [spec.name for spec in specs]
 
     ds = merge_sketch_states(rd.from_arrow(blocks), specs, group_keys).materialize()
     types = {spec.name: pa.array([spec.finalize(None)]).type for spec in specs}
     schema = ds.schema().base_schema
-    assert schema.names == list(group_keys) + ["s", "sig"]
+    assert schema.names == list(group_keys) + names
     for name, ty in types.items():
         assert schema.field(name).type == ty, name
-
     got = {
-        tuple(row[k] for k in group_keys): {s.name: row[s.name] for s in specs}
+        tuple(row[k] for k in group_keys): {name: row[name] for name in names}
         for row in ds.take_all()
     }
-    want = _sequential_fold(states, specs, group_keys)
-    assert got.keys() == want.keys() and len(got) == (3 if group_keys else 1)
-    for key in want:
-        for name in types:
-            g, w = got[key][name], want[key][name]
-            assert g.keys() == w.keys(), (key, name)
-            for f in w:
-                assert g[f] == w[f] or (g[f] != g[f] and w[f] != w[f]), (key, name, f)
+    _assert_results_equal(got, want, names)
 
-    empty = StateBlockMerger(specs, group_keys).finalize_groups(states.slice(0, 0))
+    merged = merge_states(rd.from_arrow(blocks), specs, group_keys).materialize()
+    state_schema = merged.schema().base_schema
+    assert state_schema.names == list(group_keys) + names
+    for spec in specs:
+        assert state_schema.field(spec.name).type == spec.state_type(), spec.name
+    got = {
+        tuple(row[k] for k in group_keys): {
+            spec.name: spec.finalize(spec.from_state(row[spec.name])) for spec in specs
+        }
+        for row in merged.take_all()
+    }
+    _assert_results_equal(got, want, names)
+
+    none = states.slice(0, 0)
+    assert merge_states(rd.from_arrow(none), specs, group_keys).take_all() == []
+    merger = StateBlockMerger(specs, group_keys)
+    empty = merger.finalize_groups(none)
     assert empty.num_rows == 0 and empty.schema == schema
+    empty = merger(none)
+    assert empty.num_rows == 0 and empty.schema == state_schema
+
+
+def _spec_factories():
+    """Every SketchSpec of functions/specs.py and functions/family_specs.py,
+    built over columns ``x`` (ints) and ``y`` (floats)."""
+    from ddsketch_ruby_ray.functions.family_specs import (
+        AMSSpec, BloomSpec, CMSSpec, HLLSpec, KLLSpec, KMVSpec, TDigestSpec,
+    )
+    from ddsketch_ruby_ray.functions.specs import DDSketchSpec, XorSigSpec
+
+    return {
+        "DDSketchSpec": lambda: DDSketchSpec(on="y", name="s"),
+        "XorSigSpec": lambda: XorSigSpec(on="x", name="s"),
+        "HLLSpec": lambda: HLLSpec(on="x", name="s", p=8),
+        "KMVSpec": lambda: KMVSpec(on="x", name="s", k=16),
+        "BloomSpec": lambda: BloomSpec(on="x", name="s", m_bits=256),
+        "CMSSpec": lambda: CMSSpec(on="x", name="s", w=16, d=2),
+        "TDigestSpec": lambda: TDigestSpec(on="y", name="s"),
+        "KLLSpec": lambda: KLLSpec(on="y", name="s", k=16),
+        "AMSSpec": lambda: AMSSpec(on="x", name="s"),
+    }
+
+
+def test_spec_factories_cover_every_spec():
+    from ddsketch_ruby_ray.functions import family_specs, specs
+
+    every = {
+        name
+        for mod in (specs, family_specs)
+        for name in mod.__all__
+        if hasattr(getattr(mod, name), "state_type")
+        and not getattr(getattr(mod, name), "_is_protocol", False)  # SketchSpec
+    }
+    assert every == set(_spec_factories())
+
+
+@pytest.mark.parametrize("spec_name", sorted(_spec_factories()))
+def test_merge_states_keeps_typed_state_for_every_spec(spec_name):
+    """The merged state column has exactly ``spec.state_type()`` (no pickled
+    Python-object fallback, which the KMV state once hit in Ray's native
+    aggregate finalize) and every row decodes with ``from_state``."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ddsketch_ruby_ray.pipelines import merge_states, sketch_states
+
+    spec = _spec_factories()[spec_name]()
+    rng = np.random.default_rng(11)
+    n = 900
+    tbl = pa.table({
+        "g": pa.array(rng.choice(["a", "b", "c", "d"], n).tolist()),
+        "x": pa.array(rng.integers(0, 500, n)),
+        "y": pa.array(rng.normal(0, 10, n)),
+    })
+    states = sketch_states(rd.from_arrow(tbl).repartition(3), [spec], ("g",))
+    merged = merge_states(states, [spec], ("g",)).materialize()
+    assert merged.schema().base_schema.field(spec.name).type == spec.state_type()
+    rows = merged.take_all()
+    assert sorted(r["g"] for r in rows) == ["a", "b", "c", "d"]
+    for r in rows:
+        spec.finalize(spec.from_state(r[spec.name]))
+
+
+def test_state_merges_run_no_native_aggregate(monkeypatch):
+    """Rollup and ``group_sketches`` merge states through the keyed
+    exchange only: Ray's ``aggregate`` is never called, and every merge
+    plan is route -> ``Sort`` -> fold with no ``Aggregate`` operator."""
+    import pyarrow as pa
+    import ray.data as rd
+    from ray.data.grouped_data import GroupedData
+
+    from ddsketch_ruby_ray.functions.specs import DDSketchSpec
+    from ddsketch_ruby_ray.pipelines import corpus as corpus_mod
+    from ddsketch_ruby_ray.pipelines import group_sketches
+    from ddsketch_ruby_ray.pipelines.rollup import rollup_sketch_pipeline
+    from ddsketch_ruby_ray.state.metrics import parse_stage_metrics
+
+    tbl = pa.table({
+        "a": pa.array([f"a{i % 3}" for i in range(600)]),
+        "b": pa.array([f"b{i % 5}" for i in range(600)]),
+        "v": pa.array(np.arange(600, dtype=np.float64)),
+    })
+    spec = DDSketchSpec(on="v", name="s", quantiles=(0.5,))
+
+    aggregate_calls = []
+    for cls in (GroupedData, rd.Dataset):
+        real_agg = cls.aggregate
+
+        def spy(self, *aggs, _real=real_agg):
+            aggregate_calls.append(aggs)
+            return _real(self, *aggs)
+
+        monkeypatch.setattr(cls, "aggregate", spy)
+    plans = []
+    merge_states = corpus_mod.merge_states
+
+    def recording(*args, **kwargs):
+        ds = merge_states(*args, **kwargs).materialize()
+        plans.append([op["name"] for op in parse_stage_metrics(ds.stats())])
+        return ds
+
+    monkeypatch.setattr(corpus_mod, "merge_states", recording)
+
+    rolled = rollup_sketch_pipeline(rd.from_arrow(tbl).repartition(3), spec, ["a", "b"])
+    assert rolled.count() == 15 + 3 + 1
+    sks = group_sketches(rd.from_arrow(tbl).repartition(3), spec, "a")
+    assert sorted(sks) == ["a0", "a1", "a2"] and sum(sk.count for sk in sks.values()) == 600
+
+    assert aggregate_calls == []
+    assert len(plans) == 3  # rollup (a, b) and (a); group_sketches (a)
+    for names in plans:
+        assert "Sort" in names and "MapBatches(__call__)" in names, names
+        assert not [n for n in names if "Aggregate" in n], names
 
 
 def test_corpus_sketch_pipeline_runs_one_exchange():

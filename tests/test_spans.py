@@ -44,6 +44,24 @@ class TestDuplicateSpans:
         assert (2, 2, 7) in spans
         assert not any(r.doc_id == 3 for r in df.itertuples())
 
+    def test_repeated_key_in_one_block_raises(self, ray_session):
+        """The broadcast plan merges spans per block, so two rows sharing a
+        key in one block would mix two documents' positions: it raises,
+        naming the key column."""
+        import pytest
+
+        shared = "the license text is identical here"
+        t = pa.table(
+            {
+                "doc_id": pa.array([1, 1, 2], pa.int64()),
+                "text": pa.array(
+                    [f"alpha {shared}", f"{shared} beta", "no repeats in this one"]
+                ),
+            }
+        )
+        with pytest.raises(Exception, match="'doc_id'"):
+            _run(t, n=3)
+
     def test_within_doc_repeat_counts(self, ray_session):
         t = pa.table(
             {
