@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import hash64_int
+from .fold import keyed_exchange
 
 __all__ = ["frequent_pairs_pipeline"]
 
@@ -71,10 +71,7 @@ def frequent_pairs_pipeline(
                 f"{item_col}: item ids must be in [0, 2^31) for packed pair "
                 f"keys; got range [{i.min()}, {i.max()}]"
             )
-        part = (hash64_int(b) % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table(
-            {"b": pa.array(b), "i": pa.array(i), "_part": pa.array(part)}
-        )
+        return pa.table({"b": pa.array(b), "i": pa.array(i)})
 
     def basket_dedup(g: pa.Table) -> pa.Table:
         b = g.column("b").to_numpy(zero_copy_only=False)
@@ -87,12 +84,12 @@ def frequent_pairs_pipeline(
             keep[1:] = (b_s[1:] != b_s[:-1]) | (i_s[1:] != i_s[:-1])
         return pa.table({"b": pa.array(b_s[keep]), "i": pa.array(i_s[keep])})
 
-    baskets = (
-        ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(basket_dedup, batch_format="pyarrow")
-        .materialize()  # thin (basket, item) rows, baskets whole per block
-    )
+    baskets = keyed_exchange(
+        ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True),
+        basket_dedup,
+        keys="b",
+        num_partitions=num_partitions,
+    ).materialize()  # thin (basket, item) rows, baskets whole per block
 
     # ONE driver read for both small-side facts: per-block item-support
     # partials plus a sentinel row (item = -1) carrying the block's basket
@@ -129,7 +126,6 @@ def frequent_pairs_pipeline(
                 {
                     "pk": pa.array([], pa.int64()),
                     "c": pa.array([], pa.int64()),
-                    "_part": pa.array([], pa.int32()),
                 }
             )
         # rows arrive lexsorted by (basket, item); segment = one basket
@@ -148,14 +144,7 @@ def frequent_pairs_pipeline(
         a_i, b_i = i[first], i[second]  # a < b: items sorted within basket
         pk = (a_i << np.int64(32)) | b_i
         vals, c = np.unique(pk, return_counts=True)
-        part = (hash64_int(vals) % np.uint64(reduce_partitions)).astype(np.int32)
-        return pa.table(
-            {
-                "pk": pa.array(vals),
-                "c": pa.array(c.astype(np.int64)),
-                "_part": pa.array(part),
-            }
-        )
+        return pa.table({"pk": pa.array(vals), "c": pa.array(c.astype(np.int64))})
 
     nb = n_baskets
     s_items = np.array(sorted(item_support), dtype=np.int64)
@@ -205,10 +194,9 @@ def frequent_pairs_pipeline(
             }
         )
 
-    return (
-        baskets.map_batches(
-            pair_partials, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("_part")
-        .map_groups(pair_fold, batch_format="pyarrow")
+    return keyed_exchange(
+        baskets.map_batches(pair_partials, batch_format="pyarrow", zero_copy_batch=True),
+        pair_fold,
+        keys="pk",
+        num_partitions=reduce_partitions,
     )

@@ -24,7 +24,8 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import hash64_int, hash256_str
+from ..core.hashing import hash64_int
+from .fold import keyed_exchange
 
 __all__ = ["poisson_bootstrap_ci_pipeline", "poisson_thresholds"]
 
@@ -100,11 +101,6 @@ def poisson_bootstrap_ci_pipeline(
         .sum(["swx", "sw"])
     )
 
-    def add_part(t: pa.Table) -> pa.Table:
-        h = hash256_str(t.column(group_col).cast(pa.string()), lanes=1)[0]
-        part = (h % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_part", pa.array(part))
-
     lo_rank = int(math.floor(lo_q * (B - 1)))
     hi_rank = int(math.floor(hi_q * (B - 1)))
 
@@ -146,8 +142,4 @@ def poisson_bootstrap_ci_pipeline(
             }
         )
 
-    return (
-        sums.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(finalize, batch_format="pyarrow")
-    )
+    return keyed_exchange(sums, finalize, keys=group_col, num_partitions=num_partitions)

@@ -30,15 +30,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import hash64_int
+from .fold import _part_of, keyed_exchange
 
 __all__ = ["connected_components_pipeline"]
-
-
-def _add_part(t: pa.Table, col: str, num_partitions: int) -> pa.Table:
-    k = t.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
-    part = (hash64_int(k) % np.uint64(num_partitions)).astype(np.int32)
-    return t.append_column("_part", pa.array(part))
 
 
 def connected_components_pipeline(
@@ -55,12 +49,15 @@ def connected_components_pipeline(
     def to_edges(t: pa.Table) -> pa.Table:
         a = t.column(a_col).to_numpy(zero_copy_only=False).astype(np.int64)
         b = t.column(b_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
+        e = pa.table(
             {
                 "key": pa.array(np.concatenate([a, b])),
                 "other": pa.array(np.concatenate([b, a])),
             }
         )
+        # pre-tagged: the edges are materialized once and exchanged every
+        # iteration, so no iteration pays an unfused route step
+        return e.append_column("_part", pa.array(_part_of(e, ["key"], num_partitions)))
 
     # Partition count adapts to the EDGE count (num_partitions is the cap):
     # the labels/messages tables are proportional to duplicate pairs, not the
@@ -75,9 +72,7 @@ def connected_components_pipeline(
     num_partitions = max(1, min(num_partitions, n_edges // 262_144 + 1))
 
     edges = pairs.map_batches(
-        to_edges, batch_format="pyarrow", zero_copy_batch=True
-    ).map_batches(
-        lambda t: _add_part(t, "key", num_partitions),
+        to_edges,
         batch_format="pyarrow",
         zero_copy_batch=True,
     ).materialize()  # reused every iteration - pin the blocks once
@@ -117,11 +112,9 @@ def connected_components_pipeline(
             }
         )
 
-    labels = (
-        edges.groupby("_part")
-        .map_groups(init_labels, batch_format="pyarrow")
-        .materialize()
-    )
+    labels = keyed_exchange(
+        edges, init_labels, num_partitions=num_partitions
+    ).materialize()
     if labels.count() == 0:  # no pairs -> no clusters
         return labels.map_batches(
             lambda t: pa.table(
@@ -194,22 +187,16 @@ def connected_components_pipeline(
     def _half_iter(labels, rel_rows):
         """One min-label step along ``rel_rows`` (key, other, _part edge-like
         rows) -> (new labels, changed count)."""
-        msgs = (
-            _lab_rows(labels).union(rel_rows)
-            .groupby("_part")
-            .map_groups(propagate, batch_format="pyarrow")
+        msgs = keyed_exchange(
+            [_lab_rows(labels), rel_rows], propagate, num_partitions=num_partitions
         )
         msg_rows = msgs.map_batches(
-            lambda t: _add_part(
-                pa.table(
-                    {
-                        "node": t.column("node"),
-                        "cand": t.column("cand"),
-                        "is_old": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                    }
-                ),
-                "node",
-                num_partitions,
+            lambda t: pa.table(
+                {
+                    "node": t.column("node"),
+                    "cand": t.column("cand"),
+                    "is_old": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
+                }
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
@@ -220,16 +207,15 @@ def connected_components_pipeline(
                     "node": t.column("node"),
                     "cand": t.column("label"),
                     "is_old": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                    "_part": t.column("_part"),
                 }
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
         folded = (
-            msg_rows.union(old_rows)
-            .groupby("_part")
-            .map_groups(fold, batch_format="pyarrow")
+            keyed_exchange(
+                [msg_rows, old_rows], fold, keys="node", num_partitions=num_partitions
+            )
             # without this cap the sort/union multiply block counts ~6x per
             # iteration (measured 9 -> 57 -> 345), and per-iteration wall
             # time grows with task count; labels stay O(num_partitions)
@@ -260,22 +246,19 @@ def connected_components_pipeline(
         """Pointer-jump relation: node listens to its CURRENT label's label
         (key = label(v), other = v) - path compression, O(log diameter)
         convergence instead of O(diameter)."""
-        return labels.map_batches(
-            lambda t: _add_part(
-                pa.table(
-                    {
-                        "key": t.column("label"),
-                        "other": t.column("node"),
-                        "lab": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-                        "is_lab": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                    }
-                ),
-                "key",
-                num_partitions,
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
+
+        def rel(t: pa.Table) -> pa.Table:
+            r = pa.table(
+                {
+                    "key": t.column("label"),
+                    "other": t.column("node"),
+                    "lab": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
+                    "is_lab": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
+                }
+            )
+            return r.append_column("_part", pa.array(_part_of(r, ["key"], num_partitions)))
+
+        return labels.map_batches(rel, batch_format="pyarrow", zero_copy_batch=True)
 
     for _ in range(max_iters):
         labels, changed_n = _half_iter(labels, edge_rel)

@@ -20,7 +20,7 @@ from ..functions.specs import DDSketchSpec, SketchSpec, XorSigSpec
 from ..stages import derive_content_metrics, unnest
 from ..stages.derive import add_sha64
 from ..stages.accumulate import SketchStateAccumulator, StateBlockMerger
-from .fold import _part_of
+from .fold import keyed_exchange
 
 __all__ = [
     "sketch_states",
@@ -78,47 +78,24 @@ def _num_partitions(group_keys) -> int:
     return max(1, cpus)
 
 
-def _state_exchange(states, group_keys: Sequence[str], fold):
-    """Route each state row to a hash partition of its group keys, then ONE
-    keyed exchange whose per-partition ``fold`` merges the states per group.
-
-    The route step (fused by Ray into the upstream map task) tags each row
-    with ``_part``, a content hash of its group keys mod P (P = cluster
-    CPUs); ``groupby("_part").map_groups(fold)`` is the only exchange.
-    NULL group keys hash like any value, and the fold groups them apart
-    from every real value (SQL GROUP BY semantics).  Without group keys the
-    whole table is one group.  Rows come out in no particular order.
-    """
-    import numpy as np
-    import pyarrow as pa
-
-    keys = list(group_keys)
-    num_partitions = _num_partitions(keys)
-
-    def route(t: pa.Table) -> pa.Table:
-        if keys and t.num_rows:
-            part = _part_of(t, keys, num_partitions)
-        else:
-            part = np.zeros(t.num_rows, dtype=np.int32)
-        return t.append_column("_part", pa.array(part))
-
-    return (
-        states.map_batches(route, batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
-        .groupby("_part", num_partitions=num_partitions)
-        .map_groups(fold, batch_format="pyarrow")
-    )
-
-
 def merge_sketch_states(states, specs: Sequence[SketchSpec], group_keys: Sequence[str] = ()):
-    """Stage 2: one keyed exchange of the state table; one result row per group.
+    """Stage 2: one :func:`~.fold.keyed_exchange` of the state table on the
+    group keys; one result row per group.
 
-    Each partition's fold merges its states per group and finalizes them
-    (:meth:`StateBlockMerger.finalize_groups`).  Output: the group keys plus
+    The route step fuses into the upstream map task, and the exchange runs
+    one partition per cluster CPU.  Each partition's fold merges its states
+    per group and finalizes them (:meth:`StateBlockMerger.finalize_groups`).
+    NULL group keys route like any value, and the fold groups them apart
+    from every real value (SQL GROUP BY semantics).  Without group keys the
+    whole table is one group.  Rows come out in no particular order.  Output: the group keys plus
     one struct column per spec (``spec.name``), flattened by callers via
     :func:`ddsketch_ruby_ray.stages.unnest`.  An empty input gives an empty
     result.
     """
-    return _state_exchange(states, group_keys, StateBlockMerger(specs, group_keys).finalize_groups)
+    fold = StateBlockMerger(specs, group_keys).finalize_groups
+    return keyed_exchange(
+        states, fold, keys=list(group_keys), num_partitions=_num_partitions(group_keys)
+    )
 
 
 def merge_states(states, specs: Sequence[SketchSpec], group_keys: Sequence[str] = ()):
@@ -129,7 +106,10 @@ def merge_states(states, specs: Sequence[SketchSpec], group_keys: Sequence[str] 
     ``spec.state_type()`` like the input, so it can be merged again at a
     coarser grouping (rollup, cube) or decoded with ``spec.from_state``.
     """
-    return _state_exchange(states, group_keys, StateBlockMerger(specs, group_keys).__call__)
+    fold = StateBlockMerger(specs, group_keys).__call__
+    return keyed_exchange(
+        states, fold, keys=list(group_keys), num_partitions=_num_partitions(group_keys)
+    )
 
 
 def group_sketches(ds, spec: SketchSpec, group_col: str, *, derive=None) -> dict:

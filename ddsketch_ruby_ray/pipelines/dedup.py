@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.hashing import fold_windows, hash64_int, hash256_str, splitmix64
+from .fold import keyed_exchange
 
 __all__ = [
     "tokenize",
@@ -97,10 +98,8 @@ def exact_dedup_pipeline(ds, *, key_col: str, text_col: str, num_partitions: int
             first[0] = True
             first[1:] = (hi_s[1:] != hi_s[:-1]) | (lo_s[1:] != lo_s[:-1])
         win = order[first]
-        part = (lanes[0][win] % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part),
                 "h_hi": pa.array(hi[win]),
                 "h_lo": pa.array(lo[win]),
                 key_col: batch.column(key_col).take(pa.array(win)),
@@ -127,7 +126,7 @@ def exact_dedup_pipeline(ds, *, key_col: str, text_col: str, num_partitions: int
         win = order[first]
         return pa.table({key_col: part_tbl.column(key_col).take(pa.array(win))})
 
-    return hashed.groupby("_part").map_groups(keep_min, batch_format="pyarrow")
+    return keyed_exchange(hashed, keep_min, keys="h_hi", num_partitions=num_partitions)
 
 
 def lsh_after_exact_dedup(
@@ -251,9 +250,7 @@ def exact_dedup_rows_pipeline(ds, *, key_col: str, text_col: str, num_partitions
         win = np.sort(order[first])
         batch = batch.take(pa.array(win))
         batch = batch.append_column("_h_hi", pa.array(hi[win]))
-        batch = batch.append_column("_h_lo", pa.array(lo[win]))
-        part = (lanes[0][win] % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("_part", pa.array(part))
+        return batch.append_column("_h_lo", pa.array(lo[win]))
 
     hashed = ds.map_batches(hash_stage, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -275,7 +272,9 @@ def exact_dedup_rows_pipeline(ds, *, key_col: str, text_col: str, num_partitions
             ["_h_hi", "_h_lo", "_part"]
         )
 
-    return hashed.groupby("_part").map_groups(keep_min_per_hash, batch_format="pyarrow")
+    return keyed_exchange(
+        hashed, keep_min_per_hash, keys="_h_hi", num_partitions=num_partitions
+    )
 
 
 # -- MinHash + LSH -----------------------------------------------------------
@@ -500,9 +499,9 @@ def lsh_candidate_pairs_pipeline(
         ds, key_col=key_col, text_col=text_col, num_hashes=num_hashes, ngram=ngram
     )
 
-    # The exchange carries ONE fused (band, bucket) id per row — the same
-    # splitmix64(bucket + splitmix64(band)) fold the partition hash already
-    # used — instead of separate band + bucket columns: 20 B/row, not 24,
+    # The exchange carries ONE fused (band, bucket) id per row — the
+    # splitmix64(bucket + splitmix64(band)) fold, also its route key —
+    # instead of separate band + bucket columns: 20 B/row, not 24,
     # and a 2-key lexsort on the reduce side.  Bucket-equality classes are
     # the fused id's equality classes in BOTH systems (the SQL oracle folds
     # the same fused id; see functions/dedup_oracle.py::_bucket_fold_ctes),
@@ -536,13 +535,6 @@ def lsh_candidate_pairs_pipeline(
     # one Python call per bucket (Ray's per-group overhead is ~250us, which
     # at 10^5+ buckets would dominate the whole pipeline).
     num_partitions = 64
-
-    def add_part(t: pa.Table) -> pa.Table:
-        bb = t.column("bb").to_numpy(zero_copy_only=False).astype(np.uint64)
-        part = (bb % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_part", pa.array(part))
-
-    parted = buckets.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
 
     def pairs_of_partition(pt: pa.Table) -> pa.Table:
         bkt_s = pt.column("bb").to_numpy(zero_copy_only=False)
@@ -583,19 +575,12 @@ def lsh_candidate_pairs_pipeline(
             {"a": pa.array(pairs[:, 0], pa.int64()), "b": pa.array(pairs[:, 1], pa.int64())}
         )
 
-    pairs = parted.groupby("_part").map_groups(pairs_of_partition, batch_format="pyarrow")
+    pairs = keyed_exchange(
+        buckets, pairs_of_partition, keys="bb", num_partitions=num_partitions
+    )
 
     # distinct (a, b) across bands: same partition+vectorize shape (Ray's
     # groupby().count() would iterate pairs in Python)
-    def pair_part(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t.column("b").to_numpy(zero_copy_only=False).astype(np.uint64)
-        old = np.seterr(over="ignore")
-        try:
-            part = (splitmix64(a + splitmix64(b)) % np.uint64(num_partitions)).astype(np.int32)
-        finally:
-            np.seterr(**old)
-        return t.append_column("_part", pa.array(part))
 
     def distinct_pairs(pt: pa.Table) -> pa.Table:
         a = pt.column("a").to_numpy(zero_copy_only=False)
@@ -605,10 +590,8 @@ def lsh_candidate_pairs_pipeline(
             {"a": pa.array(pairs_arr[:, 0], pa.int64()), "b": pa.array(pairs_arr[:, 1], pa.int64())}
         )
 
-    return (
-        pairs.map_batches(pair_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(distinct_pairs, batch_format="pyarrow")
+    return keyed_exchange(
+        pairs, distinct_pairs, keys=["a", "b"], num_partitions=num_partitions
     )
 
 
@@ -1402,10 +1385,8 @@ def dup_rate_by_group_pipeline(ds, *, group_col: str, text_col: str,
 
     def hash_stage(batch: pa.Table) -> pa.Table:
         lanes = hash256_str(batch.column(text_col), lanes=2)
-        part = (lanes[0] % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part),
                 "h_hi": pa.array(lanes[0].astype(np.int64)),
                 "h_lo": pa.array(lanes[1].astype(np.int64)),
                 group_col: batch.column(group_col),
@@ -1440,7 +1421,9 @@ def dup_rate_by_group_pipeline(ds, *, group_col: str, text_col: str,
         )
         return g.rename_columns([group_col, "dups", "docs"])
 
-    partials = hashed.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    partials = keyed_exchange(
+        hashed, per_partition, keys="h_hi", num_partitions=num_partitions
+    )
     summed = partials.groupby(group_col).sum(["docs", "dups"])
 
     def finalize(t: pa.Table) -> pa.Table:

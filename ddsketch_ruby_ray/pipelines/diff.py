@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import hash64_int, hash256_str
+from ..core.hashing import hash256_str
+from .fold import keyed_exchange
 
 __all__ = ["snapshot_diff_pipeline"]
 
@@ -40,10 +41,8 @@ def snapshot_diff_pipeline(
         def stage(t: pa.Table) -> pa.Table:
             h0, h1 = hash256_str(t.column(text_col), lanes=2)
             keys = t.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-            part = (hash64_int(keys, 2) % np.uint64(num_partitions)).astype(np.int32)
             return pa.table(
                 {
-                    "_part": pa.array(part),
                     "key": pa.array(keys),
                     "h0": pa.array(h0.astype(np.int64)),
                     "h1": pa.array(h1.astype(np.int64)),
@@ -93,4 +92,4 @@ def snapshot_diff_pipeline(
             }
         )
 
-    return a.union(b).groupby("_part").map_groups(resolve, batch_format="pyarrow")
+    return keyed_exchange([a, b], resolve, keys="key", num_partitions=num_partitions)

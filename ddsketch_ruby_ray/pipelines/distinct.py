@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import hash64_int, hash256_str
+from .fold import keyed_exchange
 
 __all__ = ["exact_distinct_pipeline"]
 
@@ -48,15 +48,13 @@ def exact_distinct_pipeline(
         gcol = t.column(group_col)
         if pa.types.is_integer(gcol.type):
             codes = gcol.to_numpy(zero_copy_only=False).astype(np.int64)
-            g_lane = hash64_int(codes)
         else:
-            # exact in-block identity via dictionary codes (the 64-bit lane
-            # below is ROUTING only — collisions there just co-locate)
+            # exact in-block identity via dictionary codes
             if isinstance(gcol, pa.ChunkedArray):
                 gcol = gcol.combine_chunks()
-            de = gcol.dictionary_encode()
-            codes = de.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            g_lane = hash256_str(de.dictionary, lanes=1)[0][codes]
+            codes = gcol.dictionary_encode().indices.to_numpy(
+                zero_copy_only=False
+            ).astype(np.int64)
         # block-local distinct (g, v) pairs
         order = np.lexsort((v, codes))
         g_s, v_s = codes[order], v[order]
@@ -65,12 +63,8 @@ def exact_distinct_pipeline(
             first[0] = True
             first[1:] = (g_s[1:] != g_s[:-1]) | (v_s[1:] != v_s[:-1])
         win = order[first]
-        part = (
-            (g_lane[win] ^ hash64_int(v[win])) % np.uint64(num_partitions)
-        ).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part),
                 group_col: gcol.take(pa.array(win)),
                 "_v": pa.array(v[win]),
             }
@@ -121,8 +115,8 @@ def exact_distinct_pipeline(
             }
         )
 
-    partials = pairs.groupby("_part").map_groups(
-        partial_counts, batch_format="pyarrow"
+    partials = keyed_exchange(
+        pairs, partial_counts, keys=[group_col, "_v"], num_partitions=num_partitions
     )
     out = partials.groupby(group_col).sum("n_distinct")
     import pyarrow.compute as pc

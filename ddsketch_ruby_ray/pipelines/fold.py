@@ -1,33 +1,40 @@
-"""Exact keyed aggregation over OPEN-ENDED key domains.
+"""The keyed exchange every pipeline runs, and exact keyed aggregation on it.
 
-Ray Data's native ``groupby(key).sum()`` sort-aggregates the full key domain
-through one global exchange and collapses once the domain passes ~1M distinct
-groups (measured on this box: 60 s to finalize 1.7M groups — NOTES_ROUND3.md).
-That is fine for bounded domains (lang, priority, day) and wrong for the
-domains a 100 TB corpus produces: tokens, bigrams, line hashes, node ids,
-user ids.
+Every exact or mergeable operator here has one shape: route each row by a
+hash of its key, run ONE exchange, fold each partition.  Equal keys land in
+one partition by construction, so any associative fold (integer sums,
+sketch-state merges, set unions, per-key scans) is complete per partition.
 
-:func:`partitioned_group_agg` is the drop-in replacement for those sites:
+:func:`keyed_exchange` is that shape, and the only place in the library
+that calls ``groupby("_part").map_groups``:
 
-1. **block-local pre-aggregation** — Arrow's C++ hash aggregation
-   (``Table.group_by``) inside ``map_batches`` collapses each block to one
-   partial row per (block, key);
-2. **bounded keyed exchange** — partials get a content-hash ``_part`` in
-   ``[0, num_partitions)`` (equal keys land together by construction), and
-   the only shuffle groups on that BOUNDED domain;
-3. **per-partition fold** — Arrow hash aggregation again inside
-   ``map_groups``, emitting natively-named columns (``sum(v)``, ``min(v)``,
-   ...), so call sites keep their downstream code.
+1. **route** — each input gets a whole-block ``map_batches`` step that
+   appends ``_part = _part_of(keys) mod num_partitions``.  Ray fuses it into
+   the input's upstream map task, so routing costs no extra operator.
+   Routing runs BEFORE the inputs are unioned (after a ``union`` it would
+   run as its own unfused operator);
+2. **exchange** — one ``groupby("_part")`` sort shuffle (push-based, see
+   ``pipelines/__init__.py``) over the BOUNDED domain ``[0, P)``;
+3. **reduce** — the caller's per-partition fold over ``pyarrow`` tables,
+   which still see ``_part`` (co-partitioned graph state and
+   ``packing``'s partition id read it).
 
-Exactness: integer sum/min/max/count are associative, so any grouping order
-is bit-exact vs the single-pass oracle.  Float sums are order-sensitive —
-callers keep those on whatever path fixes their summation order.
+:func:`_part_of` is the single routing rule: one integer, float or
+timestamp key routes as ``hash64_int(null_safe_int64(k)) % P`` (NULL like
+0); strings hash with :func:`hash64_str_fast`; other key types hash their
+string form; several keys fold with ``splitmix64``.  ``keys=None`` skips
+routing for inputs that already carry ``_part`` (range cuts, pre-tagged
+iteration state).
 
-Scale shape: the exchange carries one partial row per (block, distinct key)
-— Zipf domains collapse hard in step 1 — and every fold task holds only
-``distinct_keys / num_partitions`` rows.  ``num_partitions`` is the lever:
-size it so a partition's distinct keys fit a task heap (e.g. 1e9 distinct
-keys / 512 partitions ~ 2M rows/task).
+:func:`partitioned_group_agg` is ``ds.groupby(keys).aggregate(...)`` on
+that exchange, for OPEN-ENDED key domains (tokens, line hashes, node ids),
+where Ray's native sort-aggregate collapses past ~1M groups (NOTES_ROUND3.md):
+Arrow hash aggregation pre-aggregates each block to one partial row per
+(block, key), the partials ride the exchange, and Arrow aggregates again
+per partition.  Integer sum/min/max/count are associative, so this is
+bit-exact against a single pass; float sums are order-sensitive and stay on
+paths that fix their summation order.  ``num_partitions`` sizes each fold
+task: ``distinct_keys / P`` rows.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import pyarrow as pa
 from ddsketch_ruby_ray.core.hashing import hash64_int, hash64_str_fast, splitmix64
 
 __all__ = [
+    "keyed_exchange",
     "partitioned_group_agg",
     "partitioned_group_sum",
     "null_safe_int64",
@@ -88,15 +96,19 @@ def strict_key_int64(col, *, name: str = "key") -> np.ndarray:
     return pc.cast(col, pa.int64(), safe=False).to_numpy(zero_copy_only=False)
 
 
-def _part_of(tbl: pa.Table, key_cols: list[str], num_partitions: int) -> np.ndarray:
-    """Content-hash partition id over one or more key columns.
+def _part_of(tbl: pa.Table, key_cols, num_partitions: int) -> np.ndarray:
+    """Partition id in ``[0, num_partitions)`` of every row: the one routing
+    rule of :func:`keyed_exchange`.
 
-    Equal keys always share a partition; NULLs route like some fixed value.
-    Key types with no int64 cast (dates, bools, dictionaries, ...) hash
-    their string form."""
+    One integer, float or timestamp key routes as
+    ``hash64_int(null_safe_int64(k)) % P`` (a NULL like 0); strings hash
+    with :func:`hash64_str_fast`; key types with no int64 cast (dates,
+    bools, dictionaries, ...) hash their string form; several keys fold
+    with ``splitmix64``.  Equal keys always share a partition.  No keys
+    route every row to partition 0."""
     import pyarrow.compute as pc
 
-    h = np.zeros(tbl.num_rows, dtype=np.uint64)
+    h = None
     for k in key_cols:
         col = tbl.column(k)
         t = col.type
@@ -106,8 +118,40 @@ def _part_of(tbl: pa.Table, key_cols: list[str], num_partitions: int) -> np.ndar
             hk = hash64_int(null_safe_int64(col))
         else:
             hk = hash64_str_fast(pc.cast(col, pa.string()))
-        h = splitmix64(h ^ hk)
+        h = hk if h is None else splitmix64(h ^ hk)
+    if h is None:
+        return np.zeros(tbl.num_rows, dtype=np.int32)
     return (h % np.uint64(num_partitions)).astype(np.int32)
+
+
+def keyed_exchange(inputs, reduce, *, keys=None, num_partitions: int):
+    """Route -> one exchange -> per-partition ``reduce``.
+
+    ``inputs`` is a Dataset or a list of Datasets.  With ``keys`` (a column
+    name or list of them, present in every input) each input is routed on
+    its own, ``_part = _part_of(keys) mod num_partitions``, before the
+    inputs are unioned; with ``keys=None`` every input must already carry
+    an int32 ``_part`` in ``[0, num_partitions)``.  ``reduce`` gets one
+    ``pyarrow`` table per partition (``_part`` included) and returns one.
+    """
+    if not isinstance(inputs, (list, tuple)):
+        inputs = [inputs]
+    if keys is not None:
+        key_cols = [keys] if isinstance(keys, str) else list(keys)
+
+        def route(t: pa.Table) -> pa.Table:
+            # Ray's empty blocks may be schema-less: no key column to read
+            part = _part_of(t, key_cols, num_partitions) if t.num_rows else np.zeros(0, np.int32)
+            return t.append_column("_part", pa.array(part))
+
+        inputs = [
+            ds.map_batches(route, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+            for ds in inputs
+        ]
+    ds = inputs[0].union(*inputs[1:]) if len(inputs) > 1 else inputs[0]
+    return ds.groupby("_part", num_partitions=num_partitions).map_groups(
+        reduce, batch_format="pyarrow"
+    )
 
 
 def _arrow_agg(tbl: pa.Table, key_cols: list[str], aggs: list[tuple[str, str]]) -> pa.Table:
@@ -140,23 +184,18 @@ def partitioned_group_agg(
     partial_aggs = [(c, f) for c, f in aggs]
     refold_aggs = [(f"{c}_{f}", "sum" if f == "count" else f) for c, f in aggs]
 
-    def pre(t: pa.Table) -> pa.Table:
-        g = _arrow_agg(t, key_cols, partial_aggs)
-        return g.append_column(
-            "_part", pa.array(_part_of(g, key_cols, num_partitions))
-        )
-
     def fold(g: pa.Table) -> pa.Table:
         out = _arrow_agg(g, key_cols, refold_aggs)
         # {col}_{f}_{f2} -> native ray naming f(col)
         names = list(key_cols) + [f"{f}({c})" for c, f in aggs]
         return out.rename_columns(names)
 
-    return (
-        ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
+    partials = ds.map_batches(
+        lambda t: _arrow_agg(t, key_cols, partial_aggs),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
+    return keyed_exchange(partials, fold, keys=key_cols, num_partitions=num_partitions)
 
 
 def partitioned_group_sum(ds, key_cols, val_cols, *, num_partitions: int = 64):

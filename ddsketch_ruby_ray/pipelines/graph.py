@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import hash64_int
+from .fold import _part_of, keyed_exchange
 
 __all__ = [
     "pagerank_pipeline",
@@ -68,10 +68,10 @@ _MAX_BROADCAST_NODES = 16_000_000
 _PR_REDUCE_PARTS = 64
 
 
-def _with_part(t: pa.Table, col: str, num_partitions: int) -> pa.Table:
-    k = t.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
-    part = (hash64_int(k) % np.uint64(num_partitions)).astype(np.int32)
-    return t.append_column("_part", pa.array(part))
+def _node_part(nodes: np.ndarray, num_partitions: int) -> np.ndarray:
+    """``_part_of`` of an int64 node-id array that is not a shipped column
+    (the packed exchanges route on ids packed into one lane)."""
+    return _part_of(pa.table({"n": nodes}), ["n"], num_partitions)
 
 
 class PackedIdOverflow(Exception):
@@ -111,9 +111,11 @@ def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int, p
     def norm_packed(t: pa.Table) -> pa.Table:
         s = t.column(src_col).to_numpy(zero_copy_only=False).astype(np.int64)
         d = t.column(dst_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (hash64_int(s) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
-            {"pk": pa.array(_pack_pair(s, d)), "_part": pa.array(part)}
+            {
+                "pk": pa.array(_pack_pair(s, d)),
+                "_part": pa.array(_node_part(s, num_partitions)),
+            }
         )
 
     def dedup_packed(g: pa.Table) -> pa.Table:
@@ -133,15 +135,11 @@ def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int, p
         )
 
     def norm(t: pa.Table) -> pa.Table:
-        return _with_part(
-            pa.table(
-                {
-                    "src": t.column(src_col).cast(pa.int64()),
-                    "dst": t.column(dst_col).cast(pa.int64()),
-                }
-            ),
-            "src",
-            num_partitions,
+        return pa.table(
+            {
+                "src": t.column(src_col).cast(pa.int64()),
+                "dst": t.column(dst_col).cast(pa.int64()),
+            }
         )
 
     def dedup(g: pa.Table) -> pa.Table:
@@ -166,23 +164,22 @@ def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int, p
 
     if packed is True or packed == "auto":
         try:
-            return (
+            return keyed_exchange(
                 edges.map_batches(
                     norm_packed, batch_format="pyarrow", zero_copy_batch=True
-                )
-                .groupby("_part")
-                .map_groups(dedup_packed, batch_format="pyarrow")
-                .materialize()
-            )
+                ),
+                dedup_packed,
+                num_partitions=num_partitions,
+            ).materialize()
         except Exception as e:  # RayTaskError wraps the original
             if packed is True or "PackedIdOverflow" not in repr(e) + str(e):
                 raise
-    return (
-        edges.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(dedup, batch_format="pyarrow")
-        .materialize()
-    )
+    return keyed_exchange(
+        edges.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True),
+        dedup,
+        keys="src",
+        num_partitions=num_partitions,
+    ).materialize()
 
 
 def _node_states(dedup_edges, *, num_partitions: int):
@@ -192,24 +189,20 @@ def _node_states(dedup_edges, *, num_partitions: int):
     def endpoints(t: pa.Table) -> pa.Table:
         s = t.column("src").to_numpy(zero_copy_only=False)
         d = t.column("dst").to_numpy(zero_copy_only=False)
-        return _with_part(
-            pa.table(
-                {
-                    "node": pa.array(np.concatenate([s, d])),
-                    # src endpoints each carry 1 unit of out-degree (edges
-                    # are already distinct), dst endpoints carry 0
-                    "deg1": pa.array(
-                        np.concatenate(
-                            [
-                                np.ones(s.size, np.int64),
-                                np.zeros(d.size, np.int64),
-                            ]
-                        )
-                    ),
-                }
-            ),
-            "node",
-            num_partitions,
+        return pa.table(
+            {
+                "node": pa.array(np.concatenate([s, d])),
+                # src endpoints each carry 1 unit of out-degree (edges
+                # are already distinct), dst endpoints carry 0
+                "deg1": pa.array(
+                    np.concatenate(
+                        [
+                            np.ones(s.size, np.int64),
+                            np.zeros(d.size, np.int64),
+                        ]
+                    )
+                ),
+            }
         )
 
     def fold(g: pa.Table) -> pa.Table:
@@ -230,14 +223,14 @@ def _node_states(dedup_edges, *, num_partitions: int):
             }
         )
 
-    states = (
+    states = keyed_exchange(
         dedup_edges.map_batches(
             endpoints, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
-        .materialize()
-    )
+        ),
+        fold,
+        keys="node",
+        num_partitions=num_partitions,
+    ).materialize()
     return states, states.count()
 
 
@@ -509,25 +502,15 @@ def pagerank_pipeline(
         # ONE keyed exchange of the O(nodes) state table; the edges stay
         # pinned in the object store and are gathered by ref inside
         # propagate — never shuffled after the build
-        msgs = ranks.groupby("_part").map_groups(
-            propagate, batch_format="pyarrow"
-        )
+        msgs = keyed_exchange(ranks, propagate, num_partitions=num_partitions)
         msg_rows = msgs.map_batches(
-            lambda t: _with_part(
-                pa.table(
-                    {
-                        "node": t.column("node"),
-                        "contrib": t.column("contrib"),
-                        "is_state": pa.array(
-                            np.zeros(t.num_rows, dtype=np.int8)
-                        ),
-                        "outdeg": pa.array(
-                            np.zeros(t.num_rows, dtype=np.int64)
-                        ),
-                    }
-                ),
-                "node",
-                num_partitions,
+            lambda t: pa.table(
+                {
+                    "node": t.column("node"),
+                    "contrib": t.column("contrib"),
+                    "is_state": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
+                    "outdeg": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
+                }
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
@@ -539,7 +522,6 @@ def pagerank_pipeline(
                     "contrib": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
                     "is_state": pa.array(np.ones(t.num_rows, dtype=np.int8)),
                     "outdeg": t.column("outdeg"),
-                    "_part": t.column("_part"),
                 }
             ),
             batch_format="pyarrow",
@@ -549,10 +531,11 @@ def pagerank_pipeline(
         # iteration's union/groupby lineage fans out over the groupby's
         # many small output blocks (measured 23.5 s -> 183 s at 16M edges)
         ranks = (
-            msg_rows.union(old_rows)
-            .groupby("_part")
-            .map_groups(
-                make_fold(dang_share, base), batch_format="pyarrow"
+            keyed_exchange(
+                [msg_rows, old_rows],
+                make_fold(dang_share, base),
+                keys="node",
+                num_partitions=num_partitions,
             )
             .repartition(min(num_partitions, 16))
             .materialize()
@@ -624,15 +607,11 @@ def _pagerank_broadcast(
             print(f"[pr-profile] {label}: {time.perf_counter() - _t0:.2f}s")
 
     def norm_dst_part(t: pa.Table) -> pa.Table:
-        return _with_part(
-            pa.table(
-                {
-                    "src": t.column(src_col).cast(pa.int64()),
-                    "dst": t.column(dst_col).cast(pa.int64()),
-                }
-            ),
-            "dst",
-            _PR_REDUCE_PARTS,
+        return pa.table(
+            {
+                "src": t.column(src_col).cast(pa.int64()),
+                "dst": t.column(dst_col).cast(pa.int64()),
+            }
         )
 
     def dedup_sort(g: pa.Table) -> pa.Table:
@@ -679,14 +658,14 @@ def _pagerank_broadcast(
         u = np.unique(_pack_pair(d, s))  # block-local dedup (sorted)
         dd = u >> np.int64(32)
         ss = u & _LO31
-        part_e = (hash64_int(dd) % np.uint64(_PR_REDUCE_PARTS)).astype(np.int32)
+        part_e = _node_part(dd, _PR_REDUCE_PARTS)
         sn, cnt = np.unique(ss, return_counts=True)
         ppk = (
             (np.uint64(1) << np.uint64(63))
             | (sn.astype(np.uint64) << np.uint64(31))
             | cnt.astype(np.uint64)
         ).view(np.int64)
-        part_p = (hash64_int(sn) % np.uint64(_PR_REDUCE_PARTS)).astype(np.int32)
+        part_p = _node_part(sn, _PR_REDUCE_PARTS)
         return pa.table(
             {
                 "pk": pa.array(np.concatenate([u, ppk])),
@@ -759,27 +738,26 @@ def _pagerank_broadcast(
 
     by_dst = None
     try:
-        by_dst = (
+        by_dst = keyed_exchange(
             edges.map_batches(
                 norm_dst_packed, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .groupby("_part")
-            .map_groups(dedup_sort_packed, batch_format="pyarrow")
-            .materialize()  # pinned for every iteration
-        )
+            ),
+            dedup_sort_packed,
+            num_partitions=_PR_REDUCE_PARTS,
+        ).materialize()  # pinned for every iteration
     except Exception as e:  # wide ids: fall back to the two-column exchange
         if "PackedIdOverflow" not in repr(e) + str(e):
             raise
     packed_build = by_dst is not None
     if by_dst is None:
-        by_dst = (
+        by_dst = keyed_exchange(
             edges.map_batches(
                 norm_dst_part, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .groupby("_part")
-            .map_groups(dedup_sort, batch_format="pyarrow")
-            .materialize()  # pinned for every iteration
-        )
+            ),
+            dedup_sort,
+            keys="dst",
+            num_partitions=_PR_REDUCE_PARTS,
+        ).materialize()  # pinned for every iteration
     _mark("fused edge exchange (dedup+pin) materialized")
 
     if packed_build:
@@ -857,11 +835,7 @@ def _pagerank_broadcast(
             m = isd == 1
             node = np.concatenate([uniq, dst[m]])
             deg = np.concatenate([np.zeros(uniq.size, dtype=np.int64), src[m]])
-            return _with_part(
-                pa.table({"node": pa.array(node), "deg": pa.array(deg)}),
-                "node",
-                _PR_REDUCE_PARTS,
-            )
+            return pa.table({"node": pa.array(node), "deg": pa.array(deg)})
 
         def meta_fold(g: pa.Table) -> pa.Table:
             node = g.column("node").to_numpy(zero_copy_only=False)
@@ -884,12 +858,14 @@ def _pagerank_broadcast(
 
         meta_tabs = [
             ray.get(r)
-            for r in by_dst.map_batches(
-                meta_map, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .groupby("_part")
-            .map_groups(meta_fold, batch_format="pyarrow")
-            .to_arrow_refs()
+            for r in keyed_exchange(
+                by_dst.map_batches(
+                    meta_map, batch_format="pyarrow", zero_copy_batch=True
+                ),
+                meta_fold,
+                keys="node",
+                num_partitions=_PR_REDUCE_PARTS,
+            ).to_arrow_refs()
         ]
         _mark("meta fold collected")
         meta_tabs = [t for t in meta_tabs if t.num_rows]
@@ -1140,16 +1116,14 @@ def bfs_hops_pipeline(
     def seed_states(t: pa.Table) -> pa.Table:
         n = t.column(seed_col).to_numpy(zero_copy_only=False).astype(np.int64)
         n = np.unique(n)
-        return _with_part(
-            pa.table(
-                {
-                    "node": pa.array(n),
-                    "hop": pa.array(np.zeros(n.size, dtype=np.int64)),
-                    "fresh": pa.array(np.ones(n.size, dtype=np.int8)),
-                }
-            ),
-            "node",
-            num_partitions,
+        return pa.table(
+            {
+                "node": pa.array(n),
+                "hop": pa.array(np.zeros(n.size, dtype=np.int64)),
+                "fresh": pa.array(np.ones(n.size, dtype=np.int8)),
+                # pre-tagged: each hop's frontier exchange reads it as is
+                "_part": pa.array(_node_part(n, num_partitions)),
+            }
         )
 
     hops = seeds.map_batches(
@@ -1236,20 +1210,14 @@ def bfs_hops_pipeline(
         ).materialize()
         if frontier.count() == 0:
             break  # fixed point: no node improved last hop
-        msgs = frontier.groupby("_part").map_groups(
-            propagate, batch_format="pyarrow"
-        )
+        msgs = keyed_exchange(frontier, propagate, num_partitions=num_partitions)
         msg_rows = msgs.map_batches(
-            lambda t: _with_part(
-                pa.table(
-                    {
-                        "node": t.column("node"),
-                        "cand": t.column("cand"),
-                        "is_old": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                    }
-                ),
-                "node",
-                num_partitions,
+            lambda t: pa.table(
+                {
+                    "node": t.column("node"),
+                    "cand": t.column("cand"),
+                    "is_old": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
+                }
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
@@ -1260,16 +1228,15 @@ def bfs_hops_pipeline(
                     "node": t.column("node"),
                     "cand": t.column("hop"),
                     "is_old": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                    "_part": t.column("_part"),
                 }
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
         hops = (
-            msg_rows.union(old_rows)
-            .groupby("_part")
-            .map_groups(fold, batch_format="pyarrow")
+            keyed_exchange(
+                [msg_rows, old_rows], fold, keys="node", num_partitions=num_partitions
+            )
             .repartition(min(num_partitions, 16))
             .materialize()
         )
@@ -1393,14 +1360,7 @@ def triangle_count_pipeline(
         lo_first = ra < rb
         u = np.where(lo_first, a, b)
         v = np.where(lo_first, b, a)
-        part = (hash64_int(u) % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table(
-            {
-                "u": pa.array(u),
-                "v": pa.array(v),
-                "_part": pa.array(part),
-            }
-        )
+        return pa.table({"u": pa.array(u), "v": pa.array(v)})
 
     def wedges_and_edges(g: pa.Table) -> pa.Table:
         """Per hash(u) partition: emit wedge candidates (kind=1) AND the
@@ -1416,7 +1376,7 @@ def triangle_count_pipeline(
                 {
                     "pk": pa.array([], pa.int64()),
                     "kind": pa.array([], pa.int8()),
-                    "_cpart": pa.array([], pa.int32()),
+                    "_part": pa.array([], pa.int32()),
                 }
             )
         rv = rk[np.searchsorted(ns, v)]
@@ -1439,12 +1399,11 @@ def triangle_count_pipeline(
             [np.ones(x.size, np.int8), np.zeros(u.size, np.int8)]
         )
         lead = np.concatenate([x, u])
-        cpart = (hash64_int(lead) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
                 "pk": pa.array(pk),
                 "kind": pa.array(kind),
-                "_cpart": pa.array(cpart),
+                "_part": pa.array(_node_part(lead, num_partitions)),
             }
         )
 
@@ -1461,13 +1420,14 @@ def triangle_count_pipeline(
             n = int((edge_pk[idx] == wedge_pk).sum())
         return pa.table({"n": pa.array([n], pa.int64())})
 
+    candidates = keyed_exchange(
+        e.map_batches(orient, batch_format="pyarrow", zero_copy_batch=True),
+        wedges_and_edges,
+        keys="u",
+        num_partitions=num_partitions,
+    )
     n_tri = int(
-        e.map_batches(orient, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(wedges_and_edges, batch_format="pyarrow")
-        .groupby("_cpart")
-        .map_groups(close_count, batch_format="pyarrow")
-        .sum("n")
+        keyed_exchange(candidates, close_count, num_partitions=num_partitions).sum("n")
         or 0
     )
     trans = float(3 * n_tri) / float(n_wedges) if n_wedges > 0 else 0.0
@@ -1522,15 +1482,7 @@ def sssp_pipeline(
         s2 = np.concatenate([src, dst])
         d2 = np.concatenate([dst, src])
         w2 = np.concatenate([w, w])
-        part = (hash64_int(s2) % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table(
-            {
-                "src": pa.array(s2),
-                "dst": pa.array(d2),
-                "w": pa.array(w2),
-                "_part": pa.array(part),
-            }
-        )
+        return pa.table({"src": pa.array(s2), "dst": pa.array(d2), "w": pa.array(w2)})
 
     def dedup_min(g: pa.Table) -> pa.Table:
         src = g.column("src").to_numpy(zero_copy_only=False)
@@ -1551,12 +1503,12 @@ def sssp_pipeline(
             }
         )
 
-    pinned = (
-        edges.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(dedup_min, batch_format="pyarrow")
-        .materialize()
-    )
+    pinned = keyed_exchange(
+        edges.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True),
+        dedup_min,
+        keys="src",
+        num_partitions=num_partitions,
+    ).materialize()
 
     if mode in ("auto", "broadcast"):
         try:
@@ -1695,10 +1647,7 @@ def _sssp_shuffle(pinned, seeds, *, seed_col: str, max_rounds: int, num_partitio
 
     def with_src_part(t: pa.Table) -> pa.Table:
         src = t.column("src").to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_part",
-            pa.array((hash64_int(src) % np.uint64(num_partitions)).astype(np.int32)),
-        )
+        return t.append_column("_part", pa.array(_node_part(src, num_partitions)))
 
     edge_refs = _pin_edge_slices(
         pinned.map_batches(
@@ -1711,16 +1660,14 @@ def _sssp_shuffle(pinned, seeds, *, seed_col: str, max_rounds: int, num_partitio
 
     def seed_states(t: pa.Table) -> pa.Table:
         n = np.unique(t.column(seed_col).to_numpy(zero_copy_only=False).astype(np.int64))
-        return _with_part(
-            pa.table(
-                {
-                    "node": pa.array(n),
-                    "dist": pa.array(np.zeros(n.size, dtype=np.int64)),
-                    "fresh": pa.array(np.ones(n.size, dtype=np.int8)),
-                }
-            ),
-            "node",
-            num_partitions,
+        return pa.table(
+            {
+                "node": pa.array(n),
+                "dist": pa.array(np.zeros(n.size, dtype=np.int64)),
+                "fresh": pa.array(np.ones(n.size, dtype=np.int8)),
+                # pre-tagged: each round's fresh-row exchange reads it as is
+                "_part": pa.array(_node_part(n, num_partitions)),
+            }
         )
 
     state = seeds.map_batches(
@@ -1805,20 +1752,14 @@ def _sssp_shuffle(pinned, seeds, *, seed_col: str, max_rounds: int, num_partitio
         ).materialize()
         if fresh_rows.count() == 0:
             break  # fixed point: no distance improved last round
-        msgs = fresh_rows.groupby("_part").map_groups(
-            relax, batch_format="pyarrow"
-        )
+        msgs = keyed_exchange(fresh_rows, relax, num_partitions=num_partitions)
         msg_rows = msgs.map_batches(
-            lambda t: _with_part(
-                pa.table(
-                    {
-                        "node": t.column("node"),
-                        "cand": t.column("cand"),
-                        "is_old": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                    }
-                ),
-                "node",
-                num_partitions,
+            lambda t: pa.table(
+                {
+                    "node": t.column("node"),
+                    "cand": t.column("cand"),
+                    "is_old": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
+                }
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
@@ -1829,16 +1770,15 @@ def _sssp_shuffle(pinned, seeds, *, seed_col: str, max_rounds: int, num_partitio
                     "node": t.column("node"),
                     "cand": t.column("dist"),
                     "is_old": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                    "_part": t.column("_part"),
                 }
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
         state = (
-            msg_rows.union(old_rows)
-            .groupby("_part")
-            .map_groups(fold, batch_format="pyarrow")
+            keyed_exchange(
+                [msg_rows, old_rows], fold, keys="node", num_partitions=num_partitions
+            )
             .repartition(min(num_partitions, 16))
             .materialize()
         )
@@ -1872,13 +1812,12 @@ def degree_histogram_pipeline(
     task holds ids, not payloads)."""
 
     def pre(t: pa.Table) -> pa.Table:
-        d = pa.table(
+        return pa.table(
             {
                 "src": t.column(src_col).cast(pa.int64()),
                 "dst": t.column(dst_col).cast(pa.int64()),
             }
         ).group_by(["src", "dst"]).aggregate([])
-        return _with_part(d, "src", num_partitions)
 
     def fold(g: pa.Table) -> pa.Table:
         src = g.column("src").to_numpy(zero_copy_only=False)
@@ -1901,10 +1840,11 @@ def degree_histogram_pipeline(
 
     from .fold import partitioned_group_sum
 
-    partials = (
-        edges.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
+    partials = keyed_exchange(
+        edges.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
+        fold,
+        keys="src",
+        num_partitions=num_partitions,
     )
     summed = partitioned_group_sum(partials, "degree", "n_nodes", num_partitions=8)
     return summed.map_batches(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import hash64_int
+from .fold import keyed_exchange
 
 __all__ = [
     "largest_remainder_quota_pipeline",
@@ -97,14 +97,7 @@ def gini_pipeline(ds, *, value_col: str, num_partitions: int = 32):
     def partials(t: pa.Table) -> pa.Table:
         v = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
         vals, cnt = np.unique(v, return_counts=True)
-        part = (hash64_int(vals) % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table(
-            {
-                "v": pa.array(vals),
-                "c": pa.array(cnt.astype(np.int64)),
-                "_part": pa.array(part),
-            }
-        )
+        return pa.table({"v": pa.array(vals), "c": pa.array(cnt.astype(np.int64))})
 
     def fold(g: pa.Table) -> pa.Table:
         v = g.column("v").to_numpy(zero_copy_only=False)
@@ -123,12 +116,12 @@ def gini_pipeline(ds, *, value_col: str, num_partitions: int = 32):
             }
         )
 
-    table = (
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
-        .take_all()  # one row per DISTINCT value
-    )
+    table = keyed_exchange(
+        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+        fold,
+        keys="v",
+        num_partitions=num_partitions,
+    ).take_all()  # one row per DISTINCT value
     pairs = sorted((int(r["v"]), int(r["c"])) for r in table)
     n = sum(c for _, c in pairs)
     total = sum(v * c for v, c in pairs)
@@ -193,20 +186,11 @@ def grouped_value_gini_pipeline(
             new[1:] = (g_s[1:] != g_s[:-1]) | (v_s[1:] != v_s[:-1])
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, g_s.size)).astype(np.int64)
-        gg = g_s[starts]
-        if gg.dtype.kind in "OUS":
-            from ..core.hashing import hash256_str
-
-            h = hash256_str(pa.array([str(x) for x in gg.tolist()]), lanes=1)[0]
-        else:
-            h = hash64_int(gg.astype(np.int64))
-        part = (h % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
-                "g": pa.array(gg.tolist()),
+                "g": pa.array(g_s[starts].tolist()),
                 "v": pa.array(v_s[starts]),
                 "c": pa.array(lens),
-                "_part": pa.array(part),
             }
         )
 
@@ -271,8 +255,9 @@ def grouped_value_gini_pipeline(
             }
         )
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
+    return keyed_exchange(
+        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+        fold,
+        keys="g",
+        num_partitions=num_partitions,
     )

@@ -10,8 +10,8 @@ shuffle, with the partitioning assumption documented:
   1. both sides are normalized to a shared schema (side tag, int64 key,
      int64 microsecond timestamp, int64 tie-break, payload columns padded
      with nulls crosswise) inside ``map_batches``;
-  2. rows co-locate by ``hash(key) % num_partitions`` - ONE all-to-all
-     shuffle of only the carried columns;
+  2. rows co-locate by ``hash(key) % num_partitions`` - ONE
+     :func:`~.fold.keyed_exchange` of only the carried columns;
   3. inside each partition a single lexsort + merge-rank computation
      resolves every left row's match(es) - no per-key Python, no per-row
      Python; work is O((n+m) log(n+m)) vectorized numpy per partition.
@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..core.hashing import hash64_int
+from .fold import keyed_exchange
 
 __all__ = [
     "asof_join_pipeline",
@@ -86,10 +86,9 @@ def _normalize_side(
     own_cols: Sequence[str],
     other_schema: pa.Schema,
     other_cols: Sequence[str],
-    num_partitions: int,
     negate_ts: bool = False,
 ):
-    """-> Dataset with schema [_part,_side,_key,_ts,_tb, own..., other(null)...].
+    """-> Dataset with schema [_side,_key,_ts,_tb, own..., other(null)...].
 
     ``negate_ts`` flips the sign of ``_ts``/``_tb``: a FORWARD as-of join is
     exactly a backward one on negated time (greatest ``-rts <= -lts`` ==
@@ -101,9 +100,6 @@ def _normalize_side(
         n = t.num_rows
         keys = t.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
         cols = {
-            "_part": pa.array(
-                (hash64_int(keys) % np.uint64(num_partitions)).astype(np.int32)
-            ),
             "_side": pa.array(np.full(n, side, dtype=np.int8)),
             "_key": pa.array(keys),
             "_ts": (
@@ -126,10 +122,6 @@ def _normalize_side(
         return pa.table(cols)
 
     return ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _union_partitions(left_norm, right_norm):
-    return left_norm.union(right_norm).groupby("_part")
 
 
 def asof_join_pipeline(
@@ -167,12 +159,12 @@ def asof_join_pipeline(
     ln = _normalize_side(
         left, side=_SIDE_LEFT, key_col=left_key, ts_col=left_ts, tb_col=None,
         own_cols=left_cols, other_schema=rschema, other_cols=right_payload,
-        num_partitions=num_partitions, negate_ts=negate_ts,
+        negate_ts=negate_ts,
     )
     rn = _normalize_side(
         right, side=_SIDE_RIGHT, key_col=right_key, ts_col=right_ts,
         tb_col=tiebreak, own_cols=right_payload, other_schema=lschema,
-        other_cols=left_cols, num_partitions=num_partitions, negate_ts=negate_ts,
+        other_cols=left_cols, negate_ts=negate_ts,
     )
 
     def per_partition(pt: pa.Table) -> pa.Table:
@@ -208,7 +200,9 @@ def asof_join_pipeline(
             out_cols[c] = pc.take(pt.column(c), r_indices)
         return pa.table(out_cols)
 
-    return _union_partitions(ln, rn).map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(
+        [ln, rn], per_partition, keys="_key", num_partitions=num_partitions
+    )
 
 
 def hash_join_pipeline(
@@ -291,9 +285,6 @@ def hash_join_pipeline(
             n = t.num_rows
             keys = kcol.to_numpy(zero_copy_only=False).astype(np.int64)
             cols = {
-                "_part": pa.array(
-                    (hash64_int(keys) % np.uint64(num_partitions)).astype(np.int32)
-                ),
                 "_side": pa.array(np.full(n, side, dtype=np.int8)),
                 "_key": pa.array(keys),
                 "_kvalid": pa.array(valid),
@@ -387,7 +378,9 @@ def hash_join_pipeline(
             out_t = pa.concat_tables([out_t, extra])
         return out_t
 
-    return _union_partitions(ln, rn).map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(
+        [ln, rn], per_partition, keys="_key", num_partitions=num_partitions
+    )
 
 
 def broadcast_hash_join_pipeline(
@@ -589,12 +582,10 @@ def range_join_pipeline(
     ln = _normalize_side(
         left, side=_SIDE_LEFT, key_col=left_key, ts_col=left_ts, tb_col=None,
         own_cols=left_cols, other_schema=rschema, other_cols=right_payload,
-        num_partitions=num_partitions,
     )
     rn = _normalize_side(
         right, side=_SIDE_RIGHT, key_col=right_key, ts_col=right_ts, tb_col=None,
         own_cols=right_payload, other_schema=lschema, other_cols=left_cols,
-        num_partitions=num_partitions,
     )
 
     def per_partition(pt: pa.Table) -> pa.Table:
@@ -627,7 +618,9 @@ def range_join_pipeline(
         out |= {c: pc.take(pt.column(c), r_take) for c in right_payload}
         return pa.table(out)
 
-    return _union_partitions(ln, rn).map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(
+        [ln, rn], per_partition, keys="_key", num_partitions=num_partitions
+    )
 
 
 def interval_overlap_join_pipeline(
@@ -670,12 +663,12 @@ def interval_overlap_join_pipeline(
     ln = _normalize_side(
         left, side=_SIDE_LEFT, key_col=left_key, ts_col=left_start,
         tb_col=left_end, own_cols=left_cols, other_schema=rschema,
-        other_cols=right_payload, num_partitions=num_partitions,
+        other_cols=right_payload,
     )
     rn = _normalize_side(
         right, side=_SIDE_RIGHT, key_col=right_key, ts_col=right_start,
         tb_col=right_end, own_cols=right_payload, other_schema=lschema,
-        other_cols=left_cols, num_partitions=num_partitions,
+        other_cols=left_cols,
     )
 
     def per_partition(pt: pa.Table) -> pa.Table:
@@ -718,7 +711,9 @@ def interval_overlap_join_pipeline(
         out |= {c: pc.take(pt.column(c), r_take) for c in right_payload}
         return pa.table(out)
 
-    return _union_partitions(ln, rn).map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(
+        [ln, rn], per_partition, keys="_key", num_partitions=num_partitions
+    )
 
 
 def bloom_prefilter_join_pipeline(

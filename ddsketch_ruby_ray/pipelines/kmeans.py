@@ -41,6 +41,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.numeric import round_half_away
+from .fold import keyed_exchange
 from .quantize import _encode, embedding_amax6
 from .similarity import _embedding_matrix
 
@@ -54,24 +55,21 @@ def _bottomk_ids(ds, id_col: str, k: int) -> np.ndarray:
     """The k smallest ids — per-block bottom-k, a keyed tree fold (bottom-k
     of bottom-ks is exact under ANY partitioning), then a driver merge of
     at most ``_FOLD_PARTS × k`` rows (never O(blocks) rows)."""
-    from ..core.hashing import hash64_int
 
     def bk(t: pa.Table) -> pa.Table:
         ids = np.sort(t.column(id_col).to_numpy(zero_copy_only=False))[:k]
-        ids = ids.astype(np.int64)
-        part = (hash64_int(ids) % np.uint64(_FOLD_PARTS)).astype(np.int32)
-        return pa.table({id_col: pa.array(ids), "_part": pa.array(part)})
+        return pa.table({id_col: pa.array(ids.astype(np.int64))})
 
     def fold(g: pa.Table) -> pa.Table:
         ids = np.sort(g.column(id_col).to_numpy(zero_copy_only=False))[:k]
         return pa.table({id_col: pa.array(ids.astype(np.int64))})
 
-    parts = (
-        ds.map_batches(bk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
-        .take_all()
-    )
+    parts = keyed_exchange(
+        ds.map_batches(bk, batch_format="pyarrow", zero_copy_batch=True),
+        fold,
+        keys=id_col,
+        num_partitions=_FOLD_PARTS,
+    ).take_all()
     allids = np.sort(np.array([r[id_col] for r in parts], dtype=np.int64))
     return allids[:k]
 
@@ -143,6 +141,7 @@ def kmeans_pipeline(ds, *, id_col: str, vec_col: str, k: int = 8, iters: int = 3
                     "cid": pa.array(cids),
                     "cnt": pa.array(cnt),
                     "sums": pa.array(list(sums), pa.list_(pa.int64())),
+                    # pre-tagged: k dense cluster ids spread round-robin
                     "_part": pa.array((cids % _FOLD_PARTS).astype(np.int32)),
                 }
             )
@@ -176,12 +175,11 @@ def kmeans_pipeline(ds, *, id_col: str, vec_col: str, k: int = 8, iters: int = 3
             )
 
         # tree-reduced partials: the driver folds k rows, not blocks × k
-        parts = (
-            ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("_part")
-            .map_groups(cfold, batch_format="pyarrow")
-            .take_all()
-        )
+        parts = keyed_exchange(
+            ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+            cfold,
+            num_partitions=_FOLD_PARTS,
+        ).take_all()
         sums = np.zeros((k, centroids.shape[1]), dtype=np.int64)
         cnt = np.zeros(k, dtype=np.int64)
         for r in parts:

@@ -44,6 +44,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .fold import keyed_exchange
+
 # Above this many heavy hashes the broadcast plan would ship/hold an
 # ever-growing array on every worker; switch to the co-partitioned join.
 # 4M hashes = 32 MB broadcast — comfortably cheap; 10x that is not.
@@ -188,10 +190,8 @@ def line_dedup_pipeline(
         h = hash256_str(flat, lanes=1)[0].astype(np.int64)
         hs = _salted_sig(flat, ord1)
         keys = batch.column(key_col).take(pa.array(parent))
-        part = (h.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part),
                 "_t": pa.array(np.ones(len(h), dtype=np.int8)),
                 "lh": pa.array(h),
                 key_col: keys,
@@ -204,21 +204,17 @@ def line_dedup_pipeline(
     key_type = dict(zip(sch.names, sch.types))[key_col]
 
     def heavy_rows(t: pa.Table) -> pa.Table:
-        h = t.column("lh").to_numpy(zero_copy_only=False)
-        part = (h.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
+        n = t.num_rows
         return pa.table(
             {
-                "_part": pa.array(part),
-                "_t": pa.array(np.zeros(len(h), dtype=np.int8)),
+                "_t": pa.array(np.zeros(n, dtype=np.int8)),
                 "lh": t.column("lh"),
-                key_col: pa.nulls(len(h), key_type),
-                "hs": pa.array(np.zeros(len(h), dtype=np.int64)),
+                key_col: pa.nulls(n, key_type),
+                "hs": pa.array(np.zeros(n, dtype=np.int64)),
             }
         )
 
-    unioned = lines_ds.union(
-        heavy_ds.map_batches(heavy_rows, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    heavy_side = heavy_ds.map_batches(heavy_rows, batch_format="pyarrow", zero_copy_batch=True)
 
     def anti_join_fold(pt: pa.Table) -> pa.Table:
         tag = pt.column("_t").to_numpy(zero_copy_only=False)
@@ -242,7 +238,6 @@ def line_dedup_pipeline(
         if not llh.size:
             return pa.table(
                 {
-                    "_kp": pa.array([], pa.int32()),
                     key_col: pa.array([], key_type),
                     "nl": pa.array([], pa.int64()),
                     "nk": pa.array([], pa.int64()),
@@ -259,28 +254,18 @@ def line_dedup_pipeline(
         nk = np.add.reduceat(keep_s, seg)
         sig_vals = np.where(keep[order], hs[order], 0)
         sig = np.bitwise_xor.reduceat(sig_vals, seg)
-        from ..core.hashing import hash64_int
-
-        reps = order[seg]
-        rep_keys = pa.array(keys[reps])
-        if codes is keys:  # integer keys: hash the codes directly
-            kp = (hash64_int(codes_s[seg]) % np.uint64(num_partitions)).astype(np.int32)
-        else:
-            kp = (
-                hash256_str(pc.cast(rep_keys, pa.string()), lanes=1)[0]
-                % np.uint64(num_partitions)
-            ).astype(np.int32)
         return pa.table(
             {
-                "_kp": pa.array(kp),
-                key_col: rep_keys,
+                key_col: pa.array(keys[order[seg]]),
                 "nl": pa.array(nl),
                 "nk": pa.array(nk),
                 "sig": pa.array(sig),
             }
         )
 
-    partials = unioned.groupby("_part").map_groups(anti_join_fold, batch_format="pyarrow")
+    partials = keyed_exchange(
+        [lines_ds, heavy_side], anti_join_fold, keys="lh", num_partitions=num_partitions
+    )
 
     def final_fold(pt: pa.Table) -> pa.Table:
         keys = pt.column(key_col).to_numpy(zero_copy_only=False)
@@ -300,4 +285,4 @@ def line_dedup_pipeline(
             }
         )
 
-    return partials.groupby("_kp").map_groups(final_fold, batch_format="pyarrow")
+    return keyed_exchange(partials, final_fold, keys=key_col, num_partitions=num_partitions)

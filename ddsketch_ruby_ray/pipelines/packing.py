@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import hash64_int
+from .fold import keyed_exchange
 
 __all__ = ["pack_sequences_pipeline"]
 
@@ -35,14 +35,8 @@ def pack_sequences_pipeline(
     max_tokens: int,
     num_partitions: int = 64,
 ):
-    """-> Dataset[(id, part, tokens, seq_first, seq_last)]."""
-
-    def add_part(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (hash64_int(ids) % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_part", pa.array(part))
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    """-> Dataset[(id, part, tokens, seq_first, seq_last)]; ``part`` is the
+    keyed-exchange partition of the id, ``hash64_int(id) % num_partitions``."""
 
     def per_partition(pt: pa.Table) -> pa.Table:
         ids = pt.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -65,4 +59,4 @@ def pack_sequences_pipeline(
             }
         )
 
-    return parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(ds, per_partition, keys=id_col, num_partitions=num_partitions)

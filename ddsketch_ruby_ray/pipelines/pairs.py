@@ -9,12 +9,13 @@ Plan (all group-cardinality-proportional work is numpy):
   stage A (fused into the read): block -> pre-aggregated PAIR table
       one row per distinct (group, metric, side, bucket-key) in the block,
       carrying (w_sum, vw_sum, v_min, v_max); built with ONE
-      lexsort + reduceat per block.  A partition id = splitmix64(group) % P
-      rides along, so every group's pairs meet in exactly one partition.
+      lexsort + reduceat per block.  The group's 128-bit identity rides
+      along, and its first lane is the route key, so every group's pairs
+      meet in exactly one partition.
       The ORIGINAL group-key columns (native dtypes) ride along too - one
       representative value per pair row - so the output schema matches the
       states strategy exactly.
-  stage B: groupby("_part") -> P map_groups calls (P ~ cpus, NOT groups);
+  stage B: one fold.keyed_exchange -> P reduce calls (P ~ cpus, NOT groups);
       inside each: lexsort + reduceat re-aggregation across blocks, then a
       BOUNDARY-VECTORIZED multi-quantile walk (global-cumsum searchsorted
       per (metric, q) over all segments at once - no per-group Python).
@@ -38,6 +39,7 @@ import pyarrow as pa
 
 from ..core.hashing import hash256_str
 from ..functions.specs import DDSketchSpec, quantile_name
+from .fold import keyed_exchange
 
 __all__ = ["ddsketch_pairs_pipeline"]
 
@@ -99,7 +101,6 @@ def ddsketch_pairs_pipeline(
 
     def _empty_pairs() -> pa.Table:
         cols = {
-            "_part": pa.array([], pa.int32()),
             "_gh0": pa.array([], pa.int64()),
             "_gh1": pa.array([], pa.int64()),
         }
@@ -133,19 +134,17 @@ def ddsketch_pairs_pipeline(
         dict_arr = gcomp.dictionary_encode()
         gcodes = dict_arr.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         gdict = dict_arr.dictionary  # distinct composite strings
-        # deterministic partition + 128-bit IDENTITY per DISTINCT group: the
+        # deterministic 128-bit IDENTITY per DISTINCT group: the
         # composite string itself never ships (two sha256 lanes, the same
         # collision-free-at-any-realistic-scale convention as exact_dedup) -
         # the shuffle stays fully numeric and the finalize never materializes
         # per-row Python strings (measured: the object-array storm inflated
         # 64 concurrent finalize tasks 10-40x over their single-task cost)
         glanes = hash256_str(gdict, lanes=2)
-        part_of_group = (glanes[0] % np.uint64(num_partitions)).astype(np.int32)
         gh0 = glanes[0].astype(np.int64)
         gh1 = glanes[1].astype(np.int64)
 
         out = {
-            "_part": [],
             "_gh0": [],
             "_gh1": [],
             "_m": [],
@@ -191,7 +190,6 @@ def ddsketch_pairs_pipeline(
             v_min = np.minimum.reduceat(vs, starts)
             v_max = np.maximum.reduceat(vs, starts)
             gsel = gs[starts]
-            out["_part"].append(part_of_group[gsel])
             out["_gh0"].append(gh0[gsel])
             out["_gh1"].append(gh1[gsel])
             out["_m"].append(np.full(starts.size, mi, dtype=np.int8))
@@ -205,7 +203,6 @@ def ddsketch_pairs_pipeline(
 
         rep = pa.array(np.concatenate(rep_rows))
         cols = {
-            "_part": pa.array(np.concatenate(out["_part"]), pa.int32()),
             "_gh0": pa.array(np.concatenate(out["_gh0"]), pa.int64()),
             "_gh1": pa.array(np.concatenate(out["_gh1"]), pa.int64()),
         }
@@ -450,4 +447,6 @@ def ddsketch_pairs_pipeline(
                 cols[f"{p}{quantile_name(q)}"] = pa.array(o[quantile_name(q)], pa.float64())
         return pa.table(cols)
 
-    return pairs.groupby("_part").map_groups(finalize_partition, batch_format="pyarrow")
+    return keyed_exchange(
+        pairs, finalize_partition, keys="_gh0", num_partitions=num_partitions
+    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import hash256_str
+from .fold import keyed_exchange
 
 __all__ = ["pivot_counts_pipeline"]
 
@@ -59,11 +59,6 @@ def pivot_counts_pipeline(
         .sum("n")
     )
 
-    def add_part(t: pa.Table) -> pa.Table:
-        h = hash256_str(t.column("g"), lanes=1)[0]
-        part = (h % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_part", pa.array(part))
-
     names = [str(v) for v in np.sort(np.array(values))]
 
     def widen(pt: pa.Table) -> pa.Table:
@@ -88,8 +83,4 @@ def pivot_counts_pipeline(
             cols[nm] = pa.array(wide[:, j])
         return pa.table(cols)
 
-    return (
-        counted.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(widen, batch_format="pyarrow")
-    )
+    return keyed_exchange(counted, widen, keys="g", num_partitions=num_partitions)

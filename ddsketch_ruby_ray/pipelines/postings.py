@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import splitmix64
+from .fold import keyed_exchange
 from .dedup import _doc_shingle_hashes
 
 __all__ = [
@@ -79,12 +79,9 @@ def ngram_jaccard_pairs_pipeline(
         flat, bounds = _doc_shingle_hashes(batch, text_col, ngram)
         sizes = np.diff(bounds)
         keys = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        sh = flat.astype(np.int64)
-        part = (flat % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part),
-                "sh": pa.array(sh),
+                "sh": pa.array(flat.astype(np.int64)),
                 "key": pa.array(np.repeat(keys, sizes)),
                 "sz": pa.array(np.repeat(sizes.astype(np.int64), sizes)),
             }
@@ -139,17 +136,7 @@ def ngram_jaccard_pairs_pipeline(
             }
         )
 
-    co = posted.groupby("_part").map_groups(expand, batch_format="pyarrow")
-
-    def pair_part(t: pa.Table) -> pa.Table:
-        a = t.column("a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t.column("b").to_numpy(zero_copy_only=False).astype(np.uint64)
-        old = np.seterr(over="ignore")
-        try:
-            part = (splitmix64(a + splitmix64(b)) % np.uint64(num_partitions)).astype(np.int32)
-        finally:
-            np.seterr(**old)
-        return t.append_column("_part", pa.array(part))
+    co = keyed_exchange(posted, expand, keys="sh", num_partitions=num_partitions)
 
     def reduce_pairs(pt: pa.Table) -> pa.Table:
         a = pt.column("a").to_numpy(zero_copy_only=False)
@@ -182,11 +169,7 @@ def ngram_jaccard_pairs_pipeline(
             }
         )
 
-    return (
-        co.map_batches(pair_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(reduce_pairs, batch_format="pyarrow")
-    )
+    return keyed_exchange(co, reduce_pairs, keys=["a", "b"], num_partitions=num_partitions)
 
 
 def dup_fraction_pipeline(
@@ -229,16 +212,12 @@ def dup_fraction_stages(
     stop-shingle appearing in B docs costs B postings rows here (not B^2
     pairs as in the Jaccard pipeline), so no df cap is needed.
     """
-    from ..core.hashing import hash64_int
-
     def postings(batch: pa.Table) -> pa.Table:
         flat, bounds = _doc_shingle_hashes(batch, text_col, ngram)
         sizes = np.diff(bounds)
         keys = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (flat % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part),
                 "sh": pa.array(flat.astype(np.int64)),
                 "key": pa.array(np.repeat(keys, sizes)),
             }
@@ -276,11 +255,6 @@ def dup_fraction_stages(
             }
         )
 
-    def key_part(t: pa.Table) -> pa.Table:
-        k = t.column("key").to_numpy(zero_copy_only=False)
-        part = (hash64_int(k, 1) % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_part", pa.array(part))
-
     def finalize(pt: pa.Table) -> pa.Table:
         k = pt.column("key").to_numpy(zero_copy_only=False)
         if not k.size:
@@ -312,12 +286,8 @@ def dup_fraction_stages(
         )
 
     def reduce(posted):
-        partials = posted.groupby("_part").map_groups(df_reduce, batch_format="pyarrow")
-        return (
-            partials.map_batches(key_part, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("_part")
-            .map_groups(finalize, batch_format="pyarrow")
-        )
+        partials = keyed_exchange(posted, df_reduce, keys="sh", num_partitions=num_partitions)
+        return keyed_exchange(partials, finalize, keys="key", num_partitions=num_partitions)
 
     return postings, reduce
 

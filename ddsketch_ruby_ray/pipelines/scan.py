@@ -31,6 +31,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .fold import keyed_exchange
+
 __all__ = [
     "global_ordered_scan_pipeline",
     "session_intervals_pipeline",
@@ -70,7 +72,9 @@ def global_ordered_scan_pipeline(
         dtype=np.int64,
     )
 
-    def part_of(t: pa.Table) -> pa.Table:
+    def range_cut(t: pa.Table) -> pa.Table:
+        """Pre-tag ``_part`` by ORDER range (not a key hash): partition p
+        holds the p-th slice of the order domain, so offsets chain."""
         v = t.column(order_col).to_numpy(zero_copy_only=False)
         part = np.searchsorted(cuts, v, side="right").astype(np.int32)
         return pa.table(
@@ -81,7 +85,7 @@ def global_ordered_scan_pipeline(
             }
         )
 
-    parted = ds.map_batches(part_of, batch_format="pyarrow", zero_copy_batch=True)
+    parted = ds.map_batches(range_cut, batch_format="pyarrow", zero_copy_batch=True)
 
     # phase 2: per-partition delta totals — O(num_partitions) scalars reach
     # the driver regardless of row count
@@ -117,7 +121,7 @@ def global_ordered_scan_pipeline(
             }
         )
 
-    return parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(parted, per_partition, num_partitions=num_partitions)
 
 
 def session_intervals_pipeline(
@@ -130,22 +134,13 @@ def session_intervals_pipeline(
 ):
     """-> Dataset[(key, start_us, end_us)] — one row per gap-based session
     (same session rule as windows.py::sessionize_pipeline, integer µs)."""
-    from ..core.hashing import hash64_int
-
     gap_us = int(gap_s) * 1_000_000
 
-    def add_part(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         keys = t.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (hash64_int(keys) % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table(
-            {
-                "_part": pa.array(part),
-                key_col: pa.array(keys),
-                "_us": t.column(ts_col).cast(pa.int64()),
-            }
-        )
+        return pa.table({key_col: pa.array(keys), "_us": t.column(ts_col).cast(pa.int64())})
 
-    parted = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    projected = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
     def per_partition(pt: pa.Table) -> pa.Table:
         keys = pt.column(key_col).to_numpy(zero_copy_only=False)
@@ -174,7 +169,7 @@ def session_intervals_pipeline(
             }
         )
 
-    return parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(projected, per_partition, keys=key_col, num_partitions=num_partitions)
 
 
 def concurrency_sweep_pipeline(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import hash256_str
+from .fold import keyed_exchange
 
 __all__ = ["vocab_jaccard_pipeline", "group_count_cosine_pipeline"]
 
@@ -87,11 +87,6 @@ def vocab_jaccard_pipeline(
             }
         )
 
-    def add_part(t: pa.Table) -> pa.Table:
-        h = hash256_str(t.column("token"), lanes=1)[0]
-        part = (h % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_part", pa.array(part))
-
     def mask_counts(pt: pa.Table) -> pa.Table:
         tok = np.array(pt.column("token").to_pylist(), dtype=object)
         bit = pt.column("bit").to_numpy(zero_copy_only=False)
@@ -111,10 +106,12 @@ def vocab_jaccard_pipeline(
         return pa.table({"mask": pa.array(vals), "c": pa.array(c.astype(np.int64))})
 
     table = (
-        ds.map_batches(incidences, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(mask_counts, batch_format="pyarrow")
+        keyed_exchange(
+            ds.map_batches(incidences, batch_format="pyarrow", zero_copy_batch=True),
+            mask_counts,
+            keys="token",
+            num_partitions=num_partitions,
+        )
         .groupby("mask")
         .sum("c")
         .take_all()  # <= distinct masks (KB)
@@ -188,7 +185,6 @@ def group_count_cosine_pipeline(
     Self-pairs carry the norms, so no separate pass."""
     import math
 
-    from ..core.hashing import hash64_str_fast
     from .fold import partitioned_group_sum
     from .stats import _limb_cols, _umul128
 
@@ -208,15 +204,8 @@ def group_count_cosine_pipeline(
     )
 
     def by_token(t: pa.Table) -> pa.Table:
-        h = hash64_str_fast(t.column("tok"))
-        part = (h % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
-            {
-                "tok": t.column("tok"),
-                "g": t.column("g"),
-                "c": t.column("sum(c)"),
-                "_part": pa.array(part),
-            }
+            {"tok": t.column("tok"), "g": t.column("g"), "c": t.column("sum(c)")}
         )
 
     def pair_partials(pt: pa.Table) -> pa.Table:
@@ -279,10 +268,11 @@ def group_count_cosine_pipeline(
             cols[k] = pa.array(v)
         return pa.table(cols)
 
-    partials = (
-        counted.map_batches(by_token, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(pair_partials, batch_format="pyarrow")
+    partials = keyed_exchange(
+        counted.map_batches(by_token, batch_format="pyarrow", zero_copy_batch=True),
+        pair_partials,
+        keys="tok",
+        num_partitions=num_partitions,
     )
     summed = partitioned_group_sum(
         partials, ["ga", "gb"], [f"d_{k}" for k in range(8)], num_partitions=8

@@ -152,8 +152,9 @@ def cosine_neardup_pipeline(
     Exact all-pairs as a storage-backed CHUNK-PAIR join - the out-of-core
     block matmul, never a driver-side materialization:
 
-      1. rows hash into ``num_chunks`` chunks by id; one keyed shuffle
-         (``groupby.map_groups``) writes each chunk to its own parquet file
+      1. rows hash into ``num_chunks`` chunks by id; one keyed exchange
+         (:func:`~.fold.keyed_exchange`, chunk = partition) writes each
+         chunk to its own parquet file
          (resumable spill; at scale this is the shared filesystem / object
          store, one file per chunk);
       2. a Dataset of the C*(C+1)/2 unordered chunk pairs fans out over an
@@ -176,27 +177,19 @@ def cosine_neardup_pipeline(
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from ..core.hashing import hash64_int
+    from .fold import keyed_exchange
 
     spill = spill_dir or tempfile.mkdtemp(prefix="neardup_chunks_", dir="/tmp")
     thr4 = int(np.floor(threshold * 10_000 + 0.5))
 
-    def add_chunk(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        cid = (hash64_int(ids) % np.uint64(num_chunks)).astype(np.int32)
-        return t.append_column("_chunk", pa.array(cid))
-
     def write_chunk(g: pa.Table) -> pa.Table:
-        cid = g.column("_chunk")[0].as_py()
-        pq.write_table(g.drop_columns(["_chunk"]), f"{spill}/chunk_{cid}.parquet")
+        cid = g.column("_part")[0].as_py()
+        pq.write_table(g.drop_columns(["_part"]), f"{spill}/chunk_{cid}.parquet")
         return pa.table({"chunk": pa.array([cid], pa.int32())})
 
-    markers = (
-        ds.map_batches(add_chunk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_chunk")
-        .map_groups(write_chunk, batch_format="pyarrow")
-        .take_all()  # C tiny marker rows - forces the spill, nothing else
-    )
+    markers = keyed_exchange(
+        ds, write_chunk, keys=id_col, num_partitions=num_chunks
+    ).take_all()  # C tiny marker rows - forces the spill, nothing else
     present = sorted(r["chunk"] for r in markers)
     pairs = [
         {"i": ci, "j": cj} for x, ci in enumerate(present) for cj in present[x:]

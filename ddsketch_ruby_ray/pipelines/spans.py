@@ -32,7 +32,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import fold_windows, hash64_int
+from ..core.hashing import fold_windows
+from .fold import keyed_exchange
 from .dedup import _doc_token_hashes, _window_geometry
 
 __all__ = [
@@ -176,7 +177,6 @@ def _dup_hash_directory(ds, *, text_col: str, n: int, num_partitions: int):
     bounded keyed fold (see duplicate_spans_pipeline step 1)."""
     empty_pre = pa.table(
         {
-            "_part": pa.array([], pa.int32()),
             "h": pa.array([], pa.int64()),
             "c": pa.array([], pa.int8()),
         }
@@ -190,7 +190,6 @@ def _dup_hash_directory(ds, *, text_col: str, n: int, num_partitions: int):
         u, cnt = np.unique(flat, return_counts=True)
         return pa.table(
             {
-                "_part": pa.array((u % np.uint64(num_partitions)).astype(np.int32)),
                 "h": pa.array(u.astype(np.int64)),
                 # clipped at 2: int8 keeps the dominant exchange at 13 B/row
                 "c": pa.array(np.minimum(cnt, 2).astype(np.int8)),
@@ -211,21 +210,17 @@ def _dup_hash_directory(ds, *, text_col: str, n: int, num_partitions: int):
         tot = np.add.reduceat(c_s, starts)  # clipped partials: no overflow
         return pa.table({"h": pa.array(h_s[starts][tot >= 2])})
 
-    return (
-        ds.map_batches(distinct_pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(dup_fold, batch_format="pyarrow")
+    return keyed_exchange(
+        ds.map_batches(distinct_pre, batch_format="pyarrow", zero_copy_batch=True),
+        dup_fold,
+        keys="h",
+        num_partitions=num_partitions,
     )
 
 
 def _doc_span_reduce(dup_instances, *, key_col: str, n: int, num_partitions: int):
     """(key, p) duplicated window instances -> maximal spans via the single
     doc-keyed exchange (the classic plan's shuffle 2, unchanged)."""
-
-    def key_part(t: pa.Table) -> pa.Table:
-        k = t.column("key").to_numpy(zero_copy_only=False)
-        part = (hash64_int(k, 3) % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_part", pa.array(part))
 
     empty_spans = pa.table(
         {
@@ -255,11 +250,7 @@ def _doc_span_reduce(dup_instances, *, key_col: str, n: int, num_partitions: int
             }
         )
 
-    return (
-        dup_instances.map_batches(key_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(spans, batch_format="pyarrow")
-    )
+    return keyed_exchange(dup_instances, spans, keys="key", num_partitions=num_partitions)
 
 
 def duplicate_spans_stages(
@@ -281,10 +272,8 @@ def duplicate_spans_stages(
         keys = batch.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
         # 1-based window start position within each doc
         pos = np.arange(flat.size, dtype=np.int64) - np.repeat(bounds[:-1], counts) + 1
-        part = (flat % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part),
                 "h": pa.array(flat.astype(np.int64)),
                 "key": pa.array(np.repeat(keys, counts)),
                 "p": pa.array(pos),
@@ -313,7 +302,7 @@ def duplicate_spans_stages(
         return pa.table({"key": pa.array(key[kept]), "p": pa.array(p[kept])})
 
     def reduce(posted):
-        dups = posted.groupby("_part").map_groups(dup_reduce, batch_format="pyarrow")
+        dups = keyed_exchange(posted, dup_reduce, keys="h", num_partitions=num_partitions)
         return _doc_span_reduce(
             dups, key_col=key_col, n=n, num_partitions=num_partitions
         )

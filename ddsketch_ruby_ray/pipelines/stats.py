@@ -24,7 +24,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import hash256_str
+from .fold import keyed_exchange
 
 __all__ = [
     "grouped_corr_pipeline",
@@ -97,11 +97,6 @@ def grouped_corr_pipeline(
             }
         )
 
-    def add_part(t: pa.Table) -> pa.Table:
-        h = hash256_str(t.column(group_col).cast(pa.string()), lanes=1)[0]
-        part = (h % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_part", pa.array(part))
-
     def finalize(pt: pa.Table) -> pa.Table:
         groups: dict = {}
         for row in pt.to_pylist():  # tiny: one row per (block, group)
@@ -138,11 +133,7 @@ def grouped_corr_pipeline(
         )
 
     partials = ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
-    return (
-        partials.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(finalize, batch_format="pyarrow")
-    )
+    return keyed_exchange(partials, finalize, keys=group_col, num_partitions=num_partitions)
 
 
 def grouped_zscore_pipeline(

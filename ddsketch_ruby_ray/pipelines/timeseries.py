@@ -21,6 +21,8 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from .fold import keyed_exchange
+
 __all__ = [
     "daily_count_autocorr_pipeline",
     "cusum_daily_pipeline",
@@ -263,25 +265,20 @@ def ohlc_pipeline(
     single lexsort + segment boundaries resolve all four stats at once.
     Comparisons and identity only — float values mirror bit-exactly.
     """
-    from ..core.hashing import hash64_int
-
     win_us = int(window_s) * 1_000_000
 
     def project(t: pa.Table) -> pa.Table:
         us = t.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        w = us // win_us
-        part = (hash64_int(w) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
-                "w": pa.array(w),
+                "w": pa.array(us // win_us),
                 "us": pa.array(us),
                 "eid": t.column(id_col).cast(pa.int64()),
                 "v": t.column(value_col).cast(pa.float64()),
-                "_part": pa.array(part),
             }
         )
 
-    parted = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+    projected = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
     def per_partition(g: pa.Table) -> pa.Table:
         w = g.column("w").to_numpy(zero_copy_only=False)
@@ -317,7 +314,7 @@ def ohlc_pipeline(
             }
         )
 
-    return parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(projected, per_partition, keys="w", num_partitions=num_partitions)
 
 
 def locf_daily_pipeline(
@@ -345,19 +342,13 @@ def locf_daily_pipeline(
     bounded by MAX_CALENDAR_DAYS and each partition's total output by
     ``max_fill_rows`` — one corrupt epoch-0 timestamp raises loudly
     instead of OOMing the task (same contract as the cusum gap-fill)."""
-    from ..core.hashing import hash64_int
-
     def project(t: pa.Table) -> pa.Table:
         from .fold import strict_key_int64
 
         us = t.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
         k = strict_key_int64(t.column(key_col), name=key_col)
-        part = (hash64_int(k.astype(np.int64)) % np.uint64(num_partitions)).astype(
-            np.int32
-        )
         return pa.table(
             {
-                "_part": pa.array(part),
                 "key": pa.array(k),
                 "day": pa.array(us // US_PER_DAY),
                 "_ts": pa.array(us),
@@ -423,10 +414,11 @@ def locf_daily_pipeline(
             }
         )
 
-    return (
-        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
+    return keyed_exchange(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        fold,
+        keys="key",
+        num_partitions=num_partitions,
     )
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 import pyarrow as pa
 
-from ..core.hashing import hash64_int
+from .fold import keyed_exchange
 
 __all__ = ["per_group_topk", "grouped_sum_global_topk", "grouped_mode_pipeline"]
 
@@ -82,24 +82,13 @@ def per_group_topk(
             keep = (pos - seg_start) < k
         return t.take(pa.array(order[keep]))
 
-    def add_part(t: pa.Table) -> pa.Table:
-        t = _topk_rows(t)  # block-local pushdown before the shuffle
-        col = t.column(group_col)
-        if pa.types.is_integer(col.type):
-            h = hash64_int(col.to_numpy(zero_copy_only=False).astype(np.int64))
-        else:
-            from ..core.hashing import hash256_str
-
-            h = hash256_str(col, lanes=1)[0]
-        part = (h % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_part", pa.array(part))
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    # block-local pushdown before the shuffle
+    local = ds.map_batches(_topk_rows, batch_format="pyarrow", zero_copy_batch=True)
 
     def per_partition(pt: pa.Table) -> pa.Table:
         return _topk_rows(pt.drop_columns(["_part"]))
 
-    return parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(local, per_partition, keys=group_col, num_partitions=num_partitions)
 
 
 def grouped_sum_global_topk(
@@ -157,11 +146,9 @@ def grouped_sum_global_topk(
         }
         for c in carry_cols:
             cols[c] = t.column(c).take(first)
-        part = (hash64_int(g_s[starts]) % np.uint64(num_partitions)).astype(np.int32)
-        cols["_part"] = pa.array(part)
         return pa.table(cols)
 
-    parted = ds.map_batches(_combine, batch_format="pyarrow", zero_copy_batch=True)
+    combined = ds.map_batches(_combine, batch_format="pyarrow", zero_copy_batch=True)
 
     def per_partition(pt: pa.Table) -> pa.Table:
         g = pt.column(group_col).to_numpy(zero_copy_only=False)
@@ -187,7 +174,9 @@ def grouped_sum_global_topk(
             cols[c] = pt.column(c).take(first)
         return pa.table(cols)
 
-    local = parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    local = keyed_exchange(
+        combined, per_partition, keys=group_col, num_partitions=num_partitions
+    )
     return local.sort([value_col, group_col], descending=[True, False]).limit(k)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..core.hashing import hash64_int
+from .fold import keyed_exchange
 
 __all__ = ["keyed_transition_counts_pipeline"]
 
@@ -40,12 +40,10 @@ def keyed_transition_counts_pipeline(
     A key's last event has no successor and contributes nothing (SQL
     ``lead() ... WHERE to IS NOT NULL`` semantics)."""
 
-    def add_part(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         keys = t.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (hash64_int(keys) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part),
                 "_key": pa.array(keys),
                 "_ts": t.column(ts_col).cast(pa.int64()),
                 "_tb": t.column(tiebreak_col).cast(pa.int64()),
@@ -53,7 +51,7 @@ def keyed_transition_counts_pipeline(
             }
         )
 
-    parted = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    projected = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
     def per_partition(pt: pa.Table) -> pa.Table:
         n = pt.num_rows
@@ -86,7 +84,9 @@ def keyed_transition_counts_pipeline(
         g = pairs.group_by(["from_state", "to_state"]).aggregate([([], "count_all")])
         return g.rename_columns(["from_state", "to_state", "c"]).cast(empty.schema)
 
-    parts = parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    parts = keyed_exchange(
+        projected, per_partition, keys="_key", num_partitions=num_partitions
+    )
     out = parts.groupby(["from_state", "to_state"]).sum("c")
     return out.map_batches(
         lambda t: pa.table(

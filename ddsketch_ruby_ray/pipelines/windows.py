@@ -8,7 +8,7 @@ recipe these are expressed as batch transforms:
 * sliding windows   - each row is REPLICATED into the windows it belongs to
   inside ``map_batches`` (vectorized np.repeat), then the usual grouped
   sketch pipeline;
-* session windows   - hash-PARTITIONED ``groupby("_part").map_groups``
+* session windows   - one :func:`~.fold.keyed_exchange` on the key
   (~num_partitions reduce calls, never one per key); inside a partition
   one lexsort(ts, key) + boundary reduceat yields every key's gap-based
   session stats.  Ordering assumption: within one call we sort; ACROSS
@@ -24,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core.numeric import round_half_away
+from .fold import keyed_exchange
 
 __all__ = [
     "assign_sliding_windows",
@@ -85,14 +86,6 @@ def sessionize_pipeline(
     overhead would dominate); inside each partition ONE lexsort + boundary
     reduceat computes every key's session stats.
     """
-    from ..core.hashing import hash64_int
-
-    def add_part(t: pa.Table) -> pa.Table:
-        keys = t.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (hash64_int(keys) % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("_part", pa.array(part))
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
 
     def per_partition(pt: pa.Table) -> pa.Table:
         keys = pt.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -126,7 +119,7 @@ def sessionize_pipeline(
             }
         )
 
-    return parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(ds, per_partition, keys=key_col, num_partitions=num_partitions)
 
 
 def _int32_lane(a: np.ndarray, what: str) -> np.ndarray:
@@ -175,16 +168,13 @@ def ordered_analytics_pipeline(
     and value domains (results are bit-identical: the lanes widen back to
     int64 on the reduce side before any arithmetic).
     """
-    from ..core.hashing import hash64_int
-
     carry_cols = list(carry_cols)
 
-    def add_part(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         keys = t.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (hash64_int(keys) % np.uint64(num_partitions)).astype(np.int32)
         if compact_lanes:
             keys = _int32_lane(keys, "key")
-        cols = {"_part": pa.array(part), key_col: pa.array(keys)}
+        cols = {key_col: pa.array(keys)}
         cols["_ts"] = t.column(ts_col).cast(pa.int64())
         cols["_tb"] = t.column(tiebreak_col).cast(pa.int64())
         if value_col is not None:
@@ -197,7 +187,7 @@ def ordered_analytics_pipeline(
             cols[c] = t.column(c)
         return pa.table(cols)
 
-    parted = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    projected = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
     def per_partition(pt: pa.Table) -> pa.Table:
         n = pt.num_rows
@@ -231,7 +221,9 @@ def ordered_analytics_pipeline(
         out["prev_gap_us"] = pa.array(gap, pa.int64(), mask=new_key)
         return pa.table(out)
 
-    return parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(
+        projected, per_partition, keys=key_col, num_partitions=num_partitions
+    )
 
 
 def moving_window_pipeline(
@@ -263,18 +255,14 @@ def moving_window_pipeline(
     Emits one row per input row: ``carry_cols..., key_col, rn,
     frame_count (= min(rn, frame)), mov_sum, mov_min, mov_max``.
     """
-    from ..core.hashing import hash64_int
-
     if frame < 1:
         raise ValueError(f"frame must be >= 1, got {frame}")
     carry_cols = list(carry_cols)
 
-    def add_part(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         keys = t.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (hash64_int(keys) % np.uint64(num_partitions)).astype(np.int32)
         v = t.column(value_col).to_numpy(zero_copy_only=False)
         cols = {
-            "_part": pa.array(part),
             key_col: pa.array(keys),
             "_ts": t.column(ts_col).cast(pa.int64()),
             "_tb": t.column(tiebreak_col).cast(pa.int64()),
@@ -284,7 +272,7 @@ def moving_window_pipeline(
             cols[c] = t.column(c)
         return pa.table(cols)
 
-    parted = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    projected = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
     def per_partition(pt: pa.Table) -> pa.Table:
         n = pt.num_rows
@@ -328,7 +316,9 @@ def moving_window_pipeline(
         out["mov_max"] = pa.array(mmax)
         return pa.table(out)
 
-    return parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(
+        projected, per_partition, keys=key_col, num_partitions=num_partitions
+    )
 
 
 def ranked_analytics_pipeline(
@@ -353,23 +343,20 @@ def ranked_analytics_pipeline(
     single lexsort + boundary-vectorized scan per partition; skewed keys
     cost sort time only, no per-key Python at any cardinality.
     """
-    from ..core.hashing import hash64_int
-
     carry_cols = list(carry_cols)
     if ntile < 1:
         raise ValueError("ntile must be >= 1")
 
-    def add_part(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         keys = t.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (hash64_int(keys) % np.uint64(num_partitions)).astype(np.int32)
-        cols = {"_part": pa.array(part), key_col: pa.array(keys)}
+        cols = {key_col: pa.array(keys)}
         cols["_v"] = t.column(value_col)
         cols["_tb"] = t.column(tiebreak_col).cast(pa.int64())
         for c in carry_cols:
             cols[c] = t.column(c)
         return pa.table(cols)
 
-    parted = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    projected = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
     def per_partition(pt: pa.Table) -> pa.Table:
         n = pt.num_rows
@@ -425,7 +412,9 @@ def ranked_analytics_pipeline(
         out["cume"] = pa.array(cume, pa.float64())
         return pa.table(out)
 
-    return parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(
+        projected, per_partition, keys=key_col, num_partitions=num_partitions
+    )
 
 
 def funnel_pipeline(
@@ -454,8 +443,6 @@ def funnel_pipeline(
     """
     import pandas as pd
 
-    from ..core.hashing import hash64_int
-
     win_us = int(window_s) * 1_000_000
 
     def project(t: pa.Table) -> pa.Table:
@@ -463,17 +450,15 @@ def funnel_pipeline(
         keep = pc.or_(pc.equal(et, first_type), pc.equal(et, next_type))
         t = t.filter(keep)
         users = t.column(user_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (hash64_int(users) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part),
                 user_col: pa.array(users),
                 "_ts": t.column(ts_col).cast(pa.int64()),
                 "_is_first": pc.equal(t.column(type_col), first_type),
             }
         )
 
-    parted = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+    projected = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
     def per_partition(pt: pa.Table) -> pa.Table:
         n = pt.num_rows
@@ -509,8 +494,8 @@ def funnel_pipeline(
             }
         )
 
-    partials = parted.groupby("_part").map_groups(
-        per_partition, batch_format="pyarrow"
+    partials = keyed_exchange(
+        projected, per_partition, keys=user_col, num_partitions=num_partitions
     )
     # KB-sized: one (s1, s2) row per partition
     agg = partials.sum(["stage1_users", "stage2_users"])
@@ -549,14 +534,10 @@ def ordered_concat_pipeline(
     events) produces a correspondingly wide row, exactly as SQL's
     string_agg would.  Filter or cap upstream if paths must stay bounded.
     """
-    from ..core.hashing import hash64_int
-
-    def add_part(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         keys = t.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (hash64_int(keys) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part),
                 key_col: pa.array(keys),
                 "_ts": t.column(ts_col).cast(pa.int64()),
                 "_tb": t.column(tiebreak_col).cast(pa.int64()),
@@ -564,7 +545,7 @@ def ordered_concat_pipeline(
             }
         )
 
-    parted = ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
+    projected = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
     def per_partition(pt: pa.Table) -> pa.Table:
         n = pt.num_rows
@@ -600,7 +581,9 @@ def ordered_concat_pipeline(
             }
         )
 
-    return parted.groupby("_part").map_groups(per_partition, batch_format="pyarrow")
+    return keyed_exchange(
+        projected, per_partition, keys=key_col, num_partitions=num_partitions
+    )
 
 
 def multi_funnel_pipeline(
@@ -626,7 +609,6 @@ def multi_funnel_pipeline(
     with one lexsort per step + the joins.py merge-rank trick (no per-user
     Python); only K per-partition counts leave the reduce.
     """
-    from ..core.hashing import hash64_int
     from .joins import _merge_rank
 
     steps = list(steps)
@@ -643,17 +625,7 @@ def multi_funnel_pipeline(
         si = np.fromiter(
             (step_idx[x] for x in ty[sel].tolist()), dtype=np.int8, count=int(sel.sum())
         )
-        part = (hash64_int(u) % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table(
-            {
-                "u": pa.array(u),
-                "us": pa.array(us),
-                "si": pa.array(si),
-                "_part": pa.array(part),
-            }
-        )
-
-    parted = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+        return pa.table({"u": pa.array(u), "us": pa.array(us), "si": pa.array(si)})
 
     def per_partition(g: pa.Table) -> pa.Table:
         u = g.column("u").to_numpy(zero_copy_only=False)
@@ -697,12 +669,12 @@ def multi_funnel_pipeline(
             }
         )
 
-    summed = (
-        parted.groupby("_part")
-        .map_groups(per_partition, batch_format="pyarrow")
-        .groupby("step")
-        .sum("users")
-    )
+    summed = keyed_exchange(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        per_partition,
+        keys="u",
+        num_partitions=num_partitions,
+    ).groupby("step").sum("users")
 
     def finalize(t: pa.Table) -> pa.Table:
         st = t.column("step").to_numpy(zero_copy_only=False)
@@ -761,12 +733,10 @@ def longest_streak_pipeline(
     ``np.maximum.reduceat`` (islands are contiguous per key after the
     sort).  Only (key, day) int64 pairs shuffle; no per-key Python at any
     cardinality — the same skew contract as the ordered analytics."""
-    from ..core.hashing import hash64_int
-
     def pre(t: pa.Table) -> pa.Table:
         from .fold import strict_key_int64
 
-        d = (
+        return (
             pa.table(
                 {
                     "key": pa.array(strict_key_int64(t.column(key_col), name=key_col)),
@@ -776,11 +746,6 @@ def longest_streak_pipeline(
             .group_by(["key", "day"])
             .aggregate([])
         )
-        k = d.column("key").to_numpy(zero_copy_only=False)
-        part = (hash64_int(k.astype(np.int64)) % np.uint64(num_partitions)).astype(
-            np.int32
-        )
-        return d.append_column("_part", pa.array(part))
 
     def fold(g: pa.Table) -> pa.Table:
         k = g.column("key").to_numpy(zero_copy_only=False)
@@ -823,10 +788,11 @@ def longest_streak_pipeline(
             }
         )
 
-    return (
-        ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
+    return keyed_exchange(
+        ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
+        fold,
+        keys="key",
+        num_partitions=num_partitions,
     )
 
 
@@ -850,16 +816,12 @@ def session_table_pipeline(
     reduceat — no per-key Python at any cardinality.  Equal-timestamp
     ties can't change session membership (their gap is 0), so the output
     is layout-invariant without a tiebreak column."""
-    from ..core.hashing import hash64_int
-
     def pre(t: pa.Table) -> pa.Table:
         from .fold import strict_key_int64
 
         k = strict_key_int64(t.column(key_col), name=key_col)
-        part = (hash64_int(k) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part),
                 key_col: pa.array(k),
                 "us": t.column(ts_col).cast(pa.int64()),
             }
@@ -901,8 +863,9 @@ def session_table_pipeline(
             }
         )
 
-    return (
-        ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
+    return keyed_exchange(
+        ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
+        fold,
+        keys=key_col,
+        num_partitions=num_partitions,
     )

@@ -4002,10 +4002,7 @@ def rolling_median_daily_events(sf_dir: str):
 
 
 def _user_day_distinct(sf_dir: str):
-    import numpy as np
     import pyarrow as pa
-
-    from .core.hashing import hash64_int
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -4013,7 +4010,7 @@ def _user_day_distinct(sf_dir: str):
         from .pipelines.fold import null_safe_int64
 
         us = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        d = (
+        return (
             pa.table(
                 {
                     "user_id": pa.array(null_safe_int64(t.column("user_id"))),
@@ -4023,9 +4020,6 @@ def _user_day_distinct(sf_dir: str):
             .group_by(["user_id", "day"])
             .aggregate([])
         )
-        u = d.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (hash64_int(u) % np.uint64(64)).astype(np.int32)
-        return d.append_column("_part", pa.array(part))
 
     return ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -4039,7 +4033,7 @@ def new_vs_returning_daily(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    from .pipelines.fold import partitioned_group_sum
+    from .pipelines.fold import keyed_exchange, partitioned_group_sum
 
     def fold(g: pa.Table) -> pa.Table:
         u = g.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4069,10 +4063,8 @@ def new_vs_returning_daily(sf_dir: str):
             }
         )
 
-    parts = (
-        _user_day_distinct(sf_dir)
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
+    parts = keyed_exchange(
+        _user_day_distinct(sf_dir), fold, keys="user_id", num_partitions=64
     )
     summed = partitioned_group_sum(parts, "day", ["n_new", "n_returning"], num_partitions=8)
     return summed.map_batches(
@@ -4098,7 +4090,7 @@ def cumulative_unique_users_daily(sf_dir: str):
     from .pipelines.fold import partitioned_group_agg, partitioned_group_sum
 
     mins = partitioned_group_agg(
-        _user_day_distinct(sf_dir).drop_columns(["_part"]),
+        _user_day_distinct(sf_dir),
         "user_id",
         [("day", "min")],
     )
@@ -4240,6 +4232,8 @@ def metric_corr_matrix_by_lang(sf_dir: str):
 
     import numpy as np
     import pyarrow as pa
+
+    from .pipelines.fold import keyed_exchange
     from .stages.text import _re_count
 
     ds = _read(sf_dir, "documents", ["lang", "text", "n_chars"])
@@ -4287,15 +4281,7 @@ def metric_corr_matrix_by_lang(sf_dir: str):
 
     sums_cols = ["n", "s_a", "s_b", "s_c", "s_aa", "s_bb", "s_cc", "s_ab", "s_ac", "s_bc"]
 
-    def add_part(t: pa.Table) -> pa.Table:
-        from .core.hashing import hash256_str
-
-        h = hash256_str(t.column("lang").cast(pa.string()), lanes=1)[0]
-        return t.append_column("_part", pa.array((h % np.uint64(8)).astype(np.int32)))
-
-    partials = ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    )
+    partials = ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
 
     def finalize(t: pa.Table) -> pa.Table:
         # Cross-block fold in PYTHON INTS (exact at any scale): one tiny
@@ -4347,7 +4333,7 @@ def metric_corr_matrix_by_lang(sf_dir: str):
             }
         )
 
-    return partials.groupby("_part").map_groups(finalize, batch_format="pyarrow")
+    return keyed_exchange(partials, finalize, keys="lang", num_partitions=8)
 
 
 def interp_p90_chars_by_lang(sf_dir: str):
@@ -4376,8 +4362,8 @@ def session_event_pairs(sf_dir: str):
     import pyarrow as pa
     import ray
 
-    from .core.hashing import hash64_int
     from .pipelines.basket import frequent_pairs_pipeline
+    from .pipelines.fold import keyed_exchange
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
     type_rows = (
@@ -4398,10 +4384,8 @@ def session_event_pairs(sf_dir: str):
         from .pipelines.fold import null_safe_int64
 
         u = null_safe_int64(t.column("user_id"))
-        part = (hash64_int(u) % np.uint64(64)).astype(np.int32)
         return pa.table(
             {
-                "_part": pa.array(part),
                 "u": pa.array(u),
                 "us": t.column("ts").cast(pa.int64()),
                 "ty": t.column("event_type"),
@@ -4440,10 +4424,11 @@ def session_event_pairs(sf_dir: str):
             }
         )
 
-    baskets = (
-        ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .map_groups(assign, batch_format="pyarrow")
+    baskets = keyed_exchange(
+        ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
+        assign,
+        keys="u",
+        num_partitions=64,
     )
     pairs = frequent_pairs_pipeline(
         baskets, basket_col="basket", item_col="item", min_support=3
@@ -4583,6 +4568,7 @@ def weighted_avg_price_by_flag(sf_dir: str):
     import pyarrow as pa
 
     from .core.numeric import round_half_away
+    from .pipelines.fold import keyed_exchange
 
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice", "l_quantity"])
 
@@ -4626,15 +4612,7 @@ def weighted_avg_price_by_flag(sf_dir: str):
             }
         )
 
-    def add_part(t: pa.Table) -> pa.Table:
-        from .core.hashing import hash256_str
-
-        h = hash256_str(t.column("flag").cast(pa.string()), lanes=1)[0]
-        return t.append_column("_part", pa.array((h % np.uint64(8)).astype(np.int32)))
-
-    partials = ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    )
+    partials = ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
 
     def finalize(t: pa.Table) -> pa.Table:
         # Python-int cross-block fold: exact at any corpus scale (an
@@ -4657,7 +4635,7 @@ def weighted_avg_price_by_flag(sf_dir: str):
             }
         )
 
-    return partials.groupby("_part").map_groups(finalize, batch_format="pyarrow")
+    return keyed_exchange(partials, finalize, keys="flag", num_partitions=8)
 
 
 QUERIES = {

@@ -16,8 +16,8 @@ the stage boundary:
   sibling ``_DONE`` marker.  A crash mid-reduce re-runs ONLY phase B, reading
   phase A's parquet - cheap relative to re-shingling 100 TB of text.
 
-The phase-A postings rows already carry their shuffle key (``_part``), so
-phase B is pure exchange + vectorized reduce.  Determinism: both phases are
+The phase-A postings rows already carry their shuffle key (the window
+hash), so phase B is pure exchange + vectorized reduce.  Determinism: both phases are
 deterministic functions of the input shards, so resume yields bit-identical
 results to a single uninterrupted run (pytest-pinned in test_checkpoint.py).
 """

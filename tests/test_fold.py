@@ -91,3 +91,77 @@ class TestPartitionedGroupAgg:
             partitioned_group_agg(
                 rd.from_arrow(tbl), "sk", [("v", "mean")]
             )
+
+
+class TestKeyedExchange:
+    def test_part_of_single_int_key_is_hash_mod_p(self):
+        from ddsketch_ruby_ray.core.hashing import hash64_int
+        from ddsketch_ruby_ray.pipelines.fold import _part_of
+
+        k = pa.array([5, None, -3, 2**40, 0, 7], pa.int64())
+        P = 13
+        got = _part_of(pa.table({"k": k}), ["k"], P)
+        filled = np.array([5, 0, -3, 2**40, 0, 7], dtype=np.int64)
+        want = (hash64_int(filled) % np.uint64(P)).astype(np.int32)
+        assert got.dtype == np.int32
+        assert (got == want).all()
+        assert got[1] == got[4]  # NULL routes like 0
+        # int32 and int64 lanes of the same ids route alike
+        k32 = pa.array([5, 0, -3], pa.int32())
+        assert (_part_of(pa.table({"k": k32}), ["k"], P) == want[[0, 1, 2]]).all()
+
+    def test_equal_string_keys_meet_in_one_reduce(self, ray_session):
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines.fold import keyed_exchange
+
+        keys = [f"k{i % 37}" for i in range(600)]
+        a = rd.from_arrow(pa.table({"k": keys[:300], "side": [0] * 300})).repartition(5)
+        b = rd.from_arrow(pa.table({"k": keys[300:], "side": [1] * 300})).repartition(4)
+
+        def reduce(g: pa.Table) -> pa.Table:
+            ks = sorted(set(g.column("k").to_pylist()))
+            part = g.column("_part")[0].as_py()
+            return pa.table({"k": pa.array(ks), "p": pa.array([part] * len(ks), pa.int32())})
+
+        rows = keyed_exchange([a, b], reduce, keys="k", num_partitions=8).take_all()
+        seen = [r["k"] for r in rows]
+        assert sorted(seen) == sorted(set(keys))  # each key in exactly one reduce
+        assert all(0 <= r["p"] < 8 for r in rows)
+
+    def test_route_fuses_into_each_input_map(self, ray_session):
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines.fold import keyed_exchange
+        from ddsketch_ruby_ray.state.metrics import parse_stage_metrics
+
+        def pre_a(t: pa.Table) -> pa.Table:
+            return pa.table({"k": pa.array(t.column("id").to_numpy() % 50)})
+
+        def pre_b(t: pa.Table) -> pa.Table:
+            return pa.table({"k": pa.array(t.column("id").to_numpy() % 30)})
+
+        def reduce(g: pa.Table) -> pa.Table:
+            return pa.table({"n": pa.array([g.num_rows], pa.int64())})
+
+        a = rd.range(2_000, override_num_blocks=4).map_batches(pre_a, batch_format="pyarrow")
+        b = rd.range(1_000, override_num_blocks=3).map_batches(pre_b, batch_format="pyarrow")
+        ds = keyed_exchange([a, b], reduce, keys="k", num_partitions=4).materialize()
+        assert ds.sum("n") == 3_000
+        names = [op["name"] for op in parse_stage_metrics(ds.stats())]
+        assert "ReadRange->MapBatches(pre_a)->MapBatches(route)" in names, names
+        assert "ReadRange->MapBatches(pre_b)->MapBatches(route)" in names, names
+        assert sum(n.startswith("Sort") for n in names) == 1, names
+        assert not any(n.startswith("MapBatches(route)") for n in names), names
+
+    def test_empty_input_gives_zero_rows(self, ray_session):
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines.fold import keyed_exchange
+
+        empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
+        out = keyed_exchange(
+            empty, lambda g: g.drop_columns(["_part"]), keys="k", num_partitions=4
+        )
+        assert out.count() == 0
+        assert out.take_all() == []
