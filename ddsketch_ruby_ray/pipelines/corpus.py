@@ -1,9 +1,11 @@
 """Flagship pipeline: per-group quantile sketches over a source-file corpus.
 
 Shape (north_star): read -> map_batches(derive metric columns + accumulate
-per-(batch, group) sketch states, zero-copy Arrow, actor pool) -> route each
-state row to a hash partition of its group keys -> ONE keyed exchange ->
-per-partition fold (merge states per group, finalize).
+per-(batch, group) sketch states, zero-copy Arrow, actor pool) -> materialize
+the state table -> route each state row to a hash partition of its group keys
+-> ONE keyed exchange -> per-partition fold (merge states per group,
+finalize).  A state table of at most ``fold._ONE_TASK_ROWS`` rows skips the
+exchange: one task routes and folds it (:func:`~.fold.keyed_exchange`).
 
 Two-level merge (SURVEY.md §4.2): raw rows NEVER cross a shuffle - each map
 task emits at most ``num_groups`` KB-sized sketch states, and the single
@@ -82,9 +84,12 @@ def merge_sketch_states(states, specs: Sequence[SketchSpec], group_keys: Sequenc
     """Stage 2: one :func:`~.fold.keyed_exchange` of the state table on the
     group keys; one result row per group.
 
-    The route step fuses into the upstream map task, and the exchange runs
-    one partition per cluster CPU.  Each partition's fold merges its states
-    per group and finalizes them (:meth:`StateBlockMerger.finalize_groups`).
+    The state table is materialized first: it has at most blocks x groups
+    rows, so it is bounded by construction, and its row count is then block
+    metadata.  A small one is folded in one task with no exchange; a larger
+    one runs the sort exchange with one partition per cluster CPU.  Each
+    partition's fold merges its states per group and finalizes them
+    (:meth:`StateBlockMerger.finalize_groups`).
     NULL group keys route like any value, and the fold groups them apart
     from every real value (SQL GROUP BY semantics).  Without group keys the
     whole table is one group.  Rows come out in no particular order.  Output: the group keys plus
@@ -94,13 +99,16 @@ def merge_sketch_states(states, specs: Sequence[SketchSpec], group_keys: Sequenc
     """
     fold = StateBlockMerger(specs, group_keys).finalize_groups
     return keyed_exchange(
-        states, fold, keys=list(group_keys), num_partitions=_num_partitions(group_keys)
+        states.materialize(), fold, keys=list(group_keys),
+        num_partitions=_num_partitions(group_keys),
     )
 
 
 def merge_states(states, specs: Sequence[SketchSpec], group_keys: Sequence[str] = ()):
-    """The same keyed exchange as :func:`merge_sketch_states`, ending in one
-    merged STATE row per group instead of a finalized result.
+    """The same keyed exchange as :func:`merge_sketch_states` (the state
+    table is materialized, and a small one is folded in one task with no
+    exchange), ending in one merged STATE row per group instead of a
+    finalized result.
 
     Output: the group keys plus one state struct per spec, typed
     ``spec.state_type()`` like the input, so it can be merged again at a
@@ -108,7 +116,8 @@ def merge_states(states, specs: Sequence[SketchSpec], group_keys: Sequence[str] 
     """
     fold = StateBlockMerger(specs, group_keys).__call__
     return keyed_exchange(
-        states, fold, keys=list(group_keys), num_partitions=_num_partitions(group_keys)
+        states.materialize(), fold, keys=list(group_keys),
+        num_partitions=_num_partitions(group_keys),
     )
 
 

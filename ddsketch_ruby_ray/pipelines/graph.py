@@ -593,18 +593,8 @@ def _pagerank_broadcast(
     Raises :class:`_TooManyNodes` if the node table exceeds ``max_nodes``
     (rank state is O(nodes) on the driver and broadcast per iteration).
     """
-    import os
-    import time
-
     import ray
     import ray.data as rd
-
-    _prof = bool(os.environ.get("GRAFT_PR_PROFILE"))
-    _t0 = time.perf_counter()
-
-    def _mark(label: str) -> None:
-        if _prof:
-            print(f"[pr-profile] {label}: {time.perf_counter() - _t0:.2f}s")
 
     def norm_dst_part(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -758,7 +748,6 @@ def _pagerank_broadcast(
             keys="dst",
             num_partitions=_PR_REDUCE_PARTS,
         ).materialize()  # pinned for every iteration
-    _mark("fused edge exchange (dedup+pin) materialized")
 
     if packed_build:
         # ROUND-5 FUSED META: the per-node outdeg rows (is_deg=1) and the
@@ -788,7 +777,6 @@ def _pagerank_broadcast(
                 extract_meta, batch_format="pyarrow", zero_copy_batch=True
             ).to_arrow_refs()
         )  # one batched get: refs resolve in parallel, not one RTT each
-        _mark("meta extracted (no exchange)")
         meta_tabs = [t for t in meta_tabs if t.num_rows]
         if not meta_tabs:
             return rd.from_arrow(
@@ -867,7 +855,6 @@ def _pagerank_broadcast(
                 num_partitions=_PR_REDUCE_PARTS,
             ).to_arrow_refs()
         ]
-        _mark("meta fold collected")
         meta_tabs = [t for t in meta_tabs if t.num_rows]
         if not meta_tabs:
             return rd.from_arrow(
@@ -920,7 +907,6 @@ def _pagerank_broadcast(
         reindex, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
     del by_dst  # release the pre-index blocks
-    _mark("int32 reindex pass materialized")
 
     for _ in range(iters):
         dang_share = int(r_arr[dangling].sum()) // n_nodes
@@ -964,7 +950,6 @@ def _pagerank_broadcast(
                 cat.column("s").to_numpy(zero_copy_only=False),
             )
         r_arr = base + (85 * (in_sum + dang_share)) // 100
-        _mark("iteration")
 
     return rd.from_arrow(
         pa.table({"node": pa.array(nodes_arr), "rank_fp": pa.array(r_arr)})

@@ -154,14 +154,96 @@ class TestKeyedExchange:
         assert sum(n.startswith("Sort") for n in names) == 1, names
         assert not any(n.startswith("MapBatches(route)") for n in names), names
 
-    def test_empty_input_gives_zero_rows(self, ray_session):
+    def test_empty_input_gives_zero_rows(self, ray_session, monkeypatch):
         import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines import fold
+
+        empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
+        for limit in (fold._ONE_TASK_ROWS, 0):  # one-task fold, then Sort
+            monkeypatch.setattr(fold, "_ONE_TASK_ROWS", limit)
+            out = fold.keyed_exchange(
+                empty, lambda g: g.drop_columns(["_part"]), keys="k", num_partitions=4
+            )
+            assert out.count() == 0
+            assert out.take_all() == []
+
+    @staticmethod
+    def _plan(ds) -> list[str]:
+        from ddsketch_ruby_ray.state.metrics import parse_stage_metrics
+
+        return [op["name"] for op in parse_stage_metrics(ds.stats())]
+
+    @pytest.mark.parametrize("pretagged", [False, True])
+    def test_backends_make_identical_reduce_calls(self, ray_session, monkeypatch, pretagged):
+        """Both backends call ``reduce`` once per distinct ``_part``, on
+        exactly that partition's rows, routed or pre-tagged alike."""
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines import fold
+
+        P = 4
+
+        def side(lo, hi):
+            k = np.arange(lo, hi, dtype=np.int64) % 23
+            t = pa.table({"k": k, "v": np.arange(lo, hi, dtype=np.int64)})
+            if pretagged:
+                t = t.append_column("_part", pa.array((k % P).astype(np.int32)))
+            return rd.from_arrow([t.slice(0, 60), t.slice(60)])
+
+        def record(g: pa.Table) -> pa.Table:
+            rows = sorted(zip(g.column("k").to_pylist(), g.column("v").to_pylist()))
+            return pa.table({"p": [g.column("_part")[0].as_py()], "rows": [repr(rows)]})
+
+        keys = None if pretagged else "k"
+        calls = {}
+        for backend, limit in (("one_task", fold._ONE_TASK_ROWS), ("sort", 0)):
+            monkeypatch.setattr(fold, "_ONE_TASK_ROWS", limit)
+            ds = fold.keyed_exchange(
+                [side(0, 100), side(100, 250)], record, keys=keys, num_partitions=P
+            ).materialize()
+            names = self._plan(ds)
+            assert ("Sort" in names) == (backend == "sort"), names
+            assert ("MapBatches(fold_in_one_task)" in names) == (backend == "one_task"), names
+            calls[backend] = sorted((r["p"], r["rows"]) for r in ds.take_all())
+        parts = [p for p, _ in calls["sort"]]
+        assert len(parts) == len(set(parts)) == P
+        assert calls["one_task"] == calls["sort"]
+
+    def test_lazy_input_keeps_sort_and_is_not_executed(self, ray_session, monkeypatch):
+        import ray.data as rd
+        from ray.data.dataset import MaterializedDataset
 
         from ddsketch_ruby_ray.pipelines.fold import keyed_exchange
 
-        empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
-        out = keyed_exchange(
-            empty, lambda g: g.drop_columns(["_part"]), keys="k", num_partitions=4
+        counted = []
+        real_count, real_materialize = rd.Dataset.count, rd.Dataset.materialize
+
+        def count(self):
+            counted.append(type(self))
+            return real_count(self)
+
+        def materialize(self):
+            raise AssertionError("the backend rule executed an input")
+
+        lazy = rd.from_arrow(pa.table({"k": [1, 2, 3]})).map_batches(
+            lambda t: t, batch_format="pyarrow"
         )
-        assert out.count() == 0
-        assert out.take_all() == []
+        monkeypatch.setattr(rd.Dataset, "count", count)
+        monkeypatch.setattr(rd.Dataset, "materialize", materialize)
+        out = keyed_exchange(lazy, lambda g: g, keys="k", num_partitions=2)
+        assert all(issubclass(t, MaterializedDataset) for t in counted)
+        monkeypatch.setattr(rd.Dataset, "materialize", real_materialize)
+        assert "Sort" in self._plan(out.materialize())
+
+    def test_materialized_input_over_the_limit_keeps_sort(self, ray_session, monkeypatch):
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines import fold
+
+        monkeypatch.setattr(fold, "_ONE_TASK_ROWS", 5)
+        for n, sort in ((5, False), (6, True)):
+            src = rd.from_arrow(pa.table({"k": np.arange(n)}))
+            out = fold.keyed_exchange(src, lambda g: g, keys="k", num_partitions=2).materialize()
+            assert out.count() == n
+            assert ("Sort" in self._plan(out)) == sort

@@ -309,7 +309,8 @@ def test_merge_states_keeps_typed_state_for_every_spec(spec_name):
 def test_state_merges_run_no_native_aggregate(monkeypatch):
     """Rollup and ``group_sketches`` merge states through the keyed
     exchange only: Ray's ``aggregate`` is never called, and every merge
-    plan is route -> ``Sort`` -> fold with no ``Aggregate`` operator."""
+    plan ends in one of the keyed exchange's folds (route -> ``Sort`` ->
+    fold, or the one-task fold) with no ``Aggregate`` operator."""
     import pyarrow as pa
     import ray.data as rd
     from ray.data.grouped_data import GroupedData
@@ -354,19 +355,31 @@ def test_state_merges_run_no_native_aggregate(monkeypatch):
     assert aggregate_calls == []
     assert len(plans) == 3  # rollup (a, b) and (a); group_sketches (a)
     for names in plans:
-        assert "Sort" in names and "MapBatches(__call__)" in names, names
+        sort_fold = "Sort" in names and "MapBatches(__call__)" in names
+        assert sort_fold or any(n.startswith("MapBatches(fold_in_one_task)") for n in names), names
         assert not [n for n in names if "Aggregate" in n], names
 
 
-def test_corpus_sketch_pipeline_runs_one_exchange():
-    """The state merge is ONE all-to-all operator (the route step fuses into
-    the read->accumulate task; no Repartition before the merge)."""
+def test_corpus_sketch_pipeline_runs_one_exchange(monkeypatch):
+    """A small state table is folded in ONE task with no all-to-all
+    operator; past ``fold._ONE_TASK_ROWS`` the merge is ONE ``Sort``
+    exchange (no Repartition before it)."""
+    from ddsketch_ruby_ray.pipelines import fold
     from ddsketch_ruby_ray.state.metrics import parse_stage_metrics
 
-    ds = corpus_sketch_pipeline(
-        corpus_dataset(2000, override_num_blocks=4), group_keys=("lang",), verify_sha256=True
-    ).materialize()
-    ops = parse_stage_metrics(ds.stats())
+    def run():
+        ds = corpus_sketch_pipeline(
+            corpus_dataset(2000, override_num_blocks=4), group_keys=("lang",), verify_sha256=True
+        ).materialize()
+        assert ds.sum("bytes_count") == 2000
+        return parse_stage_metrics(ds.stats())
+
+    ops = run()
+    assert [op["name"] for op in ops if op["tasks"] is None] == [], ops
+    # the fold fuses with the unnest maps after it
+    folds = [op for op in ops if op["name"].startswith("MapBatches(fold_in_one_task)")]
+    assert len(folds) == 1 and folds[0]["tasks"] == 1, ops
+    monkeypatch.setattr(fold, "_ONE_TASK_ROWS", 0)
+    ops = run()
     exchanges = [op["name"] for op in ops if op["tasks"] is None]
-    assert len(exchanges) == 1, [op["name"] for op in ops]
-    assert ds.sum("bytes_count") == 2000
+    assert exchanges == ["Sort"], [op["name"] for op in ops]
