@@ -5165,7 +5165,7 @@ ORACLE_SQL = {
     "sha256_invariant_by_lang": """
         SELECT lang,
                CAST(count(*) AS DOUBLE) AS "count",
-               bit_xor(('0x' || substr(sha256(text), 1, 15))::BIGINT) AS sig
+               bit_xor(('0x' || substr(sha256(coalesce(text, '')), 1, 15))::BIGINT) AS sig
         FROM documents GROUP BY lang
     """,
 }

@@ -336,7 +336,7 @@ def pii_scrub(
         out[f"n_{name}"] = _re_count(col, pattern)
         col = pc.replace_substring_regex(col, pattern=pattern, replacement=repl)
     out["redacted_len"] = pc.cast(pc.utf8_length(col), pa.int64())
-    out["redacted_sha"] = pa.array(hash256_str(col.combine_chunks(), lanes=1)[0])
+    out["redacted_sha"] = pa.array(hash256_str(col, lanes=1)[0])
     if emit_text:
         out["redacted_text"] = col
     return pa.table(out)
