@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .fold import keyed_exchange
+from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = ["frequent_pairs_pipeline"]
 
@@ -107,14 +107,11 @@ def frequent_pairs_pipeline(
             }
         )
 
-    side_rows = (
-        baskets.map_batches(
-            small_side, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("item")
-        .sum("c")
-        .take_all()
-    )
+    side_rows = partitioned_group_sum(
+        baskets.map_batches(small_side, batch_format="pyarrow", zero_copy_batch=True),
+        "item",
+        "c",
+    ).take_all()
     item_support = {int(r["item"]): int(r["sum(c)"]) for r in side_rows}
     n_baskets = item_support.pop(-1, 0)
 

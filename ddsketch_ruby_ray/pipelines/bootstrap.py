@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.hashing import hash64_int
-from .fold import keyed_exchange
+from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = ["poisson_bootstrap_ci_pipeline", "poisson_thresholds"]
 
@@ -95,10 +95,10 @@ def poisson_bootstrap_ci_pipeline(
             }
         )
 
-    sums = (
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([group_col, "b"])
-        .sum(["swx", "sw"])
+    sums = partitioned_group_sum(
+        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+        [group_col, "b"],
+        ["swx", "sw"],
     )
 
     lo_rank = int(math.floor(lo_q * (B - 1)))

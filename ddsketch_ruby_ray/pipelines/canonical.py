@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.hashing import hash64_int
+from .fold import map_groups
 
 __all__ = ["canonical_sketch_pipeline"]
 
@@ -70,9 +71,7 @@ def canonical_sketch_pipeline(
         cols["_state"] = pa.array([spec.to_state(sk)], type=spec.state_type())
         return pa.table(cols)
 
-    states = bucketed.groupby(group_keys + ["_bkt"]).map_groups(
-        build_sub, batch_format="pyarrow"
-    )
+    states = map_groups(bucketed, group_keys + ["_bkt"], build_sub, num_partitions=buckets)
 
     def reduce_group(group: pa.Table) -> pa.Table:
         order = np.argsort(group.column("_bkt").to_numpy(zero_copy_only=False))
@@ -86,4 +85,4 @@ def canonical_sketch_pipeline(
             out[name] = pa.array([val], pa.float64())
         return pa.table(out)
 
-    return states.groupby(group_keys).map_groups(reduce_group, batch_format="pyarrow")
+    return map_groups(states, group_keys, reduce_group, num_partitions=16)

@@ -26,6 +26,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .fold import map_groups
+
 __all__ = ["sq8_covariance_pipeline"]
 
 _I64_MAX = np.iinfo(np.int64).max
@@ -67,7 +69,7 @@ def sq8_covariance_pipeline(ds, *, label_col: str, vec_col: str):
 
     parts = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
 
-    # per-label reduce with Arrow's vectorized group_by — Ray's native
+    # per-label reduce with Arrow's vectorized group_by — a Ray
     # AggregateFn walks groups in Python (~250 µs/group), far too slow for
     # labels × d²/2 groups; this keeps the d²-wide reduce in C++ kernels
     def reduce_label(pt: pa.Table) -> pa.Table:
@@ -75,7 +77,7 @@ def sq8_covariance_pipeline(ds, *, label_col: str, vec_col: str):
             [("n", "sum"), ("s_i", "sum"), ("s_j", "sum"), ("s_ij", "sum")]
         )
 
-    summed = parts.groupby("label").map_groups(reduce_label, batch_format="pyarrow")
+    summed = map_groups(parts, "label", reduce_label, num_partitions=16)
 
     def finalize(t: pa.Table) -> pa.Table:
         n = t.column("n_sum").to_numpy(zero_copy_only=False).astype(np.int64)

@@ -29,7 +29,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.hashing import fold_windows, hash64_int, hash256_str, splitmix64
-from .fold import keyed_exchange
+from .fold import keyed_exchange, map_groups, partitioned_group_agg, partitioned_group_sum
 
 __all__ = [
     "tokenize",
@@ -721,13 +721,9 @@ def jaccard_pairs_pipeline(
             }
         )
 
-    per_bucket = bucketed.groupby(["band", "bucket"]).map_groups(
-        verify, batch_format="pyarrow"
-    )
+    per_bucket = map_groups(bucketed, ["band", "bucket"], verify, num_partitions=64)
     # cross-band duplicates carry the identical jac1000; collapse to one row
     # (pair domain is open-ended -> bounded-partition fold)
-    from ddsketch_ruby_ray.pipelines.fold import partitioned_group_agg
-
     deduped = partitioned_group_agg(per_bucket, ["a", "b"], [("jac1000", "max")])
     return deduped.map_batches(
         lambda t: t.rename_columns(["a", "b", "jac1000"]),
@@ -1344,13 +1340,9 @@ def containment_pairs_pipeline(
             }
         )
 
-    per_bucket = bucketed.groupby(["band", "bucket"]).map_groups(
-        verify, batch_format="pyarrow"
-    )
+    per_bucket = map_groups(bucketed, ["band", "bucket"], verify, num_partitions=64)
     # identical values in every shared bucket -> collapse cross-band dups
     # (pair domain is open-ended -> bounded-partition fold)
-    from ddsketch_ruby_ray.pipelines.fold import partitioned_group_agg
-
     out = partitioned_group_agg(
         per_bucket, ["a", "b"], [("cont_ab1000", "max"), ("cont_ba1000", "max")]
     )
@@ -1424,7 +1416,7 @@ def dup_rate_by_group_pipeline(ds, *, group_col: str, text_col: str,
     partials = keyed_exchange(
         hashed, per_partition, keys="h_hi", num_partitions=num_partitions
     )
-    summed = partials.groupby(group_col).sum(["docs", "dups"])
+    summed = partitioned_group_sum(partials, group_col, ["docs", "dups"])
 
     def finalize(t: pa.Table) -> pa.Table:
         d = t.column("sum(docs)").to_numpy(zero_copy_only=False).astype(np.int64)

@@ -14,7 +14,8 @@ Plan (no per-key Python at any cardinality):
      count-distinct skew answer);
   3. per partition: factorize group strings, lexsort (group, value), count
      tie-group boundaries -> per-group PARTIAL distinct counts (<= G rows);
-  4. a tiny native groupby().sum() over the G x P partial rows.
+  4. a tiny keyed sum (``fold.partitioned_group_sum``) over the G x P
+     partial rows.
 
 Scale: the all-to-all moves only distinct pairs (24 B each); a group with a
 billion distinct values becomes P partial counts.  Compare hll_* queries:
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .fold import keyed_exchange
+from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = ["exact_distinct_pipeline"]
 
@@ -118,7 +119,7 @@ def exact_distinct_pipeline(
     partials = keyed_exchange(
         pairs, partial_counts, keys=[group_col, "_v"], num_partitions=num_partitions
     )
-    out = partials.groupby(group_col).sum("n_distinct")
+    out = partitioned_group_sum(partials, group_col, "n_distinct")
     import pyarrow.compute as pc
 
     return out.map_batches(

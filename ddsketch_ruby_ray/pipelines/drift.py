@@ -33,6 +33,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .fold import partitioned_group_agg
+
 __all__ = ["sketch_drift_pipeline", "sketch_ks_pipeline", "psi_pipeline"]
 
 
@@ -220,33 +222,26 @@ def psi_pipeline(
     edges = np.sort(edges)
     edges_ref = ray.put(edges)
 
-    def bucket_counts(t: pa.Table) -> pa.Table:
+    def bucket_of(t: pa.Table) -> pa.Table:
         e = ray.get(edges_ref)
         x = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        b = np.searchsorted(e, x, side="left")  # (e_{i-1}, e_i] buckets
-        cnt = np.bincount(b, minlength=e.size + 1).astype(np.int64)
-        return pa.table(
-            {
-                "b": pa.array(np.arange(e.size + 1, dtype=np.int64)),
-                "c": pa.array(cnt),
-            }
-        )
+        # (e_{i-1}, e_i] buckets
+        return pa.table({"b": pa.array(np.searchsorted(e, x, side="left").astype(np.int64))})
 
     def side_counts(ds):
-        return (
-            ds.map_batches(bucket_counts, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("b")
-            .sum("c")
-            .to_pandas()
-        )
+        return partitioned_group_agg(
+            ds.map_batches(bucket_of, batch_format="pyarrow", zero_copy_batch=True),
+            "b",
+            [(None, "count")],
+        ).to_pandas()
 
     ref_c = side_counts(ref_ds)
     cur_c = side_counts(cur_ds)
     nb = edges.size + 1
     rc = np.zeros(nb, np.int64)
     cc = np.zeros(nb, np.int64)
-    rc[ref_c["b"].to_numpy()] = ref_c["sum(c)"].to_numpy()
-    cc[cur_c["b"].to_numpy()] = cur_c["sum(c)"].to_numpy()
+    rc[ref_c["b"].to_numpy()] = ref_c["count()"].to_numpy()
+    cc[cur_c["b"].to_numpy()] = cur_c["count()"].to_numpy()
     n_ref, n_cur = int(rc.sum()), int(cc.sum())
     psi = 0.0
     if n_ref and n_cur:

@@ -39,14 +39,20 @@ routing for inputs that already carry ``_part`` (range cuts, pre-tagged
 iteration state).
 
 :func:`partitioned_group_agg` is ``ds.groupby(keys).aggregate(...)`` on
-that exchange, for OPEN-ENDED key domains (tokens, line hashes, node ids),
-where Ray's native sort-aggregate collapses past ~1M groups (NOTES_ROUND3.md):
-Arrow hash aggregation pre-aggregates each block to one partial row per
-(block, key), the partials ride the exchange, and Arrow aggregates again
-per partition.  Integer sum/min/max/count are associative, so this is
-bit-exact against a single pass; float sums are order-sensitive and stay on
-paths that fix their summation order.  ``num_partitions`` sizes each fold
-task: ``distinct_keys / P`` rows.
+that exchange, and the library's only grouped aggregate: Arrow hash
+aggregation pre-aggregates each block to one partial row per (block, key),
+the partials ride the exchange, and Arrow aggregates again per partition.
+It holds at any key cardinality (Ray's native sort-aggregate collapses past
+~1M groups, NOTES_ROUND3.md) and keeps a NULL key as one group of its own,
+as SQL ``GROUP BY`` does.  Integer sum/min/max/count are associative, so
+this is bit-exact against a single pass; float sums are order-sensitive and
+stay on paths that fix their summation order.  ``num_partitions`` sizes each
+fold task: ``distinct_keys / P`` rows.  Output rows come in partition order,
+not key order: a caller that needs key order sorts.
+
+:func:`map_groups` is ``ds.groupby(keys).map_groups(fn)`` on the same
+exchange: each partition splits into its keys' row sets and ``fn`` runs once
+per key, on exactly that key's rows (``_part`` dropped), in no set order.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from ddsketch_ruby_ray.core.hashing import hash64_int, hash64_str_fast, splitmix
 
 __all__ = [
     "keyed_exchange",
+    "map_groups",
     "partitioned_group_agg",
     "partitioned_group_sum",
     "null_safe_int64",
@@ -214,9 +221,10 @@ def _fold_in_one_task(inputs, reduce, key_cols, num_partitions: int, n: int):
     return ds.map_batches(fold_in_one_task, batch_format="pyarrow", batch_size=max(n, 1))
 
 
-def _arrow_agg(tbl: pa.Table, key_cols: list[str], aggs: list[tuple[str, str]]) -> pa.Table:
-    """One Arrow hash aggregation; columns come back ``{col}_{func}``."""
-    cols = list(dict.fromkeys(key_cols + [c for c, _ in aggs]))
+def _arrow_agg(tbl: pa.Table, key_cols: list[str], aggs: list[tuple]) -> pa.Table:
+    """One Arrow hash aggregation; columns come back ``{col}_{func}``, and
+    ``count_all`` for the row count ``([], "count_all")``."""
+    cols = list(dict.fromkeys(key_cols + [c for c, _ in aggs if isinstance(c, str)]))
     return tbl.select(cols).group_by(key_cols).aggregate(aggs)
 
 
@@ -227,28 +235,31 @@ def partitioned_group_agg(
     *,
     num_partitions: int = 64,
 ):
-    """``ds.groupby(key_cols).aggregate(...)`` for open-ended key domains.
+    """``ds.groupby(key_cols).aggregate(...)`` on the keyed exchange.
 
-    ``aggs`` is ``[(col, func), ...]`` with func in sum/min/max/count; the
-    output carries native Ray names (``sum(col)``, ...).  See module
-    docstring for the plan and its exactness/scale contract.
+    ``aggs`` is ``[(col, func), ...]`` with func in sum/min/max/count, or
+    ``(None, "count")`` for the row count (rows whose values are NULL
+    included, like Ray's ``Count()``).  The output carries native Ray names:
+    ``sum(col)``, ..., ``count()``.  See the module docstring for the plan
+    and its exactness/scale contract.
     """
     if isinstance(key_cols, str):
         key_cols = [key_cols]
     key_cols = list(key_cols)
     aggs = [(c, f) for c, f in aggs]
-    for _, f in aggs:
-        if f not in _AGG_FUNCS:
-            raise ValueError(f"unsupported agg func {f!r} (use one of {_AGG_FUNCS})")
+    for c, f in aggs:
+        if f not in _AGG_FUNCS or (c is None and f != "count"):
+            raise ValueError(f"unsupported agg {(c, f)!r} (use one of {_AGG_FUNCS})")
+    partial_aggs = [([], "count_all") if c is None else (c, f) for c, f in aggs]
     # counts re-aggregate as sums of partial counts
-    partial_aggs = [(c, f) for c, f in aggs]
-    refold_aggs = [(f"{c}_{f}", "sum" if f == "count" else f) for c, f in aggs]
+    refold_aggs = [
+        ("count_all" if c is None else f"{c}_{f}", "sum" if f == "count" else f)
+        for c, f in aggs
+    ]
+    names = key_cols + ["count()" if c is None else f"{f}({c})" for c, f in aggs]
 
     def fold(g: pa.Table) -> pa.Table:
-        out = _arrow_agg(g, key_cols, refold_aggs)
-        # {col}_{f}_{f2} -> native ray naming f(col)
-        names = list(key_cols) + [f"{f}({c})" for c, f in aggs]
-        return out.rename_columns(names)
+        return _arrow_agg(g, key_cols, refold_aggs).rename_columns(names)
 
     partials = ds.map_batches(
         lambda t: _arrow_agg(t, key_cols, partial_aggs),
@@ -259,9 +270,34 @@ def partitioned_group_agg(
 
 
 def partitioned_group_sum(ds, key_cols, val_cols, *, num_partitions: int = 64):
-    """``ds.groupby(key_cols).sum(val_cols)`` for open-ended key domains."""
+    """``ds.groupby(key_cols).sum(val_cols)`` on the keyed exchange."""
     if isinstance(val_cols, str):
         val_cols = [val_cols]
     return partitioned_group_agg(
         ds, key_cols, [(v, "sum") for v in val_cols], num_partitions=num_partitions
     )
+
+
+def map_groups(ds, keys, fn, *, num_partitions: int):
+    """``ds.groupby(keys).map_groups(fn, batch_format="pyarrow")`` on the
+    keyed exchange.
+
+    ``fn`` maps one key's rows (a ``pyarrow`` table without ``_part``) to a
+    ``pyarrow`` table; it runs once per distinct key (a NULL key is one
+    key), in no set order, and the outputs of one partition are
+    concatenated.
+    """
+    from ..stages.accumulate import group_slices
+
+    key_cols = [keys] if isinstance(keys, str) else list(keys)
+
+    def per_partition(t: pa.Table) -> pa.Table:
+        _, rows = group_slices(t, key_cols)
+        # one take puts each key's rows together; fn gets zero-copy slices
+        t = t.drop_columns(["_part"]).take(pa.array(np.concatenate(rows)))
+        ends = np.cumsum([len(r) for r in rows])
+        outs = [fn(t.slice(a, b - a)) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+        # one chunk per column: a table of one chunk per key is slow to ship
+        return pa.concat_tables(outs).combine_chunks()
+
+    return keyed_exchange(ds, per_partition, keys=key_cols, num_partitions=num_partitions)

@@ -16,8 +16,8 @@ answer — ``groupby(key).count()`` then filter — shuffles EVERY distinct key
       The summaries groupby-shuffle moves <= blocks x counters tiny rows.
   pass 2 (verify): the candidate key set (<= ~2/phi keys by a mass argument)
       is broadcast via ``ray.put``; one ``map_batches`` pass filters each
-      block to candidate keys and pre-aggregates, a small groupby sums, and
-      an exact integer threshold ``ceil(phi * total)`` filters.
+      block to candidate keys, one keyed count (``fold``) sums them, and an
+      exact integer threshold ``ceil(phi * total)`` filters.
 
 The OUTPUT is therefore exact and layout-independent — identical to SQL's
 ``GROUP BY key HAVING count(*) >= ceil(phi * total)`` — even though the
@@ -97,8 +97,8 @@ def heavy_hitters_pipeline(ds, *, key_col: str, phi: float, counters: int | None
         zero_copy_batch=True,
     )
     # distinct keys across block summaries grow with block count at scale
-    # -> bounded-partition fold, not the native sort-based groupby
-    from ddsketch_ruby_ray.pipelines.fold import partitioned_group_sum
+    # -> bounded-partition fold
+    from ddsketch_ruby_ray.pipelines.fold import partitioned_group_agg, partitioned_group_sum
 
     agg = partitioned_group_sum(summaries, key_col, ["_c", "_n"])
     # small by construction: <= blocks x counters rows pre-groupby, and the
@@ -127,27 +127,17 @@ def heavy_hitters_pipeline(ds, *, key_col: str, phi: float, counters: int | None
     candidates = summary_tbl.column(key_col).filter(cand_mask).combine_chunks()
     cand_ref = ray.put(candidates)
 
-    def exact_count(t: pa.Table) -> pa.Table:
-        cand = ray.get(cand_ref)
-        kcol = t.column(key_col).combine_chunks()
-        hit = kcol.filter(pc.is_in(kcol, value_set=cand))
-        if len(hit) == 0:
-            return pa.table(
-                {key_col: pa.array([], type=kcol.type), "_cnt": pa.array([], type=pa.int64())}
-            )
-        vc = pc.value_counts(hit)
-        return pa.table(
-            {key_col: vc.field("values"), "_cnt": vc.field("counts").cast(pa.int64())}
-        )
+    def candidate_rows(t: pa.Table) -> pa.Table:
+        kcol = t.column(key_col)
+        return t.select([key_col]).filter(pc.is_in(kcol, value_set=ray.get(cand_ref)))
 
-    counted = ds.map_batches(exact_count, batch_format="pyarrow", zero_copy_batch=True)
-    exact = counted.groupby(key_col).sum("_cnt")
+    hits = ds.map_batches(candidate_rows, batch_format="pyarrow", zero_copy_batch=True)
+    exact = partitioned_group_agg(hits, key_col, [(None, "count")])
 
     def finish(t: pa.Table) -> pa.Table:
-        keep = pc.greater_equal(t.column("sum(_cnt)"), threshold)
-        t = t.filter(keep)
+        t = t.filter(pc.greater_equal(t.column("count()"), threshold))
         return pa.table(
-            {key_col: t.column(key_col), "count": t.column("sum(_cnt)").cast(pa.int64())}
+            {key_col: t.column(key_col), "count": t.column("count()").cast(pa.int64())}
         )
 
     return exact.map_batches(finish, batch_format="pyarrow")

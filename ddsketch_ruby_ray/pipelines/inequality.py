@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .fold import keyed_exchange
+from .fold import keyed_exchange, partitioned_group_agg
 
 __all__ = [
     "largest_remainder_quota_pipeline",
@@ -36,35 +36,15 @@ __all__ = [
 ]
 
 
-def _group_counts(ds, group_col: str):
-    """Exact per-group counts via block partials + one tiny keyed sum."""
-
-    def partials(t: pa.Table) -> pa.Table:
-        g = t.column(group_col).to_numpy(zero_copy_only=False)
-        vals, cnt = np.unique(g, return_counts=True)
-        return pa.table(
-            {
-                group_col: pa.array(vals.tolist()),
-                "c": pa.array(cnt.astype(np.int64)),
-            }
-        )
-
-    return (
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(group_col)
-        .sum("c")
-        .take_all()  # one row per group
-    )
-
-
 def largest_remainder_quota_pipeline(ds, *, group_col: str, budget: int):
     """-> Dataset[(group_col, n, quota)] with Σ quota == budget (when any
     rows exist); quotas proportional to group sizes by Hamilton's method."""
     import ray.data as rd
 
-    rows = _group_counts(ds, group_col)
+    # one row per group
+    rows = partitioned_group_agg(ds, group_col, [(None, "count")]).take_all()
     groups = sorted(r[group_col] for r in rows)
-    n_by_g = {r[group_col]: int(r["sum(c)"]) for r in rows}
+    n_by_g = {r[group_col]: int(r["count()"]) for r in rows}
     total = sum(n_by_g.values())
     out = {"g": [], "n": [], "quota": []}
     if total:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .fold import keyed_exchange
+from .fold import keyed_exchange, partitioned_group_agg
 
 __all__ = ["pivot_counts_pipeline"]
 
@@ -35,28 +35,23 @@ def pivot_counts_pipeline(
     values = list(values)
     vsorted = np.array(sorted(values))
 
-    def preagg(t: pa.Table) -> pa.Table:
+    def project(t: pa.Table) -> pa.Table:
         g = t.column(group_col).to_numpy(zero_copy_only=False)
         p = t.column(pivot_col).to_numpy(zero_copy_only=False)
         idx = np.searchsorted(vsorted, p)
         idx_c = np.minimum(idx, len(vsorted) - 1)
         keep = vsorted[idx_c] == p
-        g, idx = g[keep], idx_c[keep]
-        combo = np.char.add(np.char.add(g.astype(str), "\x1f"), idx.astype(str))
-        uniq, counts = np.unique(combo, return_counts=True)
-        parts = np.char.partition(uniq, "\x1f")
         return pa.table(
             {
-                "g": pa.array(parts[:, 0].tolist(), pa.string()),
-                "v": pa.array(parts[:, 2].astype(np.int64)),
-                "n": pa.array(counts.astype(np.int64)),
+                "g": pa.array(g[keep].astype(str), pa.string()),
+                "v": pa.array(idx_c[keep].astype(np.int64)),
             }
         )
 
-    counted = (
-        ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["g", "v"])
-        .sum("n")
+    counted = partitioned_group_agg(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        ["g", "v"],
+        [(None, "count")],
     )
 
     names = [str(v) for v in np.sort(np.array(values))]
@@ -69,7 +64,7 @@ def pivot_counts_pipeline(
                 cols[nm] = pa.array([], pa.int64())
             return pa.table(cols)
         v = pt.column("v").to_numpy(zero_copy_only=False)
-        n = pt.column("sum(n)").to_numpy(zero_copy_only=False)
+        n = pt.column("count()").to_numpy(zero_copy_only=False)
         order = np.argsort(g, kind="stable")
         g_s, v_s, n_s = g[order], v[order], n[order]
         new = np.empty(g_s.size, dtype=bool)

@@ -134,53 +134,38 @@ def token_frequency_spectrum_pipeline(ds, *, text_col: str):
     how many DISTINCT tokens occur exactly ``freq`` times in the corpus.
 
     The vocabulary-growth / heap's-law diagnostic every corpus report
-    carries (and the input to Good-Turing smoothing).  Two count shuffles,
-    both tiny: block-preaggregated (token, count) partials -> exact global
-    token frequencies -> a second groupby over the frequency VALUES (rows =
-    distinct frequencies, a few hundred even at web scale).
+    carries (and the input to Good-Turing smoothing).  Two keyed counts,
+    both tiny after fold's block pre-aggregation: tokens -> exact global
+    token frequencies -> tokens per frequency VALUE (rows = distinct
+    frequencies, a few hundred even at web scale; one fold partition, so
+    the spectrum comes out in freq order).
     """
     import pyarrow.compute as pc
 
+    from ddsketch_ruby_ray.pipelines.fold import partitioned_group_agg
+
     def explode_tokens(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(t.column(text_col), " ")
-        flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False)
-        flat = flat[flat != ""]
-        uniq, counts = np.unique(flat.astype(str), return_counts=True)
-        return pa.table(
-            {
-                "tok": pa.array(uniq.tolist(), pa.string()),
-                "c": pa.array(counts, pa.int64()),
-            }
-        )
+        flat = pc.list_flatten(pc.split_pattern(t.column(text_col), " "))
+        return pa.table({"tok": flat.filter(pc.not_equal(flat, ""))})
 
-    # token domain is open-ended -> bounded-partition fold; the second
-    # groupby below is over frequency VALUES (bounded) and stays native
-    from ddsketch_ruby_ray.pipelines.fold import partitioned_group_sum
-
-    freqs = partitioned_group_sum(
+    # token domain is open-ended -> bounded-partition fold
+    freqs = partitioned_group_agg(
         ds.map_batches(explode_tokens, batch_format="pyarrow", zero_copy_batch=True),
         "tok",
-        "c",
+        [(None, "count")],
     )
-
-    def count_partial(t: pa.Table) -> pa.Table:
-        f = t.column("sum(c)").to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq, counts = np.unique(f, return_counts=True)
-        return pa.table(
-            {"freq": pa.array(uniq), "n": pa.array(counts.astype(np.int64))}
-        )
-
-    out = (
-        freqs.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("freq")
-        .sum("n")
+    freq = freqs.map_batches(
+        lambda t: pa.table({"freq": t.column("count()")}),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
+    out = partitioned_group_agg(freq, "freq", [(None, "count")], num_partitions=1)
     return out.map_batches(
         lambda t: pa.table(
             {
                 "freq": t.column("freq"),
-                "n_tokens": pc.cast(t.column("sum(n)"), pa.int64()),
+                "n_tokens": pc.cast(t.column("count()"), pa.int64()),
             }
-        ),
+        ).sort_by("freq"),
         batch_format="pyarrow",
     )

@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.numeric import round_half_away
+from .fold import map_groups
 from .similarity import _embedding_matrix, _fetch_query_rows
 
 __all__ = [
@@ -159,4 +160,4 @@ def quantized_knn_pipeline(
             }
         )
 
-    return local.groupby("query_id").map_groups(global_topk, batch_format="pyarrow")
+    return map_groups(local, "query_id", global_topk, num_partitions=4)

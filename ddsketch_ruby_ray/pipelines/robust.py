@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .fold import partitioned_group_sum
 from .selection import sketch_exact_quantile_pipeline
 
 __all__ = [
@@ -160,7 +161,7 @@ def trimmed_mean_pipeline(
         )
 
     parts = ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
-    summed = parts.groupby(group_col).sum(["n_kept", "kept_sum"])
+    summed = partitioned_group_sum(parts, group_col, ["n_kept", "kept_sum"])
 
     def finalize(t: pa.Table) -> pa.Table:
         n = t.column("sum(n_kept)").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -238,7 +239,7 @@ def winsorized_mean_pipeline(
         )
 
     parts = ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
-    summed = parts.groupby(group_col).sum(["n", "win_sum"])
+    summed = partitioned_group_sum(parts, group_col, ["n", "win_sum"])
 
     def finalize(t: pa.Table) -> pa.Table:
         n = t.column("sum(n)").to_numpy(zero_copy_only=False).astype(np.int64)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .fold import keyed_exchange
+from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = [
     "global_ordered_scan_pipeline",
@@ -89,22 +89,14 @@ def global_ordered_scan_pipeline(
 
     # phase 2: per-partition delta totals — O(num_partitions) scalars reach
     # the driver regardless of row count
-    def totals(t: pa.Table) -> pa.Table:
-        part = t.column("_part").to_numpy(zero_copy_only=False)
-        d = t.column(delta_col).to_numpy(zero_copy_only=False)
-        s = np.zeros(num_partitions, dtype=np.int64)
-        np.add.at(s, part, d)
-        nz = np.flatnonzero(s)
-        return pa.table({"_part": pa.array(nz.astype(np.int32)), "s": pa.array(s[nz])})
-
+    ranges = parted.map_batches(
+        lambda t: pa.table({"p": t.column("_part"), "d": t.column(delta_col)}),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
     sums = np.zeros(num_partitions, dtype=np.int64)
-    for r in (
-        parted.map_batches(totals, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_part")
-        .sum("s")
-        .take_all()
-    ):  # <= num_partitions tiny rows
-        sums[r["_part"]] = r["sum(s)"]
+    for r in partitioned_group_sum(ranges, "p", "d").take_all():  # <= num_partitions rows
+        sums[r["p"]] = r["sum(d)"]
     offsets = np.concatenate([[0], np.cumsum(sums)[:-1]])
 
     def per_partition(pt: pa.Table) -> pa.Table:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .fold import map_groups
 from .similarity import _cos_q, _embedding_matrix, _round4
 
 __all__ = ["semdedup_pipeline"]
@@ -103,4 +104,4 @@ def semdedup_pipeline(
             }
         )
 
-    return joined.groupby("cluster").map_groups(prune, batch_format="pyarrow")
+    return map_groups(joined, "cluster", prune, num_partitions=k)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .fold import keyed_exchange
+from .fold import keyed_exchange, partitioned_group_agg, partitioned_group_sum
 
 __all__ = ["vocab_jaccard_pipeline", "group_count_cosine_pipeline"]
 
@@ -45,10 +45,7 @@ def vocab_jaccard_pipeline(
     from .dedup import tokenize
 
     # group universe: tiny distinct aggregate (the bitmask index)
-    groups = sorted(
-        r[group_col]
-        for r in ds.groupby(group_col).count().take_all()
-    )
+    groups = sorted(r[group_col] for r in partitioned_group_agg(ds, group_col, []).take_all())
     if len(groups) > 63:
         raise ValueError(f"vocab_jaccard_pipeline supports <= 63 groups, got {len(groups)}")
     g_idx = {g: i for i, g in enumerate(groups)}
@@ -105,17 +102,16 @@ def vocab_jaccard_pipeline(
         vals, c = np.unique(masks, return_counts=True)
         return pa.table({"mask": pa.array(vals), "c": pa.array(c.astype(np.int64))})
 
-    table = (
+    table = partitioned_group_sum(
         keyed_exchange(
             ds.map_batches(incidences, batch_format="pyarrow", zero_copy_batch=True),
             mask_counts,
             keys="token",
             num_partitions=num_partitions,
-        )
-        .groupby("mask")
-        .sum("c")
-        .take_all()  # <= distinct masks (KB)
-    )
+        ),
+        "mask",
+        "c",
+    ).take_all()  # <= distinct masks (KB)
     mask_c = {int(r["mask"]): int(r["sum(c)"]) for r in table}
 
     rows = {
@@ -185,27 +181,15 @@ def group_count_cosine_pipeline(
     Self-pairs carry the norms, so no separate pass."""
     import math
 
-    from .fold import partitioned_group_sum
     from .stats import _limb_cols, _umul128
 
-    def block_counts(t: pa.Table) -> pa.Table:
-        agg = (
-            pa.table({"g": t.column(group_col), "tok": t.column(token_col)})
-            .group_by(["g", "tok"])
-            .aggregate([([], "count_all")])
-        )
-        return agg.rename_columns(["g", "tok", "c"])
-
-    counted = partitioned_group_sum(
-        ds.map_batches(block_counts, batch_format="pyarrow", zero_copy_batch=True),
-        ["g", "tok"],
-        "c",
-        num_partitions=num_partitions,
+    counted = partitioned_group_agg(
+        ds, [group_col, token_col], [(None, "count")], num_partitions=num_partitions
     )
 
     def by_token(t: pa.Table) -> pa.Table:
         return pa.table(
-            {"tok": t.column("tok"), "g": t.column("g"), "c": t.column("sum(c)")}
+            {"tok": t.column(token_col), "g": t.column(group_col), "c": t.column("count()")}
         )
 
     def pair_partials(pt: pa.Table) -> pa.Table:

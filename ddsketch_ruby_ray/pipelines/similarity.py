@@ -27,6 +27,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.hashing import splitmix64
+from .fold import map_groups
 
 __all__ = [
     "knn_bruteforce_pipeline",
@@ -135,7 +136,8 @@ def knn_bruteforce_pipeline(
             }
         )
 
-    return partials.groupby("query_id").map_groups(reduce_topk, batch_format="pyarrow")
+    # <= k rows per (query, block): a few fold tasks hold every query
+    return map_groups(partials, "query_id", reduce_topk, num_partitions=4)
 
 
 def cosine_neardup_pipeline(
@@ -417,7 +419,7 @@ def ivf_knn_pipeline(
             }
         )
 
-    return partials.groupby("query_id").map_groups(reduce_topk, batch_format="pyarrow")
+    return map_groups(partials, "query_id", reduce_topk, num_partitions=4)
 
 
 def srp_neardup_pipeline(
@@ -469,7 +471,7 @@ def srp_neardup_pipeline(
              "cos4": pa.array(cos4[ii, jj][keep], pa.int64())}
         )
 
-    return bucketed.groupby("bucket").map_groups(verify, batch_format="pyarrow")
+    return map_groups(bucketed, "bucket", verify, num_partitions=64)
 
 
 SRP_QUANT = 1_000_000.0  # vector/plane quantization scale (SQL mirror uses the same)

@@ -24,7 +24,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from .fold import keyed_exchange
+from .fold import keyed_exchange, partitioned_group_agg
 
 __all__ = [
     "grouped_corr_pipeline",
@@ -268,26 +268,19 @@ def chi2_contingency_pipeline(ds, *, a_col: str, b_col: str):
     the numerator exceeds int64 beyond ~1e5 rows; int128 carries it to
     ~1e9 rows, past which the SQL mirror — not the engine — saturates).
 
-    Scale shape: per-block Arrow group_by pre-agg (one (a, b, count) row
-    per cell-in-block), a tiny keyed shuffle of those partials, and a
-    driver-side finalize over the G-cell table (KB-sized — cells are
-    category pairs, never data rows).
+    Scale shape: one keyed (a, b) count (per-block Arrow pre-agg, a tiny
+    keyed shuffle of those partials) and a driver-side finalize over the
+    G-cell table (KB-sized — cells are category pairs, never data rows),
+    in (a, b) order.
     """
-
-    def preagg(t: pa.Table) -> pa.Table:
-        g = t.group_by([a_col, b_col]).aggregate([([], "count_all")])
-        return g.rename_columns([a_col, b_col, "cnt"])
-
-    cells = (
-        ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([a_col, b_col])
-        .sum("cnt")
-        .take_all()
+    cells = sorted(
+        partitioned_group_agg(ds, [a_col, b_col], [(None, "count")]).take_all(),
+        key=lambda r: (r[a_col] is None, r[a_col], r[b_col] is None, r[b_col]),
     )  # one row per observed (a, b) category pair — KB-sized, not data rows
 
     a_vals = [r[a_col] for r in cells]
     b_vals = [r[b_col] for r in cells]
-    obs = [int(r["sum(cnt)"]) for r in cells]
+    obs = [int(r["count()"]) for r in cells]
     n = sum(obs)
     rt_map: dict = {}
     ct_map: dict = {}
@@ -798,32 +791,21 @@ def spearman_rho_pipeline(
     def marginals(t: pa.Table) -> pa.Table:
         if derive is not None:
             t = derive(t)
-        out = []
-        for kind, col in ((0, x_col), (1, y_col)):
-            agg = (
-                pa.table({"_v": t.column(col).cast(pa.int64())})
-                .group_by(["_v"])
-                .aggregate([([], "count_all")])
-            )
-            out.append(
-                pa.table(
-                    {
-                        "kind": pa.array(
-                            np.full(agg.num_rows, kind, dtype=np.int8)
-                        ),
-                        "_v": agg.column("_v"),
-                        "c": agg.column("count_all").cast(pa.int64()),
-                    }
-                )
-            )
-        return pa.concat_tables(out)
+        return pa.table(
+            {
+                "kind": pa.array(np.repeat(np.arange(2, dtype=np.int8), t.num_rows)),
+                "_v": pa.chunked_array(
+                    t.column(x_col).cast(pa.int64()).chunks
+                    + t.column(y_col).cast(pa.int64()).chunks,
+                    pa.int64(),
+                ),
+            }
+        )
 
-    from .fold import partitioned_group_sum
-
-    counts = partitioned_group_sum(
+    counts = partitioned_group_agg(
         ds.map_batches(marginals, batch_format="pyarrow", zero_copy_batch=True),
         ["kind", "_v"],
-        "c",
+        [(None, "count")],
         num_partitions=num_partitions,
     )
     tabs = [ray.get(r) for r in counts.to_arrow_refs()]
@@ -842,7 +824,7 @@ def spearman_rho_pipeline(
         )
     kind = allc.column("kind").to_numpy(zero_copy_only=False)
     vv = allc.column("_v").to_numpy(zero_copy_only=False)
-    cc = allc.column("sum(c)").to_numpy(zero_copy_only=False).astype(np.int64)
+    cc = allc.column("count()").to_numpy(zero_copy_only=False).astype(np.int64)
 
     luts = {}
     sq = {}

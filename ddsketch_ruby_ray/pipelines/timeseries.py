@@ -3,8 +3,8 @@
 Daily-count lag-k autocorrelation — the seasonality / burstiness check a
 monitoring or curation pipeline runs over an event log.  Two stages:
 
-  1. distributed: per-block (day, count) partials -> one tiny keyed sum
-     (the series table is one row per day — KB for years of data).
+  1. distributed: one keyed (day, count) fold (``_daily_counts``; the
+     series table is one row per day — KB for years of data).
   2. the series meets in ONE partition (repartition(1), in-cluster, never
      the driver) where consecutive-CALENDAR-day pairs (d, d+k) form and
      the Pearson r comes from exact python-int sufficient statistics with
@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from .fold import keyed_exchange
+from .fold import keyed_exchange, partitioned_group_agg
 
 __all__ = [
     "daily_count_autocorr_pipeline",
@@ -54,27 +54,30 @@ def _dense_days(day: np.ndarray) -> np.ndarray:
     return np.arange(day[0], day[-1] + 1, dtype=np.int64)
 
 
+def _daily_counts(ds, ts_col: str):
+    """-> Dataset[(day, count())]: events per epoch day, one keyed count
+    (in no day order; each finalize sorts)."""
+
+    def to_day(t: pa.Table) -> pa.Table:
+        us = t.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
+        return pa.table({"day": pa.array(us // US_PER_DAY)})
+
+    return partitioned_group_agg(
+        ds.map_batches(to_day, batch_format="pyarrow", zero_copy_batch=True),
+        "day",
+        [(None, "count")],
+    )
+
+
 def daily_count_autocorr_pipeline(ds, *, ts_col: str, lag: int = 1):
     """-> Dataset[(n_pairs, r)] — Pearson autocorrelation of daily event
     counts at ``lag`` calendar days (r = 0.0 when either variance is 0)."""
 
-    def day_partials(t: pa.Table) -> pa.Table:
-        us = t.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = us // US_PER_DAY
-        vals, cnt = np.unique(day, return_counts=True)
-        return pa.table(
-            {"day": pa.array(vals), "c": pa.array(cnt.astype(np.int64))}
-        )
-
-    series = (
-        ds.map_batches(day_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day")
-        .sum("c")
-    )
+    series = _daily_counts(ds, ts_col)
 
     def finalize(t: pa.Table) -> pa.Table:
         day = t.column("day").to_numpy(zero_copy_only=False)
-        cnt = t.column("sum(c)").to_numpy(zero_copy_only=False)
+        cnt = t.column("count()").to_numpy(zero_copy_only=False)
         if not day.size:
             return pa.table(
                 {
@@ -130,23 +133,11 @@ def cusum_daily_pipeline(ds, *, ts_col: str):
     reduction) and the SQL mirror is a recursive CTE.
     """
 
-    def day_partials(t: pa.Table) -> pa.Table:
-        us = t.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = us // US_PER_DAY
-        vals, cnt = np.unique(day, return_counts=True)
-        return pa.table(
-            {"day": pa.array(vals), "c": pa.array(cnt.astype(np.int64))}
-        )
-
-    series = (
-        ds.map_batches(day_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day")
-        .sum("c")
-    )
+    series = _daily_counts(ds, ts_col)
 
     def finalize(t: pa.Table) -> pa.Table:
         day = t.column("day").to_numpy(zero_copy_only=False)
-        cnt = t.column("sum(c)").to_numpy(zero_copy_only=False)
+        cnt = t.column("count()").to_numpy(zero_copy_only=False)
         empty = pa.table(
             {
                 "day": pa.array([], pa.int64()),
@@ -197,24 +188,12 @@ def ewma_daily_pipeline(ds, *, ts_col: str, alpha: float = 0.3):
     mirror is bit-exact with no quantization.  Gap days count as zero.
     """
 
-    def day_partials(t: pa.Table) -> pa.Table:
-        us = t.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = us // US_PER_DAY
-        vals, cnt = np.unique(day, return_counts=True)
-        return pa.table(
-            {"day": pa.array(vals), "c": pa.array(cnt.astype(np.int64))}
-        )
-
-    series = (
-        ds.map_batches(day_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day")
-        .sum("c")
-    )
+    series = _daily_counts(ds, ts_col)
     a = float(alpha)
 
     def finalize(t: pa.Table) -> pa.Table:
         day = t.column("day").to_numpy(zero_copy_only=False)
-        cnt = t.column("sum(c)").to_numpy(zero_copy_only=False)
+        cnt = t.column("count()").to_numpy(zero_copy_only=False)
         if not day.size:
             return pa.table(
                 {
@@ -434,23 +413,11 @@ def rolling_median_daily_pipeline(ds, *, ts_col: str, window: int = 7):
     in the single finalize partition (the distributed work is the count
     reduction)."""
 
-    def day_partials(t: pa.Table) -> pa.Table:
-        us = t.column(ts_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = us // US_PER_DAY
-        vals, cnt = np.unique(day, return_counts=True)
-        return pa.table(
-            {"day": pa.array(vals), "c": pa.array(cnt.astype(np.int64))}
-        )
-
-    series = (
-        ds.map_batches(day_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day")
-        .sum("c")
-    )
+    series = _daily_counts(ds, ts_col)
 
     def finalize(t: pa.Table) -> pa.Table:
         day = t.column("day").to_numpy(zero_copy_only=False)
-        cnt = t.column("sum(c)").to_numpy(zero_copy_only=False)
+        cnt = t.column("count()").to_numpy(zero_copy_only=False)
         empty = pa.table(
             {
                 "day": pa.array([], pa.int64()),

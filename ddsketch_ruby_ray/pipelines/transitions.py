@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .fold import keyed_exchange
+from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = ["keyed_transition_counts_pipeline"]
 
@@ -87,7 +87,7 @@ def keyed_transition_counts_pipeline(
     parts = keyed_exchange(
         projected, per_partition, keys="_key", num_partitions=num_partitions
     )
-    out = parts.groupby(["from_state", "to_state"]).sum("c")
+    out = partitioned_group_sum(parts, ["from_state", "to_state"], "c")
     return out.map_batches(
         lambda t: pa.table(
             {

@@ -24,7 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core.numeric import round_half_away
-from .fold import keyed_exchange
+from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = [
     "assign_sliding_windows",
@@ -669,14 +669,21 @@ def multi_funnel_pipeline(
             }
         )
 
-    summed = keyed_exchange(
-        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
-        per_partition,
-        keys="u",
-        num_partitions=num_partitions,
-    ).groupby("step").sum("users")
+    summed = partitioned_group_sum(
+        keyed_exchange(
+            ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+            per_partition,
+            keys="u",
+            num_partitions=num_partitions,
+        ),
+        "step",
+        "users",
+        num_partitions=1,
+    )
 
     def finalize(t: pa.Table) -> pa.Table:
+        # one fold partition: sorting the batch puts the steps in order
+        t = t.sort_by("step")
         st = t.column("step").to_numpy(zero_copy_only=False)
         return pa.table(
             {

@@ -16,6 +16,7 @@ from .core.numeric import round_half_away
 from .functions import ddsketch_group_sql, ddsketch_quantile_sql
 from .functions.specs import DDSketchSpec
 from .pipelines import documents_sketch_pipeline, grouped_sketch_pipeline
+from .pipelines.fold import partitioned_group_agg, partitioned_group_sum
 from .stages import unnest
 
 ALPHA = 0.01
@@ -402,7 +403,6 @@ def rfm_customer_segments(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Max, Sum
 
     from .core.numeric import round_half_away
     from .pipelines.selection import sketch_exact_quantiles_pipeline
@@ -424,8 +424,6 @@ def rfm_customer_segments(sf_dir: str):
     rows = ds.map_batches(derive, batch_format="pyarrow", zero_copy_batch=True)
     # customer domain is open-ended at scale -> bounded-partition fold
     # (r_us is never null, so count(r_us) == Count())
-    from ddsketch_ruby_ray.pipelines.fold import partitioned_group_agg
-
     cust = partitioned_group_agg(
         rows,
         "o_custkey",
@@ -936,18 +934,19 @@ def _revenue_by_priority_reduce(joined):
             {
                 "o_orderpriority": t.column("o_orderpriority"),
                 "revenue_e4": pa.array(rev),
-                "one": pa.array(np.ones(t.num_rows, dtype=np.int64)),
             }
         )
 
     agg = joined.map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True)
-    out = agg.groupby("o_orderpriority").sum(["revenue_e4", "one"])
+    out = partitioned_group_agg(
+        agg, "o_orderpriority", [("revenue_e4", "sum"), (None, "count")]
+    )
     return out.map_batches(
         lambda t: pa.table(
             {
                 "o_orderpriority": t.column("o_orderpriority"),
                 "revenue_e4": pc.cast(t.column("sum(revenue_e4)"), pa.int64()),
-                "n_items": pc.cast(t.column("sum(one)"), pa.int64()),
+                "n_items": pc.cast(t.column("count()"), pa.int64()),
             }
         ),
         batch_format="pyarrow",
@@ -1104,37 +1103,22 @@ def trending_event_types_daily(sf_dir: str):
     """Trending detection: each day's top-3 event types by count (ties ->
     lexicographically smaller type).  Block-local count pre-aggregation,
     one small (day, type) keyed sum, then the per-group top-k pushdown."""
-    import numpy as np
     import pyarrow as pa
 
     from .pipelines.topk import per_group_topk
 
     ds = _read(sf_dir, "events", ["ts", "event_type"])
 
-    def partials(t: pa.Table) -> pa.Table:
+    def with_day(t: pa.Table) -> pa.Table:
         us = t.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = us // 86_400_000_000
-        ty = t.column("event_type").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ty, day))
-        d_s, t_s = day[order], ty[order]
-        new = np.empty(d_s.size, dtype=bool)
-        if d_s.size:
-            new[0] = True
-            new[1:] = (d_s[1:] != d_s[:-1]) | (t_s[1:] != t_s[:-1])
-        starts = np.flatnonzero(new)
-        c = np.diff(np.append(starts, d_s.size)).astype(np.int64)
         return pa.table(
-            {
-                "day": pa.array(d_s[starts]),
-                "event_type": pa.array(t_s[starts].tolist(), pa.string()),
-                "c": pa.array(c),
-            }
+            {"day": pa.array(us // 86_400_000_000), "event_type": t.column("event_type")}
         )
 
-    counts = (
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["day", "event_type"])
-        .sum("c")
+    counts = partitioned_group_agg(
+        ds.map_batches(with_day, batch_format="pyarrow", zero_copy_batch=True),
+        ["day", "event_type"],
+        [(None, "count")],
     )
 
     def rename(t: pa.Table) -> pa.Table:
@@ -1193,7 +1177,6 @@ def ab_event_mix_zscores(sf_dir: str):
     column is bit-exact vs SQL."""
     import math
 
-    import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
@@ -1204,35 +1187,13 @@ def ab_event_mix_zscores(sf_dir: str):
         ds, id_col="user_id", splits={"A": 0.5, "B": 0.5}, seed=1, out_col="grp"
     )
 
-    def partials(t: pa.Table) -> pa.Table:
-        ty = t.column("event_type").to_numpy(zero_copy_only=False)
-        gr = t.column("grp").to_numpy(zero_copy_only=False)
-        order = np.lexsort((gr, ty))
-        t_s, g_s = ty[order], gr[order]
-        new = np.empty(t_s.size, dtype=bool)
-        if t_s.size:
-            new[0] = True
-            new[1:] = (t_s[1:] != t_s[:-1]) | (g_s[1:] != g_s[:-1])
-        starts = np.flatnonzero(new)
-        c = np.diff(np.append(starts, t_s.size)).astype(np.int64)
-        return pa.table(
-            {
-                "event_type": pa.array(t_s[starts].tolist(), pa.string()),
-                "grp": pa.array(g_s[starts].tolist(), pa.string()),
-                "c": pa.array(c),
-            }
-        )
-
-    counts = (
-        ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "grp"])
-        .sum("c")
-        .take_all()  # <= #types x 2 rows
-    )
+    counts = partitioned_group_agg(
+        ds, ["event_type", "grp"], [(None, "count")]
+    ).take_all()  # <= #types x 2 rows
     ca: dict = {}
     cb: dict = {}
     for r in counts:
-        (ca if r["grp"] == "A" else cb)[r["event_type"]] = int(r["sum(c)"])
+        (ca if r["grp"] == "A" else cb)[r["event_type"]] = int(r["count()"])
     ta = sum(ca.values())
     tb = sum(cb.values())
     rows = {"event_type": [], "n_a": [], "n_b": [], "z": []}
@@ -2124,7 +2085,7 @@ def neardup_kept_counts(sf_dir: str):
     ref = ray.put(drop)
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
 
-    def keep_counts(t: pa.Table) -> pa.Table:
+    def keep_rows(t: pa.Table) -> pa.Table:
         d = ray.get(ref)
         ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         if d.size:
@@ -2132,21 +2093,15 @@ def neardup_kept_counts(sf_dir: str):
             m = d[idx] != ids
         else:
             m = np.ones(ids.size, dtype=bool)
-        g = (
-            t.filter(pa.array(m))
-            .select(["lang"])
-            .group_by(["lang"])
-            .aggregate([([], "count_all")])
-        )
-        return g.rename_columns(["lang", "c"])
+        return t.filter(pa.array(m)).select(["lang"])
 
-    parts = ds.map_batches(keep_counts, batch_format="pyarrow", zero_copy_batch=True)
-    out = parts.groupby("lang").sum("c")
+    kept = ds.map_batches(keep_rows, batch_format="pyarrow", zero_copy_batch=True)
+    out = partitioned_group_agg(kept, "lang", [(None, "count")])
     return out.map_batches(
         lambda t: pa.table(
             {
                 "lang": t.column("lang"),
-                "n_kept": pc.cast(t.column("sum(c)"), pa.int64()),
+                "n_kept": pc.cast(t.column("count()"), pa.int64()),
             }
         ),
         batch_format="pyarrow",
@@ -2456,11 +2411,11 @@ def embedding_neardup_pairs(sf_dir: str):
 
 
 def top_tokens_by_lang(sf_dir: str):
-    """Per-LANGUAGE top-10 tokens: vectorized explode + per-block pre-agg ->
-    groupby(lang, token) sum (the wide step moves (lang, token, n) partials)
-    -> per-group top-k via one lexsort + boundary rank per hash partition
-    (pipelines/topk.py) - no global sort, no per-group Python."""
-    import numpy as np
+    """Per-LANGUAGE top-10 tokens: vectorized explode -> keyed (lang, token)
+    count (fold pre-aggregates each block, so the wide step moves
+    (lang, token, n) partials) -> per-group top-k via one lexsort + boundary
+    rank per hash partition (pipelines/topk.py) - no global sort, no
+    per-group Python."""
     import pyarrow as pa
 
     from .pipelines.topk import per_group_topk
@@ -2471,30 +2426,20 @@ def top_tokens_by_lang(sf_dir: str):
         import pyarrow.compute as pc
 
         toks = pc.split_pattern(t.column("text"), " ")
-        counts = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        lang = np.repeat(t.column("lang").to_numpy(zero_copy_only=False), counts)
-        flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False)
-        ok = flat != ""
-        combo = np.char.add(np.char.add(lang[ok].astype(str), "\x1f"), flat[ok].astype(str))
-        uniq, n = np.unique(combo, return_counts=True)
-        parts = np.char.partition(uniq, "\x1f")
-        return pa.table(
-            {
-                "lang": pa.array(parts[:, 0].tolist(), pa.string()),
-                "token": pa.array(parts[:, 2].tolist(), pa.string()),
-                "n": pa.array(n, pa.int64()),
-            }
-        )
+        lang = t.column("lang").take(pc.list_parent_indices(toks))
+        flat = pc.list_flatten(toks)
+        ok = pc.not_equal(flat, "")
+        return pa.table({"lang": lang.filter(ok), "token": flat.filter(ok)})
 
-    counted = (
-        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["lang", "token"])
-        .sum("n")
+    counted = partitioned_group_agg(
+        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True),
+        ["lang", "token"],
+        [(None, "count")],
     )
 
     def rename(t: pa.Table) -> pa.Table:
         return pa.table(
-            {"lang": t.column("lang"), "token": t.column("token"), "n": t.column("sum(n)")}
+            {"lang": t.column("lang"), "token": t.column("token"), "n": t.column("count()")}
         )
 
     counted = counted.map_batches(rename, batch_format="pyarrow", zero_copy_batch=True)
@@ -2630,7 +2575,7 @@ def mixture_rebalance_docs(sf_dir: str):
     from .stages.sampling import mixture_rebalance
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    langs = [r["lang"] for r in ds.groupby("lang").count().take_all()]
+    langs = [r["lang"] for r in partitioned_group_agg(ds, "lang", []).take_all()]
     weights = {l: 1 + ord(l[-1]) % 3 for l in langs}
     return mixture_rebalance(
         ds, id_col="doc_id", group_col="lang", weights=weights, seed=MIX_SEED
@@ -2751,37 +2696,17 @@ def split_counts_by_lang(sf_dir: str):
     """Deterministic train/val/test routing (hash64(doc_id) vs exact integer
     thresholds - reproducible across any layout/run/cluster size), counted
     per (lang, split).  Per-block pre-agg -> tiny (lang, split, n) shuffle."""
-    import numpy as np
     import pyarrow as pa
 
     from .stages.sampling import assign_split
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
     ds = assign_split(ds, id_col="doc_id", splits=SPLITS, seed=0)
-
-    def preagg(t: pa.Table) -> pa.Table:
-        lang = t.column("lang").to_numpy(zero_copy_only=False)
-        split = t.column("split").to_numpy(zero_copy_only=False)
-        combo = np.char.add(np.char.add(lang.astype(str), "\x1f"), split.astype(str))
-        uniq, counts = np.unique(combo, return_counts=True)
-        parts = np.char.partition(uniq, "\x1f")
-        return pa.table(
-            {
-                "lang": pa.array(parts[:, 0].tolist(), pa.string()),
-                "split": pa.array(parts[:, 2].tolist(), pa.string()),
-                "n": pa.array(counts, pa.int64()),
-            }
-        )
-
-    counted = (
-        ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["lang", "split"])
-        .sum("n")
-    )
+    counted = partitioned_group_agg(ds, ["lang", "split"], [(None, "count")])
 
     def rename(t: pa.Table) -> pa.Table:
         return pa.table(
-            {"lang": t.column("lang"), "split": t.column("split"), "n": t.column("sum(n)")}
+            {"lang": t.column("lang"), "split": t.column("split"), "n": t.column("count()")}
         )
 
     return counted.map_batches(rename, batch_format="pyarrow", zero_copy_batch=True)
@@ -2832,19 +2757,10 @@ def token_stats_by_lang(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    agg = with_counts.groupby("lang").aggregate(
-        *_sum_count_aggs(["n_tokens", "n_chars_"])
+    agg = partitioned_group_agg(
+        with_counts, "lang", [(None, "count"), ("n_tokens", "sum"), ("n_chars_", "sum")]
     )
     return agg.map_batches(_token_stats_finalize, batch_format="pyarrow")
-
-
-def _sum_count_aggs(cols):
-    from ray.data.aggregate import Count, Sum
-
-    aggs = [Count()]
-    for c in cols:
-        aggs.append(Sum(c))
-    return aggs
 
 
 def _token_stats_finalize(t):
@@ -2865,7 +2781,6 @@ def top_tokens(sf_dir: str):
     """Exact top-20 tokens by corpus frequency: vectorized token explosion in
     map_batches -> groupby count (the wide step moves (token,count) partials,
     not text) -> global sort + limit.  Ties break by token asc."""
-    import numpy as np
     import pyarrow as pa
 
     ds = _read(sf_dir, "documents", ["text"])
@@ -2873,29 +2788,19 @@ def top_tokens(sf_dir: str):
     def explode(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        toks = pc.split_pattern(t.column("text"), " ")
-        flat = pc.list_flatten(toks)
-        flat = flat.filter(pc.not_equal(flat, ""))
-        # per-block pre-aggregation: ship (token, partial count), never raw tokens
-        arr = flat.to_numpy(zero_copy_only=False)
-        uniq, counts = np.unique(arr, return_counts=True)
-        return pa.table(
-            {"token": pa.array(uniq.tolist(), pa.string()),
-             "n": pa.array(counts, pa.int64())}
-        )
+        flat = pc.list_flatten(pc.split_pattern(t.column("text"), " "))
+        return pa.table({"token": flat.filter(pc.not_equal(flat, ""))})
 
     # token domain is open-ended: bounded-partition fold (pipelines/fold.py),
-    # not the native sort-based groupby that collapses past ~1M groups
-    from ddsketch_ruby_ray.pipelines.fold import partitioned_group_sum
-
-    counted = partitioned_group_sum(
+    # which ships per-block (token, partial count) rows, never raw tokens
+    counted = partitioned_group_agg(
         ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True),
         "token",
-        "n",
+        [(None, "count")],
     )
 
     def rename(t: pa.Table) -> pa.Table:
-        return pa.table({"token": t.column("token"), "n": t.column("sum(n)")})
+        return pa.table({"token": t.column("token"), "n": t.column("count()")})
 
     counted = counted.map_batches(rename, batch_format="pyarrow", zero_copy_batch=True)
     return counted.sort(["n", "token"], descending=[True, False]).limit(20)
@@ -2923,7 +2828,7 @@ def curation_counts_by_lang(sf_dir: str):
 
     filtered = ds.map_batches(filter_quality, batch_format="pyarrow", zero_copy_batch=True)
     deduped = exact_dedup_rows_pipeline(filtered, key_col="doc_id", text_col="text")
-    counted = deduped.groupby("lang").count()
+    counted = partitioned_group_agg(deduped, "lang", [(None, "count")])
     return counted.map_batches(
         lambda t: pa.table({"lang": t.column("lang"),
                             "kept": pc.cast(t.column("count()"), pa.int64())}),
@@ -2956,7 +2861,7 @@ def curation_split_counts(sf_dir: str):
     filtered = ds.map_batches(filter_quality, batch_format="pyarrow", zero_copy_batch=True)
     deduped = exact_dedup_rows_pipeline(filtered, key_col="doc_id", text_col="text")
     split = assign_split(deduped, id_col="doc_id", splits=SPLITS, seed=0)
-    counted = split.groupby(["lang", "split"]).count()
+    counted = partitioned_group_agg(split, ["lang", "split"], [(None, "count")])
     return counted.map_batches(
         lambda t: pa.table(
             {
@@ -3053,8 +2958,8 @@ def token_frequency_spectrum(sf_dir: str):
 def lang_confusion_matrix(sf_dir: str):
     """Language-ID CONFUSION MATRIX: labeled lang x heuristic pred_lang
     cross counts — the model-eval staple, computed with the same RE2
-    marker scoring as lang_id_docs (block Arrow group_by pre-agg, tiny
-    (lang, pred, count) shuffle)."""
+    marker scoring as lang_id_docs (one keyed (lang, pred) count: block
+    pre-agg, tiny (lang, pred, count) shuffle)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -3063,20 +2968,16 @@ def lang_confusion_matrix(sf_dir: str):
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
     def stage(t: pa.Table) -> pa.Table:
-        t2 = lang_id(t, text_col="text")
-        g = t2.select(["lang", "pred_lang"]).group_by(["lang", "pred_lang"]).aggregate(
-            [([], "count_all")]
-        )
-        return g.rename_columns(["lang", "pred_lang", "c"])
+        return lang_id(t, text_col="text").select(["lang", "pred_lang"])
 
-    parts = ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
-    out = parts.groupby(["lang", "pred_lang"]).sum("c")
+    labeled = ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
+    out = partitioned_group_agg(labeled, ["lang", "pred_lang"], [(None, "count")])
     return out.map_batches(
         lambda t: pa.table(
             {
                 "lang": t.column("lang"),
                 "pred_lang": t.column("pred_lang"),
-                "n": pc.cast(t.column("sum(c)"), pa.int64()),
+                "n": pc.cast(t.column("count()"), pa.int64()),
             }
         ),
         batch_format="pyarrow",
@@ -3091,7 +2992,7 @@ def cohort_retention(sf_dir: str):
     """Cohort RETENTION analysis: users bucket by first-activity week; each
     (cohort_week, active_week) cell counts DISTINCT active users — the
     product-analytics staple.  Composition of existing scale shapes: a
-    native min-aggregate finds each user's cohort, one hash equi-join
+    keyed min-fold finds each user's cohort, one hash equi-join
     attaches it to every event, and the exact-distinct pair plan counts
     users per composite (cohort, week) cell without a hot-group bottleneck."""
     import pyarrow as pa
@@ -3114,8 +3015,6 @@ def cohort_retention(sf_dir: str):
 
     ev = events.map_batches(to_weeks, batch_format="pyarrow", zero_copy_batch=True)
     # user domain is open-ended at corpus scale -> bounded-partition fold
-    from ddsketch_ruby_ray.pipelines.fold import partitioned_group_agg
-
     firsts = partitioned_group_agg(ev, "user_id", [("week", "min")])
 
     def rename_first(t: pa.Table) -> pa.Table:
@@ -3510,34 +3409,25 @@ def p99_length_filter_by_lang(sf_dir: str):
     cuts = {r["lang"]: r["exact_p99"] for r in cuts_ds.take_all()}  # one row/lang
     ref = ray.put(cuts)
 
-    def keep_counts(t: pa.Table) -> pa.Table:
+    def keep_rows(t: pa.Table) -> pa.Table:
         cut = ray.get(ref)
         langs = t.column("lang").to_numpy(zero_copy_only=False)
         vals = t.column("n_chars").to_numpy(zero_copy_only=False).astype(np.float64)
-        out_l, out_n, out_c = [], [], []
+        keep = np.zeros(len(langs), dtype=bool)
         for l in np.unique(langs):  # groups-in-batch, not rows
-            m = (langs == l) & (vals <= cut.get(l, np.inf))
-            out_l.append(l)
-            out_n.append(int(m.sum()))
-            out_c.append(int(vals[m].sum()))
-        return pa.table(
-            {
-                "lang": pa.array(out_l, pa.string()),
-                "n_kept": pa.array(out_n, pa.int64()),
-                "kept_chars": pa.array(out_c, pa.int64()),
-            }
-        )
+            keep |= (langs == l) & (vals <= cut.get(l, np.inf))
+        return t.filter(pa.array(keep))
 
     import pyarrow.compute as pc
 
-    partial = ds.map_batches(keep_counts, batch_format="pyarrow", zero_copy_batch=True)
-    out = partial.groupby("lang").sum(["n_kept", "kept_chars"])
+    kept = ds.map_batches(keep_rows, batch_format="pyarrow", zero_copy_batch=True)
+    out = partitioned_group_agg(kept, "lang", [(None, "count"), ("n_chars", "sum")])
     return out.map_batches(
         lambda t: pa.table(
             {
                 "lang": t.column("lang"),
-                "n_kept": pc.cast(t.column("sum(n_kept)"), pa.int64()),
-                "kept_chars": pc.cast(t.column("sum(kept_chars)"), pa.int64()),
+                "n_kept": pc.cast(t.column("count()"), pa.int64()),
+                "kept_chars": pc.cast(t.column("sum(n_chars)"), pa.int64()),
             }
         ),
         batch_format="pyarrow",
@@ -3803,8 +3693,6 @@ def users_active_even_and_odd_days(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    from .pipelines.fold import partitioned_group_sum
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def parity_counts(t: pa.Table) -> pa.Table:
@@ -4033,7 +3921,7 @@ def new_vs_returning_daily(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    from .pipelines.fold import keyed_exchange, partitioned_group_sum
+    from .pipelines.fold import keyed_exchange
 
     def fold(g: pa.Table) -> pa.Table:
         u = g.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4086,8 +3974,6 @@ def cumulative_unique_users_daily(sf_dir: str):
     KB per-day counts, ordered cumsum in one finalize partition."""
     import numpy as np
     import pyarrow as pa
-
-    from .pipelines.fold import partitioned_group_agg, partitioned_group_sum
 
     mins = partitioned_group_agg(
         _user_day_distinct(sf_dir),
@@ -4366,17 +4252,9 @@ def session_event_pairs(sf_dir: str):
     from .pipelines.fold import keyed_exchange
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-    type_rows = (
-        ds.map_batches(
-            lambda t: pa.table({"t": t.column("event_type").unique()}),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("t")
-        .count()
-        .take_all()
-    )  # tree-folded: one row per DISTINCT type reaches the driver
-    types = sorted(r["t"] for r in type_rows)
+    type_rows = partitioned_group_agg(ds, "event_type", []).take_all()
+    # one row per DISTINCT type reaches the driver
+    types = sorted(r["event_type"] for r in type_rows)
     code = {t: i for i, t in enumerate(types)}
     code_ref = ray.put(code)
 
@@ -4459,8 +4337,6 @@ def exact_users_per_window(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-
-    from .pipelines.fold import partitioned_group_agg, partitioned_group_sum
 
     ds = _read(sf_dir, "events", ["ts", "event_type", "user_id"])
 

@@ -97,9 +97,9 @@ class SketchStateAccumulator:
             batch = self.derive(batch)
         # Native dtypes preserved: int64 columns (e.g. 60-bit content hashes)
         # must NOT round-trip through float64.  Specs cast as they need.
-        arrays = {
-            c: batch.column(c).to_numpy(zero_copy_only=False) for c in self._value_cols
-        }
+        # String/binary columns stay Arrow, so hashing walks their buffers
+        # (core/bytecol.py) instead of one Python str per row.
+        arrays = {c: _values(batch.column(c)) for c in self._value_cols}
         first, group_rows = group_slices(batch, self.group_keys)
 
         out_cols: dict[str, object] = {}
@@ -110,12 +110,29 @@ class SketchStateAccumulator:
             states = []
             for rows in group_rows:
                 sk = spec.zero()
-                spec.accumulate(sk, {c: arrays[c][rows] for c in spec.columns})
+                spec.accumulate(sk, {c: _take(arrays[c], rows) for c in spec.columns})
                 states.append(spec.to_state(sk))
             out_cols[spec.name] = pa.array(states, type=spec.state_type())
 
         names = list(self.group_keys) + [s.name for s in self.specs]
         return pa.Table.from_arrays([out_cols[c] for c in names], names=names)
+
+
+_BYTE_TYPES = (pa.types.is_string, pa.types.is_large_string, pa.types.is_binary,
+               pa.types.is_large_binary)
+
+
+def _values(col):
+    """A spec value column: Arrow for string/binary, numpy otherwise."""
+    if any(is_bytes(col.type) for is_bytes in _BYTE_TYPES):
+        return col
+    return col.to_numpy(zero_copy_only=False)
+
+
+def _take(values, rows: np.ndarray):
+    if isinstance(values, np.ndarray):
+        return values[rows]
+    return values.take(pa.array(rows))
 
 
 def _state_rows(col) -> list:
@@ -201,13 +218,17 @@ class StateBlockMerger:
         """Merge per group, then one ``spec.finalize`` struct per spec.
 
         The merged sketch is finalized directly (no state round trip).  Each
-        struct's type is that of ``spec.finalize(None)``, so every output
-        table, an empty one included, has the same schema."""
+        struct's type is built from ``spec.finalize(None)``, fields in its key
+        order (type inference would sort them), so every output table, an
+        empty one included, has the same schema, and it is the schema every
+        plan emits."""
         keys, sketches = self.merged(t)
         return self._table(keys, [
             pa.array(
                 [spec.finalize(sk) for sk in sketches[spec.name]],
-                type=pa.array([spec.finalize(None)]).type,
+                type=pa.struct(
+                    [(k, pa.scalar(v).type) for k, v in spec.finalize(None).items()]
+                ),
             )
             for spec in self.specs
         ])

@@ -263,9 +263,11 @@ def mixture_rebalance(ds, *, id_col: str, group_col: str,
     bottom-k plan with per-group k (block-local pushdown, shuffle carries
     <= k_g rows per (block, group)).
     """
+    from ..pipelines.fold import partitioned_group_agg
     from ..pipelines.topk import per_group_topk
 
-    counts = ds.groupby(group_col).count().take_all()  # one row per group
+    # one row per group
+    counts = partitioned_group_agg(ds, group_col, [(None, "count")]).take_all()
     c = {r[group_col]: int(r["count()"]) for r in counts if r[group_col] in weights}
     if not c or any(w <= 0 for w in weights.values()):
         raise ValueError("mixture_rebalance: empty corpus overlap or nonpositive weight")

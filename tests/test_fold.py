@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from ddsketch_ruby_ray.core.hashing import hash64_str_fast
@@ -91,6 +92,95 @@ class TestPartitionedGroupAgg:
             partitioned_group_agg(
                 rd.from_arrow(tbl), "sk", [("v", "mean")]
             )
+        with pytest.raises(ValueError):
+            partitioned_group_agg(rd.from_arrow(tbl), "sk", [(None, "sum")])
+
+    def test_row_count(self, ray_session, tbl):
+        """``(None, "count")`` is Ray's ``count()``: every row of the group,
+        NULL values included (``(col, "count")`` skips them)."""
+        mask = pa.array(np.arange(tbl.num_rows) % 3 == 0)
+        tbl = tbl.set_column(3, "w", pc.if_else(mask, None, tbl.column("w")))
+        got = self._fold(ray_session, tbl, ["ik"], [(None, "count"), ("w", "count")])
+        want = tbl.group_by(["ik"]).aggregate([([], "count_all"), ("w", "count")])
+        want = want.rename_columns(["ik", "count()", "count(w)"]).sort_by("ik")
+        assert got.equals(want)
+        assert pc.sum(got.column("count()")).as_py() == tbl.num_rows
+
+    @pytest.mark.parametrize(
+        "key, typ", [(["a", None, "", "a", None, "", "a"], pa.string()),
+                     ([7, None, 0, 7, None, 0, 7], pa.int64())]
+    )
+    def test_null_key_is_its_own_group(self, ray_session, key, typ):
+        """A NULL key is one group, apart from ``''`` and ``0``, as SQL
+        GROUP BY has it.  (Ray's native ``groupby(s).sum(v)`` raises
+        ``TypeError`` on a NULL string key once it has two blocks.)"""
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines.fold import partitioned_group_agg
+
+        t = pa.table({"k": pa.array(key, typ), "v": pa.array([1, 2, 3, 4, 5, 6, None])})
+        ds = rd.from_arrow(t).repartition(2)
+        got = partitioned_group_agg(ds, "k", [("v", "sum"), (None, "count")]).take_all()
+        by_key = {r["k"]: (r["sum(v)"], r["count()"]) for r in got}
+        set_key, zero_key = key[0], key[2]
+        assert len(got) == 3
+        assert by_key == {set_key: (5, 3), None: (7, 2), zero_key: (9, 2)}
+
+
+class TestMapGroups:
+    """``fold.map_groups``: ``fn`` once per key, on exactly its rows."""
+
+    @staticmethod
+    def _record(g: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "k": g.column("k").slice(0, 1),
+                "n_keys": [len(set(g.column("k").to_pylist()))],
+                "rows": [repr(sorted(g.column("v").to_pylist()))],
+                "cols": [",".join(g.column_names)],
+            }
+        )
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_fn_once_per_key_without_part(self, ray_session, lazy):
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines.fold import _ONE_TASK_ROWS, map_groups
+        from ddsketch_ruby_ray.state.metrics import parse_stage_metrics
+
+        n = 400
+        k = np.arange(n, dtype=np.int64) % 37
+        t = pa.table({"k": k, "v": np.arange(n, dtype=np.int64)})
+        ds = rd.from_arrow([t.slice(0, 150), t.slice(150)])
+        if lazy:
+            ds = ds.map_batches(lambda b: b, batch_format="pyarrow")
+        assert n <= _ONE_TASK_ROWS
+        out = map_groups(ds, "k", self._record, num_partitions=4).materialize()
+        names = [op["name"] for op in parse_stage_metrics(out.stats())]
+        assert ("Sort" in names) == lazy, names
+        rows = out.take_all()
+        assert sorted(r["k"] for r in rows) == list(range(37))  # once per key
+        for r in rows:
+            assert r["n_keys"] == 1
+            assert r["rows"] == repr(sorted(range(r["k"], n, 37)))
+            assert r["cols"] == "k,v"  # no _part
+
+    @pytest.mark.parametrize(
+        "key, typ", [(["a", None, "", "a", None, ""], pa.string()),
+                     ([7, None, 0, 7, None, 0], pa.int64())]
+    )
+    def test_null_key_is_its_own_group(self, ray_session, key, typ):
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines.fold import map_groups
+
+        t = pa.table({"k": pa.array(key, typ), "v": pa.array([1, 2, 3, 4, 5, 6])})
+        ds = rd.from_arrow(t).repartition(2)
+        rows = map_groups(ds, "k", self._record, num_partitions=3).take_all()
+        assert {r["k"]: r["rows"] for r in rows} == {
+            key[0]: "[1, 4]", None: "[2, 5]", key[2]: "[3, 6]"
+        }
+        assert all(r["n_keys"] == 1 for r in rows)
 
 
 class TestKeyedExchange:
@@ -247,3 +337,39 @@ class TestKeyedExchange:
             out = fold.keyed_exchange(src, lambda g: g, keys="k", num_partitions=2).materialize()
             assert out.count() == n
             assert ("Sort" in self._plan(out)) == sort
+
+
+def test_every_library_groupby_runs_through_fold():
+    """``fold`` holds the library's only grouped path: no ``.groupby(`` call
+    anywhere else in ``ddsketch_ruby_ray`` but the named pandas-on-driver one."""
+    import ast
+    from pathlib import Path
+
+    import ddsketch_ruby_ray
+
+    root = Path(ddsketch_ruby_ray.__file__).parent
+    allowed = {
+        ("pipelines/fold.py", None),
+        # pandas over the KB-sized transition matrix, on the driver
+        ("queries.py", "markov_event_transitions"),
+    }
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+
+        def visit(node, func):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name if func is None else func
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "groupby"
+                and (rel, None) not in allowed
+                and (rel, func) not in allowed
+            ):
+                found.append(f"{rel}:{node.lineno} in {func}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, func)
+
+        visit(ast.parse(path.read_text()), None)
+    assert not found, found

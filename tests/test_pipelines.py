@@ -212,7 +212,11 @@ def test_merge_sketch_states_equals_sequential_fold(group_keys):
     names = [spec.name for spec in specs]
 
     ds = merge_sketch_states(rd.from_arrow(blocks), specs, group_keys).materialize()
-    types = {spec.name: pa.array([spec.finalize(None)]).type for spec in specs}
+    # struct fields in spec.finalize's key order (the order every plan emits)
+    types = {
+        spec.name: pa.struct([(k, pa.scalar(v).type) for k, v in spec.finalize(None).items()])
+        for spec in specs
+    }
     schema = ds.schema().base_schema
     assert schema.names == list(group_keys) + names
     for name, ty in types.items():

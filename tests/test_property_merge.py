@@ -199,14 +199,19 @@ def test_pairs_plan_preserves_key_dtypes_and_nulls(ray_session):
         }
     )
     spec = DDSketchSpec(on="v", name="s", relative_accuracy=0.01, quantiles=(0.5,))
+    names = {}
     for strategy in ["pairs", "states"]:
-        out = grouped_sketch_pipeline(
+        ds = grouped_sketch_pipeline(
             rd.from_arrow(t).repartition(2), [spec], ("ki",), strategy=strategy
-        ).to_pandas()
+        )
+        names[strategy] = ds.schema().names
+        out = ds.to_pandas()
         assert len(out) == 3, strategy
         # int64 dtype (nullable) preserved, not string
         vals = {None if v != v else int(v): c for v, c in zip(out["ki"], out["count"])}
         assert vals == {1: 2.0, 2: 2.0, None: 2.0}, strategy
+    # a result's column order does not depend on which plan ran
+    assert names["states"] == names["pairs"], names
 
 
 def test_pairs_plan_all_mappings_match_states(ray_session):

@@ -625,3 +625,41 @@ def test_state_rows_decode_equals_to_pylist():
     finally:
         accumulate._state_rows = orig
     assert fast[0].equals(slow[0]) and fast[1].equals(slow[1])
+
+
+def test_accumulator_str_specs_match_python_list_reference():
+    """``kind="str"`` HLL/KMV/CMS/Bloom specs hash a multi-chunk Arrow string
+    column with NULLs (and a NULL group key) to the same per-group states as
+    feeding each group's values to the spec as a Python list."""
+    from ddsketch_ruby_ray.functions.family_specs import BloomSpec, CMSSpec, HLLSpec, KMVSpec
+    from ddsketch_ruby_ray.stages.accumulate import SketchStateAccumulator
+
+    specs = [
+        HLLSpec(on="s", p=8, kind="str"),
+        KMVSpec(on="s", k=16, kind="str"),
+        CMSSpec(on="s", w=16, d=2, kind="str"),
+        BloomSpec(on="s", m_bits=256, kind="str"),
+    ]
+    rng = np.random.default_rng(11)
+    pool = ["", "a", "é", "日本", "x y", None] + [f"w{i}" for i in range(40)]
+    n = 500
+    keys = [["a", "b", None][i] for i in rng.integers(0, 3, n)]
+    vals = [pool[i] for i in rng.integers(0, len(pool), n)]
+    cuts = [0, 1, 170, 170, 333, n]  # a one-row and an empty chunk included
+    t = pa.table(
+        {
+            "g": pa.chunked_array([keys[a:b] for a, b in zip(cuts, cuts[1:])], pa.string()),
+            "s": pa.chunked_array([vals[a:b] for a, b in zip(cuts, cuts[1:])], pa.string()),
+        }
+    )
+    assert t.column("s").num_chunks > 1 and t.column("s").null_count
+
+    out = SketchStateAccumulator(specs, ("g",))(t)
+    assert set(out.column("g").to_pylist()) == {"a", "b", None}
+    for i, g in enumerate(out.column("g").to_pylist()):
+        group_vals = [v for k, v in zip(keys, vals) if k == g]
+        for spec in specs:
+            sk = spec.zero()
+            spec.accumulate(sk, {"s": group_vals})
+            want = pa.array([spec.to_state(sk)], spec.state_type())[0]
+            assert out.column(spec.name)[i] == want, (spec.name, g)
