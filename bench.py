@@ -362,18 +362,13 @@ def _scaling_dedup_child(num_cpus: int, job: str) -> None:
 
     if job == "pairs":
         # extreme-cardinality regime: DDSketch aggregation over lang x repo
-        # (~groups proportional to rows) through the vectorized pairs plan -
-        # no per-group Python anywhere (pipelines/pairs.py)
+        # (~groups proportional to rows) through the one grouped plan, whose
+        # DDSketch steps are vectorized over all groups of a table
         from ddsketch_ruby_ray.pipelines.corpus import corpus_sketch_pipeline
 
         t0 = time.perf_counter()
         ds = read_corpus(path, ["repo", "lang", "content"])
-        # partition count scales with input so each finalize task stays
-        # ~100k pair rows (pairs ~ 2 rows per input row in this regime)
-        n = corpus_sketch_pipeline(
-            ds, group_keys=("lang", "repo"), strategy="pairs",
-            num_partitions=max(64, rows // 62_500),
-        ).count()
+        n = corpus_sketch_pipeline(ds, group_keys=("lang", "repo")).count()
         sec = time.perf_counter() - t0
         ray.shutdown()
         print(json.dumps({"sec": sec, "rows": rows, "out_rows": n}))

@@ -202,15 +202,17 @@ class DDSketch:
 
     # -- (de)serialization -------------------------------------------------
     def to_state(self) -> dict:
-        """Arrow/pickle-friendly state (contiguous encoding per ddsketch.proto:58-66).
+        """Arrow/pickle-friendly state: each store as sparse ascending
+        ``keys``/``counts`` (the reference wire format's ``binCounts``
+        map, ddsketch.proto:58-66), so empty bins never ship.
 
         Unlike the reference's one-way ``Proto.serialize_sketch``
         (`/root/reference/lib/ddsketch/proto.rb:18-44`) this round-trips, and it
         stores *both* alpha and gamma explicitly (the reference writes alpha into
         the proto ``gamma`` field - proto.rb:36 - a quirk we deliberately avoid).
         """
-        pos = self.store.to_state()
-        neg = self.negative_store.to_state()
+        pos_keys, pos_counts = _sparse(self.store)
+        neg_keys, neg_counts = _sparse(self.negative_store)
         return {
             "alpha": self.mapping.relative_accuracy,
             "gamma": self.mapping.gamma,
@@ -218,14 +220,14 @@ class DDSketch:
             "interpolation": self.mapping.interpolation,
             "collapse_mode": self.store.collapse_mode,
             "bin_limit": getattr(self.store, "bin_limit", None),
-            "bins": pos["bins"],
-            "bin_offset": pos["bin_offset"],
-            "store_count": pos["count"],
-            "store_collapsed": pos.get("is_collapsed", False),
-            "neg_bins": neg["bins"],
-            "neg_bin_offset": neg["bin_offset"],
-            "neg_store_count": neg["count"],
-            "neg_store_collapsed": neg.get("is_collapsed", False),
+            "keys": pos_keys,
+            "counts": pos_counts,
+            "store_count": float(self.store.count),
+            "store_collapsed": getattr(self.store, "is_collapsed", False),
+            "neg_keys": neg_keys,
+            "neg_counts": neg_counts,
+            "neg_store_count": float(self.negative_store.count),
+            "neg_store_collapsed": getattr(self.negative_store, "is_collapsed", False),
             "zero_count": self.zero_count,
             "count": self.count,
             "sum": self.sum,
@@ -248,16 +250,10 @@ class DDSketch:
             sk = LogCollapsingHighestDenseSketch(bin_limit=int(bin_limit), mapping=mapping)
         else:
             sk = DDSketch(mapping=mapping)
-        sk.store = store_from_state(
-            {"bins": state["bins"], "bin_offset": state["bin_offset"],
-             "count": state["store_count"], "is_collapsed": state.get("store_collapsed", False)},
-            mode, bin_limit,
-        )
-        sk.negative_store = store_from_state(
-            {"bins": state["neg_bins"], "bin_offset": state["neg_bin_offset"],
-             "count": state["neg_store_count"], "is_collapsed": state.get("neg_store_collapsed", False)},
-            mode, bin_limit,
-        )
+        sk.store = _dense(state["keys"], state["counts"], state["store_count"],
+                          state.get("store_collapsed", False), mode, bin_limit)
+        sk.negative_store = _dense(state["neg_keys"], state["neg_counts"], state["neg_store_count"],
+                                   state.get("neg_store_collapsed", False), mode, bin_limit)
         sk.zero_count = float(state["zero_count"])
         sk.count = float(state["count"])
         sk.sum = float(state["sum"])
@@ -331,3 +327,22 @@ class LogCollapsingHighestDenseSketch(DDSketch):
     @classmethod
     def _empty_like(cls, proto):
         return cls(bin_limit=proto.bin_limit, mapping=proto.mapping)
+
+
+def _sparse(store: DenseStore):
+    """-> (ascending int64 keys, float64 counts) of the non-empty bins."""
+    nz = np.flatnonzero(store.bins)
+    keys = nz + (int(store.min_key) if len(store.bins) else 0)
+    return keys.astype(np.int64), store.bins[nz].copy()
+
+
+def _dense(keys, counts, count, collapsed, mode, bin_limit) -> DenseStore:
+    """Sparse ``keys``/``counts`` -> a store spanning [keys[0], keys[-1]]."""
+    keys = np.asarray(keys, dtype=np.int64)
+    lo = int(keys[0]) if len(keys) else 0
+    bins = np.zeros(int(keys[-1]) - lo + 1 if len(keys) else 0)
+    bins[keys - lo] = np.asarray(counts, dtype=np.float64)
+    return store_from_state(
+        {"bins": bins, "bin_offset": lo, "count": float(count), "is_collapsed": bool(collapsed)},
+        mode, bin_limit,
+    )

@@ -59,7 +59,7 @@ class SketchAgg(AggregateFnV2):
     """Base class: subclasses provide a sketch factory + vectorized accumulate.
 
     Partial states cross the shuffle as Arrow-native ``to_state()`` struct
-    dicts (scalars + float64 bin lists), NOT pickled DDSketch objects - Ray's
+    dicts (scalars + sparse key/count lists), NOT pickled DDSketch objects - Ray's
     sort-aggregate packs partial states into a block column, and an opaque
     Python object forces its "falling back to serialize as pickled python
     objects" path (slower, and unreadable to any other Arrow consumer).
@@ -78,8 +78,6 @@ class SketchAgg(AggregateFnV2):
     def _to_wire(sk: DDSketch) -> dict:
         """Arrow-struct-friendly state: no None values (schema-stable keys)."""
         st = sk.to_state()
-        st["bins"] = np.asarray(st["bins"], dtype=np.float64)
-        st["neg_bins"] = np.asarray(st["neg_bins"], dtype=np.float64)
         st["bin_limit"] = -1 if st["bin_limit"] is None else int(st["bin_limit"])
         st["interpolation"] = st["interpolation"] or "none"
         st["collapse_mode"] = st["collapse_mode"] or "none"

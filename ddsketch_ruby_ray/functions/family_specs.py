@@ -25,7 +25,7 @@ from ..core.hll import HyperLogLog
 from ..core.kll import KLL
 from ..core.kmv import KMVSketch
 from ..core.tdigest import TDigest
-from .specs import quantile_name
+from .specs import SketchSpec, quantile_name
 
 __all__ = ["HLLSpec", "BloomSpec", "CMSSpec", "TDigestSpec", "KLLSpec", "KMVSpec", "AMSSpec"]
 
@@ -46,7 +46,7 @@ def _hash_pair(arrays_val, kind: str):
     return lanes[0], lanes[1]
 
 
-class HLLSpec:
+class HLLSpec(SketchSpec):
     """Distinct count per group via HyperLogLog (see core/hll.py).
 
     ``kind``: "int" (splitmix64, vectorized) or "str" (sha256 lane 0).
@@ -92,7 +92,7 @@ class HLLSpec:
         return {"distinct": float(sketch.estimate())}
 
 
-class KMVSpec:
+class KMVSpec(SketchSpec):
     """Distinct count per group via a bottom-k (KMV / theta) sketch
     (see core/kmv.py).  Deterministic under any merge order -> bit-exact
     DuckDB oracle (family_oracle.kmv_sql), unlike HLL only via exact
@@ -143,7 +143,7 @@ class KMVSpec:
         return {"distinct": sketch.estimate(), "kept": float(sketch.hashes.size)}
 
 
-class BloomSpec:
+class BloomSpec(SketchSpec):
     """Set membership per group via a Bloom filter (see core/bloom.py).
 
     finalize emits fill statistics; the filter itself is the useful product -
@@ -202,7 +202,7 @@ class BloomSpec:
         return {"bits_set": ones, "fill_ratio": ones / sketch.m_bits}
 
 
-class CMSSpec:
+class CMSSpec(SketchSpec):
     """Frequency estimation per group via count-min (see core/cms.py).
 
     Like Bloom, the state is the product: finalize emits only summary stats.
@@ -269,7 +269,7 @@ class CMSSpec:
         return {"total": float(sketch.total), "max_count": float(sketch.table.max())}
 
 
-class TDigestSpec:
+class TDigestSpec(SketchSpec):
     """Rank-accurate quantiles per group via t-digest (see core/tdigest.py).
 
     Result depends (within the published bound) on partition order ->
@@ -336,7 +336,7 @@ class TDigestSpec:
         return out
 
 
-class KLLSpec:
+class KLLSpec(SketchSpec):
     """Rank-accurate quantiles per group via KLL (see core/kll.py).
 
     Same rows-only caveat as t-digest (compaction depends on arrival order).
@@ -402,7 +402,7 @@ class KLLSpec:
         return out
 
 
-class AMSSpec:
+class AMSSpec(SketchSpec):
     """Second frequency moment (self-join size) per group via the AMS
     tug-of-war sketch (see core/ams.py).  Exact integer signed sums ->
     deterministic under any merge order -> bit-exact DuckDB oracle

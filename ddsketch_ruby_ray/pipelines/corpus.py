@@ -12,6 +12,13 @@ task emits at most ``num_groups`` KB-sized sketch states, and the single
 exchange moves O(num_batches x num_groups) states.  Hot-key skew (Zipf langs)
 costs the hot key O(num_batches) states, not O(rows), and the wide step is
 negligible at any scale.
+
+This is the one grouped plan, from a handful of groups to ~one per row:
+accumulate, merge and finalize each run once per table over all of its
+groups (``spec.accumulate_groups`` / ``merge_groups`` /
+``finalize_groups``), and DDSketch's sparse states make those steps one
+vectorized pass with no Python object per group
+(:mod:`~ddsketch_ruby_ray.functions.ddgroups`).
 """
 
 from __future__ import annotations
@@ -142,36 +149,19 @@ def grouped_sketch_pipeline(
     batch_size: int | None = None,
     concurrency=None,
     prefixes: dict | None = None,
-    strategy: str = "states",
-    num_partitions: int = 64,
 ):
     """rows -> per-group sketch results, flat columns.
 
-    ``strategy`` picks the distribution plan:
-      * ``"states"`` (default) - the two-level merge: per-(block, group)
-        states inside the (fused) map stage, then ONE keyed exchange of
-        those states with a per-partition merge + finalize
-        (:func:`merge_sketch_states`).  Any spec; optimal when groups <<
-        rows-per-block (e.g. 20 languages): raw rows never shuffle and hot
-        keys cost O(blocks) states.
-      * ``"pairs"`` - the extreme-cardinality plan (DDSketch specs with the
-        logarithmic mapping; dense AND collapsing stores, weighted or not):
-        vectorized pair-table pre-aggregation + hash-partitioned vectorized
-        finalize, no per-group Python in the hot path (pipelines/pairs.py).
-    Both strategies produce identical results (merge associativity).
+    The two-level merge: per-(block, group) states inside the (fused) map
+    stage, then ONE keyed exchange of those states with a per-partition
+    merge + finalize (:func:`merge_sketch_states`).  Raw rows never
+    shuffle and a hot key costs O(blocks) states.  Each step runs every
+    group of a table in one table-level pass of its spec, so DDSketch and
+    XorSig cost no Python per group at any cardinality.
 
     ``prefixes`` maps spec name -> output column prefix for the unnested
     result struct (default: no prefix).
     """
-    if strategy == "pairs":
-        from .pairs import ddsketch_pairs_pipeline
-
-        return ddsketch_pairs_pipeline(
-            ds, specs, group_keys, derive=derive, prefixes=prefixes,
-            batch_size=batch_size, num_partitions=num_partitions,
-        )
-    if strategy != "states":
-        raise ValueError(f"unknown strategy {strategy!r}")
     states = sketch_states(
         ds, specs, group_keys, derive=derive, batch_size=batch_size, concurrency=concurrency
     )
@@ -193,7 +183,6 @@ def corpus_sketch_pipeline(
     concurrency=None,
     verify_sha256: bool = False,
     strategy: str = "states",
-    num_partitions: int = 64,
 ):
     """content corpus -> per-group sketch summary of byte length + line count.
 
@@ -211,7 +200,12 @@ def corpus_sketch_pipeline(
     emits only KB-sized sketch states.  (A ``select_columns`` here, or the
     SplitBlocks operator that appears when Ray re-splits read outputs, breaks
     that fusion and ships the full corpus through shared memory.)
+
+    ``strategy`` accepts only ``"states"``, the one plan; the parameter is
+    kept for callers that read its default and goes with them.
     """
+    if strategy != "states":
+        raise ValueError(f"unknown strategy {strategy!r}")
     specs = [
         DDSketchSpec(on="content_bytes", name="bytes", relative_accuracy=alpha, quantiles=quantiles),
         DDSketchSpec(on="n_lines", name="lines", relative_accuracy=alpha, quantiles=quantiles),
@@ -235,8 +229,6 @@ def corpus_sketch_pipeline(
         batch_size=batch_size,
         concurrency=concurrency,
         prefixes=prefixes,
-        strategy=strategy,
-        num_partitions=num_partitions,
     )
 
 

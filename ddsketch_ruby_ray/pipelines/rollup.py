@@ -23,29 +23,32 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 __all__ = ["rollup_sketch_pipeline", "cube_sketch_pipeline", "ROLLUP_FILL"]
 
 ROLLUP_FILL = "(all)"
 
 
-def _finalize_level(states, spec, keys: list[str], present: list[str], fill: str):
-    """State rows -> (group_key, finalize...) rows; absent keys filled."""
+def _finalize(t: pa.Table, spec, codes: np.ndarray, n_groups: int, group_key) -> pa.Table:
+    """(group_key, <finalize cols>) rows: ``spec.finalize_groups`` of the
+    state rows, columns in ``spec.finalize``'s key order."""
     from ..stages.util import unnest_struct
 
+    structs = spec.finalize_groups(t.column(spec.name), codes, n_groups)
+    return unnest_struct(pa.table({"group_key": group_key, spec.name: structs}), [spec.name])
+
+
+def _finalize_level(states, spec, keys: list[str], present: list[str], fill: str):
+    """One level's merged state rows (one per group) -> (group_key,
+    finalize...) rows; absent keys filled."""
+
     def fin(t: pa.Table) -> pa.Table:
-        structs = [spec.finalize(spec.from_state(st)) for st in t.column(spec.name).to_pylist()]
-        parts = []
-        for k in keys:
-            if k in present:
-                col = t.column(k).to_pylist()
-                parts.append([v if v is not None else "" for v in col])
-            else:
-                parts.append([fill] * t.num_rows)
-        gk = pa.array(["|".join(p) for p in zip(*parts)] if t.num_rows else [], pa.string())
-        out = pa.table({"group_key": gk, spec.name: pa.array(structs)})
-        return unnest_struct(out, columns=[spec.name])
+        parts = [pc.fill_null(t.column(k), "") if k in present else pa.scalar(fill) for k in keys]
+        group_key = pc.binary_join_element_wise(*parts, "|")
+        return _finalize(t, spec, np.arange(t.num_rows), t.num_rows, group_key)
 
     return states.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -55,19 +58,10 @@ def _grand_total(level, spec, keys: list[str], fill: str):
     row, ``group_key == fill * n`` joined with '|'."""
     import ray.data as rd
 
-    from ..stages.util import unnest_struct
-
-    acc = None
-    for r in level.take_all():
-        sk = spec.from_state(r[spec.name])
-        acc = sk if acc is None else spec.merge(acc, sk)
-    t = pa.table(
-        {
-            "group_key": pa.array(["|".join([fill] * len(keys))]),
-            spec.name: pa.array([spec.finalize(acc)]),
-        }
-    )
-    return rd.from_arrow(unnest_struct(t, columns=[spec.name]))
+    col = pa.array([r[spec.name] for r in level.take_all()], type=spec.state_type())
+    t = pa.table({spec.name: col})
+    group_key = pa.array(["|".join([fill] * len(keys))])
+    return rd.from_arrow(_finalize(t, spec, np.zeros(len(col), dtype=np.int64), 1, group_key))
 
 
 def rollup_sketch_pipeline(

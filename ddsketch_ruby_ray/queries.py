@@ -79,9 +79,7 @@ def flagship_by_lang_source(sf_dir: str):
         return t.append_column("group_key", key).drop_columns(["lang", "source"])
 
     spec = DDSketchSpec(on="n_chars", name="s", relative_accuracy=ALPHA, quantiles=QUANTILES)
-    # strategy="pairs": the extreme-cardinality plan, verified bit-exact
-    # against the same SQL oracle as the state-merge plan
-    return grouped_sketch_pipeline(ds, [spec], ("group_key",), derive=derive, strategy="pairs")
+    return grouped_sketch_pipeline(ds, [spec], ("group_key",), derive=derive)
 
 
 def sha256_invariant_by_lang(sf_dir: str):
@@ -187,7 +185,7 @@ def dd_cubic_mapping_by_lang(sf_dir: str):
 
 
 def dd_nullkey_quantiles(sf_dir: str):
-    """NULL group key through the DEFAULT states strategy: lang 'en' is mapped
+    """NULL group key through the grouped sketch plan: lang 'en' is mapped
     to null, which must survive the state exchange as its own group (SQL
     GROUP BY semantics: merge_sketch_states shuffles on a hash partition id,
     and its per-partition fold groups null apart from every value).  The

@@ -18,6 +18,11 @@ The accumulator is a callable CLASS so ``map_batches(..., concurrency=N)``
 runs it as an actor pool: spec construction (mapping constants etc.) happens
 once per actor in ``__init__``, per input_hint ("actor pools for stateful
 stages").
+
+Both callables encode a table's group keys once (:func:`group_codes`) and
+hand each spec the whole table: ``spec.accumulate_groups``,
+``merge_groups`` and ``finalize_groups`` see every group at once, so a
+spec with a columnar merge (DDSketch, XorSig) builds no object per group.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 import pyarrow as pa
 
-from ..functions.specs import SketchSpec
+from ..functions.specs import SketchSpec, group_rows
 
 __all__ = ["SketchStateAccumulator", "StateBlockMerger", "group_codes"]
 
@@ -38,9 +43,13 @@ def group_codes(batch: pa.Table, group_keys: Sequence[str]):
     Returns ``(codes: int64[n_rows], first_row_index: int64[n_groups])`` where
     ``first_row_index[g]`` points at a representative row of group ``g``.
     Dictionary-encoding each key column keeps this vectorized (no Python rows).
+    Without group keys a non-empty table is one group.
     """
     import pyarrow.compute as pc
 
+    n = batch.num_rows
+    if not group_keys:
+        return np.zeros(n, dtype=np.int64), np.zeros(1 if n else 0, dtype=np.int64)
     combined = None
     for k in group_keys:
         col = batch.column(k)
@@ -53,26 +62,29 @@ def group_codes(batch: pa.Table, group_keys: Sequence[str]):
         codes = indices.to_numpy(zero_copy_only=False).astype(np.int64)
         card = len(dict_arr.dictionary) + 2
         combined = codes if combined is None else combined * card + codes
-    uniq, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
-    return inverse, first
+    if len(group_keys) == 1 and not pa.types.is_dictionary(col.type):
+        # every entry of a fresh dictionary occurs: the codes are dense but
+        # for the null code, which is the largest one
+        inverse, n_groups = combined, len(dict_arr.dictionary) + (col.null_count > 0)
+    else:
+        uniq, inverse = np.unique(combined, return_inverse=True)
+        n_groups = len(uniq)
+    first = np.full(n_groups, n, dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(n))
+    return inverse.astype(np.int64, copy=False), first
 
 
 def group_slices(batch: pa.Table, group_keys: Sequence[str]):
-    """-> ``(first_row_index, [row indices of each group])`` for one table.
-
-    Without group keys a non-empty table is one group."""
-    n = batch.num_rows
-    if not (group_keys and n):
-        return np.zeros(1 if n else 0, dtype=np.int64), ([np.arange(n)] if n else [])
-    inverse, first = group_codes(batch, group_keys)
-    order = np.argsort(inverse, kind="stable")
-    # boundaries[i]:boundaries[i+1] slices group i's rows in `order`
-    boundaries = np.searchsorted(inverse[order], np.arange(len(first) + 1))
-    return first, [order[boundaries[g] : boundaries[g + 1]] for g in range(len(first))]
+    """-> ``(first_row_index, [row indices of each group])`` for one table."""
+    codes, first = group_codes(batch, group_keys)
+    return first, group_rows(codes, len(first))
 
 
 class SketchStateAccumulator:
     """map_batches callable: one Arrow batch -> one state row per group.
+
+    Each spec turns the batch into its state column in one table-level step
+    (``spec.accumulate_groups``).
 
     Args:
         specs: sketches to maintain (one output struct column per spec).
@@ -100,22 +112,14 @@ class SketchStateAccumulator:
         # String/binary columns stay Arrow, so hashing walks their buffers
         # (core/bytecol.py) instead of one Python str per row.
         arrays = {c: _values(batch.column(c)) for c in self._value_cols}
-        first, group_rows = group_slices(batch, self.group_keys)
-
-        out_cols: dict[str, object] = {}
-        for k in self.group_keys:
-            out_cols[k] = batch.column(k).take(pa.array(first))
-
-        for spec in self.specs:
-            states = []
-            for rows in group_rows:
-                sk = spec.zero()
-                spec.accumulate(sk, {c: _take(arrays[c], rows) for c in spec.columns})
-                states.append(spec.to_state(sk))
-            out_cols[spec.name] = pa.array(states, type=spec.state_type())
-
+        codes, first = group_codes(batch, self.group_keys)
+        cols = [batch.column(k).take(pa.array(first)) for k in self.group_keys]
+        cols += [
+            spec.accumulate_groups({c: arrays[c] for c in spec.columns}, codes, len(first))
+            for spec in self.specs
+        ]
         names = list(self.group_keys) + [s.name for s in self.specs]
-        return pa.Table.from_arrays([out_cols[c] for c in names], names=names)
+        return pa.Table.from_arrays(cols, names=names)
 
 
 _BYTE_TYPES = (pa.types.is_string, pa.types.is_large_string, pa.types.is_binary,
@@ -129,48 +133,13 @@ def _values(col):
     return col.to_numpy(zero_copy_only=False)
 
 
-def _take(values, rows: np.ndarray):
-    if isinstance(values, np.ndarray):
-        return values[rows]
-    return values.take(pa.array(rows))
-
-
-def _state_rows(col) -> list:
-    """State struct column -> one dict (or None) per row, like ``to_pylist``
-    but with each list-of-numbers field as a numpy slice of one writable
-    copy of its values: no Python float per bin (``to_pylist`` of DDSketch
-    bins was most of the merge's CPU)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    fields = {}
-    for i, field in enumerate(col.type):
-        child, ty = col.field(i), field.type
-        if (
-            pa.types.is_list(ty)
-            and (pa.types.is_integer(ty.value_type) or pa.types.is_floating(ty.value_type))
-            and child.values.null_count == 0
-        ):
-            offs = child.offsets.to_numpy()
-            vals = child.values.to_numpy(zero_copy_only=False).copy()
-            ok = child.is_valid().to_numpy(zero_copy_only=False)
-            fields[field.name] = [
-                vals[a:b] if v else None for a, b, v in zip(offs[:-1], offs[1:], ok)
-            ]
-        else:
-            fields[field.name] = child.to_pylist()
-    valid = col.is_valid().to_numpy(zero_copy_only=False)
-    return [
-        dict(zip(fields, row)) if ok else None
-        for ok, row in zip(valid, zip(*fields.values()))
-    ]
-
-
 class StateBlockMerger:
     """map_batches callable: merge state rows per group WITHIN one table.
 
     Emits one state row per group (same schema as its input, minus any
-    extra columns).  :meth:`finalize_groups` is the same per-group merge
-    ending in ``spec.finalize``: the per-partition fold of
+    extra columns) through ``spec.merge_groups``.  :meth:`finalize_groups`
+    is the same per-group merge ending in ``spec.finalize_groups``: the
+    per-partition fold of
     :func:`ddsketch_ruby_ray.pipelines.merge_sketch_states`.  Merge
     associativity (base_sketch.rb:146-171 semantics) makes the result
     independent of how state rows were split into tables.
@@ -180,55 +149,17 @@ class StateBlockMerger:
         self.specs = list(specs)
         self.group_keys = tuple(group_keys)
 
-    def merged(self, t: pa.Table):
-        """-> (key columns, {spec name: merged sketch or None per group})."""
-        first, group_rows = group_slices(t, self.group_keys)
-        keys = [t.column(k).take(pa.array(first)) for k in self.group_keys]
-        sketches = {}
-        for spec in self.specs:
-            col = _state_rows(t.column(spec.name))
-            merged = []
-            for rows in group_rows:
-                acc = None
-                for i in rows:
-                    st = col[i]
-                    if st is None:
-                        continue
-                    sk = spec.from_state(st)
-                    acc = sk if acc is None else spec.merge(acc, sk)
-                merged.append(acc)
-            sketches[spec.name] = merged
-        return keys, sketches
-
-    def _table(self, keys, results) -> pa.Table:
-        names = list(self.group_keys) + [s.name for s in self.specs]
-        return pa.Table.from_arrays(keys + results, names=names)
+    def _fold(self, t: pa.Table, step: str) -> pa.Table:
+        codes, first = group_codes(t, self.group_keys)
+        cols = [t.column(k).take(pa.array(first)) for k in self.group_keys]
+        cols += [getattr(spec, step)(t.column(spec.name), codes, len(first)) for spec in self.specs]
+        return pa.Table.from_arrays(cols, names=list(self.group_keys) + [s.name for s in self.specs])
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        keys, sketches = self.merged(t)
-        return self._table(keys, [
-            pa.array(
-                [None if sk is None else spec.to_state(sk) for sk in sketches[spec.name]],
-                type=spec.state_type(),
-            )
-            for spec in self.specs
-        ])
+        return self._fold(t, "merge_groups")
 
     def finalize_groups(self, t: pa.Table) -> pa.Table:
-        """Merge per group, then one ``spec.finalize`` struct per spec.
-
-        The merged sketch is finalized directly (no state round trip).  Each
-        struct's type is built from ``spec.finalize(None)``, fields in its key
-        order (type inference would sort them), so every output table, an
-        empty one included, has the same schema, and it is the schema every
-        plan emits."""
-        keys, sketches = self.merged(t)
-        return self._table(keys, [
-            pa.array(
-                [spec.finalize(sk) for sk in sketches[spec.name]],
-                type=pa.struct(
-                    [(k, pa.scalar(v).type) for k, v in spec.finalize(None).items()]
-                ),
-            )
-            for spec in self.specs
-        ])
+        """Merge per group, then one ``spec.finalize`` struct per spec, typed
+        ``spec.result_type()`` (fields in ``finalize``'s key order), so every
+        output table, an empty one included, has the same schema."""
+        return self._fold(t, "finalize_groups")

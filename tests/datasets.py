@@ -181,3 +181,54 @@ RANDOM_DISTRIBUTIONS = {
     "Mixed": mixed,
     "Trimodal": trimodal,
 }
+
+
+def core_grouped_reference(table, key: str, spec, blocks: int = 1) -> dict:
+    """``{key value: result row}`` of a DDSketchSpec, folded per group with
+    the core sketch alone: the group's rows are dealt round-robin into
+    ``blocks`` sketches by scalar ``add`` (null values skipped), those merge
+    with ``merged_with``, and quantiles come from ``get_quantile_value``."""
+    from ddsketch_ruby_ray.functions.specs import quantile_name
+
+    keys = table.column(key).to_pylist()
+    values = table.column(spec.on).to_pylist()
+    weights = table.column(spec.weight).to_pylist() if spec.weight else [1.0] * len(keys)
+    parts: dict = {}
+    for i, (k, v, w) in enumerate(zip(keys, values, weights)):
+        sketches = parts.setdefault(k, [spec.zero() for _ in range(blocks)])
+        if v is not None:
+            sketches[i % blocks].add(v, w)
+    out = {}
+    for k, sketches in parts.items():
+        sk = sketches[0]
+        for other in sketches[1:]:
+            sk = sk.merged_with(other)
+        empty = sk.count == 0
+        row = {"count": float(sk.count)}
+        if spec.include_sum_avg:
+            row["sum"] = 0.0 if empty else sk.sum
+            row["avg"] = math.nan if empty else sk.sum / sk.count
+        row["min"] = math.nan if empty else sk.min
+        row["max"] = math.nan if empty else sk.max
+        for q in spec.quantiles:
+            est = sk.get_quantile_value(q)
+            row[quantile_name(q)] = math.nan if est is None else est
+        out[k] = row
+    return out
+
+
+def assert_matches_core_reference(rows: list, key: str, ref: dict, exact_sum: bool = True):
+    """Result rows (``Dataset.take_all()``) equal ``core_grouped_reference``:
+    one row per group, columns in ``spec.finalize`` order, every value
+    bit-identical - ``sum``/``avg`` to 1e-12 unless ``exact_sum``, since a
+    fractional sum's rounding depends on the order it was added in."""
+    assert sorted(map(repr, (r[key] for r in rows))) == sorted(map(repr, ref))
+    for r in rows:
+        want = ref[r[key]]
+        assert list(r) == [key, *want], (list(r), list(want))
+        for c, w in want.items():
+            got = r[c]
+            if c in ("sum", "avg") and not exact_sum:
+                assert math.isclose(got, w, rel_tol=1e-12, abs_tol=1e-12), (r[key], c, got, w)
+            else:
+                assert got == w or (got != got and w != w), (r[key], c, got, w)

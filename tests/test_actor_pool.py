@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .datasets import assert_matches_core_reference, core_grouped_reference
+
 
 class TestActorPool:
     def test_actor_pool_matches_task_path(self, ray_session, sf_dir):
@@ -31,8 +33,8 @@ class TestActorPool:
         assert (tasks.values == actors.values).all()
 
 
-class TestStrategies:
-    def test_states_strategy_identical_to_one_pass_build(self, ray_session, sf_dir):
+class TestGroupedPlan:
+    def test_multi_block_merge_identical_to_one_pass_build(self, ray_session, sf_dir):
         """Multi-block two-level state merge == one sketch per group built
         from all of its raw rows in one pass (merge associativity)."""
         import pyarrow.compute as pc
@@ -64,9 +66,9 @@ class TestStrategies:
             for c, w in want.items():
                 assert got[c] == w or (got[c] != got[c] and w != w), (lang, c)
 
-    def test_pairs_strategy_identical_incl_signed_and_zero(self, ray_session):
-        """The vectorized extreme-cardinality plan == states, with negative
-        values, a zero band, many groups, and empty-side groups."""
+    def test_grouped_plan_identical_incl_signed_and_zero(self, ray_session):
+        """The grouped plan == a per-group core fold, with negative values, a
+        zero band, many groups, and empty-side groups."""
         import pyarrow as pa
         import ray.data as rd
         import numpy as np
@@ -88,18 +90,14 @@ class TestStrategies:
                 ),
             }
         )
-        specs = [DDSketchSpec(on="v", name="s", quantiles=(0.01, 0.5, 0.99))]
+        spec = DDSketchSpec(on="v", name="s", quantiles=(0.01, 0.5, 0.99))
+        rows = grouped_sketch_pipeline(rd.from_arrow(tbl).repartition(7), [spec], ("grp",)).take_all()
+        assert_matches_core_reference(
+            rows, "grp", core_grouped_reference(tbl, "grp", spec, 7), exact_sum=False
+        )
 
-        def run(strategy):
-            df = grouped_sketch_pipeline(
-                rd.from_arrow(tbl).repartition(7), specs, ("grp",), strategy=strategy
-            ).to_pandas()
-            df = df.sort_values("grp").reset_index(drop=True)
-            return df[sorted(df.columns)]
-
-        self._assert_frames(run("states"), run("pairs"))
-
-    def test_pairs_weighted_matches_states(self, ray_session, sf_dir):
+    def test_weighted_matches_core_fold(self, ray_session, sf_dir):
+        import pyarrow.parquet as pq
         import ray.data as rd
 
         from ddsketch_ruby_ray.functions.specs import DDSketchSpec
@@ -109,25 +107,19 @@ class TestStrategies:
             on="l_extendedprice", weight="l_quantity", name="s",
             quantiles=(0.5, 0.99), include_sum_avg=False,
         )
+        cols = ["l_returnflag", "l_extendedprice", "l_quantity"]
+        rows = grouped_sketch_pipeline(
+            rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=cols), [spec], ("l_returnflag",)
+        ).take_all()
+        tbl = pq.read_table(f"{sf_dir}/lineitem.parquet", columns=cols)
+        # integer weights -> bit-exact
+        assert_matches_core_reference(
+            rows, "l_returnflag", core_grouped_reference(tbl, "l_returnflag", spec, 3)
+        )
 
-        def run(strategy):
-            ds = rd.read_parquet(
-                f"{sf_dir}/lineitem.parquet",
-                columns=["l_returnflag", "l_extendedprice", "l_quantity"],
-            )
-            df = grouped_sketch_pipeline(
-                ds, [spec], ("l_returnflag",), strategy=strategy
-            ).to_pandas()
-            return df.sort_values("l_returnflag").reset_index(drop=True)[
-                sorted(df.columns)
-            ]
-
-        a, b = run("states"), run("pairs")
-        assert (a.values == b.values).all()  # integer weights -> bit-exact
-
-    def test_pairs_identical_to_states_on_skewed_keys(self, ray_session):
-        """An 80%-of-rows hot key: the states plan (hot key costs O(blocks)
-        states) and the pairs plan give the identical result."""
+    def test_skewed_keys_match_core_fold(self, ray_session):
+        """An 80%-of-rows hot key (it costs O(blocks) states) gives the
+        per-group core fold's result."""
         import numpy as np
         import pyarrow as pa
         import ray.data as rd
@@ -141,19 +133,12 @@ class TestStrategies:
         keys = np.where(hot, "hotkey", np.array([f"k{i % 100}" for i in range(n)]))
         tbl = pa.table({"g": pa.array(keys.tolist()), "v": pa.array(rng.lognormal(0, 1, n))})
         spec = DDSketchSpec(on="v", name="s", quantiles=(0.5, 0.99), include_sum_avg=False)
+        rows = grouped_sketch_pipeline(rd.from_arrow(tbl).repartition(7), [spec], ("g",)).take_all()
+        assert len(rows) == 101
+        assert_matches_core_reference(rows, "g", core_grouped_reference(tbl, "g", spec, 7))
 
-        def run(strategy):
-            df = grouped_sketch_pipeline(
-                rd.from_arrow(tbl).repartition(7), [spec], ("g",), strategy=strategy
-            ).to_pandas()
-            return df.sort_values("g").reset_index(drop=True)[sorted(df.columns)]
-
-        a, b = run("states"), run("pairs")
-        assert len(a) == 101
-        self._assert_frames(a, b)
-
-    def test_pairs_collapsing_stores_identical(self, ray_session):
-        """Collapsing clamp model at finalize == collapse-during-accumulate,
+    def test_collapsing_stores_match_core_fold(self, ray_session):
+        """Collapsing clamp model at merge/finalize == collapse-during-add,
         with collapse heavily triggered on both stores (signed, limit 32)."""
         import numpy as np
         import pyarrow as pa
@@ -172,18 +157,14 @@ class TestStrategies:
                 on="v", name="s", store=store, bin_limit=32,
                 quantiles=(0.01, 0.5, 0.99), include_sum_avg=False,
             )
-
-            def run(strategy):
-                df = grouped_sketch_pipeline(
-                    rd.from_arrow(tbl).repartition(9), [spec], ("g",), strategy=strategy
-                ).to_pandas()
-                return df.sort_values("g").reset_index(drop=True)[sorted(df.columns)]
-
-            self._assert_frames(run("states"), run("pairs"))
+            rows = grouped_sketch_pipeline(
+                rd.from_arrow(tbl).repartition(9), [spec], ("g",)
+            ).take_all()
+            assert_matches_core_reference(rows, "g", core_grouped_reference(tbl, "g", spec, 9))
 
     def test_null_keys_and_values(self, ray_session):
-        """Null group keys group like SQL GROUP BY in the states strategy
-        (their own group); null values drop per spec."""
+        """Null group keys group like SQL GROUP BY (their own group); null
+        values drop per spec."""
         import pyarrow as pa
         import ray.data as rd
 
@@ -198,24 +179,10 @@ class TestStrategies:
         )
         spec = DDSketchSpec(on="v", name="s", quantiles=(0.5,))
         df = (
-            grouped_sketch_pipeline(rd.from_arrow(tbl), [spec], ("g",), strategy="states")
+            grouped_sketch_pipeline(rd.from_arrow(tbl), [spec], ("g",))
             .to_pandas()
             .set_index("g")
         )
         assert df.loc["a", "count"] == 2
         assert df.loc["b", "count"] == 0  # its only value was null
         assert df[df.index.isnull()]["count"].iloc[0] == 2
-
-    def _assert_frames(self, a, b):
-        assert list(a.columns) == list(b.columns)
-        for c in a.columns:
-            av, bv = a[c].values, b[c].values
-            if c in ("sum", "avg"):
-                # fractional values: fp summation ORDER differs between plans;
-                # only integer-valued metrics are bit-stable (and fractional
-                # driver queries exclude sum/avg for exactly this reason)
-                assert np.allclose(av, bv, rtol=1e-9), c
-            elif a[c].dtype.kind == "f":
-                assert ((av == bv) | (np.isnan(av) & np.isnan(bv))).all(), c
-            else:
-                assert (av == bv).all(), c

@@ -16,6 +16,8 @@ from ddsketch_ruby_ray.core.ddsketch import DDSketch
 from ddsketch_ruby_ray.core.hll import HyperLogLog
 from ddsketch_ruby_ray.core.cms import CountMinSketch
 
+from .datasets import assert_matches_core_reference, core_grouped_reference
+
 finite_values = st.lists(
     st.floats(
         min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -86,10 +88,10 @@ class TestDDSketchProperties:
         assert weighted.negative_store == repeated.negative_store
 
 
-class TestPairsPlanProperties:
-    """The vectorized pairs plan must equal the states plan for ARBITRARY
-    inputs - groups of size 1, all-zero groups, extreme magnitudes, signed
-    values - not just the fixed fixtures."""
+class TestGroupedPlanProperties:
+    """The grouped sketch plan must equal a per-group fold of core sketches
+    for ARBITRARY inputs - groups of size 1, all-zero groups, extreme
+    magnitudes, signed values, 1 to 4 blocks - not just the fixed fixtures."""
 
     @given(
         data=st.lists(
@@ -104,7 +106,7 @@ class TestPairsPlanProperties:
         blocks=st.integers(1, 4),
     )
     @settings(max_examples=25, deadline=None)
-    def test_pairs_equals_states(self, ray_session, data, blocks):
+    def test_grouped_plan_equals_core_fold(self, ray_session, data, blocks):
         import pyarrow as pa
         import ray.data as rd
 
@@ -119,22 +121,10 @@ class TestPairsPlanProperties:
         )
         spec = DDSketchSpec(on="v", name="s", quantiles=(0.0, 0.5, 1.0),
                             include_sum_avg=False)
-
-        def run(strategy):
-            df = grouped_sketch_pipeline(
-                rd.from_arrow(tbl).repartition(blocks), [spec], ("g",), strategy=strategy
-            ).to_pandas()
-            return df.sort_values("g").reset_index(drop=True)[sorted(df.columns)]
-
-        a, b = run("states"), run("pairs")
-        assert list(a.columns) == list(b.columns)
-        for c in a.columns:
-            av, bv = a[c].values, b[c].values
-            if a[c].dtype.kind == "f":
-                ok = (av == bv) | (np.isnan(av) & np.isnan(bv))
-                assert ok.all(), (c, av[~ok], bv[~ok])
-            else:
-                assert (av == bv).all(), c
+        rows = grouped_sketch_pipeline(
+            rd.from_arrow(tbl).repartition(blocks), [spec], ("g",)
+        ).take_all()
+        assert_matches_core_reference(rows, "g", core_grouped_reference(tbl, "g", spec, blocks))
 
 
 class TestFamilyProperties:
@@ -182,10 +172,9 @@ class TestFamilyProperties:
         assert (est >= true - 1e-9).all()
 
 
-def test_pairs_plan_preserves_key_dtypes_and_nulls(ray_session):
-    """ADVICE fix: the pairs plan must emit group keys in their INPUT dtypes
-    (not stringified) and give null keys their own group."""
-    import numpy as np
+def test_grouped_plan_preserves_key_dtypes_and_nulls(ray_session):
+    """Group keys keep their INPUT dtypes (not stringified), a null key is
+    its own group, and result columns follow ``spec.finalize``'s order."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -199,25 +188,17 @@ def test_pairs_plan_preserves_key_dtypes_and_nulls(ray_session):
         }
     )
     spec = DDSketchSpec(on="v", name="s", relative_accuracy=0.01, quantiles=(0.5,))
-    names = {}
-    for strategy in ["pairs", "states"]:
-        ds = grouped_sketch_pipeline(
-            rd.from_arrow(t).repartition(2), [spec], ("ki",), strategy=strategy
-        )
-        names[strategy] = ds.schema().names
-        out = ds.to_pandas()
-        assert len(out) == 3, strategy
-        # int64 dtype (nullable) preserved, not string
-        vals = {None if v != v else int(v): c for v, c in zip(out["ki"], out["count"])}
-        assert vals == {1: 2.0, 2: 2.0, None: 2.0}, strategy
-    # a result's column order does not depend on which plan ran
-    assert names["states"] == names["pairs"], names
+    ds = grouped_sketch_pipeline(rd.from_arrow(t).repartition(2), [spec], ("ki",))
+    assert ds.schema().names == ["ki", *spec.finalize(None)]
+    assert ds.schema().types[0] == pa.int64()
+    rows = ds.take_all()
+    assert {r["ki"]: r["count"] for r in rows} == {1: 2.0, 2: 2.0, None: 2.0}
+    assert_matches_core_reference(rows, "ki", core_grouped_reference(t, "ki", spec, 2))
 
 
-def test_pairs_plan_all_mappings_match_states(ray_session):
-    """The pairs plan supports linear/cubic mappings, weighted adds and
-    collapsing stores - bit-identical to the states strategy."""
-    import numpy as np
+def test_grouped_plan_all_mappings_match_core_fold(ray_session):
+    """Linear/cubic mappings, weighted adds and collapsing stores, over
+    string keys and 1 to 5 blocks: bit-identical to a per-group core fold."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -242,23 +223,134 @@ def test_pairs_plan_all_mappings_match_states(ray_session):
         dict(interpolation="cubic", store="collapse_lowest", bin_limit=32, weight="w",
              include_sum_avg=False),
     ]
-    for kw in cases:
+    for i, kw in enumerate(cases):
+        blocks = 1 + i % 5
         spec = DDSketchSpec(on="v", name="s", relative_accuracy=0.02,
                             quantiles=(0.1, 0.5, 0.9), **kw)
-        a = (
-            grouped_sketch_pipeline(rd.from_arrow(t).repartition(5), [spec], ("g",),
-                                    strategy="pairs")
-            .to_pandas().sort_values("g").reset_index(drop=True)
+        rows = grouped_sketch_pipeline(
+            rd.from_arrow(t).repartition(blocks), [spec], ("g",)
+        ).take_all()
+        assert_matches_core_reference(rows, "g", core_grouped_reference(t, "g", spec, blocks))
+
+
+def test_grouped_steps_build_no_per_group_sketch(monkeypatch):
+    """Accumulate -> merge -> finalize of DDSketch and XorSig states runs with
+    ``zero``/``from_state`` made to raise: the table-level steps build no
+    sketch object per group, and give what they gave before."""
+    import pyarrow as pa
+
+    from ddsketch_ruby_ray.functions.specs import DDSketchSpec, XorSigSpec
+    from ddsketch_ruby_ray.stages.accumulate import SketchStateAccumulator, StateBlockMerger
+
+    rng = np.random.default_rng(3)
+    specs = [
+        DDSketchSpec(on="v", name="d"),
+        DDSketchSpec(on="v", name="c", store="collapse_highest", bin_limit=16, weight="w",
+                     interpolation="linear"),
+        XorSigSpec(on="x", name="x"),
+    ]
+    blocks = [
+        pa.table({
+            "g": rng.integers(0, 50, 500),
+            "v": rng.normal(0, 50, 500),
+            "w": rng.integers(1, 3, 500).astype(np.float64),
+            "x": rng.integers(0, 2**60, 500),
+        })
+        for _ in range(3)
+    ]
+
+    def run():
+        states = pa.concat_tables([SketchStateAccumulator(specs, ("g",))(b) for b in blocks])
+        merger = StateBlockMerger(specs, ("g",))
+        merged = pa.concat_tables([merger(states.slice(0, 70)), merger(states.slice(70))])
+        return merger(states), merger.finalize_groups(merged)
+
+    want = run()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("per-group sketch built")
+
+    monkeypatch.setattr(DDSketchSpec, "zero", boom)
+    monkeypatch.setattr(DDSketchSpec, "from_state", boom)
+    monkeypatch.setattr(XorSigSpec, "zero", boom)
+    got = run()
+    assert got[0].equals(want[0]) and got[1].equals(want[1])
+    assert got[1].num_rows == 50
+
+
+class TestSparseState:
+    """DDSketch states carry sparse ascending keys/counts per store."""
+
+    @staticmethod
+    def _sketches():
+        from ddsketch_ruby_ray.core.ddsketch import (
+            LogCollapsingHighestDenseSketch, LogCollapsingLowestDenseSketch,
         )
-        b = (
-            grouped_sketch_pipeline(rd.from_arrow(t).repartition(3), [spec], ("g",),
-                                    strategy="states")
-            .to_pandas().sort_values("g").reset_index(drop=True)
-        )
-        assert set(a.columns) == set(b.columns), kw  # order differs by design
-        a, b = a[sorted(a.columns)], b[sorted(b.columns)]
-        for c in a.columns:
-            if a[c].dtype.kind == "f":
-                assert np.array_equal(a[c].to_numpy(), b[c].to_numpy(), equal_nan=True), (kw, c)
-            else:
-                assert (a[c] == b[c]).all(), (kw, c)
+
+        empty = DDSketch(0.01)
+        neg = DDSketch(0.01)
+        neg.add_batch(np.array([-1.0, -2.5, -1e6]), np.array([1.0, 2.0, 3.0]))
+        zero = DDSketch(0.01)
+        zero.add_batch(np.array([0.0, 0.0, 1e-320, 3.0]))
+        low = LogCollapsingLowestDenseSketch(0.01, 8)
+        low.add_batch(np.array([-1e5, -1.0, 0.0, 1.0, 10.0, 1e5]))
+        high = LogCollapsingHighestDenseSketch(0.01, 8)
+        high.add_batch(np.array([-1e5, -1.0, 1.0, 10.0, 1e5]))
+        return [empty, neg, zero, low, high]
+
+    def test_round_trip_equals_dense_path(self):
+        from ddsketch_ruby_ray.core.store import store_from_state
+
+        for sk in self._sketches():
+            st = sk.to_state()
+            assert list(st["keys"]) == sorted(st["keys"])
+            assert all(c > 0 for c in st["counts"]) and all(c > 0 for c in st["neg_counts"])
+            rt = DDSketch.from_state(st)
+            assert rt == sk and type(rt) is type(sk)
+            mode, limit = st["collapse_mode"], st["bin_limit"]
+            for mine, theirs in ((rt.store, sk.store), (rt.negative_store, sk.negative_store)):
+                dense = store_from_state(theirs.to_state(), mode, limit)
+                assert mine == dense and mine.count == dense.count
+                assert getattr(mine, "is_collapsed", None) == getattr(dense, "is_collapsed", None)
+        low, high = self._sketches()[3:]
+        assert low.store.is_collapsed and high.negative_store.is_collapsed
+
+    def test_merging_sparse_states_equals_merged_with(self):
+        import pyarrow as pa
+
+        from ddsketch_ruby_ray.functions.specs import DDSketchSpec
+
+        rng = np.random.default_rng(5)
+        for store in ("dense", "collapse_lowest", "collapse_highest"):
+            spec = DDSketchSpec(on="v", store=store, bin_limit=16)
+            parts = []
+            for _ in range(4):
+                sk = spec.zero()
+                sk.add_batch(np.round(rng.normal(0, 1e3, 200)))
+                parts.append(sk)
+            parts.append(spec.zero())  # an empty state merges as a no-op
+            want = parts[0]
+            for sk in parts[1:]:
+                want = want.merged_with(sk)
+            states = pa.array([spec.to_state(sk) for sk in parts], spec.state_type())
+            merged = spec.merge_groups(states, np.zeros(len(parts), dtype=np.int64), 1)
+            got = DDSketch.from_state(merged[0].as_py())
+            assert got == want, store
+            assert got.store.count == want.store.count
+            if store != "dense":
+                assert got.store.is_collapsed == want.store.is_collapsed
+                assert got.negative_store.is_collapsed == want.negative_store.is_collapsed
+
+    def test_merging_states_of_another_mapping_raises(self):
+        """The columnar merge keeps the gamma gate of ``merged_with``."""
+        import pyarrow as pa
+
+        from ddsketch_ruby_ray.core.ddsketch import InvalidSketchMergeError
+        from ddsketch_ruby_ray.functions.specs import DDSketchSpec
+
+        other = DDSketchSpec(on="v", relative_accuracy=0.02)
+        sk = other.zero()
+        sk.add_batch(np.array([1.0, 2.0]))
+        states = pa.array([other.to_state(sk)], other.state_type())
+        with pytest.raises(InvalidSketchMergeError):
+            DDSketchSpec(on="v").merge_groups(states, np.zeros(1, dtype=np.int64), 1)

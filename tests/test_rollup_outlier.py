@@ -180,3 +180,24 @@ class TestRollup:
             row = df.loc[f"(all)|{gb}"]
             for col, val in want.items():
                 assert row[col] == val
+
+
+def test_rollup_and_cube_columns_follow_grouped_pipeline(ray_session):
+    """rollup/cube sketch columns come out in ``spec.finalize``'s key order,
+    the order ``grouped_sketch_pipeline`` emits, on every level (the grand
+    total included) and on an empty input."""
+    import ray.data as rd
+
+    from ddsketch_ruby_ray.pipelines import grouped_sketch_pipeline
+    from ddsketch_ruby_ray.pipelines.rollup import cube_sketch_pipeline, rollup_sketch_pipeline
+
+    t = _doc_table(n=300).append_column("b", pa.array(["1", "2", "3"] * 100))
+    spec = DDSketchSpec(on="v", name="s", relative_accuracy=0.01, quantiles=(0.5, 0.99))
+    grouped = grouped_sketch_pipeline(rd.from_arrow(t), [spec], ("g",)).schema().names
+    assert grouped == ["g", "count", "sum", "avg", "min", "max", "p50", "p99"]
+    for pipeline in (rollup_sketch_pipeline, cube_sketch_pipeline):
+        for table in (t, t.slice(0, 0)):
+            rows = pipeline(rd.from_arrow(table).repartition(3), spec, ["g", "b"]).take_all()
+            assert rows and all(list(r) == ["group_key", *grouped[1:]] for r in rows)
+            if not table.num_rows:
+                assert [r["group_key"] for r in rows] == ["(all)|(all)"]

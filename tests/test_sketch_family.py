@@ -585,7 +585,7 @@ def test_state_rows_decode_equals_to_pylist():
         AMSSpec, BloomSpec, CMSSpec, HLLSpec, KLLSpec, KMVSpec, TDigestSpec,
     )
     from ddsketch_ruby_ray.functions.specs import DDSketchSpec, XorSigSpec
-    from ddsketch_ruby_ray.stages import accumulate
+    from ddsketch_ruby_ray.functions import specs as specs_mod
     from ddsketch_ruby_ray.stages.accumulate import SketchStateAccumulator, StateBlockMerger
 
     specs = [
@@ -609,7 +609,7 @@ def test_state_rows_decode_equals_to_pylist():
         null = pa.array([None], col.type)
         col = pa.concat_arrays([null, col, null]).slice(1)  # offset + trailing null
         want = col.to_pylist()
-        got = accumulate._state_rows(col)
+        got = specs_mod._state_rows(col)
         assert [r is None for r in got] == [r is None for r in want], spec.name
         for g, w in zip(got, want):
             if w is not None:
@@ -618,12 +618,12 @@ def test_state_rows_decode_equals_to_pylist():
 
     merger = StateBlockMerger(specs, ("g",))
     fast = merger(states), merger.finalize_groups(states)
-    orig = accumulate._state_rows
-    accumulate._state_rows = lambda col: col.to_pylist()
+    orig = specs_mod._state_rows
+    specs_mod._state_rows = lambda col: col.to_pylist()
     try:
         slow = merger(states), merger.finalize_groups(states)
     finally:
-        accumulate._state_rows = orig
+        specs_mod._state_rows = orig
     assert fast[0].equals(slow[0]) and fast[1].equals(slow[1])
 
 
