@@ -363,12 +363,16 @@ class DDSketchSpec(SketchSpec):
         for q in self.quantiles:
             v = sketch.get_quantile_value(q)
             out[quantile_name(q)] = float("nan") if v is None else float(v)
-        return out
+        return {n: out[n] for n in self._result_names()}
+
+    def _result_names(self) -> list:
+        """The result columns in order: the one definition that ``finalize``,
+        ``result_type`` and ``finalize_groups`` follow."""
+        names = ["count", *(["sum", "avg"] if self.include_sum_avg else []), "min", "max"]
+        return names + [quantile_name(q) for q in self.quantiles]
 
     def result_type(self) -> pa.StructType:
-        names = ["count", *(["sum", "avg"] if self.include_sum_avg else []), "min", "max"]
-        names += [quantile_name(q) for q in self.quantiles]
-        return pa.struct([(n, pa.float64()) for n in names])
+        return pa.struct([(n, pa.float64()) for n in self._result_names()])
 
     # -- table-level steps: one vectorized pass over all groups --------------
     def accumulate_groups(self, arrays, codes, n_groups):

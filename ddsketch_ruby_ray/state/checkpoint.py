@@ -26,6 +26,12 @@ The manifest doubles as per-partition LINEAGE + metrics: every committed run
 records which input shards produced which state partition, with row counts,
 wall time and throughput (the north_rule's "per-partition checkpoints with
 lineage and throughput metrics").
+
+The manifest records ``state_format``, the layout of the committed state
+tables.  A checkpoint committed in another layout is refused with a clear
+error instead of being merged: layout 1 (no ``state_format`` key) carried
+DDSketch stores as dense ``bins``/``bin_offset`` arrays, layout 2 as
+sparse ``keys``/``counts`` lists.
 """
 
 from __future__ import annotations
@@ -37,7 +43,10 @@ import shutil
 import time
 from typing import Sequence
 
-__all__ = ["CheckpointedRun", "checkpointed_sketch_job"]
+__all__ = ["CheckpointedRun", "checkpointed_sketch_job", "STATE_FORMAT"]
+
+#: layout of the committed state tables (see the module docstring)
+STATE_FORMAT = 2
 
 
 class CheckpointedRun:
@@ -73,8 +82,18 @@ class CheckpointedRun:
     def done_shards(self) -> set[str]:
         return {s for run in self.manifest()["runs"] for s in run["shards"]}
 
+    def _check_format(self) -> None:
+        m = self.manifest()
+        got = m.get("state_format", 1)
+        if m["runs"] and got != STATE_FORMAT:
+            raise ValueError(
+                f"checkpoint {self.dir} holds state tables in layout {got}; this version "
+                f"reads layout {STATE_FORMAT} only - re-run into a new checkpoint_dir"
+            )
+
     def _commit(self, run_entry: dict) -> None:
         m = self.manifest()
+        m["state_format"] = STATE_FORMAT
         m["runs"].append(run_entry)
         tmp = self._manifest_path + ".tmp"
         with open(tmp, "w") as f:
@@ -90,6 +109,7 @@ class CheckpointedRun:
         """
         from ..pipelines.corpus import read_corpus, sketch_states
 
+        self._check_format()
         pending = [f for f in input_files if f not in self.done_shards()]
         if max_shards is not None:
             pending = pending[:max_shards]
@@ -128,6 +148,7 @@ class CheckpointedRun:
         """All committed state tables as one Dataset (orphan runs excluded)."""
         import ray.data as rd
 
+        self._check_format()
         run_ids = [r["run_id"] for r in self.manifest()["runs"]]
         files = [f for rid in run_ids for f in sorted(glob.glob(os.path.join(self.dir, rid, "*.parquet")))]
         if not files:

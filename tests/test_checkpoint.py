@@ -13,6 +13,7 @@ import pytest
 from ddsketch_ruby_ray.functions.specs import DDSketchSpec
 from ddsketch_ruby_ray.functions.family_specs import HLLSpec
 from ddsketch_ruby_ray.state import CheckpointedRun
+from ddsketch_ruby_ray.state.checkpoint import STATE_FORMAT
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,7 @@ class TestCheckpointResume:
         entry = run.process(corpus_files)
         assert sorted(entry["shards"]) == sorted(corpus_files)
         assert entry["rows"] == 3000
+        assert run.manifest()["state_format"] == STATE_FORMAT
         ck = _result_df(run)
 
         direct = grouped_sketch_pipeline(
@@ -156,6 +158,38 @@ class TestCheckpointResume:
         run2.process(corpus_files)
         total = _result_df(run2)["bytes_count"].sum()
         assert total == 3000  # every row counted exactly once, no double-append
+
+    def test_dense_layout_checkpoint_is_refused(self, corpus_files, tmp_path):
+        """A checkpoint committed with dense DDSketch states (``bins`` and
+        ``bin_offset``, no ``state_format`` in the manifest) is neither
+        resumed nor finalized: mixing its tables with sparse ones would not
+        merge."""
+        import json
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        ck_dir = tmp_path / "ck_dense"
+        (ck_dir / "run-000").mkdir(parents=True)
+        dense = pa.struct([("bins", pa.list_(pa.float64())), ("bin_offset", pa.int32()),
+                           ("count", pa.float64())])
+        pq.write_table(
+            pa.table({"lang": ["ruby"],
+                      "bytes": pa.array([{"bins": [1.0, 2.0], "bin_offset": 7, "count": 3.0}],
+                                        dense)}),
+            str(ck_dir / "run-000" / "part-0.parquet"),
+        )
+        (ck_dir / "manifest.json").write_text(
+            json.dumps({"runs": [{"run_id": "run-000", "shards": corpus_files[:1]}]})
+        )
+        specs, derive = _specs()
+        run = CheckpointedRun(str(ck_dir), specs, ("lang",), derive=derive,
+                              columns=["repo", "lang", "content"])
+        with pytest.raises(ValueError, match="layout 1"):
+            run.process(corpus_files)
+        with pytest.raises(ValueError, match="layout 1"):
+            run.result()
+        assert sorted(os.listdir(ck_dir)) == ["manifest.json", "run-000"]
 
     def test_result_without_checkpoints_raises(self, ray_session, tmp_path):
         specs, derive = _specs()

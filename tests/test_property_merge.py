@@ -232,6 +232,32 @@ def test_grouped_plan_all_mappings_match_core_fold(ray_session):
         ).take_all()
         assert_matches_core_reference(rows, "g", core_grouped_reference(t, "g", spec, blocks))
 
+    # fractional weights: in one block the bins, counts and each group's
+    # running counts add in row order as a core store's do, so bit-identical
+    t = t.set_column(2, "w", pa.array(rng.choice([0.1, 0.3], n)))
+    for kw in (dict(), dict(interpolation="cubic")):
+        spec = DDSketchSpec(on="v", name="s", relative_accuracy=0.02, weight="w",
+                            quantiles=(0.1, 0.5, 0.9, 0.99), **kw)
+        rows = grouped_sketch_pipeline(rd.from_arrow(t), [spec], ("g",)).take_all()
+        assert_matches_core_reference(rows, "g", core_grouped_reference(t, "g", spec, 1))
+
+
+def test_group_cumsum_matches_per_store_cumsum():
+    """Each group's running bin counts are ``np.cumsum`` of its own bins bit
+    for bit - with fractional counts a global cumsum minus each group's
+    prefix is not."""
+    from ddsketch_ruby_ray.functions.ddgroups import _group_cumsum
+
+    rng = np.random.default_rng(11)
+    sizes = rng.integers(0, 40, 300)
+    cnt = rng.choice([0.1, 0.3, 0.7], int(sizes.sum()))
+    hi = np.cumsum(sizes)
+    lo = hi - sizes
+    got = _group_cumsum(cnt, lo, hi)
+    want = np.concatenate([np.cumsum(cnt[a:b]) for a, b in zip(lo, hi)])
+    assert got.tobytes() == want.tobytes()
+    assert _group_cumsum(cnt[:0], lo[:0], hi[:0]).size == 0
+
 
 def test_grouped_steps_build_no_per_group_sketch(monkeypatch):
     """Accumulate -> merge -> finalize of DDSketch and XorSig states runs with

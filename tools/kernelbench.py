@@ -8,7 +8,7 @@ of ``--repeat`` calls gives MB/s of content, and the growth of the child's
 peak RSS (``ru_maxrss``) over its value once it holds the column gives the
 kernel's working memory.
 
-``ddsketch_states``: for each ``--dd-groups`` count, a fresh child process
+``ddsketch_states``: for 10^3 and 10^5 groups, a fresh child process
 builds 2M seeded lognormal values with uniform int64 group keys in 16
 tables and times the three steps of the grouped sketch plan on one
 DDSketch (alpha 0.01): ``SketchStateAccumulator`` over every table
@@ -16,8 +16,7 @@ DDSketch (alpha 0.01): ``SketchStateAccumulator`` over every table
 the concatenated state table (state rows/s), and reports the state table's
 rows and bytes per row.
 
-    python tools/kernelbench.py [--rows 30000] [--seed 8101] [--repeat 5]
-                                [--dd-groups 1000 100000] [KERNEL ...]
+    python tools/kernelbench.py [--rows 30000] [--seed 8101] [--repeat 5] [KERNEL ...]
 
 Prints one JSON object per kernel (per group count for ``ddsketch_states``).
 """
@@ -37,6 +36,7 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KERNELS = ("hash256_str", "add_sha64", "derive_content_metrics", "hash64_str_fast",
            "ddsketch_states")
 DD_ROWS, DD_TABLES = 2_000_000, 16
+DD_GROUPS = (1_000, 100_000)
 
 
 def _kernel(name: str):
@@ -143,18 +143,17 @@ def main() -> None:
     ap.add_argument("--rows", type=int, default=30_000)
     ap.add_argument("--seed", type=int, default=8101)
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--dd-groups", type=int, nargs="+", default=[1_000, 100_000])
     ap.add_argument("kernels", nargs="*", help=f"any of {', '.join(KERNELS)} (default: all)")
     args = ap.parse_args()
-    if args.rows < 1 or args.repeat < 1 or min(args.dd_groups) < 1:
-        ap.error("--rows, --repeat and --dd-groups must be positive")
+    if args.rows < 1 or args.repeat < 1:
+        ap.error("--rows and --repeat must be positive")
     unknown = set(args.kernels) - set(KERNELS)
     if unknown:
         ap.error(f"unknown kernels: {sorted(unknown)}")
 
     ctx = mp.get_context("spawn")
     names = args.kernels or KERNELS
-    for groups in args.dd_groups if "ddsketch_states" in names else ():
+    for groups in DD_GROUPS if "ddsketch_states" in names else ():
         conn, child = ctx.Pipe()
         p = ctx.Process(target=_measure_dd, args=(groups, args.seed, args.repeat, child))
         p.start()
