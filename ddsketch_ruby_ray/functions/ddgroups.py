@@ -40,6 +40,7 @@ import pyarrow.compute as pc
 
 from ..core.ddsketch import InvalidSketchMergeError
 from ..core.mapping import mapping_from_tag
+from ..core.numeric import run_starts
 
 __all__ = ["DDGroups", "group_reduce"]
 
@@ -54,17 +55,6 @@ def group_reduce(ufunc, values: np.ndarray, codes: np.ndarray, n_groups: int, fi
     out = np.full(n_groups, fill, dtype=values.dtype)
     ufunc.at(out, codes, values)
     return out
-
-
-def _runs(*cols) -> np.ndarray:
-    """Start index of each run of equal tuples in sorted parallel columns."""
-    n = len(cols[0])
-    new = np.zeros(n, dtype=bool)
-    if n:
-        new[0] = True
-        for c in cols:
-            new[1:] |= c[1:] != c[:-1]
-    return np.flatnonzero(new)
 
 
 def _sum_bins(g, side, key, cnt):
@@ -231,7 +221,7 @@ class DDGroups:
         g, side, key, cnt = _sum_bins(g, side, key, cnt)
         store, limit = self.spec.store, self.spec.bin_limit
         if store != "dense" and len(key):
-            run = _runs(g, side)
+            run = np.flatnonzero(run_starts(g, side))
             run_len = np.diff(np.r_[run, len(key)])
             first = np.repeat(key[run], run_len)
             last = np.repeat(key[np.r_[run[1:], len(key)] - 1], run_len)
@@ -242,7 +232,7 @@ class DDGroups:
                 key = np.maximum(key, last - limit + 1)
             else:
                 key = np.minimum(key, first + limit - 1)
-            starts = _runs(g, side, key)  # the clamp keeps each run sorted
+            starts = np.flatnonzero(run_starts(g, side, key))  # the clamp keeps each run sorted
             g, side, key, cnt = g[starts], side[starts], key[starts], np.add.reduceat(cnt, starts)
         self.g, self.side, self.key, self.cnt = g, side, key, cnt
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = ["frequent_pairs_pipeline"]
@@ -78,10 +79,7 @@ def frequent_pairs_pipeline(
         i = g.column("i").to_numpy(zero_copy_only=False)
         order = np.lexsort((i, b))
         b_s, i_s = b[order], i[order]
-        keep = np.empty(len(order), dtype=bool)
-        if len(order):
-            keep[0] = True
-            keep[1:] = (b_s[1:] != b_s[:-1]) | (i_s[1:] != i_s[:-1])
+        keep = run_starts(b_s, i_s)
         return pa.table({"b": pa.array(b_s[keep]), "i": pa.array(i_s[keep])})
 
     baskets = keyed_exchange(
@@ -99,7 +97,7 @@ def frequent_pairs_pipeline(
         b = t.column("b").to_numpy(zero_copy_only=False)
         i = t.column("i").to_numpy(zero_copy_only=False)
         vals, cnt = np.unique(i, return_counts=True)
-        nb = int((np.diff(b) != 0).sum()) + 1 if b.size else 0
+        nb = int(run_starts(b).sum())
         return pa.table(
             {
                 "item": pa.array(np.concatenate([vals, [-1]])),
@@ -126,9 +124,7 @@ def frequent_pairs_pipeline(
                 }
             )
         # rows arrive lexsorted by (basket, item); segment = one basket
-        new = np.empty(b.size, dtype=bool)
-        new[0] = True
-        new[1:] = b[1:] != b[:-1]
+        new = run_starts(b)
         starts = np.flatnonzero(new)
         seg = np.cumsum(new) - 1
         seg_len = np.diff(np.append(starts, b.size))
@@ -166,9 +162,7 @@ def frequent_pairs_pipeline(
         cp = g.column("c").to_numpy(zero_copy_only=False)
         order = np.argsort(pk, kind="stable")
         pk_s, c_s = pk[order], cp[order]
-        new = np.empty(pk_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = pk_s[1:] != pk_s[:-1]
+        new = run_starts(pk_s)
         starts = np.flatnonzero(new)
         keys = pk_s[starts]
         c = np.add.reduceat(c_s, starts)

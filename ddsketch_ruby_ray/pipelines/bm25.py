@@ -32,6 +32,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .dedup import tokenize
 
 __all__ = ["bm25_topk_pipeline", "BM25_K1", "BM25_B"]
@@ -57,9 +58,7 @@ def _block_runs(batch: pa.Table, key_col: str, text_col: str):
     doc_idx = np.repeat(np.arange(len(texts)), dl)
     order = np.lexsort((terms, doc_idx))
     d_s, t_s = doc_idx[order], terms[order]
-    new = np.empty(d_s.size, dtype=bool)
-    new[0] = True
-    new[1:] = (d_s[1:] != d_s[:-1]) | (t_s[1:] != t_s[:-1])
+    new = run_starts(d_s, t_s)
     starts = np.flatnonzero(new)
     tf = np.diff(np.append(starts, d_s.size)).astype(np.int64)
     return keys, dl, d_s[starts], t_s[starts], tf

@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.hashing import hash64_int
+from ..core.numeric import run_starts
 from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = ["poisson_bootstrap_ci_pipeline", "poisson_thresholds"]
@@ -112,10 +113,7 @@ def poisson_bootstrap_ci_pipeline(
         out = {group_col: [], "n": [], "mean": [], "ci_lo": [], "ci_hi": []}
         order = np.lexsort((b, g))
         g_s, b_s, swx_s, sw_s = g[order], b[order], swx[order], sw[order]
-        new = np.empty(g_s.size, dtype=bool)
-        if g_s.size:
-            new[0] = True
-            new[1:] = g_s[1:] != g_s[:-1]
+        new = run_starts(g_s)
         for s in np.flatnonzero(new):
             # segment = one group: b = -1 (point sums) first, then b = 0..B-1
             grp = g_s[s]

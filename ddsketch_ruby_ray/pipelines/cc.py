@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .fold import _part_of, keyed_exchange
 
 __all__ = ["connected_components_pipeline"]
@@ -131,10 +132,7 @@ def connected_components_pipeline(
         is_lab = g.column("is_lab").to_numpy(zero_copy_only=False)
         order = np.lexsort((1 - is_lab, key))  # label row first per key run
         k_s, o_s, l_s, il_s = key[order], other[order], lab[order], is_lab[order]
-        n = len(order)
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = k_s[1:] != k_s[:-1]
+        new_key = run_starts(k_s)
         # broadcast each segment's HEAD label (the label row sorts first and
         # every key segment has exactly one) to its edge rows
         seg_id = np.cumsum(new_key) - 1
@@ -149,10 +147,7 @@ def connected_components_pipeline(
         is_old = g.column("is_old").to_numpy(zero_copy_only=False)
         order = np.lexsort((node,))
         n_s, c_s, io_s = node[order], cand[order], is_old[order]
-        n = len(order)
-        new_node = np.empty(n, dtype=bool)
-        new_node[0] = True
-        new_node[1:] = n_s[1:] != n_s[:-1]
+        new_node = run_starts(n_s)
         starts = np.flatnonzero(new_node)
         mins = np.minimum.reduceat(c_s, starts)
         # the old label of each node (every node has exactly one is_old row)

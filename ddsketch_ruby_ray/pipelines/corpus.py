@@ -87,6 +87,15 @@ def _num_partitions(group_keys) -> int:
     return max(1, cpus)
 
 
+def _fold_states(states, group_keys: Sequence[str], fold):
+    """The materialized state table through one keyed exchange on the group
+    keys, ``fold`` run on each partition."""
+    return keyed_exchange(
+        states.materialize(), fold, keys=list(group_keys),
+        num_partitions=_num_partitions(group_keys),
+    )
+
+
 def merge_sketch_states(states, specs: Sequence[SketchSpec], group_keys: Sequence[str] = ()):
     """Stage 2: one :func:`~.fold.keyed_exchange` of the state table on the
     group keys; one result row per group.
@@ -104,11 +113,7 @@ def merge_sketch_states(states, specs: Sequence[SketchSpec], group_keys: Sequenc
     :func:`ddsketch_ruby_ray.stages.unnest`.  An empty input gives an empty
     result.
     """
-    fold = StateBlockMerger(specs, group_keys).finalize_groups
-    return keyed_exchange(
-        states.materialize(), fold, keys=list(group_keys),
-        num_partitions=_num_partitions(group_keys),
-    )
+    return _fold_states(states, group_keys, StateBlockMerger(specs, group_keys).finalize_groups)
 
 
 def merge_states(states, specs: Sequence[SketchSpec], group_keys: Sequence[str] = ()):
@@ -121,11 +126,7 @@ def merge_states(states, specs: Sequence[SketchSpec], group_keys: Sequence[str] 
     ``spec.state_type()`` like the input, so it can be merged again at a
     coarser grouping (rollup, cube) or decoded with ``spec.from_state``.
     """
-    fold = StateBlockMerger(specs, group_keys).__call__
-    return keyed_exchange(
-        states.materialize(), fold, keys=list(group_keys),
-        num_partitions=_num_partitions(group_keys),
-    )
+    return _fold_states(states, group_keys, StateBlockMerger(specs, group_keys).__call__)
 
 
 def group_sketches(ds, spec: SketchSpec, group_col: str, *, derive=None) -> dict:

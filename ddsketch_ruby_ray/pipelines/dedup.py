@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.hashing import fold_windows, hash64_int, hash256_str, splitmix64
+from ..core.numeric import run_starts
 from .fold import keyed_exchange, map_groups, partitioned_group_agg, partitioned_group_sum
 
 __all__ = [
@@ -73,6 +74,17 @@ def word_shingles(text: str, n: int = 3) -> list[str]:
 # -- exact dedup -------------------------------------------------------------
 
 
+def _min_key_per_hash(hi: np.ndarray, lo: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Row index of the min-key row of each 128-bit content hash ``(hi, lo)``,
+    in hash order.  Object (non-numeric) keys order via sorted dense codes."""
+    if keys.dtype == object:
+        import pandas as pd
+
+        keys, _ = pd.factorize(pd.Series(keys), sort=True)
+    order = np.lexsort((keys, lo, hi))
+    return order[run_starts(hi[order], lo[order])]
+
+
 def exact_dedup_pipeline(ds, *, key_col: str, text_col: str, num_partitions: int = 64):
     """Keep the first (min key) row per exact text: -> Dataset[key_col].
 
@@ -90,14 +102,7 @@ def exact_dedup_pipeline(ds, *, key_col: str, text_col: str, num_partitions: int
         hi = lanes[0].astype(np.int64)
         lo = lanes[1].astype(np.int64)
         keys = batch.column(key_col).to_numpy(zero_copy_only=False)
-        # block-local pre-dedup: min key per (hi, lo) within this block
-        order = np.lexsort((keys, lo, hi))
-        hi_s, lo_s = hi[order], lo[order]
-        first = np.empty(len(order), dtype=bool)
-        if len(order):
-            first[0] = True
-            first[1:] = (hi_s[1:] != hi_s[:-1]) | (lo_s[1:] != lo_s[:-1])
-        win = order[first]
+        win = _min_key_per_hash(hi, lo, keys)  # block-local pre-dedup
         return pa.table(
             {
                 "h_hi": pa.array(hi[win]),
@@ -112,18 +117,7 @@ def exact_dedup_pipeline(ds, *, key_col: str, text_col: str, num_partitions: int
         hi = part_tbl.column("h_hi").to_numpy(zero_copy_only=False)
         lo = part_tbl.column("h_lo").to_numpy(zero_copy_only=False)
         keys = part_tbl.column(key_col).to_numpy(zero_copy_only=False)
-        if keys.dtype == object:
-            import pandas as pd
-
-            codes, _ = pd.factorize(pd.Series(keys), sort=True)
-        else:
-            codes = keys
-        order = np.lexsort((codes, lo, hi))
-        hi_s, lo_s = hi[order], lo[order]
-        first = np.empty(len(order), dtype=bool)
-        first[0] = True
-        first[1:] = (hi_s[1:] != hi_s[:-1]) | (lo_s[1:] != lo_s[:-1])
-        win = order[first]
+        win = _min_key_per_hash(hi, lo, keys)
         return pa.table({key_col: part_tbl.column(key_col).take(pa.array(win))})
 
     return keyed_exchange(hashed, keep_min, keys="h_hi", num_partitions=num_partitions)
@@ -236,18 +230,7 @@ def exact_dedup_rows_pipeline(ds, *, key_col: str, text_col: str, num_partitions
         keys = batch.column(key_col).to_numpy(zero_copy_only=False)
         # block-local pre-dedup (same trick as exact_dedup_pipeline): only the
         # block's min-key row per distinct text enters the shuffle
-        kcodes = keys
-        if keys.dtype == object:
-            import pandas as pd
-
-            kcodes, _ = pd.factorize(pd.Series(keys), sort=True)
-        order = np.lexsort((kcodes, lo, hi))
-        hi_s, lo_s = hi[order], lo[order]
-        first = np.empty(len(order), dtype=bool)
-        if len(order):
-            first[0] = True
-            first[1:] = (hi_s[1:] != hi_s[:-1]) | (lo_s[1:] != lo_s[:-1])
-        win = np.sort(order[first])
+        win = np.sort(_min_key_per_hash(hi, lo, keys))
         batch = batch.take(pa.array(win))
         batch = batch.append_column("_h_hi", pa.array(hi[win]))
         return batch.append_column("_h_lo", pa.array(lo[win]))
@@ -258,16 +241,7 @@ def exact_dedup_rows_pipeline(ds, *, key_col: str, text_col: str, num_partitions
         hi = part_tbl.column("_h_hi").to_numpy(zero_copy_only=False)
         lo = part_tbl.column("_h_lo").to_numpy(zero_copy_only=False)
         keys = part_tbl.column(key_col).to_numpy(zero_copy_only=False)
-        if keys.dtype == object:  # non-numeric keys: order via dense codes
-            import pandas as pd
-
-            keys, _ = pd.factorize(pd.Series(keys), sort=True)
-        order = np.lexsort((keys, lo, hi))
-        hi_s, lo_s = hi[order], lo[order]
-        first = np.empty(len(order), dtype=bool)
-        first[0] = True
-        first[1:] = (hi_s[1:] != hi_s[:-1]) | (lo_s[1:] != lo_s[:-1])
-        winners = order[first]  # first row of each hash run = min key
+        winners = _min_key_per_hash(hi, lo, keys)
         return part_tbl.take(pa.array(np.sort(winners))).drop_columns(
             ["_h_hi", "_h_lo", "_part"]
         )
@@ -364,10 +338,7 @@ def _doc_shingle_hashes(batch: pa.Table, text_col: str, n: int):
     doc_of = np.repeat(np.arange(len(n_win), dtype=np.int64), n_win)
     order = np.lexsort((h, doc_of))
     h_s, d_s = h[order], doc_of[order]
-    first = np.empty(h_s.size, dtype=bool)
-    if h_s.size:
-        first[0] = True
-        first[1:] = (h_s[1:] != h_s[:-1]) | (d_s[1:] != d_s[:-1])
+    first = run_starts(h_s, d_s)
     flat = h_s[first]
     per_doc = np.bincount(d_s[first], minlength=len(n_win)) if h_s.size else np.zeros(
         len(n_win), dtype=np.int64
@@ -542,9 +513,7 @@ def lsh_candidate_pairs_pipeline(
         order = np.lexsort((ids, bkt_s))
         bkt_s, ids_s = bkt_s[order], ids[order]
         n = len(order)
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = bkt_s[1:] != bkt_s[:-1]
+        new = run_starts(bkt_s)
         seg_start = np.repeat(np.flatnonzero(new), np.diff(np.append(np.flatnonzero(new), n)))
         t = np.arange(n) - seg_start  # within-bucket position (0-based)
         if max_bucket is not None:
@@ -681,9 +650,7 @@ def jaccard_pairs_pipeline(
         n = sv.size
         d1 = d2 = np.zeros(0, dtype=np.int64)
         if n:
-            new_run = np.empty(n, dtype=bool)
-            new_run[0] = True
-            new_run[1:] = sv[1:] != sv[:-1]
+            new_run = run_starts(sv)
             pos = np.arange(n, dtype=np.int64)
             run_start = np.maximum.accumulate(np.where(new_run, pos, -1))
             starts_idx = np.flatnonzero(new_run)
@@ -1300,9 +1267,7 @@ def containment_pairs_pipeline(
         n = sv.size
         d1 = d2 = np.zeros(0, dtype=np.int64)
         if n:
-            new_run = np.empty(n, dtype=bool)
-            new_run[0] = True
-            new_run[1:] = sv[1:] != sv[:-1]
+            new_run = run_starts(sv)
             pos = np.arange(n, dtype=np.int64)
             run_start = np.maximum.accumulate(np.where(new_run, pos, -1))
             starts_idx = np.flatnonzero(new_run)
@@ -1399,9 +1364,7 @@ def dup_rate_by_group_pipeline(ds, *, group_col: str, text_col: str,
             )
         order = np.lexsort((lo, hi))
         hi_s, lo_s = hi[order], lo[order]
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = (hi_s[1:] != hi_s[:-1]) | (lo_s[1:] != lo_s[:-1])
+        new = run_starts(hi_s, lo_s)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, n))
         dup_sorted = np.repeat(lens, lens) >= 2

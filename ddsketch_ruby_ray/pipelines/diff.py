@@ -20,6 +20,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.hashing import hash256_str
+from ..core.numeric import run_starts
 from .fold import keyed_exchange
 
 __all__ = ["snapshot_diff_pipeline"]
@@ -66,9 +67,7 @@ def snapshot_diff_pipeline(
         h1 = pt.column("h1").to_numpy(zero_copy_only=False)
         order = np.lexsort((side, key))
         k_s, s_s, h0_s, h1_s = key[order], side[order], h0[order], h1[order]
-        new = np.empty(k_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = k_s[1:] != k_s[:-1]
+        new = run_starts(k_s)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, k_s.size))
         out_keys, out_status = [], []

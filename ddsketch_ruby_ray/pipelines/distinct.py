@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = ["exact_distinct_pipeline"]
@@ -59,10 +60,7 @@ def exact_distinct_pipeline(
         # block-local distinct (g, v) pairs
         order = np.lexsort((v, codes))
         g_s, v_s = codes[order], v[order]
-        first = np.empty(len(order), dtype=bool)
-        if len(order):
-            first[0] = True
-            first[1:] = (g_s[1:] != g_s[:-1]) | (v_s[1:] != v_s[:-1])
+        first = run_starts(g_s, v_s)
         win = order[first]
         return pa.table(
             {
@@ -96,13 +94,8 @@ def exact_distinct_pipeline(
         order = np.lexsort((v, codes))
         c_s, v_s = codes[order], v[order]
         n = len(order)
-        new_pair = np.empty(n, dtype=bool)
-        new_grp = np.empty(n, dtype=bool)
-        if n:
-            new_grp[0] = True
-            new_grp[1:] = c_s[1:] != c_s[:-1]
-            new_pair[0] = True
-            new_pair[1:] = new_grp[1:] | (v_s[1:] != v_s[:-1])
+        new_grp = run_starts(c_s)
+        new_pair = run_starts(c_s, v_s)
         gstarts = np.flatnonzero(new_grp)
         # distinct pairs per group = count of pair boundaries in the group run
         pair_cum = np.cumsum(new_pair.astype(np.int64))

@@ -61,6 +61,7 @@ import numpy as np
 import pyarrow as pa
 
 from ddsketch_ruby_ray.core.hashing import hash64_int, hash64_str_fast, splitmix64
+from ddsketch_ruby_ray.core.numeric import run_starts
 
 __all__ = [
     "keyed_exchange",
@@ -213,8 +214,8 @@ def _fold_in_one_task(inputs, reduce, key_cols, num_partitions: int, n: int):
         part = t.column("_part").to_numpy()
         order = np.argsort(part, kind="stable")
         t, part = t.take(order), part[order]
-        cuts = np.flatnonzero(np.diff(part)) + 1
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(part)]):
+        bounds = np.append(np.flatnonzero(run_starts(part)), len(part))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
             yield reduce(t.slice(lo, hi - lo))
 
     ds = inputs[0].union(*inputs[1:]) if len(inputs) > 1 else inputs[0]
@@ -287,16 +288,18 @@ def map_groups(ds, keys, fn, *, num_partitions: int):
     key), in no set order, and the outputs of one partition are
     concatenated.
     """
-    from ..stages.accumulate import group_slices
+    from ..stages.accumulate import group_codes
 
     key_cols = [keys] if isinstance(keys, str) else list(keys)
 
     def per_partition(t: pa.Table) -> pa.Table:
-        _, rows = group_slices(t, key_cols)
-        # one take puts each key's rows together; fn gets zero-copy slices
-        t = t.drop_columns(["_part"]).take(pa.array(np.concatenate(rows)))
-        ends = np.cumsum([len(r) for r in rows])
-        outs = [fn(t.slice(a, b - a)) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+        codes, _ = group_codes(t, key_cols)
+        order = np.argsort(codes, kind="stable")
+        # one take puts each key's rows together, in row order; fn gets
+        # zero-copy slices
+        t = t.drop_columns(["_part"]).take(pa.array(order))
+        bounds = np.append(np.flatnonzero(run_starts(codes[order])), len(order))
+        outs = [fn(t.slice(a, b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
         # one chunk per column: a table of one chunk per key is slow to ship
         return pa.concat_tables(outs).combine_chunks()
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .fold import _part_of, keyed_exchange
 
 __all__ = [
@@ -120,10 +121,7 @@ def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int, p
 
     def dedup_packed(g: pa.Table) -> pa.Table:
         pk = np.sort(g.column("pk").to_numpy(zero_copy_only=False))
-        keep = np.empty(pk.size, dtype=bool)
-        if pk.size:
-            keep[0] = True
-            keep[1:] = pk[1:] != pk[:-1]
+        keep = run_starts(pk)
         pk = pk[keep]
         part = g.column("_part")[0].as_py() if g.num_rows else 0
         return pa.table(
@@ -147,10 +145,7 @@ def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int, p
         d = g.column("dst").to_numpy(zero_copy_only=False)
         order = np.lexsort((d, s))
         s_s, d_s = s[order], d[order]
-        keep = np.empty(len(order), dtype=bool)
-        if len(order):
-            keep[0] = True
-            keep[1:] = (s_s[1:] != s_s[:-1]) | (d_s[1:] != d_s[:-1])
+        keep = run_starts(s_s, d_s)
         part = g.column("_part")[0].as_py() if g.num_rows else 0
         return pa.table(
             {
@@ -210,9 +205,7 @@ def _node_states(dedup_edges, *, num_partitions: int):
         d1 = g.column("deg1").to_numpy(zero_copy_only=False)
         order = np.argsort(n, kind="stable")
         n_s, d_s = n[order], d1[order]
-        new = np.empty(len(order), dtype=bool)
-        new[0] = True
-        new[1:] = n_s[1:] != n_s[:-1]
+        new = run_starts(n_s)
         starts = np.flatnonzero(new)
         part = g.column("_part")[0].as_py()
         return pa.table(
@@ -410,9 +403,7 @@ def pagerank_pipeline(
             # outdeg >= 1 for any src with edges
             idx = np.searchsorted(node_s, src)
             contrib = r_s[idx] // deg_s[idx]
-            new = np.empty(dst.size, dtype=bool)
-            new[0] = True
-            new[1:] = dst[1:] != dst[:-1]
+            new = run_starts(dst)
             starts = np.flatnonzero(new)
             # pre-aggregate per dst within the slice: the message exchange
             # carries min(E, dsts-per-slice) partial rows, not E rows
@@ -446,9 +437,7 @@ def pagerank_pipeline(
                 is_state[order],
                 deg[order],
             )
-            new = np.empty(len(order), dtype=bool)
-            new[0] = True
-            new[1:] = n_s[1:] != n_s[:-1]
+            new = run_starts(n_s)
             starts = np.flatnonzero(new)
             in_sum = np.add.reduceat(c_s, starts)  # state rows carry 0
             seg = np.cumsum(new) - 1
@@ -610,10 +599,7 @@ def _pagerank_broadcast(
         dst = g.column("dst").to_numpy(zero_copy_only=False)
         o = np.lexsort((src, dst))  # dst primary: the iteration sort order
         src, dst = src[o], dst[o]
-        keep = np.empty(src.size, dtype=bool)
-        if src.size:
-            keep[0] = True
-            keep[1:] = (dst[1:] != dst[:-1]) | (src[1:] != src[:-1])
+        keep = run_starts(dst, src)
         src, dst = src[keep], dst[keep]
         deg_node, deg_val = np.unique(src, return_counts=True)
         return pa.table(
@@ -673,10 +659,7 @@ def _pagerank_broadcast(
         pk_all = g.column("pk").to_numpy(zero_copy_only=False)
         is_partial = pk_all < 0  # top-bit-marked partial rows
         pk = np.sort(pk_all[~is_partial])
-        keep = np.empty(pk.size, dtype=bool)
-        if pk.size:
-            keep[0] = True
-            keep[1:] = pk[1:] != pk[:-1]
+        keep = run_starts(pk)
         dropped_src = pk[~keep] & _LO31  # cross-block duplicate copies
         pk = pk[keep]
         dst = pk >> np.int64(32)
@@ -687,23 +670,14 @@ def _pagerank_broadcast(
         pcnt = (ppk & np.uint64(0x7FFFFFFF)).astype(np.int64)
         o = np.argsort(psrc, kind="stable")
         psrc, pcnt = psrc[o], pcnt[o]
-        new = np.empty(psrc.size, dtype=bool)
-        if psrc.size:
-            new[0] = True
-            new[1:] = psrc[1:] != psrc[:-1]
+        new = run_starts(psrc)
         starts = np.flatnonzero(new)
         deg_src = psrc[starts]
         deg_sum = (
             np.add.reduceat(pcnt, starts) if starts.size else pcnt[:0]
         )
         # node enumeration: srcs routed here UNION distinct dst landed here
-        if dst.size:
-            dnew = np.empty(dst.size, dtype=bool)
-            dnew[0] = True
-            dnew[1:] = dst[1:] != dst[:-1]
-            uniq_dst = dst[np.flatnonzero(dnew)]
-        else:
-            uniq_dst = dst
+        uniq_dst = dst[run_starts(dst)]
         nodes = np.union1d(deg_src, uniq_dst)
         deg = np.zeros(nodes.size, dtype=np.int64)
         if deg_src.size:
@@ -813,13 +787,7 @@ def _pagerank_broadcast(
             isd = t.column("is_deg").to_numpy(zero_copy_only=False)
             e = isd == 0
             d_e = dst[e]
-            if d_e.size:
-                new = np.empty(d_e.size, dtype=bool)
-                new[0] = True
-                new[1:] = d_e[1:] != d_e[:-1]
-                uniq = d_e[np.flatnonzero(new)]
-            else:
-                uniq = d_e
+            uniq = d_e[run_starts(d_e)]
             m = isd == 1
             node = np.concatenate([uniq, dst[m]])
             deg = np.concatenate([np.zeros(uniq.size, dtype=np.int64), src[m]])
@@ -830,10 +798,7 @@ def _pagerank_broadcast(
             deg = g.column("deg").to_numpy(zero_copy_only=False)
             o = np.argsort(node, kind="stable")
             node, deg = node[o], deg[o]
-            new = np.empty(node.size, dtype=bool)
-            if node.size:
-                new[0] = True
-                new[1:] = node[1:] != node[:-1]
+            new = run_starts(node)
             starts = np.flatnonzero(new)
             return pa.table(
                 {
@@ -922,9 +887,7 @@ def _pagerank_broadcast(
                     {"idx": pa.array([], pa.int32()), "s": pa.array([], pa.int64())}
                 )
             c = ca[si]
-            new = np.empty(di.size, dtype=bool)
-            new[0] = True
-            new[1:] = di[1:] != di[:-1]  # dst_idx inherits the dst sort
+            new = run_starts(di)  # dst_idx inherits the dst sort
             starts = np.flatnonzero(new)
             return pa.table(
                 {
@@ -1142,9 +1105,7 @@ def bfs_hops_pipeline(
                 continue
             dv = dst[valid]  # dst-sorted slice: order survives the mask
             cv = hop_s[pc_[valid]] + 1
-            new = np.empty(dv.size, dtype=bool)
-            new[0] = True
-            new[1:] = dv[1:] != dv[:-1]
+            new = run_starts(dv)
             starts = np.flatnonzero(new)
             # per-dst min within the slice: min is idempotent, so the
             # candidate exchange carries one row per (slice, dst)
@@ -1164,9 +1125,7 @@ def bfs_hops_pipeline(
         is_old = g.column("is_old").to_numpy(zero_copy_only=False)
         order = np.argsort(node, kind="stable")
         n_s, c_s, io_s = node[order], cand[order], is_old[order]
-        new = np.empty(len(order), dtype=bool)
-        new[0] = True
-        new[1:] = n_s[1:] != n_s[:-1]
+        new = run_starts(n_s)
         starts = np.flatnonzero(new)
         mins = np.minimum.reduceat(c_s, starts)
         seg = np.cumsum(new) - 1
@@ -1367,9 +1326,7 @@ def triangle_count_pipeline(
         rv = rk[np.searchsorted(ns, v)]
         order = np.lexsort((rv, u))  # each u's out-list in rank order
         u_s, v_s = u[order], v[order]
-        new = np.empty(u_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = u_s[1:] != u_s[:-1]
+        new = run_starts(u_s)
         starts = np.flatnonzero(new)
         seg = np.cumsum(new) - 1
         seg_len = np.diff(np.append(starts, u_s.size))
@@ -1475,10 +1432,7 @@ def sssp_pipeline(
         w = g.column("w").to_numpy(zero_copy_only=False)
         order = np.lexsort((w, dst, src))
         s_s, d_s, w_s = src[order], dst[order], w[order]
-        keep = np.empty(len(order), dtype=bool)
-        if len(order):
-            keep[0] = True
-            keep[1:] = (s_s[1:] != s_s[:-1]) | (d_s[1:] != d_s[:-1])
+        keep = run_starts(s_s, d_s)
         # first row of each (src, dst) run carries the MIN weight
         return pa.table(
             {
@@ -1565,9 +1519,7 @@ def _sssp_broadcast(pinned, seeds, *, seed_col: str, max_rounds: int, max_nodes:
             cand_d = fd[pos_c[hit]] + w[hit]
             order = np.lexsort((cand_d, cand_n))
             n_s, d_s = cand_n[order], cand_d[order]
-            new = np.empty(n_s.size, dtype=bool)
-            new[0] = True
-            new[1:] = n_s[1:] != n_s[:-1]
+            new = run_starts(n_s)
             first = np.flatnonzero(new)  # per-dst MIN candidate
             return pa.table(
                 {"node": pa.array(n_s[first]), "d": pa.array(d_s[first])}
@@ -1587,9 +1539,7 @@ def _sssp_broadcast(pinned, seeds, *, seed_col: str, max_rounds: int, max_nodes:
         dd = cat.column("d").to_numpy(zero_copy_only=False)
         order = np.lexsort((dd, nn))
         nn, dd = nn[order], dd[order]
-        new = np.empty(nn.size, dtype=bool)
-        new[0] = True
-        new[1:] = nn[1:] != nn[:-1]
+        new = run_starts(nn)
         first = np.flatnonzero(new)
         next_f = []
         next_d = []
@@ -1689,9 +1639,7 @@ def _sssp_shuffle(pinned, seeds, *, seed_col: str, max_rounds: int, num_partitio
                 continue
             dv = dst[valid]  # dst-sorted slice: order survives the mask
             cv = dist_s[pc_[valid]] + w[valid]
-            new = np.empty(dv.size, dtype=bool)
-            new[0] = True
-            new[1:] = dv[1:] != dv[:-1]
+            new = run_starts(dv)
             starts = np.flatnonzero(new)
             outs.append(
                 pa.table(
@@ -1709,9 +1657,7 @@ def _sssp_shuffle(pinned, seeds, *, seed_col: str, max_rounds: int, num_partitio
         is_old = g.column("is_old").to_numpy(zero_copy_only=False)
         order = np.argsort(node, kind="stable")
         n_s, c_s, io_s = node[order], cand[order], is_old[order]
-        new = np.empty(len(order), dtype=bool)
-        new[0] = True
-        new[1:] = n_s[1:] != n_s[:-1]
+        new = run_starts(n_s)
         starts = np.flatnonzero(new)
         mins = np.minimum.reduceat(c_s, starts)
         seg = np.cumsum(new) - 1
@@ -1809,10 +1755,7 @@ def degree_histogram_pipeline(
         dst = g.column("dst").to_numpy(zero_copy_only=False)
         o = np.lexsort((dst, src))
         src, dst = src[o], dst[o]
-        keep = np.empty(src.size, dtype=bool)
-        if src.size:
-            keep[0] = True
-            keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        keep = run_starts(src, dst)
         src = src[keep]
         _, deg = np.unique(src, return_counts=True)
         dval, dcnt = np.unique(deg, return_counts=True)

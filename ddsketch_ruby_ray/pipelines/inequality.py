@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .fold import keyed_exchange, partitioned_group_agg
 
 __all__ = [
@@ -84,10 +85,7 @@ def gini_pipeline(ds, *, value_col: str, num_partitions: int = 32):
         c = g.column("c").to_numpy(zero_copy_only=False)
         order = np.argsort(v, kind="stable")
         v_s, c_s = v[order], c[order]
-        new = np.empty(v_s.size, dtype=bool)
-        if v_s.size:
-            new[0] = True
-            new[1:] = v_s[1:] != v_s[:-1]
+        new = run_starts(v_s)
         starts = np.flatnonzero(new)
         return pa.table(
             {
@@ -160,10 +158,7 @@ def grouped_value_gini_pipeline(
             raise ValueError("grouped_value_gini_pipeline: negative values")
         order = np.lexsort((v, g))
         g_s, v_s = g[order], v[order]
-        new = np.empty(g_s.size, dtype=bool)
-        if g_s.size:
-            new[0] = True
-            new[1:] = (g_s[1:] != g_s[:-1]) | (v_s[1:] != v_s[:-1])
+        new = run_starts(g_s, v_s)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, g_s.size)).astype(np.int64)
         return pa.table(
@@ -192,9 +187,7 @@ def grouped_value_gini_pipeline(
                     "gini": pa.array([], pa.float64()),
                 }
             )
-        new = np.empty(rows, dtype=bool)
-        new[0] = True
-        new[1:] = g[1:] != g[:-1]
+        new = run_starts(g)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, rows))
         cumc = np.cumsum(c)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.numeric import round_half_away
+from ..core.numeric import round_half_away, run_starts
 from .fold import keyed_exchange
 from .quantize import _encode, embedding_amax6
 from .similarity import _embedding_matrix
@@ -159,9 +159,7 @@ def kmeans_pipeline(ds, *, id_col: str, vec_col: str, k: int = 8, iters: int = 3
             mat = la.flatten().to_numpy(zero_copy_only=False).reshape(len(cids), dim)
             order = np.argsort(cids, kind="stable")
             cids_s = cids[order]
-            new = np.empty(cids_s.size, dtype=bool)
-            new[0] = True
-            new[1:] = cids_s[1:] != cids_s[:-1]
+            new = run_starts(cids_s)
             starts = np.flatnonzero(new)
             return pa.table(
                 {

@@ -44,6 +44,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..core.numeric import run_starts
 from .fold import keyed_exchange
 
 # Above this many heavy hashes the broadcast plan would ship/hold an
@@ -168,7 +169,7 @@ def line_dedup_pipeline(
                 hs = _salted_sig(
                     pc.take(flat, pa.array(np.flatnonzero(keep))), ord1[keep]
                 )
-                seg = np.flatnonzero(np.r_[True, kp[1:] != kp[:-1]])
+                seg = np.flatnonzero(run_starts(kp))
                 kept_sig[kp[seg]] = np.bitwise_xor.reduceat(hs, seg)
 
             return pa.table(
@@ -248,7 +249,7 @@ def line_dedup_pipeline(
         codes = _key_codes(keys)
         order = np.argsort(codes, kind="stable")
         codes_s = codes[order]
-        seg = np.flatnonzero(np.r_[True, codes_s[1:] != codes_s[:-1]])
+        seg = np.flatnonzero(run_starts(codes_s))
         nl = np.diff(np.append(seg, codes_s.size)).astype(np.int64)
         keep_s = keep[order].astype(np.int64)
         nk = np.add.reduceat(keep_s, seg)
@@ -275,7 +276,7 @@ def line_dedup_pipeline(
         codes = _key_codes(keys)
         order = np.argsort(codes, kind="stable")
         codes_s = codes[order]
-        seg = np.flatnonzero(np.r_[True, codes_s[1:] != codes_s[:-1]])
+        seg = np.flatnonzero(run_starts(codes_s))
         return pa.table(
             {
                 key_col: pa.array(keys[order[seg]]),

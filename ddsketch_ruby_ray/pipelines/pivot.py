@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .fold import keyed_exchange, partitioned_group_agg
 
 __all__ = ["pivot_counts_pipeline"]
@@ -67,9 +68,7 @@ def pivot_counts_pipeline(
         n = pt.column("count()").to_numpy(zero_copy_only=False)
         order = np.argsort(g, kind="stable")
         g_s, v_s, n_s = g[order], v[order], n[order]
-        new = np.empty(g_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = g_s[1:] != g_s[:-1]
+        new = run_starts(g_s)
         gid = np.cumsum(new) - 1
         wide = np.zeros((int(gid[-1]) + 1, len(names)), dtype=np.int64)
         wide[gid, v_s] = n_s

@@ -35,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .fold import keyed_exchange
 from .dedup import _doc_shingle_hashes
 
@@ -49,9 +50,7 @@ __all__ = [
 def _run_bounds(sorted_vals: np.ndarray):
     """Per-element (run_start, run_len) over a SORTED array's equal runs."""
     n = sorted_vals.size
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    new[1:] = sorted_vals[1:] != sorted_vals[:-1]
+    new = run_starts(sorted_vals)
     starts = np.flatnonzero(new)
     lens = np.diff(np.append(starts, n))
     return np.repeat(starts, lens), np.repeat(lens, lens)
@@ -115,9 +114,7 @@ def ngram_jaccard_pairs_pipeline(
             return empty_pairs
         # re-base starts to the filtered coordinates
         pos = np.arange(key_s.size, dtype=np.int64)
-        new = np.empty(key_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = seg_start[1:] != seg_start[:-1]
+        new = run_starts(seg_start)
         seg_start = np.maximum.accumulate(np.where(new, pos, -1))
         t = pos - seg_start  # within-shingle position; keys ascend in a run
         total = int(t.sum())
@@ -153,9 +150,7 @@ def ngram_jaccard_pairs_pipeline(
             )
         order = np.lexsort((b, a))
         a_s, b_s, sa_s, sb_s = a[order], b[order], sa[order], sb[order]
-        new = np.empty(a_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
+        new = run_starts(a_s, b_s)
         starts = np.flatnonzero(new)
         inter = np.diff(np.append(starts, a_s.size))
         a_u, b_u, sa_u, sb_u = a_s[starts], b_s[starts], sa_s[starts], sb_s[starts]
@@ -242,9 +237,7 @@ def dup_fraction_stages(
         dup = (run_len >= 2).astype(np.int64)
         o2 = np.argsort(key_s, kind="stable")
         k2, d2 = key_s[o2], dup[o2]
-        new = np.empty(k2.size, dtype=bool)
-        new[0] = True
-        new[1:] = k2[1:] != k2[:-1]
+        new = run_starts(k2)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, k2.size))
         return pa.table(
@@ -270,9 +263,7 @@ def dup_fraction_stages(
         dup = pt.column("dup").to_numpy(zero_copy_only=False)
         order = np.argsort(k, kind="stable")
         k_s, cnt_s, dup_s = k[order], cnt[order], dup[order]
-        new = np.empty(k_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = k_s[1:] != k_s[:-1]
+        new = run_starts(k_s)
         starts = np.flatnonzero(new)
         n_dup = np.add.reduceat(dup_s, starts)
         n_sh = np.add.reduceat(cnt_s, starts)  # Σ partial row counts = sz

@@ -31,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.hashing import fold_windows
+from ..core.numeric import run_starts
 from .dedup import _doc_token_hashes, _window_geometry
 
 __all__ = ["repetition_scores_pipeline"]
@@ -42,9 +43,7 @@ def _distinct_per_doc(h: np.ndarray, doc_of: np.ndarray, ndocs: int) -> np.ndarr
         return np.zeros(ndocs, dtype=np.int64)
     order = np.lexsort((h, doc_of))
     hs, ds = h[order], doc_of[order]
-    first = np.empty(hs.size, dtype=bool)
-    first[0] = True
-    first[1:] = (hs[1:] != hs[:-1]) | (ds[1:] != ds[:-1])
+    first = run_starts(hs, ds)
     return np.bincount(ds[first], minlength=ndocs).astype(np.int64)
 
 
@@ -81,9 +80,7 @@ def repetition_scores_pipeline(ds, *, key_col: str, text_col: str):
             doc2 = np.repeat(np.arange(ndocs, dtype=np.int64), n2)
             order = np.lexsort((h2, doc2))  # stable: equal (doc,h) keep pos order
             hs, dsrt = h2[order], doc2[order]
-            first = np.empty(hs.size, dtype=bool)
-            first[0] = True
-            first[1:] = (hs[1:] != hs[:-1]) | (dsrt[1:] != dsrt[:-1])
+            first = run_starts(hs, dsrt)
             run_id = np.cumsum(first) - 1
             run_doc = dsrt[first]
             run_h = hs[first]
@@ -92,9 +89,7 @@ def repetition_scores_pipeline(ds, *, key_col: str, text_col: str):
             # top run per doc: max count, tie -> smaller fold hash
             ro = np.lexsort((run_h, -run_cnt, run_doc))
             rd = run_doc[ro]
-            rfirst = np.empty(rd.size, dtype=bool)
-            rfirst[0] = True
-            rfirst[1:] = rd[1:] != rd[:-1]
+            rfirst = run_starts(rd)
             sel = ro[rfirst]
             top_cnt[run_doc[sel]] = run_cnt[sel]
             top_chars[run_doc[sel]] = run_cnt[sel] * run_glen[sel]

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = [
@@ -148,9 +149,8 @@ def session_intervals_pipeline(
         order = np.lexsort((us, keys))
         k_s, u_s = keys[order], us[order]
         n = k_s.size
-        new_sess = np.empty(n, dtype=bool)
-        new_sess[0] = True
-        new_sess[1:] = (k_s[1:] != k_s[:-1]) | ((u_s[1:] - u_s[:-1]) > gap_us)
+        new_sess = run_starts(k_s)
+        new_sess[1:] |= (u_s[1:] - u_s[:-1]) > gap_us
         starts = np.flatnonzero(new_sess)
         ends = np.append(starts[1:], n) - 1
         return pa.table(

@@ -34,6 +34,8 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
+
 __all__ = [
     "sketch_exact_quantile_pipeline",
     "sketch_exact_quantiles_pipeline",
@@ -151,9 +153,7 @@ def sketch_exact_quantiles_pipeline(
             order = np.lexsort((v, g))
             g_s, v_s = g[order], v[order]
             keys_s = np.asarray(mp.key(v_s), dtype=np.int64)
-            new = np.empty(g_s.size, dtype=bool)
-            new[0] = True
-            new[1:] = g_s[1:] != g_s[:-1]
+            new = run_starts(g_s)
             starts = np.flatnonzero(new)
             ends = np.append(starts[1:], g_s.size)
             for srt, end in zip(starts, ends):  # one iteration per GROUP (tiny)
@@ -284,9 +284,7 @@ def sketch_exact_weighted_quantile_pipeline(
             w = pt.column(weight_col).to_numpy(zero_copy_only=False).astype(np.int64)
             order = np.lexsort((v, g))
             g_s, v_s, w_s = g[order], v[order], w[order]
-            new = np.empty(g_s.size, dtype=bool)
-            new[0] = True
-            new[1:] = g_s[1:] != g_s[:-1]
+            new = run_starts(g_s)
             starts = np.flatnonzero(new)
             ends = np.append(starts[1:], g_s.size)
             for srt, end in zip(starts, ends):  # one iteration per GROUP
@@ -409,9 +407,7 @@ def sketch_exact_interp_quantile_pipeline(
             order = np.lexsort((v, g))
             g_s, v_s = g[order], v[order]
             keys_s = np.asarray(mp.key(v_s), dtype=np.int64)
-            new = np.empty(g_s.size, dtype=bool)
-            new[0] = True
-            new[1:] = g_s[1:] != g_s[:-1]
+            new = run_starts(g_s)
             starts = np.flatnonzero(new)
             ends = np.append(starts[1:], g_s.size)
             for srt, end in zip(starts, ends):  # one iteration per GROUP

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .fold import keyed_exchange, partitioned_group_agg, partitioned_group_sum
 
 __all__ = ["vocab_jaccard_pipeline", "group_count_cosine_pipeline"]
@@ -74,9 +75,7 @@ def vocab_jaccard_pipeline(
         )
         order = np.lexsort((terms, bits))
         b_s, t_s = bits[order], terms[order]
-        keep = np.empty(t_s.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = (b_s[1:] != b_s[:-1]) | (t_s[1:] != t_s[:-1])
+        keep = run_starts(b_s, t_s)
         return pa.table(
             {
                 "token": pa.array(t_s[keep].tolist(), pa.string()),
@@ -93,9 +92,7 @@ def vocab_jaccard_pipeline(
             )
         order = np.argsort(tok, kind="stable")
         t_s, b_s = tok[order], bit[order]
-        new = np.empty(t_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = t_s[1:] != t_s[:-1]
+        new = run_starts(t_s)
         seg = np.cumsum(new) - 1
         masks = np.zeros(int(new.sum()), dtype=np.int64)
         np.bitwise_or.at(masks, seg, np.int64(1) << b_s)
@@ -212,9 +209,7 @@ def group_count_cosine_pipeline(
                     **{f"d_{k}": pa.array([], pa.int64()) for k in range(8)},
                 }
             )
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = tok[1:] != tok[:-1]
+        new = run_starts(tok)
         seg_starts = np.flatnonzero(new)
         seg_lens = np.diff(np.append(seg_starts, n))
         # unordered pairs WITH self-pairs per token segment: i <= j
@@ -239,9 +234,7 @@ def group_count_cosine_pipeline(
         pkey = a2 * np.int64(uniq_g.size) + b2
         porder = np.argsort(pkey, kind="stable")
         pkey_s = pkey[porder]
-        pnew = np.empty(pkey_s.size, dtype=bool)
-        pnew[0] = True
-        pnew[1:] = pkey_s[1:] != pkey_s[:-1]
+        pnew = run_starts(pkey_s)
         pstarts = np.flatnonzero(pnew)
         hi, lo = _umul128(ca[porder], cb[porder])
         cols = {

@@ -30,6 +30,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
+
 __all__ = ["skyline_pipeline"]
 
 
@@ -43,9 +45,7 @@ def _local_skyline(t: pa.Table, min_col: str, max_col: str) -> pa.Table:
     order = np.lexsort((y, x))
     x_s, y_s = x[order], y[order]
     n = x_s.size
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    new[1:] = x_s[1:] != x_s[:-1]
+    new = run_starts(x_s)
     starts = np.flatnonzero(new)
     seg = np.cumsum(new) - 1
     gmax = np.maximum.reduceat(y_s, starts)

@@ -33,6 +33,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.hashing import fold_windows
+from ..core.numeric import run_starts
 from .fold import keyed_exchange
 from .dedup import _doc_token_hashes, _window_geometry
 
@@ -155,9 +156,8 @@ def duplicate_spans_pipeline(
             return empty_spans
         o = np.lexsort((p_s, k_s))
         k_s, p_s = k_s[o], p_s[o]
-        new = np.empty(k_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = (k_s[1:] != k_s[:-1]) | (p_s[1:] - p_s[:-1] > n)
+        new = run_starts(k_s)
+        new[1:] |= p_s[1:] - p_s[:-1] > n
         starts = np.flatnonzero(new)
         ends = np.append(starts[1:], k_s.size) - 1
         return pa.table(
@@ -203,9 +203,7 @@ def _dup_hash_directory(ds, *, text_col: str, n: int, num_partitions: int):
         c = pt.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(h, kind="stable")
         h_s, c_s = h[order], c[order]
-        new = np.empty(h_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = h_s[1:] != h_s[:-1]
+        new = run_starts(h_s)
         starts = np.flatnonzero(new)
         tot = np.add.reduceat(c_s, starts)  # clipped partials: no overflow
         return pa.table({"h": pa.array(h_s[starts][tot >= 2])})
@@ -237,9 +235,8 @@ def _doc_span_reduce(dup_instances, *, key_col: str, n: int, num_partitions: int
         p = pt.column("p").to_numpy(zero_copy_only=False)
         order = np.lexsort((p, k))
         k_s, p_s = k[order], p[order]
-        new = np.empty(k_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = (k_s[1:] != k_s[:-1]) | (p_s[1:] - p_s[:-1] > n)
+        new = run_starts(k_s)
+        new[1:] |= p_s[1:] - p_s[:-1] > n
         starts = np.flatnonzero(new)
         ends = np.append(starts[1:], k_s.size) - 1
         return pa.table(
@@ -292,9 +289,7 @@ def duplicate_spans_stages(
         p = pt.column("p").to_numpy(zero_copy_only=False)
         order = np.argsort(h, kind="stable")
         h_s = h[order]
-        new = np.empty(h_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = h_s[1:] != h_s[:-1]
+        new = run_starts(h_s)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, h_s.size))
         keep = np.repeat(lens, lens) >= 2  # window occurs >= 2 times anywhere

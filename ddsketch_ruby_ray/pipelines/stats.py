@@ -24,6 +24,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .fold import keyed_exchange, partitioned_group_agg
 
 __all__ = [
@@ -79,10 +80,7 @@ def grouped_corr_pipeline(
                 )
         order = np.argsort(g, kind="stable")
         g_s, x_s, y_s = g[order], x[order], y[order]
-        new = np.empty(g_s.size, dtype=bool)
-        if g_s.size:
-            new[0] = True
-            new[1:] = g_s[1:] != g_s[:-1]
+        new = run_starts(g_s)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, g_s.size))
         return pa.table(
@@ -177,10 +175,7 @@ def grouped_zscore_pipeline(
                 )
         order = np.argsort(g, kind="stable")
         g_s, x_s = g[order], x[order]
-        first = np.empty(x_s.size, dtype=bool)
-        if x_s.size:
-            first[0] = True
-            first[1:] = g_s[1:] != g_s[:-1]
+        first = run_starts(g_s)
         starts = np.flatnonzero(first)
         empty = np.array([], np.int64)
         s = np.add.reduceat(x_s, starts) if x_s.size else empty
@@ -506,10 +501,7 @@ def grouped_moments_pipeline(
         x = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(g, kind="stable")
         g_s, x_s = g[order], x[order]
-        new = np.empty(g_s.size, dtype=bool)
-        if g_s.size:
-            new[0] = True
-            new[1:] = g_s[1:] != g_s[:-1]
+        new = run_starts(g_s)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, g_s.size))
         cols = {
@@ -906,10 +898,7 @@ def _group_n_s1_s2(ds, *, group_col: str, value_col: str, num_partitions: int = 
         order = np.argsort(g, kind="stable")
         g_s = g[order]
         x_s = x[order]
-        new = np.empty(g_s.size, dtype=bool)
-        if g_s.size:
-            new[0] = True
-            new[1:] = g_s[1:] != g_s[:-1]
+        new = run_starts(g_s)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, g_s.size))
         xu = np.abs(x_s).astype(np.uint64)
@@ -1125,9 +1114,7 @@ def grouped_ks_exact_pipeline(
         n = g.size
         out = {"gs": [], "n1": [], "n2": [], "dn": [], "d": []}
         if n:
-            new = np.empty(n, dtype=bool)
-            new[0] = True
-            new[1:] = g[1:] != g[:-1]
+            new = run_starts(g)
             starts = np.flatnonzero(new)
             ends = np.append(starts[1:], n)
             for srt, end in zip(starts, ends):  # one iteration per GROUP

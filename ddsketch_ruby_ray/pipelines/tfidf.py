@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .dedup import tokenize
 
 __all__ = ["tfidf_topk_pipeline"]
@@ -63,9 +64,7 @@ def _doc_term_runs(batch: pa.Table, key_col: str, text_col: str):
     doc_idx = np.repeat(np.arange(len(texts)), sizes)
     order = np.lexsort((terms, doc_idx))
     d_s, t_s = doc_idx[order], terms[order]
-    new = np.empty(d_s.size, dtype=bool)
-    new[0] = True
-    new[1:] = (d_s[1:] != d_s[:-1]) | (t_s[1:] != t_s[:-1])
+    new = run_starts(d_s, t_s)
     starts = np.flatnonzero(new)
     tf = np.diff(np.append(starts, d_s.size)).astype(np.int64)
     return keys[d_s[starts]], t_s[starts], tf
@@ -89,9 +88,7 @@ def tfidf_topk_pipeline(
         # each run is one (doc, term) incidence -> count runs per term
         if terms.size:
             t_s = np.sort(terms)
-            new = np.empty(t_s.size, dtype=bool)
-            new[0] = True
-            new[1:] = t_s[1:] != t_s[:-1]
+            new = run_starts(t_s)
             starts = np.flatnonzero(new)
             uniq = t_s[starts]
             dfs = np.diff(np.append(starts, t_s.size)).astype(np.int64)
@@ -160,9 +157,7 @@ def tfidf_topk_pipeline(
         ratio = tf.astype(np.float64) / df.astype(np.float64)
         order = np.lexsort((terms, -ratio, keys))
         k_s, t_s, tf_s, df_s = keys[order], terms[order], tf[order], df[order]
-        new = np.empty(k_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = k_s[1:] != k_s[:-1]
+        new = run_starts(k_s)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, k_s.size))
         rn = np.arange(k_s.size, dtype=np.int64) - np.repeat(starts, lens) + 1

@@ -21,6 +21,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .fold import keyed_exchange, partitioned_group_agg
 
 __all__ = [
@@ -277,9 +278,7 @@ def ohlc_pipeline(
             )
         order = np.lexsort((eid, us, w))
         w_s, v_s = w[order], v[order]
-        new = np.empty(w_s.size, dtype=bool)
-        new[0] = True
-        new[1:] = w_s[1:] != w_s[:-1]
+        new = run_starts(w_s)
         starts = np.flatnonzero(new)
         ends = np.append(starts[1:], w_s.size) - 1
         return pa.table(
@@ -343,11 +342,8 @@ def locf_daily_pipeline(
         ev = g.column("_id").to_numpy(zero_copy_only=False)
         o = np.lexsort((ev, ts, d, k))
         k, d = k[o], d[o]
-        # last row of each (key, day) run is the close
-        last = np.empty(k.size, dtype=bool)
-        if k.size:
-            last[-1] = True
-            last[:-1] = (k[1:] != k[:-1]) | (d[1:] != d[:-1])
+        # last row of each (key, day) run is the close: the row before a start
+        last = np.roll(run_starts(k, d), -1)
         vals = g.column("value").take(pa.array(o[last]))
         k, d = k[last], d[last]
         n = k.size
@@ -359,9 +355,7 @@ def locf_daily_pipeline(
                     "value": pa.array([], pa.float64()),
                 }
             )
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = k[1:] != k[:-1]
+        new_key = run_starts(k)
         # span guard per key (vectorized: last-minus-first day per key run)
         starts = np.flatnonzero(new_key)
         ends = np.append(starts[1:], n) - 1

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 import pyarrow as pa
 
+from ..core.numeric import run_starts
 from .fold import keyed_exchange
 
 __all__ = ["per_group_topk", "grouped_sum_global_topk", "grouped_mode_pipeline"]
@@ -67,9 +68,7 @@ def per_group_topk(
         if not n:
             return t
         pos = np.arange(n)
-        new_g = np.empty(n, dtype=bool)
-        new_g[0] = True
-        new_g[1:] = g_s[1:] != g_s[:-1]
+        new_g = run_starts(g_s)
         seg_start = np.maximum.accumulate(np.where(new_g, pos, -1))
         if isinstance(k, dict):
             heads = g_s[new_g]
@@ -126,10 +125,7 @@ def grouped_sum_global_topk(
             raise TypeError(f"{value_col} must be int64, got {v.dtype}")
         order = np.argsort(g, kind="stable")
         g_s = g[order]
-        new_g = np.empty(g_s.size, dtype=bool)
-        if g_s.size:
-            new_g[0] = True
-            new_g[1:] = g_s[1:] != g_s[:-1]
+        new_g = run_starts(g_s)
         starts = np.flatnonzero(new_g)
         sums = np.add.reduceat(v[order], starts) if starts.size else v[:0]
         # exactness gate: a float64 shadow sum detects int64 wraparound (the
@@ -155,10 +151,7 @@ def grouped_sum_global_topk(
         v = pt.column(value_col).to_numpy(zero_copy_only=False)
         order = np.argsort(g, kind="stable")
         g_s = g[order]
-        new_g = np.empty(g_s.size, dtype=bool)
-        if g_s.size:
-            new_g[0] = True
-            new_g[1:] = g_s[1:] != g_s[:-1]
+        new_g = run_starts(g_s)
         starts = np.flatnonzero(new_g)
         sums = np.add.reduceat(v[order], starts) if starts.size else v[:0]
         gu = g_s[starts]

@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..core.numeric import round_half_away
+from ..core.numeric import round_half_away, run_starts
 from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = [
@@ -94,9 +94,7 @@ def sessionize_pipeline(
         k_s = keys[order]
         sec = us[order] / 1_000_000.0
         n = len(order)
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = k_s[1:] != k_s[:-1]
+        new_key = run_starts(k_s)
         new_sess = new_key.copy()
         new_sess[1:] |= (sec[1:] - sec[:-1]) > gap_s
         sess_starts = np.flatnonzero(new_sess)
@@ -196,10 +194,7 @@ def ordered_analytics_pipeline(
         tb = pt.column("_tb").to_numpy(zero_copy_only=False)
         order = np.lexsort((tb, ts, keys))
         k_s, ts_s = keys[order], ts[order]
-        new_key = np.empty(n, dtype=bool)
-        if n:
-            new_key[0] = True
-            new_key[1:] = k_s[1:] != k_s[:-1]
+        new_key = run_starts(k_s)
         starts = np.flatnonzero(new_key)
         lens = np.diff(np.append(starts, n))
         pos = np.arange(n, dtype=np.int64)
@@ -282,10 +277,7 @@ def moving_window_pipeline(
         v = pt.column("_v").to_numpy(zero_copy_only=False)
         order = np.lexsort((tb, ts, keys))
         k_s, v_s = keys[order], v[order]
-        new_key = np.empty(n, dtype=bool)
-        if n:
-            new_key[0] = True
-            new_key[1:] = k_s[1:] != k_s[:-1]
+        new_key = run_starts(k_s)
         starts = np.flatnonzero(new_key)
         lens = np.diff(np.append(starts, n))
         pos = np.arange(n, dtype=np.int64)
@@ -365,13 +357,8 @@ def ranked_analytics_pipeline(
         tb = pt.column("_tb").to_numpy(zero_copy_only=False)
         order = np.lexsort((tb, -v, keys))  # value DESC, tiebreak ASC per key
         k_s, v_s = keys[order], v[order]
-        new_key = np.empty(n, dtype=bool)
-        new_val = np.empty(n, dtype=bool)
-        if n:
-            new_key[0] = True
-            new_key[1:] = k_s[1:] != k_s[:-1]
-            new_val[0] = True
-            new_val[1:] = new_key[1:] | (v_s[1:] != v_s[:-1])
+        new_key = run_starts(k_s)
+        new_val = run_starts(k_s, v_s)
         starts = np.flatnonzero(new_key)
         lens = np.diff(np.append(starts, n))
         pos = np.arange(n, dtype=np.int64)
@@ -472,9 +459,7 @@ def funnel_pipeline(
         is_a = pt.column("_is_first").to_numpy(zero_copy_only=False)
         order = np.lexsort((ts, u))
         u_s, ts_s, a_s = u[order], ts[order], is_a[order]
-        new_u = np.empty(n, dtype=bool)
-        new_u[0] = True
-        new_u[1:] = u_s[1:] != u_s[:-1]
+        new_u = run_starts(u_s)
         starts = np.flatnonzero(new_u)
         lens = np.diff(np.append(starts, n))
         pos = np.arange(n, dtype=np.int64)
@@ -554,7 +539,6 @@ def ordered_concat_pipeline(
         tb = pt.column("_tb").to_numpy(zero_copy_only=False)
         order = np.lexsort((tb, ts, keys))
         k_s = keys[order]
-        new_key = np.empty(n, dtype=bool)
         if not n:
             return pa.table(
                 {
@@ -563,8 +547,7 @@ def ordered_concat_pipeline(
                     "path": pa.array([], pa.string()),
                 }
             )
-        new_key[0] = True
-        new_key[1:] = k_s[1:] != k_s[:-1]
+        new_key = run_starts(k_s)
         starts = np.flatnonzero(new_key)
         lens = np.diff(np.append(starts, n))
         flat = pc.take(pt.column("_v"), pa.array(order))
@@ -638,9 +621,7 @@ def multi_funnel_pipeline(
             u0, t0 = u[m0], us[m0]
             order = np.lexsort((t0, u0))
             u0, t0 = u0[order], t0[order]
-            first = np.empty(u0.size, dtype=bool)
-            first[0] = True
-            first[1:] = u0[1:] != u0[:-1]
+            first = run_starts(u0)
             alive_u, alive_t = u0[first], t0[first]
         else:
             alive_u = u[:0]
@@ -703,10 +684,7 @@ def _gap_islands(k_sorted: np.ndarray, us_sorted: np.ndarray, gap: int):
     island starts at a key change or when the in-key gap exceeds ``gap``.
     Shared by the session TABLE, the per-key rollup and the session-basket
     assigner so the 30-min-gap semantics live in exactly one place."""
-    n = k_sorted.size
-    new_key = np.empty(n, dtype=bool)
-    new_key[0] = True
-    new_key[1:] = k_sorted[1:] != k_sorted[:-1]
+    new_key = run_starts(k_sorted)
     new_sess = new_key.copy()
     new_sess[1:] |= (us_sorted[1:] - us_sorted[:-1]) > gap
     return new_key, new_sess
@@ -759,10 +737,7 @@ def longest_streak_pipeline(
         d = g.column("day").to_numpy(zero_copy_only=False)
         o = np.lexsort((d, k))
         k, d = k[o], d[o]
-        keep = np.empty(k.size, dtype=bool)
-        if k.size:
-            keep[0] = True
-            keep[1:] = (k[1:] != k[:-1]) | (d[1:] != d[:-1])
+        keep = run_starts(k, d)
         k, d = k[keep], d[keep]
         n = k.size
         if n == 0:
@@ -773,9 +748,7 @@ def longest_streak_pipeline(
                     "longest_streak": pa.array([], pa.int64()),
                 }
             )
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = k[1:] != k[:-1]
+        new_key = run_starts(k)
         island = new_key.copy()
         island[1:] |= d[1:] != d[:-1] + 1
         i_starts = np.flatnonzero(island)

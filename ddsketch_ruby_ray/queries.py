@@ -12,7 +12,7 @@ None of these functions calls ray.init(); the driver owns the session.
 
 from __future__ import annotations
 
-from .core.numeric import round_half_away
+from .core.numeric import round_half_away, run_starts
 from .functions import ddsketch_group_sql, ddsketch_quantile_sql
 from .functions.specs import DDSketchSpec
 from .pipelines import documents_sketch_pipeline, grouped_sketch_pipeline
@@ -1055,10 +1055,7 @@ def building_top_orders(sf_dir: str):
         g = t.column("l_orderkey").to_numpy(zero_copy_only=False)
         order = np.argsort(g, kind="stable")
         g_s = g[order]
-        new_g = np.empty(g_s.size, dtype=bool)
-        if g_s.size:
-            new_g[0] = True
-            new_g[1:] = g_s[1:] != g_s[:-1]
+        new_g = run_starts(g_s)
         starts = np.flatnonzero(new_g)
         sums = np.add.reduceat(rev[order], starts) if starts.size else rev[:0]
         return pa.table(
@@ -2267,10 +2264,7 @@ def multimodal_media_features(sf_dir: str):
         )
         order = np.argsort(mids, kind="stable")
         m_s, d_s = mids[order], digs[order]
-        new = np.empty(m_s.size, dtype=bool)
-        if m_s.size:
-            new[0] = True
-            new[1:] = m_s[1:] != m_s[:-1]
+        new = run_starts(m_s)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, m_s.size))
         folded = [
@@ -3700,10 +3694,7 @@ def users_active_even_and_odd_days(sf_dir: str):
         odd = (day & 1).astype(np.int64)
         order = np.argsort(u, kind="stable")
         u_s, odd_s = u[order], odd[order]
-        new = np.empty(u_s.size, dtype=bool)
-        if u_s.size:
-            new[0] = True
-            new[1:] = u_s[1:] != u_s[:-1]
+        new = run_starts(u_s)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, u_s.size)).astype(np.int64)
         n_odd = (
@@ -3926,15 +3917,9 @@ def new_vs_returning_daily(sf_dir: str):
         d = g.column("day").to_numpy(zero_copy_only=False)
         o = np.lexsort((d, u))
         u, d = u[o], d[o]
-        keep = np.empty(u.size, dtype=bool)
-        if u.size:
-            keep[0] = True
-            keep[1:] = (u[1:] != u[:-1]) | (d[1:] != d[:-1])
+        keep = run_starts(u, d)
         u, d = u[keep], d[keep]
-        first = np.empty(u.size, dtype=bool)
-        if u.size:
-            first[0] = True
-            first[1:] = u[1:] != u[:-1]
+        first = run_starts(u)
         nd, nc = np.unique(d[first], return_counts=True)
         rd_, rc_ = np.unique(d[~first], return_counts=True)
         return pa.table(
@@ -4142,10 +4127,7 @@ def metric_corr_matrix_by_lang(sf_dir: str):
         order = np.argsort(g, kind="stable")
         g_s = g[order]
         ms = [x[order] for x in m]
-        new = np.empty(g_s.size, dtype=bool)
-        if g_s.size:
-            new[0] = True
-            new[1:] = g_s[1:] != g_s[:-1]
+        new = run_starts(g_s)
         starts = np.flatnonzero(new)
         lens = np.diff(np.append(starts, g_s.size))
 
@@ -4465,10 +4447,7 @@ def weighted_avg_price_by_flag(sf_dir: str):
         g = t.column("l_returnflag").to_numpy(zero_copy_only=False)
         order = np.argsort(g, kind="stable")
         g_s, p_s, q_s = g[order], p[order], q[order]
-        new = np.empty(g_s.size, dtype=bool)
-        if g_s.size:
-            new[0] = True
-            new[1:] = g_s[1:] != g_s[:-1]
+        new = run_starts(g_s)
         starts = np.flatnonzero(new)
         return pa.table(
             {

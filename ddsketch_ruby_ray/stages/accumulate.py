@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 import pyarrow as pa
 
-from ..functions.specs import SketchSpec, group_rows
+from ..functions.specs import SketchSpec
 
 __all__ = ["SketchStateAccumulator", "StateBlockMerger", "group_codes"]
 
@@ -72,12 +72,6 @@ def group_codes(batch: pa.Table, group_keys: Sequence[str]):
     first = np.full(n_groups, n, dtype=np.int64)
     np.minimum.at(first, inverse, np.arange(n))
     return inverse.astype(np.int64, copy=False), first
-
-
-def group_slices(batch: pa.Table, group_keys: Sequence[str]):
-    """-> ``(first_row_index, [row indices of each group])`` for one table."""
-    codes, first = group_codes(batch, group_keys)
-    return first, group_rows(codes, len(first))
 
 
 class SketchStateAccumulator:

@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.hashing import hash64_int
+from ..core.numeric import run_starts
 
 __all__ = [
     "assign_split",
@@ -141,9 +142,7 @@ def bottomk_sample(ds, *, id_col: str, k: int, seed: int = 0,
         order = np.lexsort((h, g))
         g_s = g[order]
         pos = np.arange(len(order))
-        new_g = np.empty(len(order), dtype=bool)
-        new_g[0] = True
-        new_g[1:] = g_s[1:] != g_s[:-1]
+        new_g = run_starts(g_s)
         seg_start = np.maximum.accumulate(np.where(new_g, pos, -1))
         return t.take(pa.array(order[(pos - seg_start) < k]))
 
@@ -222,9 +221,7 @@ def weighted_sample(ds, *, id_col: str, weight_col: str, k: int, seed: int = 0,
         order = np.lexsort((-pri, g))
         g_s = g[order]
         pos = np.arange(len(order))
-        new_g = np.empty(len(order), dtype=bool)
-        new_g[0] = True
-        new_g[1:] = g_s[1:] != g_s[:-1]
+        new_g = run_starts(g_s)
         seg_start = np.maximum.accumulate(np.where(new_g, pos, -1))
         return t.take(pa.array(order[(pos - seg_start) < k]))
 

@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..core.numeric import run_starts
+
 __all__ = [
     "token_stats",
     "quality_scores",
@@ -188,14 +190,10 @@ def winnow_fingerprints(
             vals = wm_all[np.repeat(char_starts, w_cnt) + offs]
             order = np.lexsort((vals, doc_of_w))
             sv, sd = vals[order], doc_of_w[order]
-            newu = np.empty(total_w, dtype=bool)
-            newu[0] = True
-            newu[1:] = (sd[1:] != sd[:-1]) | (sv[1:] != sv[:-1])
+            newu = run_starts(sd, sv)
             uv, ud = sv[newu], sd[newu]  # distinct fingerprints per doc
             n_fp = np.bincount(ud, minlength=n_docs).astype(np.int64)
-            seg = np.empty(uv.size, dtype=bool)
-            seg[0] = True
-            seg[1:] = ud[1:] != ud[:-1]
+            seg = run_starts(ud)
             seg_starts = np.flatnonzero(seg)
             fp_xor[ud[seg_starts]] = np.bitwise_xor.reduceat(uv, seg_starts)
     else:
@@ -280,7 +278,7 @@ def line_filter_stats(
             ord_str, pc.take(flat, pa.array(np.flatnonzero(keep))), "|"
         )
         h = (hash256_str(salted, lanes=1)[0] >> np.uint64(4)).astype(np.int64)
-        seg = np.flatnonzero(np.r_[True, kp[1:] != kp[:-1]])
+        seg = np.flatnonzero(run_starts(kp))
         kept_sig[kp[seg]] = np.bitwise_xor.reduceat(h, seg)
 
     return pa.table(

@@ -65,6 +65,20 @@ class TestExactDedup:
         b = exact_dedup_pipeline(_docs_ds(blocks=11), key_col="doc_id", text_col="text").to_pandas()
         assert sorted(a["doc_id"]) == sorted(b["doc_id"])
 
+    def test_min_key_per_hash(self):
+        """One row per 128-bit hash, the min-key one, in hash order; string
+        keys order like their values."""
+        from ddsketch_ruby_ray.pipelines.dedup import _min_key_per_hash
+
+        hi = np.array([5, 1, 5, 1, 5, 1], dtype=np.int64)
+        lo = np.array([2, 7, 2, 7, 3, 7], dtype=np.int64)
+        ints = np.array([30, 12, 10, 11, 40, 13], dtype=np.int64)
+        strs = np.array(["d", "bb", "b", "ba", "e", "c"], dtype=object)
+        assert _min_key_per_hash(hi, lo, ints).tolist() == [3, 2, 4]
+        assert _min_key_per_hash(hi, lo, strs).tolist() == [3, 2, 4]
+        assert _min_key_per_hash(hi, lo, strs).tolist() == np.lexsort((strs, lo, hi))[[0, 3, 5]].tolist()
+        assert _min_key_per_hash(hi[:0], lo[:0], ints[:0]).tolist() == []
+
 
 class TestMinHashLSH:
     def test_near_duplicates_are_candidates(self, ray_session):

@@ -137,6 +137,7 @@ class TestMapGroups:
                 "k": g.column("k").slice(0, 1),
                 "n_keys": [len(set(g.column("k").to_pylist()))],
                 "rows": [repr(sorted(g.column("v").to_pylist()))],
+                "seen": [repr(g.column("v").to_pylist())],
                 "cols": [",".join(g.column_names)],
             }
         )
@@ -163,6 +164,8 @@ class TestMapGroups:
         for r in rows:
             assert r["n_keys"] == 1
             assert r["rows"] == repr(sorted(range(r["k"], n, 37)))
+            if not lazy:  # one task, no sort: fn sees its rows in input order
+                assert r["seen"] == r["rows"]
             assert r["cols"] == "k,v"  # no _part
 
     @pytest.mark.parametrize(
