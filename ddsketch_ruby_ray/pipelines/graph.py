@@ -1,18 +1,26 @@
-"""Iterative graph algorithms as Dataset shuffles: PageRank + k-hop BFS.
+"""Graph algorithms as Dataset shuffles: PageRank, SSSP (and BFS), triangle
+counts and degree histograms.
 
 The reference (ddsketch-ruby) has no graph surface at all; these cover the
-two iterative-message-passing shapes a 100-TB corpus pipeline actually
-needs — link-importance scoring (PageRank over, e.g., a web/click graph)
-and seed-expansion (multi-source BFS: "everything within k hops of a
-trusted set").  Ray Data has no iterative primitive, so both reuse the
+iterative-message-passing shapes a 100-TB corpus pipeline actually needs —
+link-importance scoring (PageRank over, e.g., a web/click graph) and
+seed-expansion (multi-source shortest paths: "everything within k hops of
+a trusted set") — plus the two one-shot structure diagnostics.  Ray Data
+has no iterative primitive, so the iterative ones use the
 partition-vectorized message-passing formulation proven in cc.py: the
-static edge table is hash-partitioned ONCE and pinned; each iteration
-unions the KB-per-node state rows into the edge partitions (groupby the
-precomputed ``_part`` — one keyed shuffle of state, never of edges),
-propagates along the co-located edges with lexsort + segment fills, and
-folds messages per destination with reduceat.  The driver reads ONE scalar
-per iteration (the dangling mass / frontier size), exactly like cc.py's
-changed-count.
+static edge table is hash-partitioned ONCE by src, and the shuffle plans
+pin it as per-partition dst-sorted object-store slices
+(:func:`_pin_edge_slices`) that each iteration's group tasks gather BY
+REF.  An iteration exchanges only the O(nodes) state rows (one keyed
+shuffle of state, never of edges), propagates along the pinned edges with
+searchsorted + reduceat, and folds messages per destination.  The
+broadcast plans keep the state on the driver instead and run one map over
+the pinned edges per iteration.
+
+BFS is single-source-set shortest paths in which every edge weighs 1:
+``bfs_hops_pipeline`` and ``sssp_pipeline`` run the same two frontier
+plans (:func:`_sssp_broadcast`, :func:`_sssp_shuffle`); an edge table
+without a ``w`` column has unit weights.
 
 PageRank is EXACT fixed-point integer arithmetic, so any execution order
 gives bit-identical ranks and the SQL mirror is plain unrolled CTEs:
@@ -26,8 +34,9 @@ redistribution) and ``//`` floor division of non-negative int64 — no
 floats anywhere, no accumulation-order sensitivity.  All masses are
 <= SCALE so ``85 * x`` stays far from int64 overflow.
 
-BFS labels are min-hop counts; min is order-free, so it is deterministic
-for the same reason cc.py's min-label propagation is.
+SSSP distances (and BFS hop counts) are exact-int minima; min is
+order-free, so they are deterministic for the same reason cc.py's
+min-label propagation is.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.numeric import run_starts
-from .fold import _part_of, keyed_exchange
+from .fold import _part_of, keyed_exchange, strict_key_int64
 
 __all__ = [
     "pagerank_pipeline",
@@ -69,6 +78,11 @@ _MAX_BROADCAST_NODES = 16_000_000
 _PR_REDUCE_PARTS = 64
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("auto", "broadcast", "shuffle"):
+        raise ValueError(f"mode must be auto|broadcast|shuffle, got {mode!r}")
+
+
 def _node_part(nodes: np.ndarray, num_partitions: int) -> np.ndarray:
     """``_part_of`` of an int64 node-id array that is not a shipped column
     (the packed exchanges route on ids packed into one lane)."""
@@ -95,23 +109,29 @@ def _pack_pair(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (hi << np.int64(32)) | lo
 
 
-def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int, packed="auto"):
+def _edge_ids(t: pa.Table, src_col: str, dst_col: str):
+    """-> (src, dst) int64 numpy arrays; a NULL endpoint raises a
+    ``ValueError`` that names its column instead of becoming a node."""
+    return (
+        strict_key_int64(t.column(src_col), name=src_col),
+        strict_key_int64(t.column(dst_col), name=dst_col),
+    )
+
+
+def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int):
     """-> materialized Dataset[(src, dst, _part)] with exact (src, dst)
     dedup; partitioned by hash(src) so a src's whole adjacency list is one
     partition (dedup is therefore global, and propagation needs no second
     shuffle of edges — ever).
 
-    ``packed`` (True / False / "auto"): ship one (src<<32|dst) int64 per
-    edge instead of two int64 columns — half the exchange bytes, one
-    single-key sort in the fold, bit-identical output (packed ascending ==
-    lexsort((dst, src))).  Needs ids in [0, 2^31); "auto" probes the packed
-    plan and falls back to the two-column plan on
-    :class:`PackedIdOverflow` (one aborted exchange — graphs with wide ids
-    should pass ``packed=False``)."""
+    The exchange ships one (src<<32|dst) int64 per edge instead of two
+    int64 columns — half the exchange bytes, one single-key sort in the
+    fold, bit-identical output (packed ascending == lexsort((dst, src))).
+    Packing needs ids in [0, 2^31): on :class:`PackedIdOverflow` the
+    packed exchange aborts and the two-column plan runs instead."""
 
     def norm_packed(t: pa.Table) -> pa.Table:
-        s = t.column(src_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        d = t.column(dst_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        s, d = _edge_ids(t, src_col, dst_col)
         return pa.table(
             {
                 "pk": pa.array(_pack_pair(s, d)),
@@ -133,12 +153,8 @@ def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int, p
         )
 
     def norm(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src": t.column(src_col).cast(pa.int64()),
-                "dst": t.column(dst_col).cast(pa.int64()),
-            }
-        )
+        s, d = _edge_ids(t, src_col, dst_col)
+        return pa.table({"src": pa.array(s), "dst": pa.array(d)})
 
     def dedup(g: pa.Table) -> pa.Table:
         s = g.column("src").to_numpy(zero_copy_only=False)
@@ -157,18 +173,17 @@ def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int, p
             }
         )
 
-    if packed is True or packed == "auto":
-        try:
-            return keyed_exchange(
-                edges.map_batches(
-                    norm_packed, batch_format="pyarrow", zero_copy_batch=True
-                ),
-                dedup_packed,
-                num_partitions=num_partitions,
-            ).materialize()
-        except Exception as e:  # RayTaskError wraps the original
-            if packed is True or "PackedIdOverflow" not in repr(e) + str(e):
-                raise
+    try:
+        return keyed_exchange(
+            edges.map_batches(
+                norm_packed, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            dedup_packed,
+            num_partitions=num_partitions,
+        ).materialize()
+    except Exception as e:  # RayTaskError wraps the original
+        if "PackedIdOverflow" not in repr(e) + str(e):
+            raise
     return keyed_exchange(
         edges.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True),
         dedup,
@@ -227,12 +242,10 @@ def _node_states(dedup_edges, *, num_partitions: int):
     return states, states.count()
 
 
-def _pin_edge_slices(
-    part_ds, columns: tuple, sort_col: str = "dst", num_partitions: int | None = None
-) -> dict:
-    """Split a materialized ``_part``-partitioned edge Dataset into
-    per-partition object-store tables sorted by ``sort_col`` —
-    ``{part: [ObjectRef, ...]}``.
+def _pin_edge_slices(part_ds, columns: tuple, *, num_partitions: int) -> dict:
+    """Split a materialized ``_part``-partitioned edge Dataset (``_part`` in
+    ``[0, num_partitions)``) into per-partition object-store tables of
+    ``columns`` sorted by ``dst`` — ``{part: [ObjectRef, ...]}``.
 
     Iterative shuffle-mode algorithms gather these slices BY REF inside
     their per-partition group tasks, so each iteration exchanges only the
@@ -251,25 +264,6 @@ def _pin_edge_slices(
     """
     import ray
 
-    if num_partitions is None:
-        # fallback: derive the dense [0, P) id space from the data
-        num_partitions = 1 + int(
-            part_ds.map_batches(
-                lambda t: pa.table(
-                    {
-                        "m": pa.array(
-                            [int(t.column("_part").to_numpy(zero_copy_only=False).max())]
-                            if t.num_rows
-                            else [],
-                            pa.int64(),
-                        )
-                    }
-                ),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            ).max("m")
-        )
-
     @ray.remote
     def split(tbl: pa.Table, P: int):
         if tbl.num_rows == 0 or "_part" not in tbl.schema.names:
@@ -285,7 +279,7 @@ def _pin_edge_slices(
         for p in np.unique(prt):
             m = prt == p
             sl = {c: v[m] for c, v in cols.items()}
-            o = np.argsort(sl[sort_col], kind="stable")
+            o = np.argsort(sl["dst"], kind="stable")
             out[int(p)] = pa.table({c: pa.array(v[o]) for c, v in sl.items()})
         return out[0] if P == 1 else tuple(out)
 
@@ -329,8 +323,7 @@ def pagerank_pipeline(
       the >max_broadcast_nodes path.
 
     ``"auto"`` picks broadcast iff the node count fits."""
-    if mode not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"mode must be auto|broadcast|shuffle, got {mode!r}")
+    _check_mode(mode)
     if mode in ("auto", "broadcast"):
         try:
             # fused build: dedup + dst-pinning in ONE full-edge exchange
@@ -540,7 +533,7 @@ def pagerank_pipeline(
 
 
 class _TooManyNodes(Exception):
-    """Broadcast PageRank found more nodes than the caller's cap."""
+    """A broadcast plan's driver-side node table outgrew the caller's cap."""
 
 
 def _pagerank_broadcast(
@@ -586,12 +579,8 @@ def _pagerank_broadcast(
     import ray.data as rd
 
     def norm_dst_part(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src": t.column(src_col).cast(pa.int64()),
-                "dst": t.column(dst_col).cast(pa.int64()),
-            }
-        )
+        s, d = _edge_ids(t, src_col, dst_col)
+        return pa.table({"src": pa.array(s), "dst": pa.array(d)})
 
     def dedup_sort(g: pa.Table) -> pa.Table:
         """One dst-partition: global dedup + dst sort + deg partials."""
@@ -629,8 +618,7 @@ def _pagerank_broadcast(
         (its deg partials AND its appearances as dst) lands in partition
         hash(n) of THIS exchange.  Raises :class:`PackedIdOverflow` for ids
         outside [0, 2^31); cnt < 2^31 because it counts distinct dst ids."""
-        s = t.column(src_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        d = t.column(dst_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        s, d = _edge_ids(t, src_col, dst_col)
         u = np.unique(_pack_pair(d, s))  # block-local dedup (sorted)
         dd = u >> np.int64(32)
         ss = u & _LO31
@@ -919,87 +907,6 @@ def _pagerank_broadcast(
     )
 
 
-def _bfs_broadcast(dedup, seeds, *, seed_col: str, max_hops: int, max_nodes: int):
-    """Broadcast-frontier BFS over the pinned src-partitioned edge table:
-    per hop, ONE map (mask edges whose src is in the broadcast frontier —
-    searchsorted over the sorted frontier — emit block-distinct dsts) and
-    one arrow-ref collect; the driver keeps the visited set (O(reached
-    nodes) — the same fits-in-memory contract as the PageRank broadcast
-    plan) and diffs the next frontier.  No shuffle after the one-time
-    edge build."""
-    import ray
-    import ray.data as rd
-
-    seed_tabs = [
-        ray.get(r)
-        for r in seeds.map_batches(
-            lambda t: pa.table(
-                {"node": t.column(seed_col).cast(pa.int64())}
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).to_arrow_refs()
-    ]
-    seed_tabs = [t for t in seed_tabs if t.num_rows]
-    if seed_tabs:
-        frontier = np.unique(
-            pa.concat_tables(seed_tabs).column("node").to_numpy(zero_copy_only=False)
-        )
-    else:
-        frontier = np.empty(0, dtype=np.int64)
-    visited_nodes = [frontier]
-    visited_hops = [np.zeros(frontier.size, dtype=np.int64)]
-    visited_sorted = frontier.copy()
-
-    for hop in range(1, max_hops + 1):
-        if not frontier.size:
-            break
-        if visited_sorted.size > max_nodes:
-            raise _TooManyNodes(int(visited_sorted.size))
-        ref = ray.put(frontier)  # sorted
-
-        def neighbors(t: pa.Table) -> pa.Table:
-            fr = ray.get(ref)
-            src = t.column("src").to_numpy(zero_copy_only=False)
-            dst = t.column("dst").to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(fr, src)
-            pos_c = np.minimum(pos, max(fr.size - 1, 0))
-            hit = fr.size and (fr[pos_c] == src)
-            cand = np.unique(dst[hit]) if np.any(hit) else dst[:0]
-            return pa.table({"node": pa.array(cand)})
-
-        tabs = [
-            ray.get(r)
-            for r in dedup.map_batches(
-                neighbors, batch_format="pyarrow", zero_copy_batch=True
-            ).to_arrow_refs()
-        ]
-        tabs = [t for t in tabs if t.num_rows]
-        if not tabs:
-            break
-        cand = np.unique(
-            pa.concat_tables(tabs).column("node").to_numpy(zero_copy_only=False)
-        )
-        pos = np.searchsorted(visited_sorted, cand)
-        pos_c = np.minimum(pos, max(visited_sorted.size - 1, 0))
-        fresh = cand[~((visited_sorted.size > 0) & (visited_sorted[pos_c] == cand))]
-        if not fresh.size:
-            break
-        visited_nodes.append(fresh)
-        visited_hops.append(np.full(fresh.size, hop, dtype=np.int64))
-        visited_sorted = np.union1d(visited_sorted, fresh)
-        frontier = fresh  # already sorted (np.unique / boolean filter)
-
-    return rd.from_arrow(
-        pa.table(
-            {
-                "node": pa.array(np.concatenate(visited_nodes)),
-                "hops": pa.array(np.concatenate(visited_hops)),
-            }
-        )
-    )
-
-
 def bfs_hops_pipeline(
     edges,
     seeds,
@@ -1016,17 +923,15 @@ def bfs_hops_pipeline(
     minimum hop count (<= max_hops) from ANY seed over the UNDIRECTED edge
     set; unreachable nodes are absent.
 
-    ``mode="broadcast"`` (and ``"auto"`` while the reached set fits):
-    broadcast-frontier expansion over the pinned edge table — one shuffle
-    total (the edge build), one map + collect per hop.  ``"shuffle"``:
-    fully distributed frontier-style min-propagation (only nodes whose hop
-    improved message their neighbors) — the unbounded-reach path."""
-    if mode not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"mode must be auto|broadcast|shuffle, got {mode!r}")
+    BFS is ``sssp_pipeline`` with every edge weighing 1: the distinct
+    undirected edges (built by :func:`_distinct_edges`' packed exchange)
+    carry no ``w`` column, and the same two frontier plans run over them —
+    ``"broadcast"`` (and ``"auto"`` while the reached set fits) with the
+    hop table on the driver, ``"shuffle"`` as the unbounded-reach path."""
+    _check_mode(mode)
 
     def undirect(t: pa.Table) -> pa.Table:
-        s = t.column(src_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        d = t.column(dst_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        s, d = _edge_ids(t, src_col, dst_col)
         return pa.table(
             {
                 "src": pa.array(np.concatenate([s, d])),
@@ -1034,161 +939,21 @@ def bfs_hops_pipeline(
             }
         )
 
-    both = edges.map_batches(
-        undirect, batch_format="pyarrow", zero_copy_batch=True
+    pinned = _distinct_edges(
+        edges.map_batches(undirect, batch_format="pyarrow", zero_copy_batch=True),
+        src_col="src",
+        dst_col="dst",
+        num_partitions=num_partitions,
     )
-    dedup = _distinct_edges(
-        both, src_col="src", dst_col="dst", num_partitions=num_partitions
-    )
-    if mode in ("auto", "broadcast"):
-        try:
-            return _bfs_broadcast(
-                dedup,
-                seeds,
-                seed_col=seed_col,
-                max_hops=max_hops,
-                max_nodes=(
-                    max_broadcast_nodes if mode == "auto" else (1 << 62)
-                ),
-            )
-        except _TooManyNodes:
-            pass  # auto: reached set outgrew the driver -> shuffle plan
-
-    import ray
-
-    # per-partition dst-sorted edge slices, gathered by ref inside the
-    # frontier group tasks — per hop, only the O(frontier) state rows and
-    # the per-dst candidate partials ride a shuffle, never the edges
-    edge_refs = _pin_edge_slices(dedup, ("src", "dst"), num_partitions=num_partitions)
-
-    def seed_states(t: pa.Table) -> pa.Table:
-        n = t.column(seed_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        n = np.unique(n)
-        return pa.table(
-            {
-                "node": pa.array(n),
-                "hop": pa.array(np.zeros(n.size, dtype=np.int64)),
-                "fresh": pa.array(np.ones(n.size, dtype=np.int8)),
-                # pre-tagged: each hop's frontier exchange reads it as is
-                "_part": pa.array(_node_part(n, num_partitions)),
-            }
-        )
-
-    hops = seeds.map_batches(
-        seed_states, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    def propagate(g: pa.Table) -> pa.Table:
-        """One partition's FRONTIER state rows -> per-dst min candidate
-        hops over that partition's pinned edge slices (fetched by ref)."""
-        empty = pa.table(
-            {"node": pa.array([], pa.int64()), "cand": pa.array([], pa.int64())}
-        )
-        if not g.num_rows:
-            return empty
-        part = int(g.column("_part")[0].as_py())
-        node = g.column("node").to_numpy(zero_copy_only=False)
-        hop = g.column("hop").to_numpy(zero_copy_only=False)
-        o = np.argsort(node, kind="stable")
-        node_s, hop_s = node[o], hop[o]
-        outs = []
-        for ref in edge_refs.get(part, []):
-            et = ray.get(ref)
-            src = et.column("src").to_numpy(zero_copy_only=False)
-            dst = et.column("dst").to_numpy(zero_copy_only=False)
-            if not src.size:
-                continue
-            pos = np.searchsorted(node_s, src)
-            pc_ = np.minimum(pos, node_s.size - 1)
-            valid = node_s[pc_] == src  # src in the frontier
-            if not valid.any():
-                continue
-            dv = dst[valid]  # dst-sorted slice: order survives the mask
-            cv = hop_s[pc_[valid]] + 1
-            new = run_starts(dv)
-            starts = np.flatnonzero(new)
-            # per-dst min within the slice: min is idempotent, so the
-            # candidate exchange carries one row per (slice, dst)
-            outs.append(
-                pa.table(
-                    {
-                        "node": pa.array(dv[starts]),
-                        "cand": pa.array(np.minimum.reduceat(cv, starts)),
-                    }
-                )
-            )
-        return pa.concat_tables(outs) if outs else empty
-
-    def fold(g: pa.Table) -> pa.Table:
-        node = g.column("node").to_numpy(zero_copy_only=False)
-        cand = g.column("cand").to_numpy(zero_copy_only=False)
-        is_old = g.column("is_old").to_numpy(zero_copy_only=False)
-        order = np.argsort(node, kind="stable")
-        n_s, c_s, io_s = node[order], cand[order], is_old[order]
-        new = run_starts(n_s)
-        starts = np.flatnonzero(new)
-        mins = np.minimum.reduceat(c_s, starts)
-        seg = np.cumsum(new) - 1
-        old = np.full(len(starts), np.iinfo(np.int64).max, dtype=np.int64)
-        old[seg[io_s == 1]] = c_s[io_s == 1]
-        part = g.column("_part")[0].as_py()
-        return pa.table(
-            {
-                "node": pa.array(n_s[starts]),
-                "hop": pa.array(mins),
-                "fresh": pa.array((mins < old).astype(np.int8)),
-                "_part": pa.array(np.full(len(starts), part, dtype=np.int32)),
-            }
-        )
-
-    for _ in range(max_hops):
-        # only improved nodes message their neighbors (frontier); the
-        # frontier is O(reached) rows — materialize once, reuse for the
-        # empty-check and the exchange
-        frontier = hops.map_batches(
-            lambda t: t.filter(
-                pa.compute.equal(t.column("fresh"), pa.scalar(1, pa.int8()))
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).materialize()
-        if frontier.count() == 0:
-            break  # fixed point: no node improved last hop
-        msgs = keyed_exchange(frontier, propagate, num_partitions=num_partitions)
-        msg_rows = msgs.map_batches(
-            lambda t: pa.table(
-                {
-                    "node": t.column("node"),
-                    "cand": t.column("cand"),
-                    "is_old": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        old_rows = hops.map_batches(
-            lambda t: pa.table(
-                {
-                    "node": t.column("node"),
-                    "cand": t.column("hop"),
-                    "is_old": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        hops = (
-            keyed_exchange(
-                [msg_rows, old_rows], fold, keys="node", num_partitions=num_partitions
-            )
-            .repartition(min(num_partitions, 16))
-            .materialize()
-        )
-
-    return hops.map_batches(
-        lambda t: pa.table({"node": t.column("node"), "hops": t.column("hop")}),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    return _shortest_paths(
+        pinned,
+        seeds,
+        out_col="hops",
+        seed_col=seed_col,
+        max_rounds=max_hops,
+        num_partitions=num_partitions,
+        mode=mode,
+        max_broadcast_nodes=max_broadcast_nodes,
     )
 
 
@@ -1403,24 +1168,18 @@ def sssp_pipeline(
     (unreached nodes absent).  Weights must be non-negative int64, so the
     min-plus relaxation is exact and order-free.
 
-    ``mode="broadcast"`` (and ``"auto"`` while the reached set fits): the
-    BFS/PageRank contract — the reached distance table fits the driver;
-    edges pin partitioned by src after the one build exchange (undirected
-    symmetrization keeps the MINIMUM weight per direction-independent
-    pair); per round ONE map relaxes the edges whose src improved last
-    round (searchsorted against the sorted frontier, per-block per-dst min
-    via lexsort+reduceat) and the driver folds the per-block minima.
-    Rounds after the frontier empties are free.  ``mode="shuffle"``: fully
-    distributed min-plus propagation (the BFS shuffle plan with weighted
-    relaxation) — only nodes whose distance improved message their
-    neighbors; no driver-side state, the unbounded-reach path."""
-    if mode not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"mode must be auto|broadcast|shuffle, got {mode!r}")
+    One build exchange symmetrizes the edges, keeps the MINIMUM weight per
+    (src, dst) pair and partitions them by hash(src) (``_part``).  Then
+    ``mode="broadcast"`` (and ``"auto"`` while the reached set fits) runs
+    :func:`_sssp_broadcast` — the distance table lives on the driver, the
+    BFS/PageRank contract — and ``mode="shuffle"`` runs
+    :func:`_sssp_shuffle`, with no driver-side state: the unbounded-reach
+    path."""
+    _check_mode(mode)
 
     def norm(t: pa.Table) -> pa.Table:
-        src = t.column(src_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        dst = t.column(dst_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        w = t.column(weight_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        src, dst = _edge_ids(t, src_col, dst_col)
+        w = strict_key_int64(t.column(weight_col), name=weight_col)
         s2 = np.concatenate([src, dst])
         d2 = np.concatenate([dst, src])
         w2 = np.concatenate([w, w])
@@ -1433,12 +1192,14 @@ def sssp_pipeline(
         order = np.lexsort((w, dst, src))
         s_s, d_s, w_s = src[order], dst[order], w[order]
         keep = run_starts(s_s, d_s)
+        part = g.column("_part")[0].as_py() if g.num_rows else 0
         # first row of each (src, dst) run carries the MIN weight
         return pa.table(
             {
                 "src": pa.array(s_s[keep]),
                 "dst": pa.array(d_s[keep]),
                 "w": pa.array(w_s[keep]),
+                "_part": pa.array(np.full(int(keep.sum()), part, dtype=np.int32)),
             }
         )
 
@@ -1448,12 +1209,39 @@ def sssp_pipeline(
         keys="src",
         num_partitions=num_partitions,
     ).materialize()
+    return _shortest_paths(
+        pinned,
+        seeds,
+        out_col="dist",
+        seed_col=seed_col,
+        max_rounds=max_rounds,
+        num_partitions=num_partitions,
+        mode=mode,
+        max_broadcast_nodes=max_broadcast_nodes,
+    )
 
+
+def _shortest_paths(
+    pinned,
+    seeds,
+    *,
+    out_col: str,
+    seed_col: str,
+    max_rounds: int,
+    num_partitions: int,
+    mode: str,
+    max_broadcast_nodes: int,
+):
+    """The one frontier engine of ``sssp_pipeline`` and
+    ``bfs_hops_pipeline``: ``pinned`` is the materialized distinct
+    (src, dst[, w], _part) edge table partitioned by hash(src) — no ``w``
+    means unit weights — and the result is Dataset[(node, out_col)]."""
     if mode in ("auto", "broadcast"):
         try:
             return _sssp_broadcast(
                 pinned,
                 seeds,
+                out_col=out_col,
                 seed_col=seed_col,
                 max_rounds=max_rounds,
                 max_nodes=(
@@ -1465,136 +1253,131 @@ def sssp_pipeline(
     return _sssp_shuffle(
         pinned,
         seeds,
+        out_col=out_col,
         seed_col=seed_col,
         max_rounds=max_rounds,
         num_partitions=num_partitions,
     )
 
 
-def _sssp_broadcast(pinned, seeds, *, seed_col: str, max_rounds: int, max_nodes: int):
-    """Broadcast-frontier Bellman-Ford over the pinned src-partitioned
-    min-weight edge table (see ``sssp_pipeline``); raises ``_TooManyNodes``
-    when the reached distance table outgrows the driver contract."""
+def _weights(t: pa.Table, mask: np.ndarray):
+    """Weights of the edges of ``t`` that ``mask`` selects: its ``w``
+    column, or a scalar 1 when ``t`` has none (BFS).  Unit weights stay a
+    scalar: a materialized all-ones column made BFS measurably slower."""
+    if "w" not in t.column_names:
+        return np.int64(1)
+    return t.column("w").to_numpy(zero_copy_only=False)[mask]
+
+
+def _min_per_node(node: np.ndarray, val: np.ndarray):
+    """(node, val) candidate rows -> (sorted distinct nodes, the minimum
+    val of each)."""
+    o = np.argsort(node)
+    node, val = node[o], val[o]
+    starts = np.flatnonzero(run_starts(node))
+    return node[starts], np.minimum.reduceat(val, starts)
+
+
+def _sssp_broadcast(
+    pinned, seeds, *, out_col: str, seed_col: str, max_rounds: int, max_nodes: int
+):
+    """Broadcast-frontier Bellman-Ford over the pinned edge table.  Per
+    round, ONE map relaxes the edges whose src improved last round
+    (searchsorted against the broadcast sorted frontier) and emits each
+    block's per-dst minimum; the driver folds those minima into its sorted
+    (node, dist) arrays with one searchsorted, an in-place update of the
+    improved nodes and one merge of the new ones.  Rounds after the
+    frontier empties are free.  Raises ``_TooManyNodes`` when the reached
+    table outgrows ``max_nodes``."""
     import ray
     import ray.data as rd
 
-    seed_tabs = [
-        ray.get(r)
-        for r in seeds.map_batches(
-            lambda t: pa.table({"node": t.column(seed_col).cast(pa.int64())}),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).to_arrow_refs()
-    ]
-    seed_tabs = [t for t in seed_tabs if t.num_rows]
-    if seed_tabs:
-        frontier = np.unique(
-            pa.concat_tables(seed_tabs).column("node").to_numpy(zero_copy_only=False)
+    seed_ids = [
+        t.column("node").to_numpy(zero_copy_only=False)
+        for t in ray.get(
+            seeds.map_batches(
+                lambda t: pa.table(
+                    {"node": pa.array(strict_key_int64(t.column(seed_col), name=seed_col))}
+                ),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            ).to_arrow_refs()
         )
-    else:
-        frontier = np.empty(0, dtype=np.int64)
-    dist: dict = {int(x): 0 for x in frontier.tolist()}
-    f_dist = np.zeros(frontier.size, dtype=np.int64)
+        if t.num_rows
+    ]
+    nodes = np.unique(np.concatenate([np.empty(0, np.int64), *seed_ids]))
+    dist = np.zeros(nodes.size, dtype=np.int64)
+    frontier, f_dist = nodes, dist.copy()
 
     for _ in range(max_rounds):
         if not frontier.size:
             break
-        if len(dist) > max_nodes:
-            raise _TooManyNodes(len(dist))
+        if nodes.size > max_nodes:
+            raise _TooManyNodes(int(nodes.size))
         ref = ray.put((frontier, f_dist))  # frontier sorted
 
         def relax(t: pa.Table) -> pa.Table:
             fr, fd = ray.get(ref)
             src = t.column("src").to_numpy(zero_copy_only=False)
             dst = t.column("dst").to_numpy(zero_copy_only=False)
-            w = t.column("w").to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(fr, src)
-            pos_c = np.minimum(pos, max(fr.size - 1, 0))
-            hit = fr[pos_c] == src
-            if not np.any(hit):
+            pos = np.minimum(np.searchsorted(fr, src), fr.size - 1)
+            hit = fr[pos] == src
+            if not hit.any():
                 return pa.table(
                     {"node": pa.array([], pa.int64()), "d": pa.array([], pa.int64())}
                 )
-            cand_n = dst[hit]
-            cand_d = fd[pos_c[hit]] + w[hit]
-            order = np.lexsort((cand_d, cand_n))
-            n_s, d_s = cand_n[order], cand_d[order]
-            new = run_starts(n_s)
-            first = np.flatnonzero(new)  # per-dst MIN candidate
-            return pa.table(
-                {"node": pa.array(n_s[first]), "d": pa.array(d_s[first])}
-            )
+            n, d = _min_per_node(dst[hit], fd[pos[hit]] + _weights(t, hit))
+            return pa.table({"node": pa.array(n), "d": pa.array(d)})
 
         tabs = [
-            ray.get(r)
-            for r in pinned.map_batches(
-                relax, batch_format="pyarrow", zero_copy_batch=True
-            ).to_arrow_refs()
+            t
+            for t in ray.get(
+                pinned.map_batches(
+                    relax, batch_format="pyarrow", zero_copy_batch=True
+                ).to_arrow_refs()
+            )
+            if t.num_rows
         ]
-        tabs = [t for t in tabs if t.num_rows]
         if not tabs:
             break
         cat = pa.concat_tables(tabs)
-        nn = cat.column("node").to_numpy(zero_copy_only=False)
-        dd = cat.column("d").to_numpy(zero_copy_only=False)
-        order = np.lexsort((dd, nn))
-        nn, dd = nn[order], dd[order]
-        new = run_starts(nn)
-        first = np.flatnonzero(new)
-        next_f = []
-        next_d = []
-        for n_, d_ in zip(nn[first].tolist(), dd[first].tolist()):
-            if n_ not in dist or d_ < dist[n_]:
-                dist[n_] = d_
-                next_f.append(n_)
-                next_d.append(d_)
-        if not next_f:
-            break
-        order2 = np.argsort(np.asarray(next_f, dtype=np.int64))
-        frontier = np.asarray(next_f, dtype=np.int64)[order2]
-        f_dist = np.asarray(next_d, dtype=np.int64)[order2]
-
-    nodes = np.array(sorted(dist), dtype=np.int64)
-    return rd.from_arrow(
-        pa.table(
-            {
-                "node": pa.array(nodes),
-                "dist": pa.array(
-                    np.array([dist[int(x)] for x in nodes.tolist()], dtype=np.int64)
-                ),
-            }
+        cn, cd = _min_per_node(
+            cat.column("node").to_numpy(zero_copy_only=False),
+            cat.column("d").to_numpy(zero_copy_only=False),
         )
+        at = np.searchsorted(nodes, cn)
+        pos = np.minimum(at, nodes.size - 1)  # nodes holds the frontier: not empty
+        known = nodes[pos] == cn
+        better = known & (cd < dist[pos])
+        dist[pos[better]] = cd[better]
+        new = ~known
+        nodes = np.insert(nodes, at[new], cn[new])
+        dist = np.insert(dist, at[new], cd[new])
+        step = better | new
+        frontier, f_dist = cn[step], cd[step]  # sorted, as cn is
+
+    return rd.from_arrow(
+        pa.table({"node": pa.array(nodes), out_col: pa.array(dist)})
     )
 
 
-def _sssp_shuffle(pinned, seeds, *, seed_col: str, max_rounds: int, num_partitions: int):
-    """Fully distributed min-plus Bellman-Ford (the BFS shuffle plan with
-    weighted relaxation): distance state lives in a hash-partitioned
-    (node, dist, fresh) table, never the driver.  The min-weight edge
-    table is pinned ONCE as per-partition dst-sorted object-store slices
-    (see ``_pin_edge_slices``); per round, one keyed exchange co-locates
-    each fresh node's state with its partition, relaxation + per-dst
-    block-local min run in the group task against the by-ref slices, and
-    a second keyed exchange folds candidate minima into the state table.
-    Only improved nodes message their neighbors next round — the edges
-    never re-shuffle."""
+def _sssp_shuffle(
+    pinned, seeds, *, out_col: str, seed_col: str, max_rounds: int, num_partitions: int
+):
+    """Fully distributed min-plus Bellman-Ford: distance state lives in a
+    hash-partitioned (node, dist, fresh) table, never the driver.  The
+    edge table is pinned ONCE as per-partition dst-sorted object-store
+    slices (see ``_pin_edge_slices``) straight from its build ``_part``;
+    per round, one keyed exchange co-locates each fresh node's state with
+    its partition, relaxation + per-dst block-local min run in the group
+    task against the by-ref slices, and a second keyed exchange folds
+    candidate minima into the state table.  Only improved nodes message
+    their neighbors next round — the edges never re-shuffle."""
     import ray
-
-    def with_src_part(t: pa.Table) -> pa.Table:
-        src = t.column("src").to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(_node_part(src, num_partitions)))
-
-    edge_refs = _pin_edge_slices(
-        pinned.map_batches(
-            with_src_part, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize(),
-        ("src", "dst", "w"),
-        sort_col="dst",
-        num_partitions=num_partitions,
-    )
+    import ray.data as rd
 
     def seed_states(t: pa.Table) -> pa.Table:
-        n = np.unique(t.column(seed_col).to_numpy(zero_copy_only=False).astype(np.int64))
+        n = np.unique(strict_key_int64(t.column(seed_col), name=seed_col))
         return pa.table(
             {
                 "node": pa.array(n),
@@ -1608,6 +1391,19 @@ def _sssp_shuffle(pinned, seeds, *, seed_col: str, max_rounds: int, num_partitio
     state = seeds.map_batches(
         seed_states, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
+    if state.count() == 0:  # no seeds: nothing is reached (typed output)
+        return rd.from_arrow(
+            pa.table(
+                {"node": pa.array([], pa.int64()), out_col: pa.array([], pa.int64())}
+            )
+        )
+
+    schema = pinned.schema()
+    edge_refs = _pin_edge_slices(
+        pinned,
+        ("src", "dst", "w") if schema and "w" in schema.names else ("src", "dst"),
+        num_partitions=num_partitions,
+    )
 
     def relax(g: pa.Table) -> pa.Table:
         """One partition's FRESH state rows -> per-dst min (dist + w)
@@ -1629,18 +1425,15 @@ def _sssp_shuffle(pinned, seeds, *, seed_col: str, max_rounds: int, num_partitio
             et = ray.get(ref)
             src = et.column("src").to_numpy(zero_copy_only=False)
             dst = et.column("dst").to_numpy(zero_copy_only=False)
-            w = et.column("w").to_numpy(zero_copy_only=False)
             if not src.size:
                 continue
-            pos = np.searchsorted(node_s, src)
-            pc_ = np.minimum(pos, node_s.size - 1)
-            valid = node_s[pc_] == src  # src is fresh this round
+            pos = np.minimum(np.searchsorted(node_s, src), node_s.size - 1)
+            valid = node_s[pos] == src  # src is fresh this round
             if not valid.any():
                 continue
             dv = dst[valid]  # dst-sorted slice: order survives the mask
-            cv = dist_s[pc_[valid]] + w[valid]
-            new = run_starts(dv)
-            starts = np.flatnonzero(new)
+            cv = dist_s[pos[valid]] + _weights(et, valid)
+            starts = np.flatnonzero(run_starts(dv))
             outs.append(
                 pa.table(
                     {
@@ -1715,7 +1508,7 @@ def _sssp_shuffle(pinned, seeds, *, seed_col: str, max_rounds: int, num_partitio
         )
 
     return state.map_batches(
-        lambda t: pa.table({"node": t.column("node"), "dist": t.column("dist")}),
+        lambda t: pa.table({"node": t.column("node"), out_col: t.column("dist")}),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )

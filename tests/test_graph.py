@@ -1,4 +1,5 @@
-"""PageRank / BFS (pipelines/graph.py) vs brute-force references."""
+"""PageRank / BFS / SSSP / triangles (pipelines/graph.py) vs brute-force
+references and each other."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import collections
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from ddsketch_ruby_ray.pipelines.graph import (
     PR_SCALE,
@@ -479,3 +481,160 @@ class TestPackedIdFallback:
             seed_col="n", max_hops=4, num_partitions=8,
         ).to_pandas()
         assert dict(zip(a.node + OFF, a.hops)) == dict(zip(b.node, b.hops))
+
+
+def _simple_graph(seed: int, n_nodes: int = 80, n_edges: int = 400):
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n_nodes, n_edges)
+    dst = rng.integers(0, n_nodes, n_edges)
+    keep = src != dst
+    return src[keep], dst[keep]
+
+
+def _as_dict(df, col):
+    return dict(zip(df.node.tolist(), df[col].tolist()))
+
+
+class TestBfsIsUnitSssp:
+    """BFS runs SSSP's frontier plans with unit weights: hops == dist
+    whenever every ``w`` is 1, in either plan."""
+
+    @staticmethod
+    def _both(edges: pa.Table, seeds: list, mode: str, **kw):
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines.graph import sssp_pipeline
+
+        seed_tbl = pa.table({"node": pa.array(seeds, pa.int64())})
+        bfs = bfs_hops_pipeline(
+            rd.from_arrow(edges).repartition(3), rd.from_arrow(seed_tbl),
+            max_hops=3, num_partitions=8, mode=mode, **kw,
+        )
+        ones = edges.append_column(
+            "w", pa.array(np.ones(edges.num_rows, np.int64))
+        )
+        sssp = sssp_pipeline(
+            rd.from_arrow(ones).repartition(3), rd.from_arrow(seed_tbl),
+            max_rounds=3, num_partitions=8, mode=mode, **kw,
+        )
+        return bfs, sssp
+
+    @pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
+    @pytest.mark.parametrize("graph_seed", [61, 62])
+    def test_hops_equal_unit_weight_dist(self, ray_session, mode, graph_seed):
+        s, d = _simple_graph(graph_seed)
+        edges = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
+        # 10**6 is an isolated seed: kept at 0, reaches nothing
+        bfs, sssp = self._both(edges, [0, 7, 10**6], mode)
+        got = _as_dict(bfs.to_pandas(), "hops")
+        assert got == _as_dict(sssp.to_pandas(), "dist")
+        assert got[10**6] == 0 and len(got) > 10
+
+    @pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
+    @pytest.mark.parametrize("case", ["no_seeds", "no_edges", "neither"])
+    def test_empty_inputs_give_typed_output(self, ray_session, mode, case):
+        s, d = _simple_graph(63)
+        if case != "no_seeds":
+            s, d = s[:0], d[:0]
+        seeds = [] if case != "no_edges" else [3, 4]
+        edges = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
+        bfs, sssp = self._both(edges, seeds, mode)
+        for ds, col in ((bfs, "hops"), (sssp, "dist")):
+            schema = ds.schema()
+            assert list(schema.names) == ["node", col]
+            assert list(schema.types) == [pa.int64(), pa.int64()]
+        want = {3: 0, 4: 0} if case == "no_edges" else {}
+        assert {r["node"]: r["hops"] for r in bfs.take_all()} == want
+        assert {r["node"]: r["dist"] for r in sssp.take_all()} == want
+
+    def test_auto_falls_back_to_shuffle(self, ray_session):
+        import ray.data as rd
+
+        s, d = _simple_graph(64, n_nodes=60, n_edges=300)
+        edges = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
+        seeds = rd.from_arrow(pa.table({"node": pa.array([0], pa.int64())}))
+        ref = bfs_hops_pipeline(
+            rd.from_arrow(edges), seeds, max_hops=3, mode="broadcast"
+        ).to_pandas()
+        got = bfs_hops_pipeline(
+            rd.from_arrow(edges), seeds, max_hops=3, mode="auto",
+            max_broadcast_nodes=2,
+        ).to_pandas()
+        assert len(ref) > 2
+        assert _as_dict(got, "hops") == _as_dict(ref, "hops")
+
+
+class TestSsspImprovesReachedNode:
+    @pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
+    def test_round_two_lowers_round_one_distance(self, ray_session, mode):
+        """Round 1 reaches a (node 1) over the weight-10 edge; round 2
+        finds seed -> b -> a at 2.  The driver fold must lower a node it
+        already holds, not only insert new ones."""
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines.graph import sssp_pipeline
+
+        edges = pa.table(
+            {
+                "src": pa.array([0, 0, 2], pa.int64()),
+                "dst": pa.array([1, 2, 1], pa.int64()),
+                "w": pa.array([10, 1, 1], pa.int64()),
+            }
+        )
+        seeds = rd.from_arrow(pa.table({"node": pa.array([0], pa.int64())}))
+
+        def run(rounds):
+            return _as_dict(
+                sssp_pipeline(
+                    rd.from_arrow(edges), seeds, max_rounds=rounds,
+                    num_partitions=4, mode=mode,
+                ).to_pandas(),
+                "dist",
+            )
+
+        assert run(1) == {0: 0, 1: 10, 2: 1}
+        assert run(2) == {0: 0, 1: 2, 2: 1}
+
+
+class TestNullEdges:
+    """A NULL endpoint or weight raises, naming its column, instead of
+    becoming node -2^63 (or a -2^63 + w distance)."""
+
+    @pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
+    @pytest.mark.parametrize(
+        "pipeline,null_col",
+        [
+            ("bfs", "a"), ("bfs", "b"),
+            ("sssp", "a"), ("sssp", "b"), ("sssp", "lat"),
+            ("pagerank", "a"), ("pagerank", "b"),
+        ],
+    )
+    def test_null_raises_naming_column(self, ray_session, mode, pipeline, null_col):
+        import ray.data as rd
+        from ray.exceptions import RayTaskError
+
+        from ddsketch_ruby_ray.pipelines.graph import sssp_pipeline
+
+        cols = {"a": [1, 2, 3], "b": [2, 3, 4], "lat": [1, 1, 1]}
+        cols[null_col] = [1, None, 3]
+        edges = rd.from_arrow(
+            pa.table({k: pa.array(v, pa.int64()) for k, v in cols.items()})
+        )
+        seeds = rd.from_arrow(pa.table({"node": pa.array([1], pa.int64())}))
+        if pipeline == "bfs":
+            run = lambda: bfs_hops_pipeline(  # noqa: E731
+                edges, seeds, src_col="a", dst_col="b", num_partitions=4, mode=mode
+            )
+        elif pipeline == "sssp":
+            run = lambda: sssp_pipeline(  # noqa: E731
+                edges, seeds, src_col="a", dst_col="b", weight_col="lat",
+                num_partitions=4, mode=mode,
+            )
+        else:
+            run = lambda: pagerank_pipeline(  # noqa: E731
+                edges, src_col="a", dst_col="b", num_partitions=4, mode=mode
+            )
+        with pytest.raises(
+            (RayTaskError, ValueError), match=f"column '{null_col}' contains 1 NULL"
+        ):
+            run().to_pandas()
