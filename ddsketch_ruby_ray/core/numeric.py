@@ -11,14 +11,17 @@ the one DuckDB's ``round()`` uses.
 
 Nearly every exact or mergeable operator ends the same way: sort by key,
 mark where each run of equal keys starts, reduce each run.  ``run_starts``
-is the one run-boundary kernel every such site calls.
+is the one run-boundary kernel every such site calls.  The candidate-pair
+steps (LSH buckets, shingle postings, basket items, triangle wedges,
+co-occurring tokens) expand every pair of rows in one run instead;
+``run_pairs`` is that expansion, over a ``run_starts`` mask.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["round_half_away", "run_starts"]
+__all__ = ["round_half_away", "run_starts", "run_pairs"]
 
 
 def round_half_away(v: np.ndarray) -> np.ndarray:
@@ -54,3 +57,25 @@ def run_starts(*sorted_cols) -> np.ndarray:
         for c in sorted_cols[1:]:
             new[1:] |= c[1:] != c[:-1]
     return new
+
+
+def run_pairs(new: np.ndarray, max_len: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, second)`` int64 row indices of every pair ``i < j`` in the
+    same run of a :func:`run_starts` mask ``new``, ordered by ``i`` and then
+    ``j``.  A run longer than ``max_len`` gives no pairs.
+
+    Row ``i`` at position ``p`` of a run of length ``L`` is the first row of
+    ``L - 1 - p`` pairs, whose second rows are ``i + 1 .. i + L - 1 - p``.
+    """
+    n = new.size
+    starts = np.flatnonzero(new)
+    lens = np.diff(np.append(starts, n))
+    cnt = np.repeat(starts + lens, lens) - np.arange(n, dtype=np.int64) - 1
+    if max_len is not None:
+        cnt[np.repeat(lens > max_len, lens)] = 0
+    first = np.repeat(np.arange(n, dtype=np.int64), cnt)
+    # second = first + 1 + (rank of the pair among first's pairs)
+    second = np.arange(first.size, dtype=np.int64) + np.repeat(
+        np.arange(1, n + 1, dtype=np.int64) - (np.cumsum(cnt) - cnt), cnt
+    )
+    return first, second

@@ -33,8 +33,9 @@ from ..core.ddsketch import (
     DEFAULT_BIN_LIMIT,
     DEFAULT_REL_ACC,
 )
+from .specs import quantile_name
 
-__all__ = ["SketchAgg", "DDSketchAgg", "quantile_name"]
+__all__ = ["SketchAgg", "DDSketchAgg"]
 
 
 def _column_numpy(block, col: str) -> np.ndarray:
@@ -47,12 +48,6 @@ def _column_numpy(block, col: str) -> np.ndarray:
     vals = block[col].to_numpy()  # pandas
     vals = vals[~np.isnan(vals)] if vals.dtype.kind == "f" else vals
     return vals.astype(np.float64, copy=False)
-
-
-def quantile_name(q: float) -> str:
-    """0.5 -> 'p50', 0.99 -> 'p99', 0.999 -> 'p999'."""
-    s = f"{q * 100:.10g}"
-    return "p" + s.replace(".", "")
 
 
 class SketchAgg(AggregateFnV2):

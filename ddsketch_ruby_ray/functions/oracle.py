@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .aggregates import quantile_name
+from .specs import quantile_name
 
 __all__ = ["ddsketch_quantile_sql", "ddsketch_group_sql", "ddsketch_key_sql"]
 

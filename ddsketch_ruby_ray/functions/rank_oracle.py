@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.hashing import splitmix64
-from .aggregates import quantile_name
+from .specs import quantile_name
 
 __all__ = ["tdigest_group_quantiles_sql", "kll_group_quantiles_sql"]
 

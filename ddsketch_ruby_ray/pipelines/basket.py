@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.numeric import run_starts
+from ..core.numeric import run_pairs, run_starts
 from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = ["frequent_pairs_pipeline"]
@@ -123,17 +123,8 @@ def frequent_pairs_pipeline(
                     "c": pa.array([], pa.int64()),
                 }
             )
-        # rows arrive lexsorted by (basket, item); segment = one basket
-        new = run_starts(b)
-        starts = np.flatnonzero(new)
-        seg = np.cumsum(new) - 1
-        seg_len = np.diff(np.append(starts, b.size))
-        pos = np.arange(b.size) - starts[seg]
-        # row r (position p, basket size L) is FIRST element of L-1-p pairs
-        cnt = (seg_len[seg] - 1 - pos).astype(np.int64)
-        first = np.repeat(np.arange(b.size), cnt)
-        excl = np.concatenate([[0], np.cumsum(cnt)[:-1]])
-        second = np.arange(int(cnt.sum())) - np.repeat(excl, cnt) + first + 1
+        # rows arrive lexsorted by (basket, item); one run = one basket
+        first, second = run_pairs(run_starts(b))
         a_i, b_i = i[first], i[second]  # a < b: items sorted within basket
         pk = (a_i << np.int64(32)) | b_i
         vals, c = np.unique(pk, return_counts=True)

@@ -17,6 +17,11 @@ Scale shapes (the 100 TB story):
     nothing is ever materialized on the driver; cross-band duplicate pairs
     collapse in a final (a, b) groupby whose value is identical in every
     band by construction.
+  * Shared steps: pairs within a bucket come from ``core.numeric.run_pairs``.
+    The Jaccard and containment verifies share one bucketing map
+    (``_bucketed_shingle_sets``) and one shared-shingle pair step
+    (``_shared_shingle_pairs``); the edit-distance, Jaro-Winkler and SimHash
+    verifies attach both sides of a pair with ``_with_pair_sides``.
 
 Every stage is deterministic (sha256 / splitmix64 hashing - see
 core/hashing.py) and mirrored bit-for-bit in DuckDB SQL
@@ -29,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.hashing import fold_windows, hash64_int, hash256_str, splitmix64
-from ..core.numeric import run_starts
+from ..core.numeric import run_pairs, run_starts
 from .fold import keyed_exchange, map_groups, partitioned_group_agg, partitioned_group_sum
 
 __all__ = [
@@ -508,38 +513,17 @@ def lsh_candidate_pairs_pipeline(
     num_partitions = 64
 
     def pairs_of_partition(pt: pa.Table) -> pa.Table:
-        bkt_s = pt.column("bb").to_numpy(zero_copy_only=False)
+        bkt = pt.column("bb").to_numpy(zero_copy_only=False)
         ids = pt.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((ids, bkt_s))
-        bkt_s, ids_s = bkt_s[order], ids[order]
-        n = len(order)
-        new = run_starts(bkt_s)
-        seg_start = np.repeat(np.flatnonzero(new), np.diff(np.append(np.flatnonzero(new), n)))
-        t = np.arange(n) - seg_start  # within-bucket position (0-based)
-        if max_bucket is not None:
-            seg_len = np.diff(np.append(np.flatnonzero(new), n))
-            keep = np.repeat(seg_len <= max_bucket, seg_len)  # skew guard
-            bkt_s, ids_s = bkt_s[keep], ids_s[keep]
-            seg_start, t = seg_start[keep], t[keep]
-            # re-base seg_start to the filtered array's coordinates
-            if len(t):
-                new2 = t == 0
-                seg_start = np.repeat(
-                    np.flatnonzero(new2), np.diff(np.append(np.flatnonzero(new2), len(t)))
-                )
-        # vectorized pair expansion: element j (position t_j in its bucket)
-        # pairs as 'b' with every earlier element of the bucket as 'a'
-        total = int(t.sum())
-        if not total:
+        order = np.lexsort((ids, bkt))
+        ids_s = ids[order]
+        # buckets over the cap give no pairs (skew guard); ids ascend within
+        # a bucket, so a <= b
+        first, second = run_pairs(run_starts(bkt[order]), max_bucket)
+        if not first.size:
             return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-        b_out = np.repeat(ids_s, t)
-        csum = np.cumsum(t) - t
-        a_idx = np.arange(total) - np.repeat(csum, t) + np.repeat(seg_start, t)
-        a_out = ids_s[a_idx]
-        # ids are sorted within bucket, so a_out < b_out by construction;
         # local (within-partition) distinct before the cross-band dedup
-        pairs = np.stack([a_out, b_out], axis=1)
-        pairs = np.unique(pairs, axis=0)
+        pairs = np.unique(np.stack([ids_s[first], ids_s[second]], axis=1), axis=0)
         return pa.table(
             {"a": pa.array(pairs[:, 0], pa.int64()), "b": pa.array(pairs[:, 1], pa.int64())}
         )
@@ -562,6 +546,57 @@ def lsh_candidate_pairs_pipeline(
     return keyed_exchange(
         pairs, distinct_pairs, keys=["a", "b"], num_partitions=num_partitions
     )
+
+
+def _bucketed_shingle_sets(ds, *, key_col, text_col, num_hashes, bands, ngram):
+    """-> Dataset[(band, bucket, key_col, _sh)]: one row per doc and band,
+    carrying the doc's sorted shingle-HASH set (int64 list; 8 bytes per
+    shingle, the text never shuffles) to every (band, bucket) it falls in.
+    One map pass computes the minhash signature and the set together."""
+
+    def sig_and_shingles(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        flat, bounds = _doc_shingle_hashes(batch, text_col, ngram)
+        n = len(bounds) - 1
+        sig = _minhash_matrix(flat, bounds, num_hashes)
+        buckets = _band_buckets(sig, bands)
+        # per-doc SORTED shingle-hash runs (int64 domain) as one list column
+        fi = flat.astype(np.int64)
+        doc_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(bounds))
+        order = np.lexsort((fi, doc_of))
+        sh_list = pa.ListArray.from_arrays(
+            pa.array(bounds.astype(np.int32)), pa.array(fi[order])
+        )
+        tile_idx = pa.array(np.tile(np.arange(n, dtype=np.int64), bands))
+        return pa.table(
+            {
+                "band": pa.array(np.repeat(np.arange(bands, dtype=np.int32), n)),
+                "bucket": pa.array(buckets.reshape(-1)),
+                key_col: pc.take(batch.column(key_col), tile_idx),
+                "_sh": pc.take(sh_list, tile_idx),
+            }
+        )
+
+    return ds.map_batches(sig_and_shingles, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _shared_shingle_pairs(sh):
+    """One bucket group's shingle sets (a list column, one row per doc) ->
+    ``(lens, d1, d2)``: each doc's set size, and one ``(d1, d2)`` row-index
+    pair with ``d1 < d2`` per shingle the two docs share.  All values sort
+    once; a doc appears at most once in a value's run (its set is
+    distinct), and the stable sort keeps docs ascending within the run."""
+    if isinstance(sh, pa.ChunkedArray):
+        sh = sh.combine_chunks()
+    offs = sh.offsets.to_numpy(zero_copy_only=False)
+    vals = sh.values.to_numpy(zero_copy_only=False)
+    lens = offs[1:] - offs[:-1]
+    doc_of = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+    order = np.argsort(vals, kind="stable")
+    first, second = run_pairs(run_starts(vals[order]))
+    sd = doc_of[order]
+    return lens, sd[first], sd[second]
 
 
 def jaccard_pairs_pipeline(
@@ -593,32 +628,10 @@ def jaccard_pairs_pipeline(
     them entirely - keep threshold > 0 for oracle-compared runs).
     """
     assert num_hashes % bands == 0
-
-    def sig_and_shingles(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        flat, bounds = _doc_shingle_hashes(batch, text_col, ngram)
-        n = len(bounds) - 1
-        sig = _minhash_matrix(flat, bounds, num_hashes)
-        buckets = _band_buckets(sig, bands)
-        # per-doc SORTED shingle-hash runs (int64 domain) as one list column
-        fi = flat.astype(np.int64)
-        doc_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(bounds))
-        order = np.lexsort((fi, doc_of))
-        sh_list = pa.ListArray.from_arrays(
-            pa.array(bounds.astype(np.int32)), pa.array(fi[order])
-        )
-        tile_idx = pa.array(np.tile(np.arange(n, dtype=np.int64), bands))
-        return pa.table(
-            {
-                "band": pa.array(np.repeat(np.arange(bands, dtype=np.int32), n)),
-                "bucket": pa.array(buckets.reshape(-1)),
-                key_col: pc.take(batch.column(key_col), tile_idx),
-                "_sh": pc.take(sh_list, tile_idx),
-            }
-        )
-
-    bucketed = ds.map_batches(sig_and_shingles, batch_format="pyarrow", zero_copy_batch=True)
+    bucketed = _bucketed_shingle_sets(
+        ds, key_col=key_col, text_col=text_col, num_hashes=num_hashes,
+        bands=bands, ngram=ngram,
+    )
 
     empty = pa.table(
         {
@@ -636,33 +649,7 @@ def jaccard_pairs_pipeline(
         m = len(keys)
         if m < 2:
             return empty
-        sh = group.column("_sh")
-        if isinstance(sh, pa.ChunkedArray):
-            sh = sh.combine_chunks()
-        offs = sh.offsets.to_numpy(zero_copy_only=False)
-        vals = sh.values.to_numpy(zero_copy_only=False)
-        lens = offs[1:] - offs[:-1]
-        doc_of = np.repeat(np.arange(m, dtype=np.int64), lens)
-        # sort all (value, doc) by value; stable keeps docs ascending within
-        # a run, and a doc appears at most once per run (unique per doc)
-        order = np.argsort(vals, kind="stable")
-        sv, sd = vals[order], doc_of[order]
-        n = sv.size
-        d1 = d2 = np.zeros(0, dtype=np.int64)
-        if n:
-            new_run = run_starts(sv)
-            pos = np.arange(n, dtype=np.int64)
-            run_start = np.maximum.accumulate(np.where(new_run, pos, -1))
-            starts_idx = np.flatnonzero(new_run)
-            run_len = np.diff(np.append(starts_idx, n))
-            run_end = run_start + run_len[np.cumsum(new_run) - 1]
-            cf = run_end - pos - 1  # co-occurring docs after this slot
-            total = int(cf.sum())
-            if total:
-                first = np.repeat(pos, cf)
-                seg0 = np.cumsum(cf) - cf
-                second = first + 1 + (np.arange(total, dtype=np.int64) - np.repeat(seg0, cf))
-                d1, d2 = sd[first], sd[second]
+        lens, d1, d2 = _shared_shingle_pairs(group.column("_sh"))
         if m <= 2048:
             # dense m x m scatter: evaluates ALL pairs (incl. intersection 0,
             # so threshold <= 0 keeps its everything-pairs semantics)
@@ -885,6 +872,30 @@ def _damerau_levenshtein(a: bytes, b: bytes) -> int:
     return int(Ho[la + 1, lb + 1])
 
 
+def _with_pair_sides(pairs, ds, key_col: str, cols: dict):
+    """Dataset[(a, b)] -> the same pairs with both sides' columns attached:
+    each ``{column: name}`` of ``ds`` (keyed by ``key_col``) arrives as
+    ``{name}_a`` and ``{name}_b``.  Two hash co-partition joins, one per
+    side, so each pair row carries each side's values exactly once; pairs
+    whose key is missing from ``ds`` drop (inner joins)."""
+    from .joins import hash_join_pipeline
+
+    out, carried = pairs, ["a", "b"]
+    for side in ("a", "b"):
+        payload = [f"{name}_{side}" for name in cols.values()]
+
+        def project(t: pa.Table, side=side, payload=payload) -> pa.Table:
+            return t.select([key_col, *cols]).rename_columns([f"_k{side}", *payload])
+
+        docs = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+        out = hash_join_pipeline(
+            out, docs, left_key=side, right_key=f"_k{side}",
+            left_cols=carried, right_payload=payload, how="inner",
+        )
+        carried = carried + payload
+    return out
+
+
 def edit_distance_pairs_pipeline(
     ds,
     *,
@@ -914,32 +925,11 @@ def edit_distance_pairs_pipeline(
     O(len_a x len_b) vectorized computation, not bookkeeping.  Pair count is
     bounded by the LSH band structure + the bucket-skew guard upstream.
     """
-    from .joins import hash_join_pipeline
-
     pairs = lsh_candidate_pairs_pipeline(
         ds, key_col=key_col, text_col=text_col, num_hashes=num_hashes,
         bands=bands, ngram=ngram,
     )
-    def _renamed(ka: str, ta: str):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table({ka: t.column(key_col), ta: t.column(text_col)})
-
-        return f
-
-    docs_a = ds.map_batches(
-        _renamed("_ka", "text_a"), batch_format="pyarrow", zero_copy_batch=True
-    )
-    docs_b = ds.map_batches(
-        _renamed("_kb", "text_b"), batch_format="pyarrow", zero_copy_batch=True
-    )
-    with_a = hash_join_pipeline(
-        pairs, docs_a, left_key="a", right_key="_ka",
-        left_cols=["a", "b"], right_payload=["text_a"], how="inner",
-    )
-    with_ab = hash_join_pipeline(
-        with_a, docs_b, left_key="b", right_key="_kb",
-        left_cols=["a", "b", "text_a"], right_payload=["text_b"], how="inner",
-    )
+    with_ab = _with_pair_sides(pairs, ds, key_col, {text_col: "text"})
 
     if metric not in ("levenshtein", "damerau"):
         raise ValueError(f"metric must be 'levenshtein' or 'damerau': {metric!r}")
@@ -1049,34 +1039,12 @@ def jaro_winkler_pairs_pipeline(
     joins, the per-PAIR scorer is the only per-row Python (bounded pair
     count; each call is O(len x window) over bytes).
     """
-    from .joins import hash_join_pipeline
-
     thr4 = int(threshold * 10_000 + 0.5)
     pairs = lsh_candidate_pairs_pipeline(
         ds, key_col=key_col, text_col=text_col, num_hashes=num_hashes,
         bands=bands, ngram=ngram,
     )
-
-    def _renamed(ka: str, ta: str):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table({ka: t.column(key_col), ta: t.column(text_col)})
-
-        return f
-
-    docs_a = ds.map_batches(
-        _renamed("_ka", "text_a"), batch_format="pyarrow", zero_copy_batch=True
-    )
-    docs_b = ds.map_batches(
-        _renamed("_kb", "text_b"), batch_format="pyarrow", zero_copy_batch=True
-    )
-    with_a = hash_join_pipeline(
-        pairs, docs_a, left_key="a", right_key="_ka",
-        left_cols=["a", "b"], right_payload=["text_a"], how="inner",
-    )
-    with_ab = hash_join_pipeline(
-        with_a, docs_b, left_key="b", right_key="_kb",
-        left_cols=["a", "b", "text_a"], right_payload=["text_b"], how="inner",
-    )
+    with_ab = _with_pair_sides(pairs, ds, key_col, {text_col: "text"})
 
     def verify(t: pa.Table) -> pa.Table:
         ta = t.column("text_a").to_pylist()
@@ -1131,39 +1099,13 @@ def simhash_hamming_pairs_pipeline(
     co-partition joins; the verify map is a vectorized XOR + unpackbits
     popcount over the whole batch — no per-pair Python.
     """
-    from .joins import hash_join_pipeline
-
     pairs = lsh_candidate_pairs_pipeline(
         ds, key_col=key_col, text_col=text_col, num_hashes=num_hashes,
         bands=bands, ngram=ngram,
     )
     sh = simhash_pipeline(ds, key_col=key_col, text_col=text_col)
-
-    def _renamed(k: str, hi: str, lo: str):
-        def f(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    k: t.column(key_col),
-                    hi: t.column("simhash_hi"),
-                    lo: t.column("simhash_lo"),
-                }
-            )
-
-        return f
-
-    sh_a = sh.map_batches(
-        _renamed("_ka", "hi_a", "lo_a"), batch_format="pyarrow", zero_copy_batch=True
-    )
-    sh_b = sh.map_batches(
-        _renamed("_kb", "hi_b", "lo_b"), batch_format="pyarrow", zero_copy_batch=True
-    )
-    with_a = hash_join_pipeline(
-        pairs, sh_a, left_key="a", right_key="_ka",
-        left_cols=["a", "b"], right_payload=["hi_a", "lo_a"], how="inner",
-    )
-    with_ab = hash_join_pipeline(
-        with_a, sh_b, left_key="b", right_key="_kb",
-        left_cols=["a", "b", "hi_a", "lo_a"], right_payload=["hi_b", "lo_b"], how="inner",
+    with_ab = _with_pair_sides(
+        pairs, sh, key_col, {"simhash_hi": "hi", "simhash_lo": "lo"}
     )
 
     def verify(t: pa.Table) -> pa.Table:
@@ -1213,32 +1155,9 @@ def containment_pairs_pipeline(
     SQL mirror's size join drops them, same note as the Jaccard verify).
     """
     assert num_hashes % bands == 0 and threshold > 0
-
-    def sig_and_shingles(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        flat, bounds = _doc_shingle_hashes(batch, text_col, ngram)
-        n = len(bounds) - 1
-        sig = _minhash_matrix(flat, bounds, num_hashes)
-        buckets = _band_buckets(sig, bands)
-        fi = flat.astype(np.int64)
-        doc_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(bounds))
-        order = np.lexsort((fi, doc_of))
-        sh_list = pa.ListArray.from_arrays(
-            pa.array(bounds.astype(np.int32)), pa.array(fi[order])
-        )
-        tile_idx = pa.array(np.tile(np.arange(n, dtype=np.int64), bands))
-        return pa.table(
-            {
-                "band": pa.array(np.repeat(np.arange(bands, dtype=np.int32), n)),
-                "bucket": pa.array(buckets.reshape(-1)),
-                key_col: pc.take(batch.column(key_col), tile_idx),
-                "_sh": pc.take(sh_list, tile_idx),
-            }
-        )
-
-    bucketed = ds.map_batches(
-        sig_and_shingles, batch_format="pyarrow", zero_copy_batch=True
+    bucketed = _bucketed_shingle_sets(
+        ds, key_col=key_col, text_col=text_col, num_hashes=num_hashes,
+        bands=bands, ngram=ngram,
     )
 
     empty = pa.table(
@@ -1255,33 +1174,7 @@ def containment_pairs_pipeline(
         m = len(keys)
         if m < 2:
             return empty
-        sh = group.column("_sh")
-        if isinstance(sh, pa.ChunkedArray):
-            sh = sh.combine_chunks()
-        offs = sh.offsets.to_numpy(zero_copy_only=False)
-        vals = sh.values.to_numpy(zero_copy_only=False)
-        lens = offs[1:] - offs[:-1]
-        doc_of = np.repeat(np.arange(m, dtype=np.int64), lens)
-        order = np.argsort(vals, kind="stable")
-        sv, sd = vals[order], doc_of[order]
-        n = sv.size
-        d1 = d2 = np.zeros(0, dtype=np.int64)
-        if n:
-            new_run = run_starts(sv)
-            pos = np.arange(n, dtype=np.int64)
-            run_start = np.maximum.accumulate(np.where(new_run, pos, -1))
-            starts_idx = np.flatnonzero(new_run)
-            run_len = np.diff(np.append(starts_idx, n))
-            run_end = run_start + run_len[np.cumsum(new_run) - 1]
-            cf = run_end - pos - 1
-            total = int(cf.sum())
-            if total:
-                first = np.repeat(pos, cf)
-                seg0 = np.cumsum(cf) - cf
-                second = first + 1 + (
-                    np.arange(total, dtype=np.int64) - np.repeat(seg0, cf)
-                )
-                d1, d2 = sd[first], sd[second]
+        lens, d1, d2 = _shared_shingle_pairs(group.column("_sh"))
         if not d1.size:
             return empty
         codes, inter = np.unique(d1 * np.int64(m) + d2, return_counts=True)

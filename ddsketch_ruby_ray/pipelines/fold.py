@@ -86,8 +86,6 @@ def null_safe_int64(col) -> np.ndarray:
     conversion; hashing/routing only needs cross-block determinism."""
     import pyarrow.compute as pc
 
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
     if col.null_count:
         col = pc.fill_null(col, 0)
     return pc.cast(col, pa.int64(), safe=False).to_numpy(zero_copy_only=False)
@@ -104,8 +102,6 @@ def strict_key_int64(col, *, name: str = "key") -> np.ndarray:
     explicitly before projection."""
     import pyarrow.compute as pc
 
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
     if col.null_count:
         raise ValueError(
             f"strict_key_int64: emitted key column {name!r} contains "

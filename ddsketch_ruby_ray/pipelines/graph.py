@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.numeric import run_starts
+from ..core.numeric import run_pairs, run_starts
 from .fold import _part_of, keyed_exchange, strict_key_int64
 
 __all__ = [
@@ -1091,15 +1091,7 @@ def triangle_count_pipeline(
         rv = rk[np.searchsorted(ns, v)]
         order = np.lexsort((rv, u))  # each u's out-list in rank order
         u_s, v_s = u[order], v[order]
-        new = run_starts(u_s)
-        starts = np.flatnonzero(new)
-        seg = np.cumsum(new) - 1
-        seg_len = np.diff(np.append(starts, u_s.size))
-        pos = np.arange(u_s.size) - starts[seg]
-        cnt = (seg_len[seg] - 1 - pos).astype(np.int64)
-        first = np.repeat(np.arange(u_s.size), cnt)
-        excl = np.concatenate([[0], np.cumsum(cnt)[:-1]])
-        second = np.arange(int(cnt.sum())) - np.repeat(excl, cnt) + first + 1
+        first, second = run_pairs(run_starts(u_s))
         x, y = v_s[first], v_s[second]  # rank(x) < rank(y): oriented pair
         pk = np.concatenate([(x << np.int64(32)) | y, (u << np.int64(32)) | v])
         kind = np.concatenate(
@@ -1388,8 +1380,17 @@ def _sssp_shuffle(
             }
         )
 
+    def distinct_seeds(g: pa.Table) -> pa.Table:
+        # one state row per seed listed in several blocks, even at 0 rounds
+        node = g.column("node").to_numpy(zero_copy_only=False)
+        o = np.argsort(node, kind="stable")
+        return g.take(pa.array(o[run_starts(node[o])]))
+
     state = seeds.map_batches(
         seed_states, batch_format="pyarrow", zero_copy_batch=True
+    ).materialize()
+    state = keyed_exchange(
+        state, distinct_seeds, num_partitions=num_partitions
     ).materialize()
     if state.count() == 0:  # no seeds: nothing is reached (typed output)
         return rd.from_arrow(

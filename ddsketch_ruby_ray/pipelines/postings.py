@@ -14,7 +14,7 @@ Scale shape (the 100 TB story):
     text never shuffles; the shingle hash partitions the exchange.
   * the per-partition reduce sees every posting of its shingles, so the
     document-frequency guard (``df_cap``) is evaluated locally and pairs
-    explode vectorized (same arange trick as the LSH bucket expansion).
+    explode vectorized (``core.numeric.run_pairs``, as in the LSH buckets).
     A shingle with df=B emits B^2/2 pair rows, so df_cap is the skew
     guard that bounds the blowup at (df_cap^2)/2 per shingle - the
     standard "stop-shingle" filter: grams shared by more than df_cap
@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.numeric import run_starts
+from ..core.numeric import run_pairs, run_starts
 from .fold import keyed_exchange
 from .dedup import _doc_shingle_hashes
 
@@ -45,15 +45,6 @@ __all__ = [
     "dup_fraction_stages",
     "resumable_dup_fraction_job",
 ]
-
-
-def _run_bounds(sorted_vals: np.ndarray):
-    """Per-element (run_start, run_len) over a SORTED array's equal runs."""
-    n = sorted_vals.size
-    new = run_starts(sorted_vals)
-    starts = np.flatnonzero(new)
-    lens = np.diff(np.append(starts, n))
-    return np.repeat(starts, lens), np.repeat(lens, lens)
 
 
 def ngram_jaccard_pairs_pipeline(
@@ -104,32 +95,18 @@ def ngram_jaccard_pairs_pipeline(
         if not sh.size:
             return empty_pairs
         order = np.lexsort((key, sh))
-        sh_s, key_s, sz_s = sh[order], key[order], sz[order]
-        seg_start, seg_len = _run_bounds(sh_s)
-        # df guard: only shingles with 2 <= df <= df_cap generate pairs
-        keep = (seg_len >= 2) & (seg_len <= df_cap)
-        sh_s, key_s, sz_s = sh_s[keep], key_s[keep], sz_s[keep]
-        seg_start = seg_start[keep]
-        if not key_s.size:
+        key_s, sz_s = key[order], sz[order]
+        # df guard: a shingle in more than df_cap docs gives no pairs; keys
+        # ascend within a shingle's run
+        first, second = run_pairs(run_starts(sh[order]), df_cap)
+        if not first.size:
             return empty_pairs
-        # re-base starts to the filtered coordinates
-        pos = np.arange(key_s.size, dtype=np.int64)
-        new = run_starts(seg_start)
-        seg_start = np.maximum.accumulate(np.where(new, pos, -1))
-        t = pos - seg_start  # within-shingle position; keys ascend in a run
-        total = int(t.sum())
-        if not total:
-            return empty_pairs
-        b_out = np.repeat(key_s, t)
-        sb_out = np.repeat(sz_s, t)
-        csum = np.cumsum(t) - t
-        a_idx = np.arange(total, dtype=np.int64) - np.repeat(csum, t) + np.repeat(seg_start, t)
         return pa.table(
             {
-                "a": pa.array(key_s[a_idx]),
-                "b": pa.array(b_out),
-                "sa": pa.array(sz_s[a_idx]),
-                "sb": pa.array(sb_out),
+                "a": pa.array(key_s[first]),
+                "b": pa.array(key_s[second]),
+                "sa": pa.array(sz_s[first]),
+                "sb": pa.array(sz_s[second]),
             }
         )
 
@@ -233,8 +210,9 @@ def dup_fraction_stages(
         key = pt.column("key").to_numpy(zero_copy_only=False)
         order = np.lexsort((key, sh))
         sh_s, key_s = sh[order], key[order]
-        _, run_len = _run_bounds(sh_s)  # per-row document frequency
-        dup = (run_len >= 2).astype(np.int64)
+        # a row is a dup unless its shingle's run is this row alone
+        new = run_starts(sh_s)
+        dup = (~(new & np.append(new[1:], True))).astype(np.int64)
         o2 = np.argsort(key_s, kind="stable")
         k2, d2 = key_s[o2], dup[o2]
         new = run_starts(k2)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.numeric import run_starts
+from ..core.numeric import run_pairs, run_starts
 from .fold import keyed_exchange, partitioned_group_agg, partitioned_group_sum
 
 __all__ = ["vocab_jaccard_pipeline", "group_count_cosine_pipeline"]
@@ -209,16 +209,11 @@ def group_count_cosine_pipeline(
                     **{f"d_{k}": pa.array([], pa.int64()) for k in range(8)},
                 }
             )
-        new = run_starts(tok)
-        seg_starts = np.flatnonzero(new)
-        seg_lens = np.diff(np.append(seg_starts, n))
-        # unordered pairs WITH self-pairs per token segment: i <= j
-        cnt = np.repeat(seg_lens, seg_lens) - (
-            np.arange(n) - np.repeat(seg_starts, seg_lens)
-        )
-        first = np.repeat(np.arange(n), cnt)
-        excl = np.concatenate([[0], np.cumsum(cnt)[:-1]])
-        second = np.arange(int(cnt.sum())) - np.repeat(excl, cnt) + first
+        # unordered pairs WITH self-pairs per token run: i < j, then i == j
+        # (the limb sums below do not depend on pair order)
+        first, second = run_pairs(run_starts(tok))
+        diag = np.arange(n, dtype=np.int64)
+        first, second = np.concatenate([first, diag]), np.concatenate([second, diag])
         ca = c[first].astype(np.uint64)
         cb = c[second].astype(np.uint64)
         # integer group codes (np.unique is sorted, so code order IS the

@@ -92,6 +92,44 @@ class TestMinHashLSH:
         hits = sum((i, i + 10_000) in found for i in range(20))
         assert hits >= 17  # banding theory: ~99% capture at s ~= 0.9
 
+    def test_max_bucket_drops_only_oversized_buckets(self, ray_session):
+        """Four copies of one text share a bucket of 4 in every band; a cap
+        below 4 drops exactly their pairs, and ``None`` is no cap."""
+        import itertools
+
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines.dedup import lsh_candidate_pairs_pipeline
+
+        rng = np.random.default_rng(5)
+
+        def text():
+            return " ".join(f"w{x}" for x in rng.integers(0, 10**6, 30))
+
+        big, small = text(), text()
+        rows = [(k, big) for k in (3, 8, 21, 40)] + [(k, small) for k in (5, 17)]
+        rows += [(100 + k, text()) for k in range(30)]
+        tbl = pa.table(
+            {
+                "doc_id": pa.array([k for k, _ in rows], pa.int64()),
+                "text": pa.array([t for _, t in rows]),
+            }
+        )
+
+        def run(**kw):
+            out = lsh_candidate_pairs_pipeline(
+                rd.from_arrow(tbl).repartition(3), key_col="doc_id", text_col="text", **kw
+            )
+            return {(r["a"], r["b"]) for r in out.take_all()}
+
+        uncapped = run(max_bucket=None)
+        big_pairs = set(itertools.combinations((3, 8, 21, 40), 2))
+        assert big_pairs | {(5, 17)} <= uncapped
+        assert run(max_bucket=len(rows)) == uncapped
+        assert run(max_bucket=4) == uncapped  # a bucket of exactly the cap stays
+        assert run(max_bucket=3) == uncapped - big_pairs
+        assert run(max_bucket=1) == set()
+
     def test_jaccard_verifies_candidates(self, ray_session):
         from ddsketch_ruby_ray.pipelines.dedup import jaccard_pairs_pipeline
 

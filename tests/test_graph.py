@@ -596,6 +596,38 @@ class TestSsspImprovesReachedNode:
         assert run(2) == {0: 0, 1: 2, 2: 1}
 
 
+class TestSeedInSeveralBlocks:
+    @pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
+    @pytest.mark.parametrize("rounds", [0, 1])
+    def test_seed_is_one_row(self, ray_session, mode, rounds):
+        """Seed 1 listed in two seed blocks is one result row in both
+        pipelines and both plans, also when no round runs."""
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines.graph import sssp_pipeline
+
+        edges = pa.table(
+            {
+                "src": pa.array([1, 2], pa.int64()),
+                "dst": pa.array([2, 3], pa.int64()),
+                "w": pa.array([1, 1], pa.int64()),
+            }
+        )
+        one = pa.table({"node": pa.array([1], pa.int64())})
+        seeds = rd.from_arrow([one, one])
+        assert seeds.num_blocks() == 2
+        want = [(1, 0)] if rounds == 0 else [(1, 0), (2, 1)]
+        sssp = sssp_pipeline(
+            rd.from_arrow(edges), seeds, max_rounds=rounds, num_partitions=4, mode=mode
+        ).to_pandas()
+        bfs = bfs_hops_pipeline(
+            rd.from_arrow(edges.drop_columns(["w"])), seeds, max_hops=rounds,
+            num_partitions=4, mode=mode,
+        ).to_pandas()
+        assert sorted(zip(sssp.node, sssp.dist)) == want
+        assert sorted(zip(bfs.node, bfs.hops)) == want
+
+
 class TestNullEdges:
     """A NULL endpoint or weight raises, naming its column, instead of
     becoming node -2^63 (or a -2^63 + w distance)."""

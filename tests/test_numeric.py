@@ -1,10 +1,12 @@
 """``core.numeric.run_starts``: the one run-boundary kernel, and the guard
-that keeps hand-written sorted-run masks out of the library."""
+that keeps hand-written sorted-run masks out of the library; and
+``run_pairs``, the one within-run pair expansion over its mask."""
 
 from __future__ import annotations
 
 import ast
 import functools
+import itertools
 import operator
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ddsketch_ruby_ray
-from ddsketch_ruby_ray.core.numeric import run_starts
+from ddsketch_ruby_ray.core.numeric import run_pairs, run_starts
 
 
 def _hand_mask(*cols):
@@ -92,6 +94,55 @@ def test_equals_hand_written_mask_on_sorted_input(rows, ncols, which):
     out = run_starts(*picked)
     assert out.dtype == bool
     np.testing.assert_array_equal(out, _hand_mask(*picked))
+
+
+# -- run_pairs ---------------------------------------------------------------
+
+
+def _combination_pairs(keys, max_len):
+    """Reference: ``itertools.combinations`` over each run's row indices,
+    runs in row order; a run longer than ``max_len`` gives no pairs."""
+    first, second = [], []
+    for _, run in itertools.groupby(range(len(keys)), key=lambda i: keys[i]):
+        rows = list(run)
+        if max_len is None or len(rows) <= max_len:
+            for i, j in itertools.combinations(rows, 2):
+                first.append(i)
+                second.append(j)
+    return first, second
+
+
+def _assert_pairs(keys, max_len):
+    first, second = run_pairs(run_starts(np.asarray(keys, dtype=np.int64)), max_len)
+    assert first.dtype == np.int64 and second.dtype == np.int64
+    assert (first.tolist(), second.tolist()) == _combination_pairs(keys, max_len)
+
+
+@pytest.mark.parametrize("max_len", [None, 1, 2, 3])
+def test_run_pairs_fixed_shapes(max_len):
+    _assert_pairs([], max_len)  # empty input: no pairs
+    _assert_pairs([7] * 5, max_len)  # one run
+    _assert_pairs([1, 2, 3, 4], max_len)  # all-singleton runs: no pairs
+    _assert_pairs([1, 1, 2, 3, 3, 3, 4, 4, 4, 4], max_len)
+
+
+def test_run_pairs_one_run_and_cap():
+    first, second = run_pairs(run_starts(np.zeros(4, np.int64)))
+    assert list(zip(first.tolist(), second.tolist())) == [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+    ]
+    # a run of exactly max_len keeps its pairs; one row longer drops them
+    assert run_pairs(run_starts(np.zeros(4, np.int64)), 4)[0].size == 6
+    assert run_pairs(run_starts(np.zeros(4, np.int64)), 3)[0].size == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 6), max_size=40).map(sorted),
+    max_len=st.sampled_from([None, 1, 2, 3]),
+)
+def test_run_pairs_equals_combinations_per_run(keys, max_len):
+    _assert_pairs(keys, max_len)
 
 
 # -- guard -------------------------------------------------------------------

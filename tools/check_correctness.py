@@ -19,10 +19,15 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import numpy as np
 import pandas as pd
+
+# the checkout this tool lives in: this process must import the same library
+# tree that the Ray workers import
+REPO_ROOT = str(Path(__file__).resolve().parents[1])
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
@@ -74,7 +79,7 @@ def main(sf_dir: str, only: list[str] | None = None) -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO_ROOT)
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
@@ -164,7 +169,7 @@ if __name__ == "__main__":
     sf = argv[0] if argv else "/root/testdata/sf0.01"
     only = argv[1:] or None
     if sample_n:
-        sys.path.insert(0, "/root/repo")
+        sys.path.insert(0, REPO_ROOT)
         import __ray_entry__ as _e
 
         only = stratified_sample(sorted(_e.queries()), sample_n)
