@@ -28,7 +28,7 @@ from typing import Sequence
 from ..functions.specs import DDSketchSpec, SketchSpec, XorSigSpec
 from ..stages import derive_content_metrics, unnest
 from ..stages.derive import add_sha64
-from ..stages.accumulate import SketchStateAccumulator, StateBlockMerger
+from ..stages.accumulate import SketchStateAccumulator, StateBlockMerger, group_codes
 from .fold import keyed_exchange
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "merge_sketch_states",
     "merge_states",
     "group_sketches",
+    "group_lookup",
     "grouped_sketch_pipeline",
     "corpus_sketch_pipeline",
     "documents_sketch_pipeline",
@@ -139,6 +140,24 @@ def group_sketches(ds, spec: SketchSpec, group_col: str, *, derive=None) -> dict
         r[group_col]: spec.from_state(r[spec.name])
         for r in merge_states(states, [spec], (group_col,)).take_all()
     }
+
+
+def group_lookup(t, group_col: str, table: dict, default, dtype=None):
+    """The probe side of :func:`group_sketches`: each row of ``t`` finds its
+    group's entry of a broadcast ``{group key: value}`` table.
+
+    -> ``(codes, groups, lut)``: ``codes`` are :func:`group_codes` of the
+    rows (NULL is one group, probed as ``None``), ``groups[c]`` is the c-th
+    distinct key and ``lut[c] = table.get(groups[c], default)``, so
+    ``lut[codes]`` is the per-row value.  One dict probe per distinct group
+    in ``t``, none per row.
+    """
+    import numpy as np
+
+    codes, first = group_codes(t, (group_col,))
+    groups = t.column(group_col).take(first)
+    lut = np.array([table.get(g, default) for g in groups.to_pylist()], dtype=dtype)
+    return codes, groups, lut.reshape(len(first), *np.shape(default))
 
 
 def grouped_sketch_pipeline(

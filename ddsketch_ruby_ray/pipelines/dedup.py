@@ -543,9 +543,14 @@ def lsh_candidate_pairs_pipeline(
             {"a": pa.array(pairs_arr[:, 0], pa.int64()), "b": pa.array(pairs_arr[:, 1], pa.int64())}
         )
 
+    import ray.data as rd
+
+    # when no pair survives, no partition's reduce runs and the exchange
+    # yields no block at all; one typed empty block keeps the (a, b) schema
+    none = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
     return keyed_exchange(
         pairs, distinct_pairs, keys=["a", "b"], num_partitions=num_partitions
-    )
+    ).union(rd.from_arrow(none))
 
 
 def _bucketed_shingle_sets(ds, *, key_col, text_col, num_hashes, bands, ngram):

@@ -15,7 +15,9 @@ is bit-exact and SQL-mirrorable via the same bucket arithmetic as the
 
 Scale shape: pass 1 is the flagship build (no raw rows shuffle); pass 2 is
 map-only (no shuffle at all).  The broadcast is one float per group -
-``ray.put`` once, read per task, never per batch.  Positive values only
+``ray.put`` once, read per task, never per batch - and each row finds its
+group's entry through :func:`~.corpus.group_lookup` (a NULL group key is one
+group).  Positive values only
 (same contract as pipelines/rank.py).
 """
 
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .corpus import group_lookup, group_sketches
 
 __all__ = ["ddsketch_outlier_pipeline", "ddsketch_bucketize_pipeline"]
 
@@ -43,7 +47,6 @@ def ddsketch_outlier_pipeline(
     import ray
 
     from ..functions.specs import DDSketchSpec
-    from .corpus import group_sketches
 
     if mode not in ("above", "trim"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -56,12 +59,9 @@ def ddsketch_outlier_pipeline(
     above = mode == "above"
 
     def flt(t: pa.Table) -> pa.Table:
-        thr_l = ray.get(ref)
         vals = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
-        groups = t.column(group_col).to_numpy(zero_copy_only=False)
-        thr = np.empty(len(vals), dtype=np.float64)
-        for g in np.unique(groups):  # loop over groups-in-batch, not rows
-            thr[groups == g] = thr_l[g]
+        codes, _, lut = group_lookup(t, group_col, ray.get(ref), np.nan, np.float64)
+        thr = lut[codes]
         mask = vals > thr if above else ~(vals > thr)
         out = t.select(carry_cols + [group_col, value_col]).filter(pa.array(mask))
         return out.append_column("thr", pa.array(thr[mask], pa.float64()))
@@ -91,7 +91,6 @@ def ddsketch_bucketize_pipeline(
     import ray
 
     from ..functions.specs import DDSketchSpec
-    from .corpus import group_sketches
 
     carry_cols = list(carry_cols)
     qs = list(quantiles)
@@ -103,15 +102,11 @@ def ddsketch_bucketize_pipeline(
     ref = ray.put(thresholds)
 
     def assign(t: pa.Table) -> pa.Table:
-        thr_l = ray.get(ref)
         vals = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
-        groups = t.column(group_col).to_numpy(zero_copy_only=False)
-        bucket = np.zeros(len(vals), dtype=np.int64)
-        for g in np.unique(groups):  # loop over groups-in-batch, not rows
-            mask = groups == g
-            # strict >: a value equal to a threshold stays in the lower bucket,
-            # mirroring SQL sum((v > t_i)::INT)
-            bucket[mask] = (vals[mask, None] > thr_l[g][None, :]).sum(axis=1)
+        codes, _, lut = group_lookup(t, group_col, ray.get(ref), np.full(len(qs), np.nan))
+        # strict >: a value equal to a threshold stays in the lower bucket,
+        # mirroring SQL sum((v > t_i)::INT)
+        bucket = (vals[:, None] > lut[codes]).sum(axis=1).astype(np.int64)
         out = t.select(carry_cols + [group_col, value_col])
         return out.append_column("bucket", pa.array(bucket))
 

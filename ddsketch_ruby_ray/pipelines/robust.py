@@ -1,24 +1,32 @@
-"""Robust (median/MAD) outlier detection — the quality-filtering staple.
+"""Robust location and outlier statistics on exact per-group quantiles.
 
 Mean/stddev outlier rules break on the heavy-tailed length/score
 distributions of web corpora (the outliers corrupt the very statistics that
-are supposed to catch them).  The robust alternative is median absolute
-deviation: flag x where |x − median| > k · MAD, with
-MAD = median(|x − median|).  Neither statistic exists in Ray Data, and a
-naive implementation needs two global sorts; here both medians come from
+are supposed to catch them).  The robust alternatives here all stand on
 :mod:`.selection`'s sketch-guided EXACT selection (DDSketch bucket counts
 locate the k-th value's single bucket; only that bucket is rescanned), so
-the whole operator is four streaming passes and two KB-sized broadcasts —
-no global sort, no driver materialization of data rows.
+none needs a global sort or a driver materialization of data rows:
 
-Exactness: for an INTEGER value column the floor-rank median is an actual
-data value (an int), deviations are exact int64, and the flag comparison
-``dev > k·mad`` is pure integer arithmetic — the SQL mirror (row_number
-floor-rank medians + integer compare) matches bit-for-bit.
+- :func:`mad_outlier_pipeline` flags x where |x − median| > k · MAD, with
+  MAD = median(|x − median|): two exact medians, four streaming passes and
+  two KB-sized broadcasts;
+- :func:`trimmed_mean_pipeline` and :func:`winsorized_mean_pipeline` share
+  one cutoff pull (both quantiles from ONE selection) and one exact int64
+  per-block pre-aggregate: the trim keeps the rows inside each group's
+  band, the winsorization clips every row to it.
 
-Scale shape: pass 1/3 are the flagship grouped sketch build (KB states
-shuffle); pass 2/4 are map-only with a tiny per-group dict broadcast via
-``ray.put``.  Skew-free: no keyed row shuffle anywhere.
+Every per-row step finds its group through :func:`~.corpus.group_lookup`,
+so a NULL group key is one group like any other.
+
+Exactness: for an INTEGER value column the floor-rank quantiles are actual
+data values (ints), deviations and band sums are exact int64, the MAD flag
+``dev > k·mad`` is pure integer arithmetic, and each mean is ONE float
+division of two exact integers — the SQL mirrors match bit-for-bit.
+
+Scale shape: the sketch builds are the flagship grouped build (KB states
+shuffle); every other pass is map-only against a tiny per-group dict
+broadcast via ``ray.put``, and the means' only shuffle is the partial-sums
+exchange.  Skew-free: no keyed row shuffle anywhere.
 """
 
 from __future__ import annotations
@@ -26,8 +34,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .corpus import group_lookup
 from .fold import partitioned_group_sum
-from .selection import sketch_exact_quantile_pipeline
+from .selection import sketch_exact_quantile_pipeline, sketch_exact_quantiles_pipeline
 
 __all__ = [
     "mad_outlier_pipeline",
@@ -57,41 +66,32 @@ def mad_outlier_pipeline(
 
     carry_cols = list(carry_cols)
 
-    med_rows = sketch_exact_quantile_pipeline(
-        ds, group_col=group_col, value_col=value_col, q=0.5, alpha=alpha
-    ).take_all()  # one row per group (KB)
-    med = {r[group_col]: int(r["exact_p50"]) for r in med_rows}
-    med_ref = ray.put(med)
+    def medians(d, col) -> dict:
+        rows = sketch_exact_quantile_pipeline(
+            d, group_col=group_col, value_col=col, q=0.5, alpha=alpha
+        ).take_all()  # one row per group (KB)
+        return {r[group_col]: int(r["exact_p50"]) for r in rows}
 
-    def _gather(col, mapping: dict) -> np.ndarray:
-        """Vectorized per-row lookup: one dict probe per DISTINCT group."""
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        de = col.dictionary_encode()
-        lut = np.array([mapping.get(v, 0) for v in de.dictionary.to_pylist()], np.int64)
-        return lut[de.indices.to_numpy(zero_copy_only=False).astype(np.int64)]
+    def deviation(t: pa.Table, stats: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Per row: |x − median| and the MAD, from ``{group: (median, mad)}``."""
+        codes, _, lut = group_lookup(t, group_col, stats, (0, 0), np.int64)
+        x = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        return np.abs(x - lut[codes, 0]), lut[codes, 1]
+
+    med = medians(ds, value_col)
+    med_ref = ray.put({g: (m, 0) for g, m in med.items()})  # MAD not known yet
 
     def add_dev(t: pa.Table) -> pa.Table:
-        m = ray.get(med_ref)
-        x = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        gm = _gather(t.column(group_col), m)
-        return t.append_column("_dev", pa.array(np.abs(x - gm)))
+        dev, _ = deviation(t, ray.get(med_ref))
+        return t.append_column("_dev", pa.array(dev))
 
     with_dev = ds.map_batches(add_dev, batch_format="pyarrow", zero_copy_batch=True)
-
-    mad_rows = sketch_exact_quantile_pipeline(
-        with_dev, group_col=group_col, value_col="_dev", q=0.5, alpha=alpha
-    ).take_all()
-    mad = {r[group_col]: int(r["exact_p50"]) for r in mad_rows}
-    mad_ref = ray.put(mad)
+    mad = medians(with_dev, "_dev")
+    stats_ref = ray.put({g: (m, mad.get(g, 0)) for g, m in med.items()})
     out_cols = carry_cols + [group_col, value_col]
 
     def flag(t: pa.Table) -> pa.Table:
-        m, md = ray.get(med_ref), ray.get(mad_ref)
-        x = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        gm = _gather(t.column(group_col), m)
-        gmad = _gather(t.column(group_col), md)
-        dev = np.abs(x - gm)
+        dev, gmad = deviation(t, ray.get(stats_ref))
         keep = dev > k * gmad
         out = t.select(out_cols).filter(pa.array(keep))
         return out.append_column("dev", pa.array(dev[keep])).append_column(
@@ -99,6 +99,68 @@ def mad_outlier_pipeline(
         )
 
     return ds.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _band_mean(ds, *, group_col, value_col, lo_q, hi_q, alpha, clip: bool, names):
+    """The shared plan of the trimmed and winsorized means.
+
+    ONE sketch-guided selection gives both exact cutoffs per group; a
+    map-only pass then pre-aggregates the exact int64 (count, sum) per
+    group in each block — of the rows inside ``[lo, hi]`` (``clip=False``)
+    or of every row clipped to it (``clip=True``) — and the only shuffle is
+    the tiny partial-sums exchange.  -> Dataset[(group_col, *names)] with
+    ``names = (count, sum, mean)`` and mean = ONE float division of the two
+    exact integers, the SQL mirrors' op order.
+    """
+    import ray
+
+    n_col, s_col, mean_col = names
+    cut_rows = sketch_exact_quantiles_pipeline(
+        ds, group_col=group_col, value_col=value_col, qs=(lo_q, hi_q), alpha=alpha
+    ).take_all()  # one row per group (KB)
+    cuts = {}
+    for r in cut_rows:
+        qv = [int(v) for c, v in r.items() if c != group_col]
+        cuts[r[group_col]] = (qv[0], qv[-1])
+    cuts_ref = ray.put(cuts)
+    no_band = (np.iinfo(np.int64).max, np.iinfo(np.int64).min)  # lo > hi: empty
+
+    def preagg(t: pa.Table) -> pa.Table:
+        codes, groups, lut = group_lookup(t, group_col, ray.get(cuts_ref), no_band, np.int64)
+        lo, hi = lut[codes, 0], lut[codes, 1]
+        v = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        if clip:
+            keep, v = lo <= hi, np.minimum(np.maximum(v, lo), hi)
+        else:
+            keep = (v >= lo) & (v <= hi)
+        n = np.bincount(codes[keep], minlength=len(groups))
+        s = np.zeros(len(groups), np.int64)
+        np.add.at(s, codes[keep], v[keep])
+        has = n > 0
+        return pa.table(
+            {
+                group_col: groups.filter(pa.array(has)),
+                n_col: pa.array(n[has], pa.int64()),
+                s_col: pa.array(s[has], pa.int64()),
+            }
+        )
+
+    parts = ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
+    summed = partitioned_group_sum(parts, group_col, [n_col, s_col])
+
+    def finalize(t: pa.Table) -> pa.Table:
+        n = t.column(f"sum({n_col})").to_numpy(zero_copy_only=False).astype(np.int64)
+        s = t.column(f"sum({s_col})").to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table(
+            {
+                group_col: t.column(group_col),
+                n_col: pa.array(n),
+                s_col: pa.array(s),
+                mean_col: pa.array(s.astype(np.float64) / n.astype(np.float64), pa.float64()),
+            }
+        )
+
+    return summed.map_batches(finalize, batch_format="pyarrow")
 
 
 def trimmed_mean_pipeline(
@@ -115,69 +177,13 @@ def trimmed_mean_pipeline(
     floor-rank quantile band (10% two-sided trim by default): the robust
     location estimate that survives the heavy tails MAD flags.
 
-    Both cutoffs come from the sketch-guided EXACT selection (no global
-    sort); the final pass filters ``lo <= v <= hi`` against the broadcast
-    cutoff dicts and pre-aggregates exact int64 (count, sum) per group in
-    each block, so the only shuffle is the tiny partial-counts exchange.
-    ``trimmed_mean`` is ONE float division of two exact integers — the same
-    op order as the SQL mirror.
+    Rows with ``lo <= v <= hi`` are kept (:func:`_band_mean`); a group's
+    ``trimmed_mean`` is ``kept_sum / n_kept``.
     """
-    import pyarrow.compute as pc
-    import ray
-
-    from .selection import sketch_exact_quantiles_pipeline
-
-    cut_rows = sketch_exact_quantiles_pipeline(
-        ds, group_col=group_col, value_col=value_col, qs=(lo_q, hi_q), alpha=alpha
-    ).take_all()  # one row per group (KB); BOTH cutoffs from one build+scan
-    if cut_rows:
-        names = [c for c in cut_rows[0] if c != group_col]
-        lo_name, hi_name = names[0], names[1]
-        lo = {r[group_col]: int(r[lo_name]) for r in cut_rows}
-        hi = {r[group_col]: int(r[hi_name]) for r in cut_rows}
-    else:
-        lo, hi = {}, {}
-    cuts_ref = ray.put((lo, hi))
-
-    def preagg(t: pa.Table) -> pa.Table:
-        lo_m, hi_m = ray.get(cuts_ref)
-        g = t.column(group_col).to_numpy(zero_copy_only=False)
-        v = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        out_g, out_n, out_s = [], [], []
-        for gv in np.unique(g):  # groups-in-batch, not rows
-            m = (g == gv) & (v >= lo_m.get(gv, np.iinfo(np.int64).max)) & (
-                v <= hi_m.get(gv, np.iinfo(np.int64).min)
-            )
-            if m.any():
-                out_g.append(gv)
-                out_n.append(int(m.sum()))
-                out_s.append(int(v[m].sum()))
-        return pa.table(
-            {
-                group_col: pa.array(out_g),
-                "n_kept": pa.array(out_n, pa.int64()),
-                "kept_sum": pa.array(out_s, pa.int64()),
-            }
-        )
-
-    parts = ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
-    summed = partitioned_group_sum(parts, group_col, ["n_kept", "kept_sum"])
-
-    def finalize(t: pa.Table) -> pa.Table:
-        n = t.column("sum(n_kept)").to_numpy(zero_copy_only=False).astype(np.int64)
-        s = t.column("sum(kept_sum)").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                group_col: t.column(group_col),
-                "n_kept": pa.array(n),
-                "kept_sum": pa.array(s),
-                "trimmed_mean": pa.array(
-                    s.astype(np.float64) / n.astype(np.float64), pa.float64()
-                ),
-            }
-        )
-
-    return summed.map_batches(finalize, batch_format="pyarrow")
+    return _band_mean(
+        ds, group_col=group_col, value_col=value_col, lo_q=lo_q, hi_q=hi_q, alpha=alpha,
+        clip=False, names=("n_kept", "kept_sum", "trimmed_mean"),
+    )
 
 
 def winsorized_mean_pipeline(
@@ -195,64 +201,10 @@ def winsorized_mean_pipeline(
     than dropped, so every row still contributes — the robust-location
     sibling of :func:`trimmed_mean_pipeline` that keeps n constant.
 
-    Same physical plan as the trim: both cutoffs from ONE sketch-guided
-    exact selection (no global sort), then a map-only pass pre-aggregates
-    the exact int64 (count, clamped sum) per group per block; the only
-    shuffle is the tiny partial-counts exchange.  ``win_mean`` is ONE
-    float division of two exact integers — the same op order as the SQL
+    Same plan as the trim (:func:`_band_mean`) with every row clipped to
+    the band; ``win_mean`` is ``win_sum / n``, the op order of the SQL
     mirror (sum of a CASE clamp over the floor-rank cutoffs)."""
-    import ray
-
-    from .selection import sketch_exact_quantiles_pipeline
-
-    cut_rows = sketch_exact_quantiles_pipeline(
-        ds, group_col=group_col, value_col=value_col, qs=(lo_q, hi_q), alpha=alpha
-    ).take_all()  # one row per group (KB)
-    if cut_rows:
-        names = [c for c in cut_rows[0] if c != group_col]
-        lo_name, hi_name = names[0], names[1]
-        lo = {r[group_col]: int(r[lo_name]) for r in cut_rows}
-        hi = {r[group_col]: int(r[hi_name]) for r in cut_rows}
-    else:
-        lo, hi = {}, {}
-    cuts_ref = ray.put((lo, hi))
-
-    def preagg(t: pa.Table) -> pa.Table:
-        lo_m, hi_m = ray.get(cuts_ref)
-        g = t.column(group_col).to_numpy(zero_copy_only=False)
-        v = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        out_g, out_n, out_s = [], [], []
-        for gv in np.unique(g):  # groups-in-batch, not rows
-            m = g == gv
-            if not m.any() or gv not in lo_m:
-                continue
-            w = np.clip(v[m], lo_m[gv], hi_m[gv])
-            out_g.append(gv)
-            out_n.append(int(m.sum()))
-            out_s.append(int(w.sum()))
-        return pa.table(
-            {
-                group_col: pa.array(out_g),
-                "n": pa.array(out_n, pa.int64()),
-                "win_sum": pa.array(out_s, pa.int64()),
-            }
-        )
-
-    parts = ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
-    summed = partitioned_group_sum(parts, group_col, ["n", "win_sum"])
-
-    def finalize(t: pa.Table) -> pa.Table:
-        n = t.column("sum(n)").to_numpy(zero_copy_only=False).astype(np.int64)
-        s = t.column("sum(win_sum)").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                group_col: t.column(group_col),
-                "n": pa.array(n),
-                "win_sum": pa.array(s),
-                "win_mean": pa.array(
-                    s.astype(np.float64) / n.astype(np.float64), pa.float64()
-                ),
-            }
-        )
-
-    return summed.map_batches(finalize, batch_format="pyarrow")
+    return _band_mean(
+        ds, group_col=group_col, value_col=value_col, lo_q=lo_q, hi_q=hi_q, alpha=alpha,
+        clip=True, names=("n", "win_sum", "win_mean"),
+    )

@@ -3392,6 +3392,7 @@ def p99_length_filter_by_lang(sf_dir: str):
     import pyarrow as pa
     import ray
 
+    from .pipelines.corpus import group_lookup
     from .pipelines.selection import sketch_exact_quantile_pipeline
 
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
@@ -3402,13 +3403,9 @@ def p99_length_filter_by_lang(sf_dir: str):
     ref = ray.put(cuts)
 
     def keep_rows(t: pa.Table) -> pa.Table:
-        cut = ray.get(ref)
-        langs = t.column("lang").to_numpy(zero_copy_only=False)
+        codes, _, cut = group_lookup(t, "lang", ray.get(ref), np.inf, np.float64)
         vals = t.column("n_chars").to_numpy(zero_copy_only=False).astype(np.float64)
-        keep = np.zeros(len(langs), dtype=bool)
-        for l in np.unique(langs):  # groups-in-batch, not rows
-            keep |= (langs == l) & (vals <= cut.get(l, np.inf))
-        return t.filter(pa.array(keep))
+        return t.filter(pa.array(vals <= cut[codes]))
 
     import pyarrow.compute as pc
 

@@ -130,6 +130,27 @@ class TestMinHashLSH:
         assert run(max_bucket=3) == uncapped - big_pairs
         assert run(max_bucket=1) == set()
 
+    def test_no_surviving_pair_gives_typed_empty_tables(self, ray_session):
+        """Two docs with no shingle in common: the LSH result is a typed
+        empty ``(a, b)`` table, and the verifies built on it run."""
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines import dedup
+
+        tbl = pa.table(
+            {"doc_id": pa.array([1, 2], pa.int64()), "text": pa.array(["a b c d", "x y z w"])}
+        )
+        kw = dict(key_col="doc_id", text_col="text")
+        lsh = dedup.lsh_candidate_pairs_pipeline(rd.from_arrow(tbl), **kw)
+        assert lsh.schema().base_schema == pa.schema([("a", pa.int64()), ("b", pa.int64())])
+        assert lsh.take_all() == []
+        for verify in (
+            dedup.edit_distance_pairs_pipeline,
+            dedup.jaro_winkler_pairs_pipeline,
+            dedup.simhash_hamming_pairs_pipeline,
+        ):
+            assert verify(rd.from_arrow(tbl), **kw).take_all() == [], verify.__name__
+
     def test_jaccard_verifies_candidates(self, ray_session):
         from ddsketch_ruby_ray.pipelines.dedup import jaccard_pairs_pipeline
 

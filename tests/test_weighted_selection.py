@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from ddsketch_ruby_ray.pipelines.selection import (
     sketch_exact_weighted_quantile_pipeline,
@@ -63,3 +64,64 @@ class TestWeightedQuantile:
         # one value carries 90% of the mass: it IS the median
         got = _run(["g"] * 3, [1.0, 100.0, 2.0], [1, 50, 1], 0.5)
         assert got == {"g": 100.0}
+
+    def test_all_ones_equals_unweighted(self, ray_session):
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines.selection import sketch_exact_quantile_pipeline
+
+        rng = np.random.default_rng(11)
+        n = 2000
+        groups = rng.choice(["a", "b", "c"], n).tolist()
+        vals = rng.integers(1, 5000, n).astype(np.float64)
+        for q in (0.0, 0.1, 0.5, 0.77, 1.0):
+            plain = sketch_exact_quantile_pipeline(
+                rd.from_arrow(pa.table({"g": groups, "v": vals})).repartition(4),
+                group_col="g",
+                value_col="v",
+                q=q,
+            ).to_pandas()
+            assert _run(groups, vals, [1] * n, q) == dict(zip(plain.g, plain[plain.columns[1]]))
+
+    def test_zero_band(self, ray_session):
+        # zeros carry 2/3 of the mass: the median is 0; the top is a bucket
+        vals = [0.0] * 60 + list(np.arange(1.0, 41.0))
+        wts = [2] * 60 + [1] * 40
+        assert _run(["z"] * 100, vals, wts, 0.5) == {"z": 0.0}
+        assert _run(["z"] * 100, vals, wts, 1.0) == {"z": 40.0}
+
+    def test_rejects_negative_values(self, ray_session):
+        with pytest.raises(ValueError, match="positive values only"):
+            _run(["n"] * 3, [-1.0, 2.0, 3.0], [1, 1, 1])
+
+    def test_bucket_cap(self, ray_session):
+        import ray.data as rd
+
+        tbl = pa.table({"g": ["c"] * 3, "v": [5.0] * 3, "w": pa.array([3, 3, 4], pa.int64())})
+        kw = dict(group_col="g", value_col="v", weight_col="w")
+        with pytest.raises(ValueError, match="bucket for group"):
+            sketch_exact_weighted_quantile_pipeline(
+                rd.from_arrow(tbl), max_candidate_mass_per_group=9, **kw
+            )
+        df = sketch_exact_weighted_quantile_pipeline(
+            rd.from_arrow(tbl), max_candidate_mass_per_group=10, **kw
+        ).to_pandas()
+        assert df.exact_wp50.tolist() == [5.0]
+
+    def test_rejects_fractional_weights(self, ray_session):
+        import ray.data as rd
+        from ray.exceptions import RayTaskError
+
+        tbl = pa.table({"g": ["f"] * 3, "v": [1.0, 2.0, 3.0], "w_frac": [1.5, 1.5, 1.0]})
+        out = sketch_exact_weighted_quantile_pipeline(
+            rd.from_arrow(tbl), group_col="g", value_col="v", weight_col="w_frac"
+        )
+        # raised in the candidate scan's task: Ray wraps it, message intact
+        with pytest.raises((RayTaskError, ValueError), match="ValueError: .*'w_frac'"):
+            out.take_all()
+        # integral weights in a float column are fine
+        tbl = tbl.set_column(2, "w_frac", pa.array([1.0, 2.0, 1.0]))
+        out = sketch_exact_weighted_quantile_pipeline(
+            rd.from_arrow(tbl), group_col="g", value_col="v", weight_col="w_frac"
+        )
+        assert out.to_pandas().exact_wp50.tolist() == [2.0]
