@@ -44,7 +44,9 @@ def _sf_of(sf_dir: str) -> float:
 
 def _consume(result) -> int:
     """Materialize a query result (Dataset / DataFrame / Table), return row count."""
-    if hasattr(result, "count") and type(result).__name__ == "Dataset":
+    import ray.data
+
+    if isinstance(result, ray.data.Dataset):  # MaterializedDataset included
         return result.count()  # triggers full streaming execution
     return len(result)
 

@@ -3,13 +3,13 @@
 def _configure_ray_data() -> None:
     """Engine-wide Ray Data tuning (no ray.init here - the driver owns that).
 
-    Push-based sort shuffle pipelines the map and reduce sides of every
-    sort / groupby exchange instead of materializing all map outputs first.
-    Measured on the 16M-row as-of join at 32 cpus: 20-29 s -> 14-17 s wall
-    with identical results (every exchange here reduces by partition id, see
-    :func:`.fold.keyed_exchange`, so reduce-side order never affects
-    output); Ray 2.49's HASH_SHUFFLE strategy measured 39-45 s on the same
-    job (aggregator-actor overhead) and is not used.  Lives here, not in the
+    Push-based sort shuffle pipelines the map and reduce sides of Ray's
+    sort / repartition exchanges instead of materializing all map outputs
+    first.  Measured on the 16M-row as-of join at 32 cpus, when the keyed
+    exchange still ran on Ray's sort: 20-29 s -> 14-17 s wall with identical
+    results; Ray 2.49's HASH_SHUFFLE strategy measured 39-45 s on the same
+    job (aggregator-actor overhead) and is not used.  The keyed exchange
+    (:func:`.fold.keyed_exchange`) now runs no Ray shuffle at all.  Lives here, not in the
     package __init__, so importing the package for the pure-numpy sketches
     alone never imports ray.data.
 

@@ -97,9 +97,12 @@ def exact_dedup_pipeline(ds, *, key_col: str, text_col: str, num_partitions: int
     text and collisions are impossible at any realistic scale.  The map side
     PRE-DEDUPES each block (one lexsort+reduceat) so the shuffle moves at most
     one 24-byte row per (block, distinct text); the reduce side is one
-    vectorized min-key scan per hash PARTITION (~cpus partitions) - Ray's
-    built-in per-group aggregate would cost ~250us of Python per distinct
-    document, which at 10^8+ distinct texts dominates everything.
+    vectorized min-key scan per hash PARTITION - Ray's built-in per-group
+    aggregate would cost ~250us of Python per distinct document, which at
+    10^8+ distinct texts dominates everything.  ``num_partitions`` (P) sets
+    how many scans run; they run in ``min(P, cluster CPUs)`` fold tasks of
+    the direct keyed exchange, each scanning the P / W partitions it holds
+    (``fold.keyed_exchange``).
     """
 
     def hash_stage(batch: pa.Table) -> pa.Table:

@@ -5,31 +5,43 @@ hash of its key, run ONE exchange, fold each partition.  Equal keys land in
 one partition by construction, so any associative fold (integer sums,
 sketch-state merges, set unions, per-key scans) is complete per partition.
 
-:func:`keyed_exchange` is that shape, and the only place in the library
-that calls ``groupby("_part").map_groups``:
+:func:`keyed_exchange` is that shape, and the library's only exchange of
+keyed rows.  It runs no sort: the partition domain ``[0, P)`` is known, so
+rows go straight to their partition's fold:
 
-1. **route** — each input gets a whole-block ``map_batches`` step that
-   appends ``_part = _part_of(keys) mod num_partitions``.  Ray fuses it into
-   the input's upstream map task, so routing costs no extra operator.
-   Routing runs BEFORE the inputs are unioned (after a ``union`` it would
-   run as its own unfused operator);
+1. **route** — every row gets ``_part = _part_of(keys) mod num_partitions``.
+   For a lazy input this is a whole-block ``map_batches`` step that Ray
+   fuses into the input's upstream map task, so routing costs no extra
+   operator; it runs BEFORE the inputs are unioned (after a ``union`` it
+   would run as its own unfused operator).  A materialized input has no
+   map task to fuse into, so its blocks are routed where they are cut;
 2. **exchange** — one of two backends, picked from metadata alone:
 
    * when every input is a ``MaterializedDataset`` and their rows total at
      most ``_ONE_TASK_ROWS`` (block metadata, so no input is executed to
-     decide), there is no exchange: the inputs are unioned and ONE
-     ``map_batches`` task (``MapBatches(fold_in_one_task)`` in
+     decide), ONE ``map_batches`` task (``MapBatches(fold_in_one_task)`` in
      ``ds.stats()``) routes the rows and folds each partition.  Small
      sketch-state tables, rollup/cube levels and small materialized graph
-     state take this path; the sort shuffle's fixed cost (~0.2 s and up)
-     would dwarf their work;
-   * otherwise one ``groupby("_part")`` sort shuffle (push-based, see
-     ``pipelines/__init__.py``) over the BOUNDED domain ``[0, P)``.  Lazy
-     inputs (raw-row exchanges) always take it;
+     state take this path; the result stays lazy;
+   * otherwise the direct exchange (the Exoshuffle shape, Luan et al.,
+     SIGCOMM 2023).  Each input block goes through one
+     ``keyed_exchange.split`` task that cuts it by ``_part % W`` into W
+     pieces, W = ``min(P, cluster CPUs)``; then W ``keyed_exchange.fold``
+     tasks each fold the partitions of one piece index.  Lazy inputs are
+     streamed (``iter_internal_ref_bundles``), so split tasks start while
+     the inputs still run.  This backend EXECUTES its inputs when
+     ``keyed_exchange`` is called and returns a ``MaterializedDataset`` of
+     at most W blocks; the maps a caller adds after it stay lazy.  In
+     ``ds.stats()`` the fold tasks are operator ``keyed_exchange.fold``,
+     after the operators that made the inputs;
 3. **reduce** — the caller's per-partition fold over ``pyarrow`` tables,
    which still see ``_part`` (co-partitioned graph state and
    ``packing``'s partition id read it).  Both backends call it once per
-   distinct ``_part``, in ascending order, on exactly that partition's rows.
+   distinct ``_part``, in ascending order, on exactly that partition's rows
+   (:func:`_fold_partitions`); on materialized input those rows come in
+   stored block order, so two runs, and the two backends, see the same
+   order.  A fold task that gets no rows adds no block, so no schema-less
+   empty block leaves the exchange.
 
 :func:`_part_of` is the single routing rule: one integer, float or
 timestamp key routes as ``hash64_int(null_safe_int64(k)) % P`` (NULL like
@@ -47,7 +59,7 @@ It holds at any key cardinality (Ray's native sort-aggregate collapses past
 as SQL ``GROUP BY`` does.  Integer sum/min/max/count are associative, so
 this is bit-exact against a single pass; float sums are order-sensitive and
 stay on paths that fix their summation order.  ``num_partitions`` sizes each
-fold task: ``distinct_keys / P`` rows.  Output rows come in partition order,
+``reduce`` call: ``distinct_keys / P`` rows.  Output rows come in partition order,
 not key order: a caller that needs key order sorts.
 
 :func:`map_groups` is ``ds.groupby(keys).map_groups(fn)`` on the same
@@ -57,8 +69,13 @@ per key, on exactly that key's rows (``_part`` dropped), in no set order.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
+import ray
+from ray.data.block import BlockExecStats, BlockMetadataWithSchema
+from ray.data.dataset import MaterializedDataset
 
 from ddsketch_ruby_ray.core.hashing import hash64_int, hash64_str_fast, splitmix64
 from ddsketch_ruby_ray.core.numeric import run_starts
@@ -73,6 +90,8 @@ __all__ = [
 ]
 
 _AGG_FUNCS = ("sum", "min", "max", "count")
+
+_log = logging.getLogger(__name__)
 
 
 def null_safe_int64(col) -> np.ndarray:
@@ -141,18 +160,26 @@ def _part_of(tbl: pa.Table, key_cols, num_partitions: int) -> np.ndarray:
 
 
 # Largest input, in rows over all inputs, that keyed_exchange folds in one
-# task instead of a sort exchange; it applies only to materialized inputs,
-# whose row count is block metadata.  Measured on 4-CPU x86 (ray 2.49.2):
-# merge_sketch_states of a materialized 16-block DDSketch state table
-# (~3.1 KB/row), Sort exchange vs one-task fold, best of 4, seconds:
+# task instead of the direct exchange; it applies only to materialized
+# inputs, whose row count is block metadata.  Measured on 4-CPU x86 (ray
+# 2.49.2): merge_sketch_states of a materialized DDSketch state table
+# (alpha 0.01; 2M lognormal values in 16 blocks, uniform int64 group keys),
+# one-task fold / direct exchange, best of 4, seconds:
 #
-#   state rows        1e3        3e3        1e4        3e4        5e4        1e5
-#   num_cpus=2  0.72/0.11  0.79/0.16  1.06/0.43  1.60/1.13  2.52/1.72  3.94/3.88
-#   num_cpus=4  0.50/0.10  0.59/0.15  0.69/0.45  1.16/1.20  1.62/2.09  2.70/3.77
+#   state rows   num_cpus=2   num_cpus=4
+#          480    0.11/0.14    0.09/0.13
+#        1,600    0.12/0.15    0.11/0.15
+#        3,200    0.14/0.15    0.16/0.18
+#        4,800    0.16/0.17    0.21/0.18
+#        8,000    0.18/0.18    0.19/0.19
+#       16,000    0.21/0.18    0.28/0.22
+#       48,000    0.26/0.25    0.36/0.27
+#      160,000    0.44/0.32    0.59/0.31
+#    1,140,000    0.85/0.56    0.88/0.51
 #
-# The crossover falls as CPUs grow (~1e5 rows at 2, ~3e4 at 4); the limit sits
-# below the smaller one, where one task still wins by 1.5x at 4 CPUs.
-_ONE_TASK_ROWS = 10_000
+# The crossover sits near 4e3-5e3 rows at 4 CPUs and 5e3-8e3 at 2; the limit
+# sits at the smaller one.
+_ONE_TASK_ROWS = 4_000
 
 
 def keyed_exchange(inputs, reduce, *, keys=None, num_partitions: int):
@@ -161,16 +188,15 @@ def keyed_exchange(inputs, reduce, *, keys=None, num_partitions: int):
     ``inputs`` is a Dataset or a list of Datasets.  With ``keys`` (a column
     name or list of them, present in every input) each input is routed on
     its own, ``_part = _part_of(keys) mod num_partitions``, before the
-    inputs are unioned; with ``keys=None`` every input must already carry
-    an int32 ``_part`` in ``[0, num_partitions)``.  ``reduce`` gets one
-    ``pyarrow`` table per partition (``_part`` included) and returns one.
+    inputs meet; with ``keys=None`` every input must already carry an int32
+    ``_part`` in ``[0, num_partitions)``.  ``reduce`` gets one ``pyarrow``
+    table per partition (``_part`` included) and returns one.
 
-    Materialized inputs of at most ``_ONE_TASK_ROWS`` rows in all skip the
-    exchange: one map task routes them and calls ``reduce`` once per
-    partition, in ascending ``_part`` order, as the exchange would.
+    Materialized inputs of at most ``_ONE_TASK_ROWS`` rows in all fold in
+    one map task; anything else runs the direct exchange, which executes
+    the inputs before it returns.  Either way ``reduce`` is called once per
+    partition, in ascending ``_part`` order.
     """
-    from ray.data.dataset import MaterializedDataset
-
     if not isinstance(inputs, (list, tuple)):
         inputs = [inputs]
     key_cols = None if keys is None else [keys] if isinstance(keys, str) else list(keys)
@@ -178,44 +204,144 @@ def keyed_exchange(inputs, reduce, *, keys=None, num_partitions: int):
         # a materialized count is block metadata: no input is executed here
         n = sum(ds.count() for ds in inputs)
         if n <= _ONE_TASK_ROWS:
+            _log.debug(
+                "keyed_exchange: backend=one_task P=%d W=1 rows=%d bytes=%d",
+                num_partitions, n, sum(ds.size_bytes() or 0 for ds in inputs),
+            )
             return _fold_in_one_task(inputs, reduce, key_cols, num_partitions, n)
-    if key_cols is not None:
+    return _direct_exchange(inputs, reduce, key_cols, num_partitions)
 
-        def route(t: pa.Table) -> pa.Table:
-            # Ray's empty blocks may be schema-less: no key column to read
-            part = _part_of(t, key_cols, num_partitions) if t.num_rows else np.zeros(0, np.int32)
-            return t.append_column("_part", pa.array(part))
 
-        inputs = [
-            ds.map_batches(route, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-            for ds in inputs
-        ]
-    ds = inputs[0].union(*inputs[1:]) if len(inputs) > 1 else inputs[0]
-    return ds.groupby("_part", num_partitions=num_partitions).map_groups(
-        reduce, batch_format="pyarrow"
-    )
+def _route(t: pa.Table, key_cols, num_partitions: int) -> pa.Table:
+    """``t`` with its ``_part`` column appended."""
+    # Ray's empty blocks may be schema-less: no key column to read
+    part = _part_of(t, key_cols, num_partitions) if t.num_rows else np.zeros(0, np.int32)
+    return t.append_column("_part", pa.array(part))
+
+
+def _fold_partitions(t: pa.Table, reduce):
+    """``reduce`` of each distinct ``_part``'s rows of ``t``, in ascending
+    ``_part`` order; a partition's rows keep their order in ``t``."""
+    part = t.column("_part").to_numpy()
+    order = np.argsort(part, kind="stable")
+    t, part = t.take(order), part[order]
+    bounds = np.append(np.flatnonzero(run_starts(part)), len(part))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield reduce(t.slice(lo, hi - lo))
 
 
 def _fold_in_one_task(inputs, reduce, key_cols, num_partitions: int, n: int):
     """:func:`keyed_exchange`'s backend for ``n`` materialized rows: one
-    ``map_batches`` task (``batch_size=n`` bundles every block into it)
-    routes the rows and yields ``reduce`` of each partition, like
-    ``map_groups`` does after its sort."""
+    ``map_batches`` task (``batch_size=n`` bundles every block into it, in
+    stored order) routes the rows and yields ``reduce`` of each partition."""
 
     def fold_in_one_task(t: pa.Table):
         if not t.num_rows:
             return
         if key_cols is not None:
-            t = t.append_column("_part", pa.array(_part_of(t, key_cols, num_partitions)))
-        part = t.column("_part").to_numpy()
-        order = np.argsort(part, kind="stable")
-        t, part = t.take(order), part[order]
-        bounds = np.append(np.flatnonzero(run_starts(part)), len(part))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            yield reduce(t.slice(lo, hi - lo))
+            t = _route(t, key_cols, num_partitions)
+        yield from _fold_partitions(t, reduce)
 
     ds = inputs[0].union(*inputs[1:]) if len(inputs) > 1 else inputs[0]
     return ds.map_batches(fold_in_one_task, batch_format="pyarrow", batch_size=max(n, 1))
+
+
+def _split(block: pa.Table, key_cols, num_partitions: int, width: int):
+    """One block -> ``width`` pieces, piece ``i`` holding the rows whose
+    ``_part % width == i`` in block order; ``key_cols`` routes a block that
+    has no ``_part`` yet."""
+    if not block.num_rows:  # Ray's empty blocks may be schema-less
+        return (block,) * width if width > 1 else block
+    if key_cols is not None:
+        block = _route(block, key_cols, num_partitions)
+    if width == 1:
+        return block
+    lane = block.column("_part").to_numpy() % width
+    order = np.argsort(lane, kind="stable")
+    bounds = np.searchsorted(lane[order], np.arange(width + 1))
+    return [block.take(order[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _fold(reduce, index: int, *pieces: pa.Table):
+    """Fold task ``index`` of the direct exchange: its pieces, concatenated
+    in submission order, through :func:`_fold_partitions`.  -> (the reduce
+    outputs as one table, its block metadata with this task's run times;
+    ``None`` when no row came in)."""
+    from ray.data._internal.arrow_ops.transform_pyarrow import concat
+
+    timer = BlockExecStats.builder()
+    pieces = [p for p in pieces if p.num_rows]
+    if not pieces:
+        return pa.table({}), None
+    out = concat(list(_fold_partitions(concat(pieces, promote_types=True), reduce)),
+                 promote_types=True)
+    stats = timer.build()
+    stats.task_idx = index
+    return out, BlockMetadataWithSchema.from_block(out, stats=stats)
+
+
+_split_task = ray.remote(name="keyed_exchange.split")(_split)
+_fold_task = ray.remote(num_returns=2, name="keyed_exchange.fold")(_fold)
+
+
+def _direct_exchange(inputs, reduce, key_cols, num_partitions: int):
+    """:func:`keyed_exchange`'s backend for everything else (see the module
+    docstring): fold task ``i`` gets piece ``i`` of every block, in split
+    submission order, and folds partitions ``i, i + W, ...``."""
+    width = max(1, min(num_partitions, int(ray.cluster_resources().get("CPU", 1))))
+    stored = [ds for ds in inputs if isinstance(ds, MaterializedDataset)]
+    lazy = [ds for ds in inputs if not isinstance(ds, MaterializedDataset)]
+    if key_cols is not None:
+
+        def route(t: pa.Table) -> pa.Table:
+            return _route(t, key_cols, num_partitions)
+
+        lazy = [
+            ds.map_batches(route, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+            for ds in lazy
+        ]
+    streams = [(ds, key_cols) for ds in stored]
+    if lazy:
+        streams.append((lazy[0].union(*lazy[1:]) if len(lazy) > 1 else lazy[0], None))
+
+    split = _split_task.options(num_returns=width)
+    pieces, rows, nbytes = [], 0, 0
+    for ds, route_keys in streams:
+        for bundle in ds.iter_internal_ref_bundles():
+            for block, meta in bundle.blocks:
+                rows += meta.num_rows or 0
+                nbytes += meta.size_bytes or 0
+                out = split.remote(block, route_keys, num_partitions, width)
+                pieces.append(out if width > 1 else [out])
+    _log.debug(
+        "keyed_exchange: backend=direct P=%d W=%d rows=%d bytes=%d",
+        num_partitions, width, rows, nbytes,
+    )
+    reduce_ref = ray.put(reduce)
+    folds = [_fold_task.remote(reduce_ref, i, *(p[i] for p in pieces)) for i in range(width)]
+    metas = ray.get([meta for _, meta in folds])
+    blocks = [(t, meta) for (t, _), meta in zip(folds, metas) if meta is not None]
+    if not blocks:
+        blocks = [(folds[0][0], BlockMetadataWithSchema.from_block(pa.table({})))]
+    return _as_dataset(blocks, [ds._plan.stats() for ds, _ in streams])
+
+
+def _as_dataset(blocks, parents) -> MaterializedDataset:
+    """``ray.data.from_arrow_refs`` of the fold outputs, from the metadata
+    the fold tasks returned (no metadata task per block), with the fold
+    tasks as operator ``keyed_exchange.fold`` after the stats of the inputs
+    (``parents``): ``ds.stats()`` of the result shows the work that made
+    it."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+
+    refs, metas = (list(x) for x in zip(*blocks))
+    stats = DatasetStats(metadata={"keyed_exchange.fold": metas}, parent=parents)
+    plan = ExecutionPlan(stats, DataContext.get_current().copy())
+    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
 
 
 def _arrow_agg(tbl: pa.Table, key_cols: list[str], aggs: list[tuple]) -> pa.Table:

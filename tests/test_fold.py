@@ -157,8 +157,10 @@ class TestMapGroups:
             ds = ds.map_batches(lambda b: b, batch_format="pyarrow")
         assert n <= _ONE_TASK_ROWS
         out = map_groups(ds, "k", self._record, num_partitions=4).materialize()
-        names = [op["name"] for op in parse_stage_metrics(out.stats())]
-        assert ("Sort" in names) == lazy, names
+        ops = parse_stage_metrics(out.stats())
+        # one task, or the direct exchange: no all-to-all operator either way
+        assert [op["name"] for op in ops if op["tasks"] is None] == [], ops
+        assert any(op["name"].startswith("MapBatches(fold_in_one_task)") for op in ops) != lazy
         rows = out.take_all()
         assert sorted(r["k"] for r in rows) == list(range(37))  # once per key
         for r in rows:
@@ -241,11 +243,15 @@ class TestKeyedExchange:
         b = rd.range(1_000, override_num_blocks=3).map_batches(pre_b, batch_format="pyarrow")
         ds = keyed_exchange([a, b], reduce, keys="k", num_partitions=4).materialize()
         assert ds.sum("n") == 3_000
-        names = [op["name"] for op in parse_stage_metrics(ds.stats())]
+        ops = parse_stage_metrics(ds.stats())
+        names = [op["name"] for op in ops]
         assert "ReadRange->MapBatches(pre_a)->MapBatches(route)" in names, names
         assert "ReadRange->MapBatches(pre_b)->MapBatches(route)" in names, names
-        assert sum(n.startswith("Sort") for n in names) == 1, names
         assert not any(n.startswith("MapBatches(route)") for n in names), names
+        assert [op["name"] for op in ops if op["tasks"] is None] == [], ops
+        # the fold tasks come last, one per piece index: W = min(P, CPUs) = 4
+        assert ops[-1]["name"] == "keyed_exchange.fold" and ops[-1]["tasks"] == 4, ops
+        assert ops[-1]["wall_s"] is not None and ops[-1]["rows_out"] == ds.count(), ops
 
     def test_empty_input_gives_zero_rows(self, ray_session, monkeypatch):
         import ray.data as rd
@@ -253,19 +259,29 @@ class TestKeyedExchange:
         from ddsketch_ruby_ray.pipelines import fold
 
         empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
-        for limit in (fold._ONE_TASK_ROWS, 0):  # one-task fold, then Sort
+        lazy = empty.map_batches(lambda t: t, batch_format="pyarrow")
+        # one-task fold, then the direct exchange on stored and streamed blocks
+        for src, limit in ((empty, fold._ONE_TASK_ROWS), (empty, -1), (lazy, -1)):
             monkeypatch.setattr(fold, "_ONE_TASK_ROWS", limit)
             out = fold.keyed_exchange(
-                empty, lambda g: g.drop_columns(["_part"]), keys="k", num_partitions=4
+                src, lambda g: g.drop_columns(["_part"]), keys="k", num_partitions=4
             )
             assert out.count() == 0
             assert out.take_all() == []
 
     @staticmethod
-    def _plan(ds) -> list[str]:
+    def _backend(ds) -> str:
+        """``one_task`` or ``direct``, from the operators ``ds`` ran; fails
+        on an all-to-all operator (a ``Sort``, say)."""
         from ddsketch_ruby_ray.state.metrics import parse_stage_metrics
 
-        return [op["name"] for op in parse_stage_metrics(ds.stats())]
+        ops = parse_stage_metrics(ds.stats())
+        assert [op["name"] for op in ops if op["tasks"] is None] == [], ops
+        names = [op["name"] for op in ops]
+        one_task = any(n.startswith("MapBatches(fold_in_one_task)") for n in names)
+        direct = "keyed_exchange.fold" in names
+        assert one_task != direct, names
+        return "one_task" if one_task else "direct"
 
     @pytest.mark.parametrize("pretagged", [False, True])
     def test_backends_make_identical_reduce_calls(self, ray_session, monkeypatch, pretagged):
@@ -290,20 +306,84 @@ class TestKeyedExchange:
 
         keys = None if pretagged else "k"
         calls = {}
-        for backend, limit in (("one_task", fold._ONE_TASK_ROWS), ("sort", 0)):
+        for backend, limit in (("one_task", fold._ONE_TASK_ROWS), ("direct", 0)):
             monkeypatch.setattr(fold, "_ONE_TASK_ROWS", limit)
             ds = fold.keyed_exchange(
                 [side(0, 100), side(100, 250)], record, keys=keys, num_partitions=P
             ).materialize()
-            names = self._plan(ds)
-            assert ("Sort" in names) == (backend == "sort"), names
-            assert ("MapBatches(fold_in_one_task)" in names) == (backend == "one_task"), names
+            assert self._backend(ds) == backend
             calls[backend] = sorted((r["p"], r["rows"]) for r in ds.take_all())
-        parts = [p for p, _ in calls["sort"]]
+        parts = [p for p, _ in calls["direct"]]
         assert len(parts) == len(set(parts)) == P
-        assert calls["one_task"] == calls["sort"]
+        assert calls["one_task"] == calls["direct"]
 
-    def test_lazy_input_keeps_sort_and_is_not_executed(self, ray_session, monkeypatch):
+    def test_direct_exchange_keeps_the_one_task_row_order(self, ray_session, monkeypatch):
+        """On a materialized input, ``reduce`` sees each partition's rows in
+        stored block order: the same on every run, and the same as the
+        one-task fold."""
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines import fold
+
+        n, P = 3_000, 8
+        rng = np.random.default_rng(7)
+        t = pa.table({"k": rng.integers(0, 50, n), "v": rng.permutation(n)})
+        src = rd.from_arrow([t.slice(i, 250) for i in range(0, n, 250)])
+
+        def record(g: pa.Table) -> pa.Table:
+            return pa.table({"p": [g.column("_part")[0].as_py()],
+                             "seen": [repr(g.column("v").to_pylist())]})
+
+        runs = []
+        for backend, limit in (("one_task", n), ("direct", 0), ("direct", 0)):
+            monkeypatch.setattr(fold, "_ONE_TASK_ROWS", limit)
+            ds = fold.keyed_exchange(src, record, keys="k", num_partitions=P).materialize()
+            assert self._backend(ds) == backend
+            runs.append(sorted((r["p"], r["seen"]) for r in ds.take_all()))
+        one_task, direct_1, direct_2 = runs
+        assert len(one_task) == P
+        assert direct_1 == direct_2 == one_task
+
+    def test_some_empty_folds_keep_the_schema(self, ray_session, monkeypatch):
+        """When only some fold tasks get rows, the output still has a schema
+        and Ray sees no schema-less block downstream."""
+        import logging
+
+        import ray.data as rd
+
+        from ddsketch_ruby_ray.pipelines import fold
+
+        class Lines(logging.Handler):
+            def __init__(self):
+                super().__init__()
+                self.lines = []
+
+            def emit(self, rec):
+                self.lines.append(rec.getMessage())
+
+        lines = Lines()
+        ray_logger = logging.getLogger("ray.data")
+        ray_logger.addHandler(lines)
+        monkeypatch.setattr(fold, "_ONE_TASK_ROWS", 0)
+        try:
+            # 3 keys in 16 partitions: at most 3 of the 4 fold tasks get rows
+            t = pa.table({"k": np.arange(400, dtype=np.int64) % 3})
+            stored = rd.from_arrow([t.slice(i, 50) for i in range(0, 400, 50)])
+            for src in (stored, stored.map_batches(lambda b: b, batch_format="pyarrow")):
+                out = fold.keyed_exchange(
+                    src, lambda g: g.drop_columns(["_part"]), keys="k", num_partitions=16
+                )
+                assert out.schema() is not None
+                assert out.schema().names == ["k"]
+                again = out.map_batches(lambda b: b, batch_format="pyarrow").materialize()
+                assert again.count() == 400
+        finally:
+            ray_logger.removeHandler(lines)
+        assert not [m for m in lines.lines if "different schema" in m], lines.lines
+
+    def test_lazy_input_streams_into_the_direct_exchange(self, ray_session, monkeypatch):
+        """A lazy input is counted by no rule and is never materialized or
+        pulled as Arrow refs: its blocks stream into the split tasks."""
         import ray.data as rd
         from ray.data.dataset import MaterializedDataset
 
@@ -316,35 +396,38 @@ class TestKeyedExchange:
             counted.append(type(self))
             return real_count(self)
 
-        def materialize(self):
-            raise AssertionError("the backend rule executed an input")
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the exchange materialized an input")
 
         lazy = rd.from_arrow(pa.table({"k": [1, 2, 3]})).map_batches(
             lambda t: t, batch_format="pyarrow"
         )
         monkeypatch.setattr(rd.Dataset, "count", count)
-        monkeypatch.setattr(rd.Dataset, "materialize", materialize)
+        monkeypatch.setattr(rd.Dataset, "materialize", refuse)
+        monkeypatch.setattr(rd.Dataset, "to_arrow_refs", refuse)
         out = keyed_exchange(lazy, lambda g: g, keys="k", num_partitions=2)
         assert all(issubclass(t, MaterializedDataset) for t in counted)
         monkeypatch.setattr(rd.Dataset, "materialize", real_materialize)
-        assert "Sort" in self._plan(out.materialize())
+        assert self._backend(out.materialize()) == "direct"
+        assert sorted(r["k"] for r in out.take_all()) == [1, 2, 3]
 
-    def test_materialized_input_over_the_limit_keeps_sort(self, ray_session, monkeypatch):
+    def test_materialized_input_over_the_limit_runs_direct(self, ray_session, monkeypatch):
         import ray.data as rd
 
         from ddsketch_ruby_ray.pipelines import fold
 
         monkeypatch.setattr(fold, "_ONE_TASK_ROWS", 5)
-        for n, sort in ((5, False), (6, True)):
+        for n, backend in ((5, "one_task"), (6, "direct")):
             src = rd.from_arrow(pa.table({"k": np.arange(n)}))
             out = fold.keyed_exchange(src, lambda g: g, keys="k", num_partitions=2).materialize()
             assert out.count() == n
-            assert ("Sort" in self._plan(out)) == sort
+            assert self._backend(out) == backend
 
 
 def test_every_library_groupby_runs_through_fold():
-    """``fold`` holds the library's only grouped path: no ``.groupby(`` call
-    anywhere else in ``ddsketch_ruby_ray`` but the named pandas-on-driver one."""
+    """``fold`` holds the library's only grouped path, and it runs no Ray
+    ``groupby``: no ``.groupby(`` call anywhere in ``ddsketch_ruby_ray`` but
+    the named pandas-on-driver one."""
     import ast
     from pathlib import Path
 
@@ -352,7 +435,6 @@ def test_every_library_groupby_runs_through_fold():
 
     root = Path(ddsketch_ruby_ray.__file__).parent
     allowed = {
-        ("pipelines/fold.py", None),
         # pandas over the KB-sized transition matrix, on the driver
         ("queries.py", "markov_event_transitions"),
     }

@@ -312,9 +312,9 @@ def test_merge_states_keeps_typed_state_for_every_spec(spec_name):
 
 def test_state_merges_run_no_native_aggregate(monkeypatch):
     """Rollup and ``group_sketches`` merge states through the keyed
-    exchange only: Ray's ``aggregate`` is never called, and every merge
-    plan ends in one of the keyed exchange's folds (route -> ``Sort`` ->
-    fold, or the one-task fold) with no ``Aggregate`` operator."""
+    exchange only: Ray's ``aggregate`` is never called, and no merge plan
+    has an all-to-all or ``Aggregate`` operator (the keyed exchange folds in
+    one task or in the direct exchange's fold tasks)."""
     import pyarrow as pa
     import ray.data as rd
     from ray.data.grouped_data import GroupedData
@@ -346,7 +346,7 @@ def test_state_merges_run_no_native_aggregate(monkeypatch):
 
     def recording(*args, **kwargs):
         ds = merge_states(*args, **kwargs).materialize()
-        plans.append([op["name"] for op in parse_stage_metrics(ds.stats())])
+        plans.append(parse_stage_metrics(ds.stats()))
         return ds
 
     monkeypatch.setattr(corpus_mod, "merge_states", recording)
@@ -358,18 +358,27 @@ def test_state_merges_run_no_native_aggregate(monkeypatch):
 
     assert aggregate_calls == []
     assert len(plans) == 3  # rollup (a, b) and (a); group_sketches (a)
-    for names in plans:
-        sort_fold = "Sort" in names and "MapBatches(__call__)" in names
-        assert sort_fold or any(n.startswith("MapBatches(fold_in_one_task)") for n in names), names
-        assert not [n for n in names if "Aggregate" in n], names
+    for ops in plans:
+        # the only all-to-all operator is the input's own repartition(3)
+        assert [op["name"] for op in ops if op["tasks"] is None] == ["Repartition"], ops
+        assert not [op for op in ops if "Aggregate" in op["name"]], ops
 
 
 def test_corpus_sketch_pipeline_runs_one_exchange(monkeypatch):
     """A small state table is folded in ONE task with no all-to-all
-    operator; past ``fold._ONE_TASK_ROWS`` the merge is ONE ``Sort``
-    exchange (no Repartition before it)."""
+    operator; past ``fold._ONE_TASK_ROWS`` the merge is ONE direct exchange,
+    and still no all-to-all operator runs."""
     from ddsketch_ruby_ray.pipelines import fold
     from ddsketch_ruby_ray.state.metrics import parse_stage_metrics
+
+    direct = []
+    real_direct = fold._direct_exchange
+
+    def counting(*args, **kwargs):
+        direct.append(args)
+        return real_direct(*args, **kwargs)
+
+    monkeypatch.setattr(fold, "_direct_exchange", counting)
 
     def run():
         ds = corpus_sketch_pipeline(
@@ -383,7 +392,9 @@ def test_corpus_sketch_pipeline_runs_one_exchange(monkeypatch):
     # the fold fuses with the unnest maps after it
     folds = [op for op in ops if op["name"].startswith("MapBatches(fold_in_one_task)")]
     assert len(folds) == 1 and folds[0]["tasks"] == 1, ops
+    assert direct == []
     monkeypatch.setattr(fold, "_ONE_TASK_ROWS", 0)
     ops = run()
-    exchanges = [op["name"] for op in ops if op["tasks"] is None]
-    assert exchanges == ["Sort"], [op["name"] for op in ops]
+    assert [op["name"] for op in ops if op["tasks"] is None] == [], ops
+    assert not any(op["name"].startswith("MapBatches(fold_in_one_task)") for op in ops), ops
+    assert len(direct) == 1
