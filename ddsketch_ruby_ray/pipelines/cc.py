@@ -62,10 +62,11 @@ def connected_components_pipeline(
 
     # Partition count adapts to the EDGE count (num_partitions is the cap):
     # the labels/messages tables are proportional to duplicate pairs, not the
-    # corpus, so a fixed 64-way split makes every half-iteration pay ~64
-    # groupby+repartition tasks even when the whole graph is a few KB --
-    # measured 43 s at sf0.01 for a 47-cluster result.  One partition per
-    # ~256k edge rows keeps per-task work meaningful at every scale.
+    # corpus, so a fixed 64-way split made every half-iteration of the old
+    # sort exchange pay ~64 groupby+repartition tasks even when the whole
+    # graph is a few KB (43 s at sf0.01 for a 47-cluster result).  One
+    # partition per ~256k edge rows keeps per-task work meaningful at every
+    # scale: a small graph's exchange runs one split and one fold task.
     # materialize first so count() doesn't re-run the (expensive) upstream
     # pair-generation lineage when the edges map executes below.
     pairs = pairs.materialize()
@@ -211,11 +212,6 @@ def connected_components_pipeline(
             keyed_exchange(
                 [msg_rows, old_rows], fold, keys="node", num_partitions=num_partitions
             )
-            # without this cap the sort/union multiply block counts ~6x per
-            # iteration (measured 9 -> 57 -> 345), and per-iteration wall
-            # time grows with task count; labels stay O(num_partitions)
-            # blocks forever
-            .repartition(num_partitions)
             .materialize()
         )
         changed = folded.sum("changed")

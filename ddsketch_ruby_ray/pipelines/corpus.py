@@ -103,7 +103,7 @@ def merge_sketch_states(states, specs: Sequence[SketchSpec], group_keys: Sequenc
 
     The state table is materialized first: it has at most blocks x groups
     rows, so it is bounded by construction, and its row count is then block
-    metadata.  A small one is folded in one task with no metadata.  A small one is folded in one task with no exchange; a larger
+    metadata.  A small one is folded in one task with no exchange; a larger
     one runs the direct exchange with one partition per cluster CPU.  Each
     partition's fold merges its states per group and finalizes them
     (:meth:`StateBlockMerger.finalize_groups`).

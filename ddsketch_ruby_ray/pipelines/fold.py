@@ -26,8 +26,9 @@ rows go straight to their partition's fold:
    * otherwise the direct exchange (the Exoshuffle shape, Luan et al.,
      SIGCOMM 2023).  Each input block goes through one
      ``keyed_exchange.split`` task that cuts it by ``_part % W`` into W
-     pieces, W = ``min(P, cluster CPUs)``; then W ``keyed_exchange.fold``
-     tasks each fold the partitions of one piece index.  Lazy inputs are
+     pieces sorted by ``_part``, W = ``min(P, cluster CPUs)``; then W
+     ``keyed_exchange.fold`` tasks each fold the partitions of one piece
+     index, copying one partition's rows at a time.  Lazy inputs are
      streamed (``iter_internal_ref_bundles``), so split tasks start while
      the inputs still run.  This backend EXECUTES its inputs when
      ``keyed_exchange`` is called and returns a ``MaterializedDataset`` of
@@ -219,15 +220,30 @@ def _route(t: pa.Table, key_cols, num_partitions: int) -> pa.Table:
     return t.append_column("_part", pa.array(part))
 
 
+def _by_part(t: pa.Table, width: int = 1):
+    """Row order of ``t`` sorted by (``_part % width``, ``_part``), rows of
+    one partition in their order in ``t``.  -> (that order, the sorted
+    ``_part % width``)."""
+    part = t.column("_part").to_numpy()
+    lane = part % width
+    order = np.argsort(lane.astype(np.int64) * (int(part.max()) + 1) + part, kind="stable")
+    return order, lane[order]
+
+
 def _fold_partitions(t: pa.Table, reduce):
     """``reduce`` of each distinct ``_part``'s rows of ``t``, in ascending
-    ``_part`` order; a partition's rows keep their order in ``t``."""
+    ``_part`` order.  ``t`` is pieces concatenated, each sorted by ``_part``
+    (:func:`_by_part`); a partition's rows come piece by piece, each piece's
+    in its order.  Only the partition being folded is copied, so a fold
+    holds one partition beside its input, not a sorted copy of it all."""
     part = t.column("_part").to_numpy()
-    order = np.argsort(part, kind="stable")
-    t, part = t.take(order), part[order]
-    bounds = np.append(np.flatnonzero(run_starts(part)), len(part))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        yield reduce(t.slice(lo, hi - lo))
+    starts = np.flatnonzero(run_starts(part))
+    ends = np.append(starts[1:], len(part))
+    runs = np.lexsort((starts, part[starts]))  # by partition, then position
+    bounds = np.append(np.flatnonzero(run_starts(part[starts[runs]])), len(runs))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        pieces = [t.slice(starts[r], ends[r] - starts[r]) for r in runs[a:b]]
+        yield reduce(pa.concat_tables(pieces).combine_chunks())
 
 
 def _fold_in_one_task(inputs, reduce, key_cols, num_partitions: int, n: int):
@@ -240,7 +256,7 @@ def _fold_in_one_task(inputs, reduce, key_cols, num_partitions: int, n: int):
             return
         if key_cols is not None:
             t = _route(t, key_cols, num_partitions)
-        yield from _fold_partitions(t, reduce)
+        yield from _fold_partitions(t.take(_by_part(t)[0]), reduce)
 
     ds = inputs[0].union(*inputs[1:]) if len(inputs) > 1 else inputs[0]
     return ds.map_batches(fold_in_one_task, batch_format="pyarrow", batch_size=max(n, 1))
@@ -248,17 +264,17 @@ def _fold_in_one_task(inputs, reduce, key_cols, num_partitions: int, n: int):
 
 def _split(block: pa.Table, key_cols, num_partitions: int, width: int):
     """One block -> ``width`` pieces, piece ``i`` holding the rows whose
-    ``_part % width == i`` in block order; ``key_cols`` routes a block that
-    has no ``_part`` yet."""
+    ``_part % width == i``, sorted by ``_part`` and otherwise in block
+    order; ``key_cols`` routes a block that has no ``_part`` yet."""
     if not block.num_rows:  # Ray's empty blocks may be schema-less
         return (block,) * width if width > 1 else block
     if key_cols is not None:
         block = _route(block, key_cols, num_partitions)
+    order, lane = _by_part(block, width)
     if width == 1:
-        return block
-    lane = block.column("_part").to_numpy() % width
-    order = np.argsort(lane, kind="stable")
-    bounds = np.searchsorted(lane[order], np.arange(width + 1))
+        return block.take(order)
+    bounds = np.searchsorted(lane, np.arange(width + 1))
+    # a take per piece: each piece owns its rows, not the whole block
     return [block.take(order[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -327,11 +343,19 @@ def _direct_exchange(inputs, reduce, key_cols, num_partitions: int):
 
 
 def _as_dataset(blocks, parents) -> MaterializedDataset:
-    """``ray.data.from_arrow_refs`` of the fold outputs, from the metadata
-    the fold tasks returned (no metadata task per block), with the fold
-    tasks as operator ``keyed_exchange.fold`` after the stats of the inputs
-    (``parents``): ``ds.stats()`` of the result shows the work that made
-    it."""
+    """A ``MaterializedDataset`` of the fold outputs, from the metadata the
+    fold tasks returned (no metadata task per block), with the fold tasks
+    as operator ``keyed_exchange.fold`` after the stats of the inputs
+    (``parents``).
+
+    The stats lineage is the point: ``ds.stats()`` of any pipeline past the
+    exchange lists the operators that made its inputs, then the fold tasks
+    with their times, rows and bytes.  ``ray.data.from_arrow_refs`` would
+    start the stats over at a ``FromArrow`` with 0 s of wall, which
+    ``perfbench``'s per-operator split divides by, and which hides the work
+    before the exchange; the tests assert the lineage.  Built from Ray Data
+    internals (``ExecutionPlan``, ``DatasetStats``, ``FromArrow``) as of
+    Ray 2.49."""
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.from_operators import FromArrow
     from ray.data._internal.plan import ExecutionPlan

@@ -509,9 +509,6 @@ def pagerank_pipeline(
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        # the repartition cap is LOAD-BEARING: without it the next
-        # iteration's union/groupby lineage fans out over the groupby's
-        # many small output blocks (measured 23.5 s -> 183 s at 16M edges)
         ranks = (
             keyed_exchange(
                 [msg_rows, old_rows],
@@ -519,7 +516,6 @@ def pagerank_pipeline(
                 keys="node",
                 num_partitions=num_partitions,
             )
-            .repartition(min(num_partitions, 16))
             .materialize()
         )
 
@@ -1504,7 +1500,6 @@ def _sssp_shuffle(
             keyed_exchange(
                 [msg_rows, old_rows], fold, keys="node", num_partitions=num_partitions
             )
-            .repartition(min(num_partitions, 16))
             .materialize()
         )
 

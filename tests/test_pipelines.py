@@ -312,9 +312,10 @@ def test_merge_states_keeps_typed_state_for_every_spec(spec_name):
 
 def test_state_merges_run_no_native_aggregate(monkeypatch):
     """Rollup and ``group_sketches`` merge states through the keyed
-    exchange only: Ray's ``aggregate`` is never called, and no merge plan
-    has an all-to-all or ``Aggregate`` operator (the keyed exchange folds in
-    one task or in the direct exchange's fold tasks)."""
+    exchange only: Ray's ``aggregate`` is never called, and every merge
+    plan ends in one of the keyed exchange's folds (the one-task fold, or
+    the direct exchange's ``keyed_exchange.fold`` tasks) with no all-to-all
+    or ``Aggregate`` operator of its own."""
     import pyarrow as pa
     import ray.data as rd
     from ray.data.grouped_data import GroupedData
@@ -359,9 +360,12 @@ def test_state_merges_run_no_native_aggregate(monkeypatch):
     assert aggregate_calls == []
     assert len(plans) == 3  # rollup (a, b) and (a); group_sketches (a)
     for ops in plans:
+        names = [op["name"] for op in ops]
+        one_task = any(n.startswith("MapBatches(fold_in_one_task)") for n in names)
+        assert one_task or "keyed_exchange.fold" in names, names
         # the only all-to-all operator is the input's own repartition(3)
         assert [op["name"] for op in ops if op["tasks"] is None] == ["Repartition"], ops
-        assert not [op for op in ops if "Aggregate" in op["name"]], ops
+        assert not [n for n in names if "Aggregate" in n], names
 
 
 def test_corpus_sketch_pipeline_runs_one_exchange(monkeypatch):
