@@ -7,22 +7,29 @@ graph primitive, so this is min-label propagation expressed as Dataset
 shuffles - the honest distributed formulation, not a driver-side
 union-find:
 
-  per iteration (2 keyed shuffles, both partition-vectorized):
-    1. attach labels to incident edges: union(label rows, edge rows keyed
-       by endpoint) -> hash-partition groupby -> inside each partition one
-       lexsort puts a node's label row at its segment head; a vectorized
-       forward-fill emits (other_endpoint, candidate=label) messages;
-    2. fold: union(messages, label rows) -> partition groupby -> per-node
-       min via lexsort + minimum.reduceat -> new labels + changed flags.
+  build: both directions of every pair, tagged by hash(endpoint), are
+    pinned ONCE as per-partition object-store slices (graph.py's
+    ``_pin_edge_slices``); one keyed exchange of the same rows gives every
+    node its partition's LOCAL component minimum as a first label.
 
-  The driver reads ONE number per iteration (sum of changed) and stops at
+  per iteration, two half-steps of graph.py's vertex-program round:
+    1. neighbor step: each node sends its label to its neighbors along
+       the pinned slices (``_scatter``: one exchange of the label rows,
+       the edges never re-ship), and each node keeps the minimum of its
+       label and what it got (``_gather``: one exchange on node);
+    2. pointer jump: each node v listens to its current label's label -
+       the relation (label(v) -> v) changes every round, so it rides the
+       label rows' exchange instead of being pinned - and keeps the
+       minimum the same way.  Path compression: O(log diameter) rounds
+       instead of O(diameter).
+
+  The driver reads ONE number per half-step (sum of changed) and stops at
   fixpoint or ``max_iters``; the labels table (one row per node appearing
   in any pair - proportional to duplicates, not corpus) is materialized
-  per iteration into the OBJECT STORE so the lazy lineage doesn't re-run.
+  per half-step into the OBJECT STORE so the lazy lineage doesn't re-run.
 
-Converges in <= component diameter iterations; near-dup clusters are
-star/clique shaped, so a handful in practice.  Deterministic: min is
-order-free.  SQL-mirrorable with a recursive transitive-closure CTE.
+Deterministic: min is order-free.  SQL-mirrorable with a recursive
+transitive-closure CTE.
 """
 
 from __future__ import annotations
@@ -30,10 +37,20 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core.numeric import run_starts
 from .fold import _part_of, keyed_exchange
+from .graph import _col, _gather, _pin_edge_slices, _scatter
 
 __all__ = ["connected_components_pipeline"]
+
+# Edge rows per partition; num_partitions only caps the count.  The
+# labels/messages tables are proportional to duplicate pairs, not the
+# corpus, so a fixed 64-way split made every half-iteration of the old sort
+# exchange pay ~64 groupby+repartition tasks even when the whole graph is a
+# few KB (43 s at sf0.01 for a 47-cluster result, measured on the sort
+# exchange since replaced by the direct one).  One partition per ~256k edge
+# rows keeps per-task work meaningful at every scale: a small graph's
+# exchange runs one split and one fold task.
+_EDGE_ROWS_PER_PART = 262_144
 
 
 def connected_components_pipeline(
@@ -52,32 +69,23 @@ def connected_components_pipeline(
         b = t.column(b_col).to_numpy(zero_copy_only=False).astype(np.int64)
         e = pa.table(
             {
-                "key": pa.array(np.concatenate([a, b])),
-                "other": pa.array(np.concatenate([b, a])),
+                "src": pa.array(np.concatenate([a, b])),
+                "dst": pa.array(np.concatenate([b, a])),
             }
         )
-        # pre-tagged: the edges are materialized once and exchanged every
-        # iteration, so no iteration pays an unfused route step
-        return e.append_column("_part", pa.array(_part_of(e, ["key"], num_partitions)))
+        return e.append_column("_part", pa.array(_part_of(e, ["src"], num_partitions)))
 
-    # Partition count adapts to the EDGE count (num_partitions is the cap):
-    # the labels/messages tables are proportional to duplicate pairs, not the
-    # corpus, so a fixed 64-way split made every half-iteration of the old
-    # sort exchange pay ~64 groupby+repartition tasks even when the whole
-    # graph is a few KB (43 s at sf0.01 for a 47-cluster result).  One
-    # partition per ~256k edge rows keeps per-task work meaningful at every
-    # scale: a small graph's exchange runs one split and one fold task.
     # materialize first so count() doesn't re-run the (expensive) upstream
     # pair-generation lineage when the edges map executes below.
     pairs = pairs.materialize()
     n_edges = 2 * pairs.count()
-    num_partitions = max(1, min(num_partitions, n_edges // 262_144 + 1))
+    num_partitions = max(1, min(num_partitions, n_edges // _EDGE_ROWS_PER_PART + 1))
 
     edges = pairs.map_batches(
         to_edges,
         batch_format="pyarrow",
         zero_copy_batch=True,
-    ).materialize()  # reused every iteration - pin the blocks once
+    ).materialize()  # read by the build exchange and the pinning below
 
     def init_labels(g: pa.Table) -> pa.Table:
         """Initial labels = LOCAL component minimum within this partition.
@@ -88,8 +96,8 @@ def connected_components_pipeline(
         edges) costs one pass and removes every intra-partition round from
         the GLOBAL loop -- the classic local-contraction step; the global
         iterations then only resolve cross-partition merges."""
-        k = g.column("key").to_numpy(zero_copy_only=False)
-        o = g.column("other").to_numpy(zero_copy_only=False)
+        k = _col(g, "src")
+        o = _col(g, "dst")
         nodes = np.unique(np.concatenate([k, o]))
         u = np.searchsorted(nodes, k)
         v = np.searchsorted(nodes, o)
@@ -103,7 +111,7 @@ def connected_components_pipeline(
                 break
             lab = new
         part = g.column("_part")[0].as_py()
-        # emit only this partition's OWN nodes (the key side; both edge
+        # emit only this partition's OWN nodes (the src side; both edge
         # directions exist, so every node keys its home partition)
         mine = np.unique(u)
         return pa.table(
@@ -124,136 +132,35 @@ def connected_components_pipeline(
             ),
             batch_format="pyarrow",
         )
+    edge_refs = _pin_edge_slices(edges, ("src", "dst"), num_partitions=num_partitions)
 
-    def propagate(g: pa.Table) -> pa.Table:
-        """label + edge rows of one partition -> (node=other, cand) messages."""
-        key = g.column("key").to_numpy(zero_copy_only=False)
-        other = g.column("other").to_numpy(zero_copy_only=False)
-        lab = g.column("lab").to_numpy(zero_copy_only=False)
-        is_lab = g.column("is_lab").to_numpy(zero_copy_only=False)
-        order = np.lexsort((1 - is_lab, key))  # label row first per key run
-        k_s, o_s, l_s, il_s = key[order], other[order], lab[order], is_lab[order]
-        new_key = run_starts(k_s)
-        # broadcast each segment's HEAD label (the label row sorts first and
-        # every key segment has exactly one) to its edge rows
-        seg_id = np.cumsum(new_key) - 1
-        seg_lab = l_s[new_key][seg_id]
-        e = il_s == 0
-        return pa.table({"node": pa.array(o_s[e]), "cand": pa.array(seg_lab[e])})
+    def label(t: pa.Table) -> np.ndarray:
+        return _col(t, "label")
 
-    def fold(g: pa.Table) -> pa.Table:
-        """candidate messages + old label rows -> per-node min + changed."""
-        node = g.column("node").to_numpy(zero_copy_only=False)
-        cand = g.column("cand").to_numpy(zero_copy_only=False)
-        is_old = g.column("is_old").to_numpy(zero_copy_only=False)
-        order = np.lexsort((node,))
-        n_s, c_s, io_s = node[order], cand[order], is_old[order]
-        new_node = run_starts(n_s)
-        starts = np.flatnonzero(new_node)
-        mins = np.minimum.reduceat(c_s, starts)
-        # the old label of each node (every node has exactly one is_old row)
-        old = np.zeros(len(starts), dtype=np.int64)
-        seg_id = np.cumsum(new_node) - 1
-        old[seg_id[io_s == 1]] = c_s[io_s == 1]
-        part = g.column("_part")[0].as_py()
-        return pa.table(
-            {
-                "node": pa.array(n_s[starts]),
-                "label": pa.array(mins),
-                "changed": pa.array((mins < old).astype(np.int64)),
-                "_part": pa.array(np.full(len(starts), part, dtype=np.int32)),
-            }
-        )
+    def lower(cand: np.ndarray, old: np.ndarray) -> dict:
+        return {"label": np.minimum(cand, old), "changed": (cand < old).astype(np.int64)}
 
-    def _lab_rows(labels):
-        return labels.map_batches(
-            lambda t: pa.table(
-                {
-                    "key": t.column("node"),
-                    "other": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-                    "lab": t.column("label"),
-                    "is_lab": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                    "_part": t.column("_part"),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
-    def _half_iter(labels, rel_rows):
-        """One min-label step along ``rel_rows`` (key, other, _part edge-like
+    def half_step(labels, rel):
+        """One min-label step along ``rel`` (pinned slices or relation
         rows) -> (new labels, changed count)."""
-        msgs = keyed_exchange(
-            [_lab_rows(labels), rel_rows], propagate, num_partitions=num_partitions
+        msgs = _scatter(labels, rel, label, np.minimum, num_partitions=num_partitions)
+        folded = _gather(
+            msgs, labels, "label", np.minimum, lower, num_partitions=num_partitions
         )
-        msg_rows = msgs.map_batches(
-            lambda t: pa.table(
-                {
-                    "node": t.column("node"),
-                    "cand": t.column("cand"),
-                    "is_old": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        old_rows = labels.map_batches(
-            lambda t: pa.table(
-                {
-                    "node": t.column("node"),
-                    "cand": t.column("label"),
-                    "is_old": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        folded = (
-            keyed_exchange(
-                [msg_rows, old_rows], fold, keys="node", num_partitions=num_partitions
-            )
-            .materialize()
-        )
-        changed = folded.sum("changed")
-        # every consumer of labels projects (node, label, _part) explicitly,
-        # so the changed column rides along without a second materialize
-        return folded, changed
+        return folded, folded.sum("changed")
 
-    edge_rel = edges.map_batches(
-        lambda t: pa.table(
-            {
-                "key": t.column("key"),
-                "other": t.column("other"),
-                "lab": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-                "is_lab": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                "_part": t.column("_part"),
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
-
-    def _jump_rel(labels):
-        """Pointer-jump relation: node listens to its CURRENT label's label
-        (key = label(v), other = v) - path compression, O(log diameter)
-        convergence instead of O(diameter)."""
-
-        def rel(t: pa.Table) -> pa.Table:
-            r = pa.table(
-                {
-                    "key": t.column("label"),
-                    "other": t.column("node"),
-                    "lab": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-                    "is_lab": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                }
-            )
-            return r.append_column("_part", pa.array(_part_of(r, ["key"], num_partitions)))
-
-        return labels.map_batches(rel, batch_format="pyarrow", zero_copy_batch=True)
+    def jump_rel(t: pa.Table) -> pa.Table:
+        """Pointer-jump relation: node v listens to its CURRENT label's
+        label (src = label(v), dst = v)."""
+        r = pa.table({"src": t.column("label"), "dst": t.column("node")})
+        return r.append_column("_part", pa.array(_part_of(r, ["src"], num_partitions)))
 
     for _ in range(max_iters):
-        labels, changed_n = _half_iter(labels, edge_rel)
-        labels, changed_j = _half_iter(labels, _jump_rel(labels))
+        labels, changed_n = half_step(labels, edge_refs)
+        labels, changed_j = half_step(
+            labels,
+            labels.map_batches(jump_rel, batch_format="pyarrow", zero_copy_batch=True),
+        )
         if not changed_n and not changed_j:
             break
 

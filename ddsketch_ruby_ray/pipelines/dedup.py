@@ -1111,7 +1111,9 @@ def simhash_hamming_pairs_pipeline(
         ds, key_col=key_col, text_col=text_col, num_hashes=num_hashes,
         bands=bands, ngram=ngram,
     )
-    sh = simhash_pipeline(ds, key_col=key_col, text_col=text_col)
+    # both sides read the fingerprints: compute them once (three int64
+    # columns per doc)
+    sh = simhash_pipeline(ds, key_col=key_col, text_col=text_col).materialize()
     with_ab = _with_pair_sides(
         pairs, sh, key_col, {"simhash_hi": "hi", "simhash_lo": "lo"}
     )

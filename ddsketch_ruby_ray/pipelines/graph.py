@@ -1,21 +1,31 @@
 """Graph algorithms as Dataset shuffles: PageRank, SSSP (and BFS), triangle
-counts and degree histograms.
+counts and degree histograms, plus the vertex-program round that
+PageRank, SSSP/BFS and connected components (cc.py) all iterate.
 
 The reference (ddsketch-ruby) has no graph surface at all; these cover the
 iterative-message-passing shapes a 100-TB corpus pipeline actually needs —
 link-importance scoring (PageRank over, e.g., a web/click graph) and
 seed-expansion (multi-source shortest paths: "everything within k hops of
-a trusted set") — plus the two one-shot structure diagnostics.  Ray Data
-has no iterative primitive, so the iterative ones use the
-partition-vectorized message-passing formulation proven in cc.py: the
-static edge table is hash-partitioned ONCE by src, and the shuffle plans
-pin it as per-partition dst-sorted object-store slices
-(:func:`_pin_edge_slices`) that each iteration's group tasks gather BY
-REF.  An iteration exchanges only the O(nodes) state rows (one keyed
-shuffle of state, never of edges), propagates along the pinned edges with
-searchsorted + reduceat, and folds messages per destination.  The
-broadcast plans keep the state on the driver instead and run one map over
-the pinned edges per iteration.
+a trusted set") — plus the two one-shot structure diagnostics.
+
+Ray Data has no iterative primitive.  The iterative algorithms have two
+plans each, picked by one argument, ``max_broadcast_nodes``: the node
+state lives on the driver while the node count fits it (``0`` forces the
+shuffle plan).
+
+* Broadcast: the edge table is pinned once, and each iteration is one
+  map over the pinned blocks against the broadcast node state.
+* Shuffle: the node state is a hash-partitioned (node, ..., _part) table
+  and never reaches the driver.  The static edge table is partitioned
+  ONCE by hash(src) and pinned as per-partition dst-sorted object-store
+  slices (:func:`_pin_edge_slices`).  Each iteration is one round of the
+  Pregel shape (Malewicz et al., SIGMOD 2010), written once here:
+  :func:`_scatter` exchanges only the O(nodes) state rows, and each
+  partition sends messages along its pinned edges, reduced per dst
+  before they leave it; :func:`_gather` exchanges the messages with the
+  old state rows on ``node`` and hands each node's reduced message and
+  old value to a per-algorithm ``update``.  PageRank sums messages,
+  SSSP/BFS and CC take their minimum.
 
 BFS is single-source-set shortest paths in which every edge weighs 1:
 ``bfs_hops_pipeline`` and ``sssp_pipeline`` run the same two frontier
@@ -45,7 +55,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.numeric import run_pairs, run_starts
-from .fold import _part_of, keyed_exchange, strict_key_int64
+from .fold import _as_dataset, _part_of, keyed_exchange, strict_key_int64
 
 __all__ = [
     "pagerank_pipeline",
@@ -57,7 +67,7 @@ __all__ = [
 
 PR_SCALE = 10**12
 
-# auto-mode broadcast cap, MEASURED (tools/graph_crossover.py, 32M edges,
+# default broadcast cap, MEASURED (tools/graph_crossover.py, 32M edges,
 # 16 cpus, best-of-2 fresh children): broadcast beats the shuffle plan at
 # EVERY swept node count — 2.89x at 1M nodes decaying ~0.2x per doubling to
 # 1.91x at 16M with the round-4 build; the round-5 fused-meta build WIDENS
@@ -74,13 +84,11 @@ _MAX_BROADCAST_NODES = 16_000_000
 # src), so a src with outdeg d lands in ~P·(1−(1−1/P)^d) partitions — fewer,
 # larger partitions mean fewer partials per src.  Yet P=32 measured worse
 # than 64 (scaling efficiency 0.683 vs 0.700, NOTES_ROUND5.md #10): the
-# bigger per-task sorts cost more than the fewer partials save.
+# bigger per-task sorts cost more than the fewer partials save.  That was
+# measured on the sort-based exchange, since replaced by the direct one
+# (fold.py), which splits each block min(P, CPUs) ways and sorts no
+# partition; it has not been re-measured since.
 _PR_REDUCE_PARTS = 64
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"mode must be auto|broadcast|shuffle, got {mode!r}")
 
 
 def _node_part(nodes: np.ndarray, num_partitions: int) -> np.ndarray:
@@ -247,11 +255,9 @@ def _pin_edge_slices(part_ds, columns: tuple, *, num_partitions: int) -> dict:
     ``[0, num_partitions)``) into per-partition object-store tables of
     ``columns`` sorted by ``dst`` — ``{part: [ObjectRef, ...]}``.
 
-    Iterative shuffle-mode algorithms gather these slices BY REF inside
-    their per-partition group tasks, so each iteration exchanges only the
-    O(nodes) state rows; the edge bytes never ride a shuffle again (the
-    previous shape unioned the full edge table into every iteration's
-    groupby and re-sorted it each round).  On a multi-node cluster the
+    :func:`_scatter` gathers these slices BY REF inside its per-partition
+    tasks, so each iteration exchanges only the O(nodes) state rows; the
+    edge bytes never ride a shuffle again.  On a multi-node cluster the
     first gather pulls a slice to the consuming node and the object store
     retains the secondary copy, so later rounds read locally.  Driver
     memory is O(partitions) refs, never edge rows.
@@ -266,21 +272,22 @@ def _pin_edge_slices(part_ds, columns: tuple, *, num_partitions: int) -> dict:
 
     @ray.remote
     def split(tbl: pa.Table, P: int):
-        if tbl.num_rows == 0 or "_part" not in tbl.schema.names:
-            # Ray's sort shuffle emits SCHEMA-LESS blocks for empty output
-            # partitions — type them here (edge-slice lanes are int64 at
-            # every call site) instead of KeyError-ing mid-build
+        if tbl.num_rows == 0:
+            # the keyed exchange's one block when no partition got a row
+            # has no schema (fold.py) — type it (edge lanes are int64)
             empty = pa.table({c: pa.array([], pa.int64()) for c in columns})
             return empty if P == 1 else tuple([empty] * P)
-        prt = tbl.column("_part").to_numpy(zero_copy_only=False)
-        cols = {c: tbl.column(c).to_numpy(zero_copy_only=False) for c in columns}
-        empty = pa.table({c: pa.array(v[:0]) for c, v in cols.items()})
-        out = [empty] * P
-        for p in np.unique(prt):
-            m = prt == p
-            sl = {c: v[m] for c, v in cols.items()}
-            o = np.argsort(sl["dst"], kind="stable")
-            out[int(p)] = pa.table({c: pa.array(v[o]) for c, v in sl.items()})
+        prt = _col(tbl, "_part")
+        # sort by (_part, dst) in two passes, then one cut per partition
+        # (a two-key lexsort measured 1.8x slower on 1M-row blocks)
+        o = np.argsort(_col(tbl, "dst"))
+        o = o[np.argsort(prt[o], kind="stable")]
+        cut = np.searchsorted(prt[o], np.arange(P + 1))
+        cols = {c: _col(tbl, c)[o] for c in columns}
+        out = [
+            pa.table({c: pa.array(v[lo:hi]) for c, v in cols.items()})
+            for lo, hi in zip(cut[:-1], cut[1:])
+        ]
         return out[0] if P == 1 else tuple(out)
 
     refs: dict[int, list] = {}
@@ -293,6 +300,153 @@ def _pin_edge_slices(part_ds, columns: tuple, *, num_partitions: int) -> dict:
     return refs
 
 
+def _col(t: pa.Table, name: str) -> np.ndarray:
+    return t.column(name).to_numpy(zero_copy_only=False)
+
+
+# the value a node's reduced message takes when no message reached it
+_IDENTITY = {np.add: 0, np.minimum: np.iinfo(np.int64).max}
+
+
+def _scatter(state, edges, value, reduce, *, num_partitions: int):
+    """Scatter half of one vertex-program round: every node of ``state``
+    sends ``value`` along its out-edges, and each partition reduces its
+    messages per dst with the ufunc ``reduce`` before they leave it.
+
+    ``state`` is the (node, ..., _part) state table, tagged by
+    hash(node); ``value`` maps one partition's state rows to each node's
+    int64 message.  An edge with a ``w`` column adds its weight to the
+    message (min-plus relaxation).  ``edges`` is either the slices of
+    :func:`_pin_edge_slices`, gathered by ref inside each partition's
+    task, or a Dataset of (src, dst, _part) relation rows, tagged by
+    hash(src), that rides the state's exchange (a relation that changes
+    every round).  A message from a src with no state row is not sent.
+    -> Dataset[(node, msg)], one row per (edge slice, dst)."""
+    import ray
+
+    pinned = isinstance(edges, dict)
+    inputs = [state]
+    if not pinned:
+
+        def tag_state(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            return pa.table(
+                {
+                    "src": t.column("node"),
+                    "dst": pa.array(np.zeros(n, dtype=np.int64)),
+                    "msg": pa.array(value(t)),
+                    "is_state": pa.array(np.ones(n, dtype=np.int8)),
+                    "_part": t.column("_part"),
+                }
+            )
+
+        def tag_edge(t: pa.Table) -> pa.Table:
+            n = t.num_rows
+            return pa.table(
+                {
+                    "src": t.column("src"),
+                    "dst": t.column("dst"),
+                    "msg": pa.array(np.zeros(n, dtype=np.int64)),
+                    "is_state": pa.array(np.zeros(n, dtype=np.int8)),
+                    "_part": t.column("_part"),
+                }
+            )
+
+        kw = dict(batch_format="pyarrow", zero_copy_batch=True)
+        inputs = [state.map_batches(tag_state, **kw), edges.map_batches(tag_edge, **kw)]
+
+    def send(node: np.ndarray, val: np.ndarray, et: pa.Table):
+        """Per-dst reduced messages along one dst-sorted edge table."""
+        src = _col(et, "src")
+        if not src.size or not node.size:
+            return None
+        pos = np.minimum(np.searchsorted(node, src), node.size - 1)
+        hit = node[pos] == src
+        if not hit.any():
+            return None
+        if hit.all():
+            hit = slice(None)  # every src sends (PageRank, CC): no copies
+        dst = _col(et, "dst")[hit]  # the dst order survives the mask
+        msg = val[pos[hit]]
+        if "w" in et.column_names:
+            msg = msg + _col(et, "w")[hit]
+        starts = np.flatnonzero(run_starts(dst))
+        return pa.table(
+            {"node": pa.array(dst[starts]), "msg": pa.array(reduce.reduceat(msg, starts))}
+        )
+
+    def scatter(g: pa.Table) -> pa.Table:
+        if pinned:
+            node, val = _col(g, "node"), value(g)
+            part = int(g.column("_part")[0].as_py())
+            slices = (ray.get(ref) for ref in edges.get(part, []))
+        else:
+            st = _col(g, "is_state") == 1
+            node, val = _col(g, "src")[st], _col(g, "msg")[st]
+            rel = g.filter(pa.array(~st))
+            slices = [rel.take(np.argsort(_col(rel, "dst"), kind="stable"))]
+        o = np.argsort(node, kind="stable")
+        node, val = node[o], val[o]
+        outs = [m for m in (send(node, val, et) for et in slices) if m is not None]
+        if not outs:
+            return pa.table({"node": pa.array([], pa.int64()), "msg": pa.array([], pa.int64())})
+        return pa.concat_tables(outs)
+
+    return keyed_exchange(inputs, scatter, num_partitions=num_partitions)
+
+
+def _gather(msgs, state, old_col: str, reduce, update, *, num_partitions: int):
+    """Gather half of one vertex-program round: ONE keyed exchange on
+    ``node`` of :func:`_scatter`'s messages and the old state rows.
+
+    Per node, the messages reduce with the ufunc ``reduce`` (to its
+    identity when none came), and ``update(agg, old)`` returns the new
+    state's columns from that value and the node's old ``old_col`` (the
+    identity for a node with no state row yet).  -> the new materialized
+    state (node, <update's columns>, _part), tagged by hash(node) for the
+    next scatter."""
+    ident = _IDENTITY[reduce]
+
+    def tag(col: str, is_old: int):
+        # one value lane for both kinds of row: a message, or the old value
+        return lambda t: pa.table(
+            {
+                "node": t.column("node"),
+                "val": t.column(col),
+                "is_old": pa.array(np.full(t.num_rows, is_old, dtype=np.int8)),
+            }
+        )
+
+    kw = dict(batch_format="pyarrow", zero_copy_batch=True)
+    rows = [msgs.map_batches(tag("msg", 0), **kw), state.map_batches(tag(old_col, 1), **kw)]
+
+    def gather(g: pa.Table) -> pa.Table:
+        node = _col(g, "node")
+        o = np.argsort(node, kind="stable")
+        node, val, is_old = node[o], _col(g, "val")[o], _col(g, "is_old")[o] == 1
+        new = run_starts(node)
+        starts = np.flatnonzero(new)
+        prev = np.full(starts.size, ident, dtype=np.int64)
+        prev[(np.cumsum(new) - 1)[is_old]] = val[is_old]
+        val[is_old] = ident  # old values take no part in the reduce
+        cols = update(reduce.reduceat(val, starts), prev)
+        return pa.table(
+            {
+                "node": pa.array(node[starts]),
+                **{c: pa.array(v) for c, v in cols.items()},
+                "_part": pa.array(np.full(starts.size, g.column("_part")[0].as_py(), np.int32)),
+            }
+        )
+
+    out = keyed_exchange(rows, gather, keys="node", num_partitions=num_partitions).materialize()
+    # restart the stats lineage at this round's fold: a round's state
+    # descends from the last one twice (messages and old rows), so the stats
+    # tree that Ray Data summarizes after every execution would double per
+    # round (minutes per execution past ~20 rounds)
+    blocks = [b for bundle in out.iter_internal_ref_bundles() for b in bundle.blocks]
+    return _as_dataset(blocks, None) if blocks else out
+
+
 def pagerank_pipeline(
     edges,
     *,
@@ -300,7 +454,6 @@ def pagerank_pipeline(
     dst_col: str = "dst",
     iters: int = 3,
     num_partitions: int = 64,
-    mode: str = "auto",
     max_broadcast_nodes: int = _MAX_BROADCAST_NODES,
 ):
     """Dataset[(src, dst)] -> Dataset[(node, rank_fp)]: ``iters`` exact
@@ -309,22 +462,19 @@ def pagerank_pipeline(
 
     Two physical plans with BIT-IDENTICAL output (exact integers):
 
-    * ``"broadcast"`` — the Spark-classic shape: the (node, rank//outdeg)
-      table broadcasts each iteration, the PINNED edge blocks emit
-      block-pre-aggregated (dst, contribution) partials, and one thin
-      keyed sum folds them.  The edge table is NEVER re-shuffled.  Rank
-      state is O(nodes) on the driver — right while the node table fits
-      (a 2M-node rank array is 48 MB).
-    * ``"shuffle"`` — fully distributed state: rank rows co-partition
-      with the PINNED per-partition edge slices (object-store tables
-      gathered by ref inside the group task — edges never re-shuffle),
-      and every iteration exchanges only the O(nodes) state rows plus
-      block-pre-aggregated message partials.  No per-node driver state —
-      the >max_broadcast_nodes path.
-
-    ``"auto"`` picks broadcast iff the node count fits."""
-    _check_mode(mode)
-    if mode in ("auto", "broadcast"):
+    * broadcast, while the node count is at most ``max_broadcast_nodes`` —
+      the Spark-classic shape: the (node, rank//outdeg) table broadcasts
+      each iteration, the PINNED edge blocks emit block-pre-aggregated
+      (dst, contribution) partials, and one thin keyed sum folds them.
+      The edge table is NEVER re-shuffled.  Rank state is O(nodes) on the
+      driver — right while the node table fits (a 2M-node rank array is
+      48 MB).
+    * shuffle, past the cap (``max_broadcast_nodes=0`` forces it) — fully
+      distributed state: each iteration is one :func:`_scatter` of the
+      rank rows over the PINNED per-partition edge slices and one
+      :func:`_gather` that sums the contributions per node.  No per-node
+      driver state."""
+    if max_broadcast_nodes > 0:
         try:
             # fused build: dedup + dst-pinning in ONE full-edge exchange
             # (no _distinct_edges pass) — the fallback below rebuilds from
@@ -334,12 +484,10 @@ def pagerank_pipeline(
                 src_col=src_col,
                 dst_col=dst_col,
                 iters=iters,
-                max_nodes=(
-                    max_broadcast_nodes if mode == "auto" else (1 << 62)
-                ),
+                max_nodes=max_broadcast_nodes,
             )
         except _TooManyNodes:
-            pass  # auto: node table too large to broadcast -> shuffle plan
+            pass  # node table too large to broadcast -> shuffle plan
 
     dedup = _distinct_edges(
         edges, src_col=src_col, dst_col=dst_col, num_partitions=num_partitions
@@ -366,157 +514,37 @@ def pagerank_pipeline(
         batch_format="pyarrow",
         zero_copy_batch=True,
     ).materialize()
-
-    # Pin the edge table ONCE as per-partition dst-sorted object-store
-    # tables: iterations shuffle ONLY the O(nodes) state rows (see
-    # _pin_edge_slices).
-    import ray
-
     edge_refs = _pin_edge_slices(dedup, ("src", "dst"), num_partitions=num_partitions)
 
-    def propagate(g: pa.Table) -> pa.Table:
-        """One src-partition's STATE rows -> per-dst partial contributions
-        over that partition's pinned edge slices (fetched by ref, never
-        shuffled)."""
-        part = int(g.column("_part")[0].as_py()) if g.num_rows else -1
-        refs = edge_refs.get(part, [])
-        node = g.column("node").to_numpy(zero_copy_only=False)
-        r = g.column("r").to_numpy(zero_copy_only=False)
-        deg = g.column("outdeg").to_numpy(zero_copy_only=False)
-        o = np.argsort(node, kind="stable")
-        node_s, r_s, deg_s = node[o], r[o], deg[o]
-        outs = []
-        for ref in refs:
-            et = ray.get(ref)
-            src = et.column("src").to_numpy(zero_copy_only=False)
-            dst = et.column("dst").to_numpy(zero_copy_only=False)
-            if not src.size:
-                continue
-            # every src hashes to this partition, so it has a state row;
-            # outdeg >= 1 for any src with edges
-            idx = np.searchsorted(node_s, src)
-            contrib = r_s[idx] // deg_s[idx]
-            new = run_starts(dst)
-            starts = np.flatnonzero(new)
-            # pre-aggregate per dst within the slice: the message exchange
-            # carries min(E, dsts-per-slice) partial rows, not E rows
-            outs.append(
-                pa.table(
-                    {
-                        "node": pa.array(dst[starts]),
-                        "contrib": pa.array(np.add.reduceat(contrib, starts)),
-                    }
-                )
-            )
-        if not outs:
-            return pa.table(
-                {
-                    "node": pa.array([], pa.int64()),
-                    "contrib": pa.array([], pa.int64()),
-                }
-            )
-        return pa.concat_tables(outs)
+    def contribution(t: pa.Table) -> np.ndarray:
+        # a node with outdeg 0 is no edge's src, so its value is never sent
+        return _col(t, "r") // np.maximum(_col(t, "outdeg"), 1)
 
-    def make_fold(dang_share: int, base: int):
-        def fold(g: pa.Table) -> pa.Table:
-            node = g.column("node").to_numpy(zero_copy_only=False)
-            contrib = g.column("contrib").to_numpy(zero_copy_only=False)
-            is_state = g.column("is_state").to_numpy(zero_copy_only=False)
-            deg = g.column("outdeg").to_numpy(zero_copy_only=False)
-            order = np.argsort(node, kind="stable")
-            n_s, c_s, is_s, d_s = (
-                node[order],
-                contrib[order],
-                is_state[order],
-                deg[order],
-            )
-            new = run_starts(n_s)
-            starts = np.flatnonzero(new)
-            in_sum = np.add.reduceat(c_s, starts)  # state rows carry 0
-            seg = np.cumsum(new) - 1
-            outdeg = np.zeros(len(starts), dtype=np.int64)
-            sm = is_s == 1
-            outdeg[seg[sm]] = d_s[sm]
-            r_new = base + (85 * (in_sum + dang_share)) // 100
-            part = g.column("_part")[0].as_py()
-            return pa.table(
-                {
-                    "node": pa.array(n_s[starts]),
-                    "outdeg": pa.array(outdeg),
-                    "_part": pa.array(
-                        np.full(len(starts), part, dtype=np.int32)
-                    ),
-                    "r": pa.array(r_new),
-                }
-            )
-
-        return fold
+    def dangling(t: pa.Table) -> pa.Table:
+        d = _col(t, "r")[_col(t, "outdeg") == 0].sum()
+        return pa.table({"d": pa.array([int(d)], pa.int64())})
 
     base = (base_share * 15) // 100
     for _ in range(iters):
         # one driver scalar per iteration: the dangling mass (cf. cc.py's
         # changed-count) — a single pass over the KB-per-node state table
         dang = ranks.map_batches(
-            lambda t: pa.table(
-                {
-                    "d": pa.array(
-                        [
-                            int(
-                                t.column("r")
-                                .to_numpy(zero_copy_only=False)[
-                                    t.column("outdeg").to_numpy(
-                                        zero_copy_only=False
-                                    )
-                                    == 0
-                                ]
-                                .sum()
-                            )
-                        ],
-                        pa.int64(),
-                    )
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+            dangling, batch_format="pyarrow", zero_copy_batch=True
         ).sum("d")
         dang_share = int(dang) // n_nodes
-
-        # ONE keyed exchange of the O(nodes) state table; the edges stay
-        # pinned in the object store and are gathered by ref inside
-        # propagate — never shuffled after the build
-        msgs = keyed_exchange(ranks, propagate, num_partitions=num_partitions)
-        msg_rows = msgs.map_batches(
-            lambda t: pa.table(
-                {
-                    "node": t.column("node"),
-                    "contrib": t.column("contrib"),
-                    "is_state": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                    "outdeg": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+        msgs = _scatter(
+            ranks, edge_refs, contribution, np.add, num_partitions=num_partitions
         )
-        old_rows = ranks.map_batches(
-            lambda t: pa.table(
-                {
-                    "node": t.column("node"),
-                    "contrib": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-                    "is_state": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                    "outdeg": t.column("outdeg"),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        ranks = (
-            keyed_exchange(
-                [msg_rows, old_rows],
-                make_fold(dang_share, base),
-                keys="node",
-                num_partitions=num_partitions,
-            )
-            .materialize()
+        ranks = _gather(
+            msgs,
+            ranks,
+            "outdeg",
+            np.add,
+            lambda in_sum, outdeg, dang_share=dang_share: {
+                "outdeg": outdeg,
+                "r": base + (85 * (in_sum + dang_share)) // 100,
+            },
+            num_partitions=num_partitions,
         )
 
     return ranks.map_batches(
@@ -912,7 +940,6 @@ def bfs_hops_pipeline(
     seed_col: str = "node",
     max_hops: int = 4,
     num_partitions: int = 64,
-    mode: str = "auto",
     max_broadcast_nodes: int = _MAX_BROADCAST_NODES,
 ):
     """Dataset[(src, dst)] x Dataset[seed nodes] -> Dataset[(node, hops)]:
@@ -922,9 +949,9 @@ def bfs_hops_pipeline(
     BFS is ``sssp_pipeline`` with every edge weighing 1: the distinct
     undirected edges (built by :func:`_distinct_edges`' packed exchange)
     carry no ``w`` column, and the same two frontier plans run over them —
-    ``"broadcast"`` (and ``"auto"`` while the reached set fits) with the
-    hop table on the driver, ``"shuffle"`` as the unbounded-reach path."""
-    _check_mode(mode)
+    broadcast while the reached set fits ``max_broadcast_nodes``, with the
+    hop table on the driver, and shuffle past it (``0`` forces it) as the
+    unbounded-reach path."""
 
     def undirect(t: pa.Table) -> pa.Table:
         s, d = _edge_ids(t, src_col, dst_col)
@@ -948,7 +975,6 @@ def bfs_hops_pipeline(
         seed_col=seed_col,
         max_rounds=max_hops,
         num_partitions=num_partitions,
-        mode=mode,
         max_broadcast_nodes=max_broadcast_nodes,
     )
 
@@ -1147,7 +1173,6 @@ def sssp_pipeline(
     seed_col: str = "node",
     max_rounds: int = 4,
     num_partitions: int = 64,
-    mode: str = "auto",
     max_broadcast_nodes: int = _MAX_BROADCAST_NODES,
 ):
     """K-round Bellman-Ford single-source-set shortest paths over the
@@ -1158,12 +1183,10 @@ def sssp_pipeline(
 
     One build exchange symmetrizes the edges, keeps the MINIMUM weight per
     (src, dst) pair and partitions them by hash(src) (``_part``).  Then
-    ``mode="broadcast"`` (and ``"auto"`` while the reached set fits) runs
-    :func:`_sssp_broadcast` — the distance table lives on the driver, the
-    BFS/PageRank contract — and ``mode="shuffle"`` runs
-    :func:`_sssp_shuffle`, with no driver-side state: the unbounded-reach
-    path."""
-    _check_mode(mode)
+    :func:`_sssp_broadcast` runs while the reached set fits
+    ``max_broadcast_nodes`` — the distance table lives on the driver, the
+    BFS/PageRank contract — and :func:`_sssp_shuffle` past it (``0``
+    forces it), with no driver-side state: the unbounded-reach path."""
 
     def norm(t: pa.Table) -> pa.Table:
         src, dst = _edge_ids(t, src_col, dst_col)
@@ -1204,7 +1227,6 @@ def sssp_pipeline(
         seed_col=seed_col,
         max_rounds=max_rounds,
         num_partitions=num_partitions,
-        mode=mode,
         max_broadcast_nodes=max_broadcast_nodes,
     )
 
@@ -1217,14 +1239,13 @@ def _shortest_paths(
     seed_col: str,
     max_rounds: int,
     num_partitions: int,
-    mode: str,
     max_broadcast_nodes: int,
 ):
     """The one frontier engine of ``sssp_pipeline`` and
     ``bfs_hops_pipeline``: ``pinned`` is the materialized distinct
     (src, dst[, w], _part) edge table partitioned by hash(src) — no ``w``
     means unit weights — and the result is Dataset[(node, out_col)]."""
-    if mode in ("auto", "broadcast"):
+    if max_broadcast_nodes > 0:
         try:
             return _sssp_broadcast(
                 pinned,
@@ -1232,12 +1253,10 @@ def _shortest_paths(
                 out_col=out_col,
                 seed_col=seed_col,
                 max_rounds=max_rounds,
-                max_nodes=(
-                    max_broadcast_nodes if mode == "auto" else (1 << 62)
-                ),
+                max_nodes=max_broadcast_nodes,
             )
         except _TooManyNodes:
-            pass  # auto: reached set outgrew the driver -> shuffle plan
+            pass  # reached set outgrew the driver -> shuffle plan
     return _sssp_shuffle(
         pinned,
         seeds,
@@ -1353,15 +1372,13 @@ def _sssp_shuffle(
     pinned, seeds, *, out_col: str, seed_col: str, max_rounds: int, num_partitions: int
 ):
     """Fully distributed min-plus Bellman-Ford: distance state lives in a
-    hash-partitioned (node, dist, fresh) table, never the driver.  The
-    edge table is pinned ONCE as per-partition dst-sorted object-store
-    slices (see ``_pin_edge_slices``) straight from its build ``_part``;
-    per round, one keyed exchange co-locates each fresh node's state with
-    its partition, relaxation + per-dst block-local min run in the group
-    task against the by-ref slices, and a second keyed exchange folds
-    candidate minima into the state table.  Only improved nodes message
-    their neighbors next round — the edges never re-shuffle."""
-    import ray
+    hash-partitioned (node, dist, fresh, _part) table, never the driver.
+    The edge table is pinned ONCE as per-partition dst-sorted object-store
+    slices (see ``_pin_edge_slices``) straight from its build ``_part``.
+    Each round is one :func:`_scatter` of the FRESH state rows (the nodes
+    that improved last round) over the pinned slices and one
+    :func:`_gather` that keeps each node's minimum — the edges never
+    re-shuffle."""
     import ray.data as rd
 
     def seed_states(t: pa.Table) -> pa.Table:
@@ -1396,72 +1413,19 @@ def _sssp_shuffle(
         )
 
     schema = pinned.schema()
+    weighted = bool(schema) and "w" in schema.names
     edge_refs = _pin_edge_slices(
         pinned,
-        ("src", "dst", "w") if schema and "w" in schema.names else ("src", "dst"),
+        ("src", "dst", "w") if weighted else ("src", "dst"),
         num_partitions=num_partitions,
     )
 
-    def relax(g: pa.Table) -> pa.Table:
-        """One partition's FRESH state rows -> per-dst min (dist + w)
-        candidates over the partition's pinned edge slices (by ref).
-        Block-local per-dst min cuts the candidate exchange to one row per
-        (slice, dst) — min-plus is idempotent so this is exact."""
-        empty = pa.table(
-            {"node": pa.array([], pa.int64()), "cand": pa.array([], pa.int64())}
-        )
-        if not g.num_rows:
-            return empty
-        part = int(g.column("_part")[0].as_py())
-        node = g.column("node").to_numpy(zero_copy_only=False)
-        dist = g.column("dist").to_numpy(zero_copy_only=False)
-        o = np.argsort(node, kind="stable")
-        node_s, dist_s = node[o], dist[o]
-        outs = []
-        for ref in edge_refs.get(part, []):
-            et = ray.get(ref)
-            src = et.column("src").to_numpy(zero_copy_only=False)
-            dst = et.column("dst").to_numpy(zero_copy_only=False)
-            if not src.size:
-                continue
-            pos = np.minimum(np.searchsorted(node_s, src), node_s.size - 1)
-            valid = node_s[pos] == src  # src is fresh this round
-            if not valid.any():
-                continue
-            dv = dst[valid]  # dst-sorted slice: order survives the mask
-            cv = dist_s[pos[valid]] + _weights(et, valid)
-            starts = np.flatnonzero(run_starts(dv))
-            outs.append(
-                pa.table(
-                    {
-                        "node": pa.array(dv[starts]),
-                        "cand": pa.array(np.minimum.reduceat(cv, starts)),
-                    }
-                )
-            )
-        return pa.concat_tables(outs) if outs else empty
+    def reach(t: pa.Table) -> np.ndarray:
+        # a weighted slice adds its w column; BFS's unit weight is added here
+        return _col(t, "dist") + (0 if weighted else 1)
 
-    def fold(g: pa.Table) -> pa.Table:
-        node = g.column("node").to_numpy(zero_copy_only=False)
-        cand = g.column("cand").to_numpy(zero_copy_only=False)
-        is_old = g.column("is_old").to_numpy(zero_copy_only=False)
-        order = np.argsort(node, kind="stable")
-        n_s, c_s, io_s = node[order], cand[order], is_old[order]
-        new = run_starts(n_s)
-        starts = np.flatnonzero(new)
-        mins = np.minimum.reduceat(c_s, starts)
-        seg = np.cumsum(new) - 1
-        old = np.full(len(starts), np.iinfo(np.int64).max, dtype=np.int64)
-        old[seg[io_s == 1]] = c_s[io_s == 1]
-        part = g.column("_part")[0].as_py()
-        return pa.table(
-            {
-                "node": pa.array(n_s[starts]),
-                "dist": pa.array(np.minimum(mins, old)),
-                "fresh": pa.array((mins < old).astype(np.int8)),
-                "_part": pa.array(np.full(len(starts), part, dtype=np.int32)),
-            }
-        )
+    def lower(cand: np.ndarray, dist: np.ndarray) -> dict:
+        return {"dist": np.minimum(cand, dist), "fresh": (cand < dist).astype(np.int8)}
 
     for _ in range(max_rounds):
         fresh_rows = state.map_batches(
@@ -1473,34 +1437,11 @@ def _sssp_shuffle(
         ).materialize()
         if fresh_rows.count() == 0:
             break  # fixed point: no distance improved last round
-        msgs = keyed_exchange(fresh_rows, relax, num_partitions=num_partitions)
-        msg_rows = msgs.map_batches(
-            lambda t: pa.table(
-                {
-                    "node": t.column("node"),
-                    "cand": t.column("cand"),
-                    "is_old": pa.array(np.zeros(t.num_rows, dtype=np.int8)),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+        msgs = _scatter(
+            fresh_rows, edge_refs, reach, np.minimum, num_partitions=num_partitions
         )
-        old_rows = state.map_batches(
-            lambda t: pa.table(
-                {
-                    "node": t.column("node"),
-                    "cand": t.column("dist"),
-                    "is_old": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        state = (
-            keyed_exchange(
-                [msg_rows, old_rows], fold, keys="node", num_partitions=num_partitions
-            )
-            .materialize()
+        state = _gather(
+            msgs, state, "dist", np.minimum, lower, num_partitions=num_partitions
         )
 
     return state.map_batches(

@@ -93,23 +93,20 @@ def line_dedup_pipeline(
     key_col: str,
     text_col: str,
     min_count: int = 3,
-    mode: str = "auto",
     max_broadcast_lines: int = MAX_BROADCAST_LINES,
     num_partitions: int = 64,
 ):
     """-> Dataset[(key_col, n_lines, n_kept, kept_sig)] with corpus-wide
     duplicated lines (global occurrence count >= ``min_count``) removed.
 
-    ``mode``: ``"broadcast"`` forces the small-side plan, ``"join"`` the
-    co-partitioned plan, ``"auto"`` (default) measures the heavy-set count
-    and picks — both plans are bit-identical by construction.
+    The broadcast plan runs while the measured heavy-set count is at most
+    ``max_broadcast_lines``, the co-partitioned join plan past it (``0``
+    forces it) — both plans are bit-identical by construction.
 
     ``ds`` is consumed twice (count pass + filter pass); pass an already
     line-broken dataset (the driver query rewrites the single-line synthetic
     docs first, mirrored verbatim in its oracle CTE).
     """
-    if mode not in ("auto", "broadcast", "join"):
-        raise ValueError(f"unknown mode {mode!r}")
     import ray
 
     from ..core.hashing import hash256_str
@@ -139,10 +136,7 @@ def line_dedup_pipeline(
     # object-store-resident heavy set (hashes only, 8 B each); its COUNT
     # decides the pass-2 plan without pulling a single row to the driver
     heavy_ds = counts.map_batches(heavy_only, batch_format="pyarrow").materialize()
-    if mode == "auto":
-        mode = "broadcast" if heavy_ds.count() <= max_broadcast_lines else "join"
-
-    if mode == "broadcast":
+    if max_broadcast_lines > 0 and heavy_ds.count() <= max_broadcast_lines:
         heavy_tbls = heavy_ds.take_all()
         heavy = np.sort(
             np.asarray([r["lh"] for r in heavy_tbls], dtype=np.int64)
@@ -184,8 +178,6 @@ def line_dedup_pipeline(
         return ds.map_batches(scrub, batch_format="pyarrow", zero_copy_batch=True)
 
     # -- join plan: hash-co-partition lines and heavy hashes on lh ----------
-    key_type = None  # resolved lazily from the first batch
-
     def explode(batch: pa.Table) -> pa.Table:
         flat, parent, ord1, _ = _split_lines(batch.column(text_col))
         h = hash256_str(flat, lanes=1)[0].astype(np.int64)

@@ -1189,6 +1189,39 @@ class TestSimhashHammingPairs:
         assert got.ham.tolist() == [0]
 
 
+    def test_simhash_computed_once_per_doc(self, ray_session, monkeypatch, tmp_path):
+        """Both pair sides read one materialized SimHash table: the SimHash
+        map sees every doc once, and the pairs are the LSH candidates
+        whose fingerprints, computed on their own, are close enough."""
+        import uuid
+
+        from ddsketch_ruby_ray.pipelines import dedup
+
+        ds = _docs_ds(extra_rows=_perturbed_copies(15)).materialize()
+        kw = dict(key_col="doc_id", text_col="text")
+        fp = dedup.simhash_pipeline(ds, **kw).to_pandas().set_index("doc_id")
+        cand = dedup.lsh_candidate_pairs_pipeline(ds, **kw).to_pandas()
+        real = dedup.simhash_pipeline
+
+        def spied(ds, **kw):
+            def spy(t: pa.Table) -> pa.Table:
+                (tmp_path / uuid.uuid4().hex).write_text(str(t.num_rows))
+                return t
+
+            return real(ds, **kw).map_batches(spy, batch_format="pyarrow")
+
+        monkeypatch.setattr(dedup, "simhash_pipeline", spied)
+        got = dedup.simhash_hamming_pairs_pipeline(ds, max_hamming=16, **kw).to_pandas()
+        assert sum(int(f.read_text()) for f in tmp_path.iterdir()) == ds.count()
+
+        def ham(a, b):
+            x = (int(fp.simhash_hi[a]) ^ int(fp.simhash_hi[b])) << 32
+            return bin(x | (int(fp.simhash_lo[a]) ^ int(fp.simhash_lo[b]))).count("1")
+
+        want = {(a, b, ham(a, b)) for a, b in zip(cand.a, cand.b) if ham(a, b) <= 16}
+        assert set(zip(got.a, got.b, got.ham)) == want and want
+
+
 class TestDamerauLevenshtein:
     def test_matches_duckdb_fuzz(self, ray_session):
         import random
@@ -1325,7 +1358,7 @@ class TestLineDedupJoinPlan:
     """The hash-co-partitioned join plan must be bit-identical to the
     broadcast plan (VERDICT r3 #4: the heavy set is unbounded at 100 TB)."""
 
-    def _run(self, docs, *, mode, min_count=3, blocks=4, **kw):
+    def _run(self, docs, *, max_broadcast_lines, min_count=3, blocks=4):
         import ray.data as rd
 
         from ddsketch_ruby_ray.pipelines.linededup import line_dedup_pipeline
@@ -1342,8 +1375,7 @@ class TestLineDedupJoinPlan:
                 key_col="doc_id",
                 text_col="text",
                 min_count=min_count,
-                mode=mode,
-                **kw,
+                max_broadcast_lines=max_broadcast_lines,
             )
             .to_pandas()
             .sort_values("doc_id")
@@ -1357,22 +1389,16 @@ class TestLineDedupJoinPlan:
     ]
 
     def test_join_equals_broadcast(self, ray_session):
-        a = self._run(self.DOCS, mode="broadcast")
-        b = self._run(self.DOCS, mode="join")
+        a = self._run(self.DOCS, max_broadcast_lines=1 << 62)
+        b = self._run(self.DOCS, max_broadcast_lines=0)
         assert a.equals(b)
 
     def test_auto_switches_to_join(self, ray_session):
-        # force the plan decision: any heavy set is "too big" to broadcast
-        a = self._run(self.DOCS, mode="broadcast")
-        b = self._run(self.DOCS, mode="auto", max_broadcast_lines=0)
+        # a cap below the heavy-set count switches plans; 0 forces the join
+        a = self._run(self.DOCS, max_broadcast_lines=1 << 62)
+        b = self._run(self.DOCS, max_broadcast_lines=1)
         assert a.equals(b)
 
     def test_join_with_no_heavy_lines(self, ray_session):
-        got = self._run(self.DOCS, mode="join", min_count=10**6)
+        got = self._run(self.DOCS, max_broadcast_lines=0, min_count=10**6)
         assert (got.n_kept == got.n_lines).all()
-
-    def test_unknown_mode_rejected(self, ray_session):
-        import pytest
-
-        with pytest.raises(ValueError, match="unknown mode"):
-            self._run(self.DOCS, mode="bogus")

@@ -215,10 +215,10 @@ class TestPageRankModes:
         s, d = _random_graph(31, 2500)
         tbl = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
         a = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(3), num_partitions=8, mode="broadcast"
+            rd.from_arrow(tbl).repartition(3), num_partitions=8, max_broadcast_nodes=1 << 62
         ).to_pandas()
         b = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(3), num_partitions=8, mode="shuffle"
+            rd.from_arrow(tbl).repartition(3), num_partitions=8, max_broadcast_nodes=0
         ).to_pandas()
         assert dict(zip(a.node, a.rank_fp)) == dict(zip(b.node, b.rank_fp))
 
@@ -237,19 +237,19 @@ class TestPageRankModes:
             {"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())}
         )
         a = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(9), iters=3, mode="broadcast"
+            rd.from_arrow(tbl).repartition(9), iters=3, max_broadcast_nodes=1 << 62
         ).to_pandas()
         b = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(9), iters=3, mode="shuffle"
+            rd.from_arrow(tbl).repartition(9), iters=3, max_broadcast_nodes=0
         ).to_pandas()
         assert dict(zip(a.node, a.rank_fp)) == dict(zip(b.node, b.rank_fp))
 
     def test_shuffle_survives_schemaless_empty_blocks(self, ray_session):
-        """Ray's sort shuffle emits SCHEMA-LESS blocks for empty output
-        partitions; _pin_edge_slices' split task must type them instead of
-        KeyError-ing on the missing _part column (found by the crossover
-        sweep at 2M nodes; reproduced here with far more input blocks than
-        rows so the dedup sort emits empty partitions)."""
+        """Far more input blocks than rows and more partitions than
+        nodes: empty input blocks and empty partitions, whose pinned edge
+        slices must be typed empty tables (an early shuffle emitted
+        schema-less blocks for them; found by the crossover sweep at 2M
+        nodes)."""
         import ray.data as rd
 
         tbl = pa.table(
@@ -259,10 +259,10 @@ class TestPageRankModes:
             }
         )
         a = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(16), num_partitions=8, mode="shuffle"
+            rd.from_arrow(tbl).repartition(16), num_partitions=8, max_broadcast_nodes=0
         ).to_pandas()
         b = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(16), num_partitions=8, mode="broadcast"
+            rd.from_arrow(tbl).repartition(16), num_partitions=8, max_broadcast_nodes=1 << 62
         ).to_pandas()
         assert dict(zip(a.node, a.rank_fp)) == dict(zip(b.node, b.rank_fp))
 
@@ -276,11 +276,11 @@ class TestBfsModes:
         seeds = rd.from_arrow(pa.table({"node": pa.array([0, 1, 2], pa.int64())}))
         a = bfs_hops_pipeline(
             rd.from_arrow(tbl).repartition(3), seeds, max_hops=3,
-            num_partitions=8, mode="broadcast",
+            num_partitions=8, max_broadcast_nodes=1 << 62,
         ).to_pandas()
         b = bfs_hops_pipeline(
             rd.from_arrow(tbl).repartition(3), seeds, max_hops=3,
-            num_partitions=8, mode="shuffle",
+            num_partitions=8, max_broadcast_nodes=0,
         ).to_pandas()
         assert dict(zip(a.node, a.hops)) == dict(zip(b.node, b.hops))
 
@@ -371,18 +371,18 @@ class TestSsspModes:
         seeds = rd.from_arrow(pa.table({"node": pa.array([0, 5], pa.int64())}))
         a = sssp_pipeline(
             rd.from_arrow(tbl).repartition(4), seeds, max_rounds=4,
-            num_partitions=8, mode="broadcast",
+            num_partitions=8, max_broadcast_nodes=1 << 62,
         ).to_pandas()
         b = sssp_pipeline(
             rd.from_arrow(tbl).repartition(4), seeds, max_rounds=4,
-            num_partitions=8, mode="shuffle",
+            num_partitions=8, max_broadcast_nodes=0,
         ).to_pandas()
         assert len(a) == len(b) > 2
         assert dict(zip(a.node, a.dist)) == dict(zip(b.node, b.dist))
 
     def test_auto_falls_back_to_shuffle(self, ray_session):
-        """auto with a tiny driver cap must silently switch plans and
-        still produce the broadcast answer."""
+        """A tiny driver cap must silently switch plans and still
+        produce the broadcast answer."""
         import ray.data as rd
 
         from ddsketch_ruby_ray.pipelines.graph import sssp_pipeline
@@ -401,10 +401,10 @@ class TestSsspModes:
         )
         seeds = rd.from_arrow(pa.table({"node": pa.array([0], pa.int64())}))
         ref = sssp_pipeline(
-            rd.from_arrow(tbl), seeds, max_rounds=3, mode="broadcast"
+            rd.from_arrow(tbl), seeds, max_rounds=3, max_broadcast_nodes=1 << 62
         ).to_pandas()
         got = sssp_pipeline(
-            rd.from_arrow(tbl), seeds, max_rounds=3, mode="auto",
+            rd.from_arrow(tbl), seeds, max_rounds=3,
             max_broadcast_nodes=2,
         ).to_pandas()
         assert dict(zip(got.node, got.dist)) == dict(zip(ref.node, ref.dist))
@@ -500,7 +500,7 @@ class TestBfsIsUnitSssp:
     whenever every ``w`` is 1, in either plan."""
 
     @staticmethod
-    def _both(edges: pa.Table, seeds: list, mode: str, **kw):
+    def _both(edges: pa.Table, seeds: list, cap: int, **kw):
         import ray.data as rd
 
         from ddsketch_ruby_ray.pipelines.graph import sssp_pipeline
@@ -508,37 +508,37 @@ class TestBfsIsUnitSssp:
         seed_tbl = pa.table({"node": pa.array(seeds, pa.int64())})
         bfs = bfs_hops_pipeline(
             rd.from_arrow(edges).repartition(3), rd.from_arrow(seed_tbl),
-            max_hops=3, num_partitions=8, mode=mode, **kw,
+            max_hops=3, num_partitions=8, max_broadcast_nodes=cap, **kw,
         )
         ones = edges.append_column(
             "w", pa.array(np.ones(edges.num_rows, np.int64))
         )
         sssp = sssp_pipeline(
             rd.from_arrow(ones).repartition(3), rd.from_arrow(seed_tbl),
-            max_rounds=3, num_partitions=8, mode=mode, **kw,
+            max_rounds=3, num_partitions=8, max_broadcast_nodes=cap, **kw,
         )
         return bfs, sssp
 
-    @pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
+    @pytest.mark.parametrize("cap", [1 << 62, 0], ids=["broadcast", "shuffle"])
     @pytest.mark.parametrize("graph_seed", [61, 62])
-    def test_hops_equal_unit_weight_dist(self, ray_session, mode, graph_seed):
+    def test_hops_equal_unit_weight_dist(self, ray_session, cap, graph_seed):
         s, d = _simple_graph(graph_seed)
         edges = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
         # 10**6 is an isolated seed: kept at 0, reaches nothing
-        bfs, sssp = self._both(edges, [0, 7, 10**6], mode)
+        bfs, sssp = self._both(edges, [0, 7, 10**6], cap)
         got = _as_dict(bfs.to_pandas(), "hops")
         assert got == _as_dict(sssp.to_pandas(), "dist")
         assert got[10**6] == 0 and len(got) > 10
 
-    @pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
+    @pytest.mark.parametrize("cap", [1 << 62, 0], ids=["broadcast", "shuffle"])
     @pytest.mark.parametrize("case", ["no_seeds", "no_edges", "neither"])
-    def test_empty_inputs_give_typed_output(self, ray_session, mode, case):
+    def test_empty_inputs_give_typed_output(self, ray_session, cap, case):
         s, d = _simple_graph(63)
         if case != "no_seeds":
             s, d = s[:0], d[:0]
         seeds = [] if case != "no_edges" else [3, 4]
         edges = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
-        bfs, sssp = self._both(edges, seeds, mode)
+        bfs, sssp = self._both(edges, seeds, cap)
         for ds, col in ((bfs, "hops"), (sssp, "dist")):
             schema = ds.schema()
             assert list(schema.names) == ["node", col]
@@ -554,10 +554,10 @@ class TestBfsIsUnitSssp:
         edges = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
         seeds = rd.from_arrow(pa.table({"node": pa.array([0], pa.int64())}))
         ref = bfs_hops_pipeline(
-            rd.from_arrow(edges), seeds, max_hops=3, mode="broadcast"
+            rd.from_arrow(edges), seeds, max_hops=3, max_broadcast_nodes=1 << 62
         ).to_pandas()
         got = bfs_hops_pipeline(
-            rd.from_arrow(edges), seeds, max_hops=3, mode="auto",
+            rd.from_arrow(edges), seeds, max_hops=3,
             max_broadcast_nodes=2,
         ).to_pandas()
         assert len(ref) > 2
@@ -565,8 +565,8 @@ class TestBfsIsUnitSssp:
 
 
 class TestSsspImprovesReachedNode:
-    @pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
-    def test_round_two_lowers_round_one_distance(self, ray_session, mode):
+    @pytest.mark.parametrize("cap", [1 << 62, 0], ids=["broadcast", "shuffle"])
+    def test_round_two_lowers_round_one_distance(self, ray_session, cap):
         """Round 1 reaches a (node 1) over the weight-10 edge; round 2
         finds seed -> b -> a at 2.  The driver fold must lower a node it
         already holds, not only insert new ones."""
@@ -587,7 +587,7 @@ class TestSsspImprovesReachedNode:
             return _as_dict(
                 sssp_pipeline(
                     rd.from_arrow(edges), seeds, max_rounds=rounds,
-                    num_partitions=4, mode=mode,
+                    num_partitions=4, max_broadcast_nodes=cap,
                 ).to_pandas(),
                 "dist",
             )
@@ -597,9 +597,9 @@ class TestSsspImprovesReachedNode:
 
 
 class TestSeedInSeveralBlocks:
-    @pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
+    @pytest.mark.parametrize("cap", [1 << 62, 0], ids=["broadcast", "shuffle"])
     @pytest.mark.parametrize("rounds", [0, 1])
-    def test_seed_is_one_row(self, ray_session, mode, rounds):
+    def test_seed_is_one_row(self, ray_session, cap, rounds):
         """Seed 1 listed in two seed blocks is one result row in both
         pipelines and both plans, also when no round runs."""
         import ray.data as rd
@@ -618,11 +618,12 @@ class TestSeedInSeveralBlocks:
         assert seeds.num_blocks() == 2
         want = [(1, 0)] if rounds == 0 else [(1, 0), (2, 1)]
         sssp = sssp_pipeline(
-            rd.from_arrow(edges), seeds, max_rounds=rounds, num_partitions=4, mode=mode
+            rd.from_arrow(edges), seeds, max_rounds=rounds, num_partitions=4,
+            max_broadcast_nodes=cap,
         ).to_pandas()
         bfs = bfs_hops_pipeline(
             rd.from_arrow(edges.drop_columns(["w"])), seeds, max_hops=rounds,
-            num_partitions=4, mode=mode,
+            num_partitions=4, max_broadcast_nodes=cap,
         ).to_pandas()
         assert sorted(zip(sssp.node, sssp.dist)) == want
         assert sorted(zip(bfs.node, bfs.hops)) == want
@@ -632,7 +633,7 @@ class TestNullEdges:
     """A NULL endpoint or weight raises, naming its column, instead of
     becoming node -2^63 (or a -2^63 + w distance)."""
 
-    @pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
+    @pytest.mark.parametrize("cap", [1 << 62, 0], ids=["broadcast", "shuffle"])
     @pytest.mark.parametrize(
         "pipeline,null_col",
         [
@@ -641,7 +642,7 @@ class TestNullEdges:
             ("pagerank", "a"), ("pagerank", "b"),
         ],
     )
-    def test_null_raises_naming_column(self, ray_session, mode, pipeline, null_col):
+    def test_null_raises_naming_column(self, ray_session, cap, pipeline, null_col):
         import ray.data as rd
         from ray.exceptions import RayTaskError
 
@@ -655,16 +656,18 @@ class TestNullEdges:
         seeds = rd.from_arrow(pa.table({"node": pa.array([1], pa.int64())}))
         if pipeline == "bfs":
             run = lambda: bfs_hops_pipeline(  # noqa: E731
-                edges, seeds, src_col="a", dst_col="b", num_partitions=4, mode=mode
+                edges, seeds, src_col="a", dst_col="b", num_partitions=4,
+                max_broadcast_nodes=cap,
             )
         elif pipeline == "sssp":
             run = lambda: sssp_pipeline(  # noqa: E731
                 edges, seeds, src_col="a", dst_col="b", weight_col="lat",
-                num_partitions=4, mode=mode,
+                num_partitions=4, max_broadcast_nodes=cap,
             )
         else:
             run = lambda: pagerank_pipeline(  # noqa: E731
-                edges, src_col="a", dst_col="b", num_partitions=4, mode=mode
+                edges, src_col="a", dst_col="b", num_partitions=4,
+                max_broadcast_nodes=cap,
             )
         with pytest.raises(
             (RayTaskError, ValueError), match=f"column '{null_col}' contains 1 NULL"

@@ -1,11 +1,12 @@
 """Fold-vs-native bench for the basket pair reduce at >=1M distinct pairs.
 
-VERDICT round-3 task #2's done-criterion: show the hash-partition
-lexsort+reduceat fold beating Ray's native ``groupby("pk").sum()`` on an
-open-ended pair domain.  Synthesizes baskets whose 2-itemset domain is
-~N_PAIRS distinct packed keys, then times ONLY the reduce strategies over
-the identical pair-partials table (the generation and pair expansion are
-shared).
+VERDICT round-3 task #2's done-criterion: show the library's keyed fold
+(``fold.partitioned_group_sum``, a sum on ``fold.keyed_exchange``, the
+exchange ``basket.py``'s pair reduce runs) beating Ray's native
+``groupby("pk").sum()`` on an open-ended pair domain.  Synthesizes
+baskets whose 2-itemset domain is ~N_PAIRS distinct packed keys, then
+times ONLY the reduce strategies over the identical pair-partials table
+(the generation and pair expansion are shared).
 
 Usage: python tools/basket_bench.py [n_pairs_target] [num_cpus]
 Prints one JSON line: {"distinct_pairs": ..., "fold_sec": ..., "native_sec": ...}
@@ -35,12 +36,12 @@ from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 
 from ddsketch_ruby_ray.core.hashing import hash64_int
+from ddsketch_ruby_ray.pipelines.fold import partitioned_group_sum
 
 # synthesize pair partials directly: Zipf-ish pair keys over a domain sized
 # so distinct count lands near the target, plus a count column — the exact
 # shape basket.py's pair_partials emits after per-block pre-aggregation
 ROWS = N_TARGET * 6
-PARTS = 64
 
 
 def gen(t: pa.Table) -> pa.Table:
@@ -63,38 +64,9 @@ base = (
 # warm-up full fan-out
 rd.range(500_000, override_num_blocks=NCPUS * 4).map_batches(lambda t: t).count()
 
-
-def with_part(t: pa.Table) -> pa.Table:
-    pk = t.column("pk").to_numpy(zero_copy_only=False)
-    part = (hash64_int(pk) % np.uint64(PARTS)).astype(np.int32)
-    return t.append_column("_part", pa.array(part))
-
-
-def fold(g: pa.Table) -> pa.Table:
-    pk = g.column("pk").to_numpy(zero_copy_only=False)
-    n = g.column("n").to_numpy(zero_copy_only=False)
-    o = np.argsort(pk, kind="stable")
-    pk, n = pk[o], n[o]
-    new = np.empty(pk.size, dtype=bool)
-    if pk.size:
-        new[0] = True
-        new[1:] = pk[1:] != pk[:-1]
-    starts = np.flatnonzero(new)
-    return pa.table(
-        {
-            "pk": pa.array(pk[starts]),
-            "n": pa.array(np.add.reduceat(n, starts) if starts.size else n[:0]),
-        }
-    )
-
-
 t0 = time.perf_counter()
-fold_n = (
-    base.map_batches(with_part, batch_format="pyarrow", zero_copy_batch=True)
-    .groupby("_part")
-    .map_groups(fold, batch_format="pyarrow")
-    .count()
-)
+# the keyed exchange basket.py's pair reduce runs, summing per pk
+fold_n = partitioned_group_sum(base, "pk", "n").count()
 fold_sec = time.perf_counter() - t0
 print(f"fold: {fold_sec:.1f}s, {fold_n} distinct pairs", file=sys.stderr)
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Measure the PageRank broadcast<->shuffle crossover (VERDICT r4 #6).
 
-``pagerank_pipeline(mode="auto")`` flips from the broadcast plan (rank state
+``pagerank_pipeline`` flips from the broadcast plan (rank state
 on the driver, shuffle-free iterations) to the fully-distributed shuffle plan
 at ``max_broadcast_nodes``.  Round 4 asserted that constant; this tool
 MEASURES it: fixed 32M-edge graphs over a sweep of node-id domains, both
@@ -10,7 +10,7 @@ protocol, best-of-2 each.
 
 Usage:
     python tools/graph_crossover.py               # sweep + summary JSON
-    python tools/graph_crossover.py --child <mode> <n_nodes> <cpus>
+    python tools/graph_crossover.py --child broadcast|shuffle <n_nodes> <cpus>
 
 The corpus input is the bench scaling corpus (/tmp, synthesized once by
 bench.py --scaling-dedup); edges derive per-row exactly like bench's graph
@@ -33,6 +33,10 @@ NODE_SWEEP = tuple(
         "GRAFT_CROSSOVER_NODES", "1000000,2000000,4000000,8000000,16000000"
     ).split(",")
 )
+
+
+# max_broadcast_nodes that forces each plan
+_CAP = {"broadcast": 1 << 62, "shuffle": 0}
 
 
 def _corpus_path() -> str:
@@ -86,7 +90,7 @@ def _child(mode: str, n_nodes: int, cpus: int) -> None:
             to_edges, batch_format="pyarrow", zero_copy_batch=True
         )
         t0 = time.perf_counter()
-        out_rows = pagerank_pipeline(edges, iters=3, mode=mode).count()
+        out_rows = pagerank_pipeline(edges, iters=3, max_broadcast_nodes=_CAP[mode]).count()
         best = min(best, time.perf_counter() - t0)
     ray.shutdown()
     print(json.dumps({"sec": best, "out_rows": out_rows}))
