@@ -396,7 +396,7 @@ def _scaling_dedup_child(num_cpus: int, job: str) -> None:
         edges = read_corpus(path, ["path"]).map_batches(
             to_edges, batch_format="pyarrow", zero_copy_batch=True
         )
-        n = pagerank_pipeline(edges, iters=3, num_partitions=64).count()
+        n = pagerank_pipeline(edges, iters=3).count()
         sec = time.perf_counter() - t0
         ray.shutdown()
         print(json.dumps({"sec": sec, "rows": rows, "out_rows": n}))

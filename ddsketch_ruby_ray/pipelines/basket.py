@@ -20,11 +20,11 @@ Plan (all vectorized, one keyed shuffle of PACKED pair counts):
      pre-aggregate per block BEFORE the shuffle, so the all-to-all carries
      (key, count) partials, not raw pairs.
   4. the global pair reduce is a hash-partition fold (``_part =
-     hash(pk) % reduce_partitions`` -> per-partition lexsort + reduceat),
-     NOT a native ``groupby(pk).sum``: the pair-key domain is open-ended
-     and Ray's native aggregation collapses past ~1M distinct groups
-     (measured 60 s at 1.7M — NOTES_ROUND3), while the fold's shuffle key
-     domain is the fixed ``reduce_partitions``.  Support filter + lift
+     hash(pk) % P`` -> per-partition lexsort + reduceat), NOT a native
+     ``groupby(pk).sum``: the pair-key domain is open-ended and Ray's
+     native aggregation collapses past ~1M distinct groups (measured 60 s
+     at 1.7M — NOTES_ROUND3), while the fold's partition domain is the
+     fixed ``fold._PARTITIONS``.  Support filter + lift
      finalize fuse into the same fold task (each pk's partials all land
      in its hash partition, so the per-partition fold is globally exact):
      lift = (n_baskets * c_ab) / (c_a * c_b) — numerator and denominator
@@ -55,8 +55,6 @@ def frequent_pairs_pipeline(
     basket_col: str,
     item_col: str,
     min_support: int = 3,
-    num_partitions: int = 64,
-    reduce_partitions: int = 64,
 ):
     """Dataset[(basket, item)] -> Dataset[(item_a, item_b, support, lift)]
     over DISTINCT basket membership, support >= min_support, item_a <
@@ -86,7 +84,6 @@ def frequent_pairs_pipeline(
         ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True),
         basket_dedup,
         keys="b",
-        num_partitions=num_partitions,
     ).materialize()  # thin (basket, item) rows, baskets whole per block
 
     # ONE driver read for both small-side facts: per-block item-support
@@ -180,5 +177,4 @@ def frequent_pairs_pipeline(
         baskets.map_batches(pair_partials, batch_format="pyarrow", zero_copy_batch=True),
         pair_fold,
         keys="pk",
-        num_partitions=reduce_partitions,
     )

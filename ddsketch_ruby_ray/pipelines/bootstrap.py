@@ -53,7 +53,6 @@ def poisson_bootstrap_ci_pipeline(
     n_resamples: int = 64,
     lo_q: float = 0.025,
     hi_q: float = 0.975,
-    num_partitions: int = 16,
 ):
     """-> Dataset[(group_col, n, mean, ci_lo, ci_hi)]: exact grouped mean
     plus floor-rank [lo_q, hi_q] percentile bounds of the ``n_resamples``
@@ -140,4 +139,4 @@ def poisson_bootstrap_ci_pipeline(
             }
         )
 
-    return keyed_exchange(sums, finalize, keys=group_col, num_partitions=num_partitions)
+    return keyed_exchange(sums, finalize, keys=group_col)

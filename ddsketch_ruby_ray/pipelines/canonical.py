@@ -71,7 +71,7 @@ def canonical_sketch_pipeline(
         cols["_state"] = pa.array([spec.to_state(sk)], type=spec.state_type())
         return pa.table(cols)
 
-    states = map_groups(bucketed, group_keys + ["_bkt"], build_sub, num_partitions=buckets)
+    states = map_groups(bucketed, group_keys + ["_bkt"], build_sub)
 
     def reduce_group(group: pa.Table) -> pa.Table:
         order = np.argsort(group.column("_bkt").to_numpy(zero_copy_only=False))
@@ -85,4 +85,4 @@ def canonical_sketch_pipeline(
             out[name] = pa.array([val], pa.float64())
         return pa.table(out)
 
-    return map_groups(states, group_keys, reduce_group, num_partitions=16)
+    return map_groups(states, group_keys, reduce_group)

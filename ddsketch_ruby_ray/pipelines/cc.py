@@ -37,19 +37,23 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import fold
 from .fold import _part_of, keyed_exchange
 from .graph import _col, _gather, _pin_edge_slices, _scatter
 
 __all__ = ["connected_components_pipeline"]
 
-# Edge rows per partition; num_partitions only caps the count.  The
+# Edge rows per partition, the one exchange in the library sized by its
+# input instead of fold._PARTITIONS (which still caps it).  The
 # labels/messages tables are proportional to duplicate pairs, not the
 # corpus, so a fixed 64-way split made every half-iteration of the old sort
 # exchange pay ~64 groupby+repartition tasks even when the whole graph is a
 # few KB (43 s at sf0.01 for a 47-cluster result, measured on the sort
 # exchange since replaced by the direct one).  One partition per ~256k edge
 # rows keeps per-task work meaningful at every scale: a small graph's
-# exchange runs one split and one fold task.
+# exchange runs one split and one fold task.  On the direct exchange,
+# cc_components_graph at sf0.1 (1.2M edge rows, 4 CPUs, best of 3, two
+# rounds) runs in 2.32 / 2.07 s on 5 partitions and 2.69 / 2.65 s on 64.
 _EDGE_ROWS_PER_PART = 262_144
 
 
@@ -58,7 +62,6 @@ def connected_components_pipeline(
     *,
     a_col: str = "a",
     b_col: str = "b",
-    num_partitions: int = 64,
     max_iters: int = 25,
 ):
     """Dataset[(a, b)] -> Dataset[(node, cluster)] for every node in pairs;
@@ -73,13 +76,13 @@ def connected_components_pipeline(
                 "dst": pa.array(np.concatenate([b, a])),
             }
         )
-        return e.append_column("_part", pa.array(_part_of(e, ["src"], num_partitions)))
+        return e.append_column("_part", pa.array(_part_of(e, ["src"], P)))
 
     # materialize first so count() doesn't re-run the (expensive) upstream
     # pair-generation lineage when the edges map executes below.
     pairs = pairs.materialize()
     n_edges = 2 * pairs.count()
-    num_partitions = max(1, min(num_partitions, n_edges // _EDGE_ROWS_PER_PART + 1))
+    P = max(1, min(fold._PARTITIONS, n_edges // _EDGE_ROWS_PER_PART + 1))
 
     edges = pairs.map_batches(
         to_edges,
@@ -123,7 +126,7 @@ def connected_components_pipeline(
         )
 
     labels = keyed_exchange(
-        edges, init_labels, num_partitions=num_partitions
+        edges, init_labels, num_partitions=P
     ).materialize()
     if labels.count() == 0:  # no pairs -> no clusters
         return labels.map_batches(
@@ -132,7 +135,7 @@ def connected_components_pipeline(
             ),
             batch_format="pyarrow",
         )
-    edge_refs = _pin_edge_slices(edges, ("src", "dst"), num_partitions=num_partitions)
+    edge_refs = _pin_edge_slices(edges, ("src", "dst"), num_partitions=P)
 
     def label(t: pa.Table) -> np.ndarray:
         return _col(t, "label")
@@ -143,9 +146,9 @@ def connected_components_pipeline(
     def half_step(labels, rel):
         """One min-label step along ``rel`` (pinned slices or relation
         rows) -> (new labels, changed count)."""
-        msgs = _scatter(labels, rel, label, np.minimum, num_partitions=num_partitions)
+        msgs = _scatter(labels, rel, label, np.minimum, num_partitions=P)
         folded = _gather(
-            msgs, labels, "label", np.minimum, lower, num_partitions=num_partitions
+            msgs, labels, "label", np.minimum, lower, num_partitions=P
         )
         return folded, folded.sum("changed")
 
@@ -153,7 +156,7 @@ def connected_components_pipeline(
         """Pointer-jump relation: node v listens to its CURRENT label's
         label (src = label(v), dst = v)."""
         r = pa.table({"src": t.column("label"), "dst": t.column("node")})
-        return r.append_column("_part", pa.array(_part_of(r, ["src"], num_partitions)))
+        return r.append_column("_part", pa.array(_part_of(r, ["src"], P)))
 
     for _ in range(max_iters):
         labels, changed_n = half_step(labels, edge_refs)

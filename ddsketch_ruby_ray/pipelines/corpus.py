@@ -76,16 +76,14 @@ def sketch_states(
 
 def _num_partitions(group_keys) -> int:
     """Partitions of the state exchange: one per cluster CPU, so the fold is
-    a single parallel wave; one without group keys (a single group)."""
+    a single parallel wave; one without group keys (a single group).  Not
+    ``fold._PARTITIONS``: a state fold pays a fixed cost per call (see the
+    measurements there)."""
     if not group_keys:
         return 1
-    try:
-        import ray
+    import ray
 
-        cpus = int(ray.cluster_resources().get("CPU", 0))
-    except Exception:  # pragma: no cover - cluster introspection unavailable
-        cpus = 0
-    return max(1, cpus)
+    return max(1, int(ray.cluster_resources().get("CPU", 0)))
 
 
 def _fold_states(states, group_keys: Sequence[str], fold):

@@ -77,7 +77,7 @@ def sq8_covariance_pipeline(ds, *, label_col: str, vec_col: str):
             [("n", "sum"), ("s_i", "sum"), ("s_j", "sum"), ("s_ij", "sum")]
         )
 
-    summed = map_groups(parts, "label", reduce_label, num_partitions=16)
+    summed = map_groups(parts, "label", reduce_label)
 
     def finalize(t: pa.Table) -> pa.Table:
         n = t.column("n_sum").to_numpy(zero_copy_only=False).astype(np.int64)

@@ -99,10 +99,14 @@ def exact_dedup_pipeline(ds, *, key_col: str, text_col: str, num_partitions: int
     one 24-byte row per (block, distinct text); the reduce side is one
     vectorized min-key scan per hash PARTITION - Ray's built-in per-group
     aggregate would cost ~250us of Python per distinct document, which at
-    10^8+ distinct texts dominates everything.  ``num_partitions`` (P) sets
-    how many scans run; they run in ``min(P, cluster CPUs)`` fold tasks of
-    the direct keyed exchange, each scanning the P / W partitions it holds
-    (``fold.keyed_exchange``).
+    10^8+ distinct texts dominates everything.  The scans run in
+    ``min(P, cluster CPUs)`` fold tasks of the direct keyed exchange, each
+    scanning the P / W partitions it holds (``fold.keyed_exchange``).
+
+    ``num_partitions`` (P) is the one partition-count option left on a
+    pipeline besides ``packing``'s: ``perfbench/layers.py`` reads its
+    default, so it goes with the next change to the benchmark; every other
+    pipeline takes ``fold._PARTITIONS``.
     """
 
     def hash_stage(batch: pa.Table) -> pa.Table:
@@ -194,7 +198,7 @@ def lsh_after_exact_dedup(
     )
 
 
-def normalized_dedup_pipeline(ds, *, key_col: str, text_col: str, num_partitions: int = 64):
+def normalized_dedup_pipeline(ds, *, key_col: str, text_col: str):
     """Keep the first (min key) row per NORMALIZED text: -> Dataset[key_col].
 
     The standard near-exact curation dedup: documents differing only in
@@ -214,16 +218,14 @@ def normalized_dedup_pipeline(ds, *, key_col: str, text_col: str, num_partitions
         return t.set_column(t.schema.get_field_index(text_col), text_col, c)
 
     normed = ds.map_batches(norm_stage, batch_format="pyarrow", zero_copy_batch=True)
-    return exact_dedup_pipeline(
-        normed, key_col=key_col, text_col=text_col, num_partitions=num_partitions
-    )
+    return exact_dedup_pipeline(normed, key_col=key_col, text_col=text_col)
 
 
-def exact_dedup_rows_pipeline(ds, *, key_col: str, text_col: str, num_partitions: int = 64):
+def exact_dedup_rows_pipeline(ds, *, key_col: str, text_col: str):
     """Full-row exact dedup: -> Dataset with one (min-key) row per distinct text.
 
     Rows are co-located by a PARTITION of the 128-bit content hash (so the
-    shuffle fans into ``num_partitions`` reduce tasks, not one Python
+    shuffle fans into ``fold._PARTITIONS`` reduce calls, not one Python
     map_groups call per distinct document) and each partition keeps its
     min-key rows with ONE lexsort + boundary scan - no per-group Python at
     any cardinality.  Content moves exactly once; at petabyte scale prefer
@@ -254,9 +256,7 @@ def exact_dedup_rows_pipeline(ds, *, key_col: str, text_col: str, num_partitions
             ["_h_hi", "_h_lo", "_part"]
         )
 
-    return keyed_exchange(
-        hashed, keep_min_per_hash, keys="_h_hi", num_partitions=num_partitions
-    )
+    return keyed_exchange(hashed, keep_min_per_hash, keys="_h_hi")
 
 
 # -- MinHash + LSH -----------------------------------------------------------
@@ -510,10 +510,9 @@ def lsh_candidate_pairs_pipeline(
     buckets = sigs.map_batches(to_buckets, batch_format="pyarrow", zero_copy_batch=True)
 
     # fused-bucket groups are co-located by a PARTITION of the fused hash,
-    # so the reduce side is ~num_partitions vectorized map_groups calls - not
-    # one Python call per bucket (Ray's per-group overhead is ~250us, which
-    # at 10^5+ buckets would dominate the whole pipeline).
-    num_partitions = 64
+    # so the reduce side is ~fold._PARTITIONS vectorized calls - not one
+    # Python call per bucket (Ray's per-group overhead is ~250us, which at
+    # 10^5+ buckets would dominate the whole pipeline).
 
     def pairs_of_partition(pt: pa.Table) -> pa.Table:
         bkt = pt.column("bb").to_numpy(zero_copy_only=False)
@@ -531,9 +530,7 @@ def lsh_candidate_pairs_pipeline(
             {"a": pa.array(pairs[:, 0], pa.int64()), "b": pa.array(pairs[:, 1], pa.int64())}
         )
 
-    pairs = keyed_exchange(
-        buckets, pairs_of_partition, keys="bb", num_partitions=num_partitions
-    )
+    pairs = keyed_exchange(buckets, pairs_of_partition, keys="bb")
 
     # distinct (a, b) across bands: same partition+vectorize shape (Ray's
     # groupby().count() would iterate pairs in Python)
@@ -551,9 +548,7 @@ def lsh_candidate_pairs_pipeline(
     # when no pair survives, no partition's reduce runs and the exchange
     # yields no block at all; one typed empty block keeps the (a, b) schema
     none = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-    return keyed_exchange(
-        pairs, distinct_pairs, keys=["a", "b"], num_partitions=num_partitions
-    ).union(rd.from_arrow(none))
+    return keyed_exchange(pairs, distinct_pairs, keys=["a", "b"]).union(rd.from_arrow(none))
 
 
 def _bucketed_shingle_sets(ds, *, key_col, text_col, num_hashes, bands, ngram):
@@ -683,7 +678,7 @@ def jaccard_pairs_pipeline(
             }
         )
 
-    per_bucket = map_groups(bucketed, ["band", "bucket"], verify, num_partitions=64)
+    per_bucket = map_groups(bucketed, ["band", "bucket"], verify)
     # cross-band duplicates carry the identical jac1000; collapse to one row
     # (pair domain is open-ended -> bounded-partition fold)
     deduped = partitioned_group_agg(per_bucket, ["a", "b"], [("jac1000", "max")])
@@ -1208,7 +1203,7 @@ def containment_pairs_pipeline(
             }
         )
 
-    per_bucket = map_groups(bucketed, ["band", "bucket"], verify, num_partitions=64)
+    per_bucket = map_groups(bucketed, ["band", "bucket"], verify)
     # identical values in every shared bucket -> collapse cross-band dups
     # (pair domain is open-ended -> bounded-partition fold)
     out = partitioned_group_agg(
@@ -1229,8 +1224,7 @@ def containment_pairs_pipeline(
     )
 
 
-def dup_rate_by_group_pipeline(ds, *, group_col: str, text_col: str,
-                               num_partitions: int = 64):
+def dup_rate_by_group_pipeline(ds, *, group_col: str, text_col: str):
     """-> Dataset[(group_col, n_docs, n_dup, dup_rate)] — per group, how
     many docs' exact text occurs >= 2 times ANYWHERE in the corpus (the
     duplication-health report every corpus card carries, per source/split).
@@ -1279,9 +1273,7 @@ def dup_rate_by_group_pipeline(ds, *, group_col: str, text_col: str,
         )
         return g.rename_columns([group_col, "dups", "docs"])
 
-    partials = keyed_exchange(
-        hashed, per_partition, keys="h_hi", num_partitions=num_partitions
-    )
+    partials = keyed_exchange(hashed, per_partition, keys="h_hi")
     summed = partitioned_group_sum(partials, group_col, ["docs", "dups"])
 
     def finalize(t: pa.Table) -> pa.Table:

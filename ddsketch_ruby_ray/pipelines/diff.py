@@ -32,7 +32,6 @@ def snapshot_diff_pipeline(
     *,
     key_col: str,
     text_col: str,
-    num_partitions: int = 64,
 ):
     """-> Dataset[(key_col, status)] with status in {'added', 'removed',
     'changed'}: B relative to A.  Keys must be unique within each side
@@ -91,4 +90,4 @@ def snapshot_diff_pipeline(
             }
         )
 
-    return keyed_exchange([a, b], resolve, keys="key", num_partitions=num_partitions)
+    return keyed_exchange([a, b], resolve, keys="key")

@@ -37,9 +37,7 @@ from .fold import keyed_exchange, partitioned_group_sum
 __all__ = ["exact_distinct_pipeline"]
 
 
-def exact_distinct_pipeline(
-    ds, *, group_col: str, value_col: str, num_partitions: int = 64
-):
+def exact_distinct_pipeline(ds, *, group_col: str, value_col: str):
     """-> Dataset[(group_col, n_distinct)] with exact distinct counts.
 
     ``group_col`` may be string or int; ``value_col`` must be int64-castable.
@@ -109,9 +107,7 @@ def exact_distinct_pipeline(
             }
         )
 
-    partials = keyed_exchange(
-        pairs, partial_counts, keys=[group_col, "_v"], num_partitions=num_partitions
-    )
+    partials = keyed_exchange(pairs, partial_counts, keys=[group_col, "_v"])
     out = partitioned_group_sum(partials, group_col, "n_distinct")
     import pyarrow.compute as pc
 

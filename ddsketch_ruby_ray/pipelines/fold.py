@@ -59,9 +59,15 @@ It holds at any key cardinality (Ray's native sort-aggregate collapses past
 ~1M groups, NOTES_ROUND3.md) and keeps a NULL key as one group of its own,
 as SQL ``GROUP BY`` does.  Integer sum/min/max/count are associative, so
 this is bit-exact against a single pass; float sums are order-sensitive and
-stay on paths that fix their summation order.  ``num_partitions`` sizes each
-``reduce`` call: ``distinct_keys / P`` rows.  Output rows come in partition order,
-not key order: a caller that needs key order sorts.
+stay on paths that fix their summation order.  Output rows come in
+partition order, not key order: a caller that needs key order sorts.
+
+The partition count P is this module's decision, ``_PARTITIONS``, not an
+option of the pipelines: every fold is associative, so P never changes a
+result, only how many ``reduce`` calls each fold task makes
+(``distinct_keys / P`` rows each).  A caller that tags ``_part`` itself
+reads ``fold._PARTITIONS`` once, on the driver, and ships the value into its
+map closures (a Ray worker imports this module afresh).
 
 :func:`map_groups` is ``ds.groupby(keys).map_groups(fn)`` on the same
 exchange: each partition splits into its keys' row sets and ``fn`` runs once
@@ -182,16 +188,35 @@ def _part_of(tbl: pa.Table, key_cols, num_partitions: int) -> np.ndarray:
 # sits at the smaller one.
 _ONE_TASK_ROWS = 4_000
 
+# Partition count of every keyed exchange whose caller passes none.  Row
+# exchanges want fine partitions.  Measured on 4-CPU x86 (ray 2.49.2, lazy
+# input, best of 3, two alternating rounds, seconds and peak worker RssAnon),
+# P = 64 against P = 4:
+#
+#   partitioned_group_sum, 8M rows, 6M keys   1.06/1.12 s, 181/220 MB
+#                                      P = 4  1.43/1.23 s, 266/268 MB
+#   identity map_groups, 4M rows              1.22/1.20 s, 133/274 MB
+#                                      P = 4  1.31/1.28 s, 310/307 MB
+#
+# The sketch-state fold (corpus._fold_states) is the exception and takes one
+# partition per CPU: StateBlockMerger.finalize_groups pays a fixed cost per
+# call (2 DDSketch specs + XorSig, one core, no Ray: 800 state rows of 400
+# groups fold in 21 ms as 2 calls and 195 ms as 64; 1.14M state rows in
+# 1.38 s as 4 calls and 1.91 s as 64).  Read at call time, so a test can
+# set it.
+_PARTITIONS = 64
 
-def keyed_exchange(inputs, reduce, *, keys=None, num_partitions: int):
+
+def keyed_exchange(inputs, reduce, *, keys=None, num_partitions: int | None = None):
     """Route -> one exchange -> per-partition ``reduce``.
 
     ``inputs`` is a Dataset or a list of Datasets.  With ``keys`` (a column
     name or list of them, present in every input) each input is routed on
     its own, ``_part = _part_of(keys) mod num_partitions``, before the
     inputs meet; with ``keys=None`` every input must already carry an int32
-    ``_part`` in ``[0, num_partitions)``.  ``reduce`` gets one ``pyarrow``
-    table per partition (``_part`` included) and returns one.
+    ``_part`` in ``[0, num_partitions)``.  ``num_partitions=None`` means
+    ``_PARTITIONS``.  ``reduce`` gets one ``pyarrow`` table per partition
+    (``_part`` included) and returns one.
 
     Materialized inputs of at most ``_ONE_TASK_ROWS`` rows in all fold in
     one map task; anything else runs the direct exchange, which executes
@@ -200,6 +225,8 @@ def keyed_exchange(inputs, reduce, *, keys=None, num_partitions: int):
     """
     if not isinstance(inputs, (list, tuple)):
         inputs = [inputs]
+    if num_partitions is None:
+        num_partitions = _PARTITIONS
     key_cols = None if keys is None else [keys] if isinstance(keys, str) else list(keys)
     if all(isinstance(ds, MaterializedDataset) for ds in inputs):
         # a materialized count is block metadata: no input is executed here
@@ -375,13 +402,7 @@ def _arrow_agg(tbl: pa.Table, key_cols: list[str], aggs: list[tuple]) -> pa.Tabl
     return tbl.select(cols).group_by(key_cols).aggregate(aggs)
 
 
-def partitioned_group_agg(
-    ds,
-    key_cols,
-    aggs,
-    *,
-    num_partitions: int = 64,
-):
+def partitioned_group_agg(ds, key_cols, aggs):
     """``ds.groupby(key_cols).aggregate(...)`` on the keyed exchange.
 
     ``aggs`` is ``[(col, func), ...]`` with func in sum/min/max/count, or
@@ -413,19 +434,17 @@ def partitioned_group_agg(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    return keyed_exchange(partials, fold, keys=key_cols, num_partitions=num_partitions)
+    return keyed_exchange(partials, fold, keys=key_cols)
 
 
-def partitioned_group_sum(ds, key_cols, val_cols, *, num_partitions: int = 64):
+def partitioned_group_sum(ds, key_cols, val_cols):
     """``ds.groupby(key_cols).sum(val_cols)`` on the keyed exchange."""
     if isinstance(val_cols, str):
         val_cols = [val_cols]
-    return partitioned_group_agg(
-        ds, key_cols, [(v, "sum") for v in val_cols], num_partitions=num_partitions
-    )
+    return partitioned_group_agg(ds, key_cols, [(v, "sum") for v in val_cols])
 
 
-def map_groups(ds, keys, fn, *, num_partitions: int):
+def map_groups(ds, keys, fn):
     """``ds.groupby(keys).map_groups(fn, batch_format="pyarrow")`` on the
     keyed exchange.
 
@@ -449,4 +468,4 @@ def map_groups(ds, keys, fn, *, num_partitions: int):
         # one chunk per column: a table of one chunk per key is slow to ship
         return pa.concat_tables(outs).combine_chunks()
 
-    return keyed_exchange(ds, per_partition, keys=key_cols, num_partitions=num_partitions)
+    return keyed_exchange(ds, per_partition, keys=key_cols)

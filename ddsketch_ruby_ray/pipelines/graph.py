@@ -55,6 +55,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.numeric import run_pairs, run_starts
+from . import fold
 from .fold import _as_dataset, _part_of, keyed_exchange, strict_key_int64
 
 __all__ = [
@@ -79,22 +80,12 @@ PR_SCALE = 10**12
 # state distributed.  Sweep table in BASELINE.md.
 _MAX_BROADCAST_NODES = 16_000_000
 
-# Partition count for the PageRank build exchanges.  This is also a LEVER on
-# the outdeg meta exchange's volume: deg partials exist per (dst-partition,
-# src), so a src with outdeg d lands in ~P·(1−(1−1/P)^d) partitions — fewer,
-# larger partitions mean fewer partials per src.  Yet P=32 measured worse
-# than 64 (scaling efficiency 0.683 vs 0.700, NOTES_ROUND5.md #10): the
-# bigger per-task sorts cost more than the fewer partials save.  That was
-# measured on the sort-based exchange, since replaced by the direct one
-# (fold.py), which splits each block min(P, CPUs) ways and sorts no
-# partition; it has not been re-measured since.
-_PR_REDUCE_PARTS = 64
-
-
-def _node_part(nodes: np.ndarray, num_partitions: int) -> np.ndarray:
+def _node_part(nodes: np.ndarray, P: int) -> np.ndarray:
     """``_part_of`` of an int64 node-id array that is not a shipped column
-    (the packed exchanges route on ids packed into one lane)."""
-    return _part_of(pa.table({"n": nodes}), ["n"], num_partitions)
+    (the packed exchanges route on ids packed into one lane).  ``P`` is
+    ``fold._PARTITIONS`` as the caller read it on the driver: this runs in
+    worker-side maps, where the module is imported afresh."""
+    return _part_of(pa.table({"n": nodes}), ["n"], P)
 
 
 class PackedIdOverflow(Exception):
@@ -126,7 +117,7 @@ def _edge_ids(t: pa.Table, src_col: str, dst_col: str):
     )
 
 
-def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int):
+def _distinct_edges(edges, *, src_col: str, dst_col: str):
     """-> materialized Dataset[(src, dst, _part)] with exact (src, dst)
     dedup; partitioned by hash(src) so a src's whole adjacency list is one
     partition (dedup is therefore global, and propagation needs no second
@@ -137,13 +128,14 @@ def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int):
     fold, bit-identical output (packed ascending == lexsort((dst, src))).
     Packing needs ids in [0, 2^31): on :class:`PackedIdOverflow` the
     packed exchange aborts and the two-column plan runs instead."""
+    P = fold._PARTITIONS
 
     def norm_packed(t: pa.Table) -> pa.Table:
         s, d = _edge_ids(t, src_col, dst_col)
         return pa.table(
             {
                 "pk": pa.array(_pack_pair(s, d)),
-                "_part": pa.array(_node_part(s, num_partitions)),
+                "_part": pa.array(_node_part(s, P)),
             }
         )
 
@@ -187,7 +179,6 @@ def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int):
                 norm_packed, batch_format="pyarrow", zero_copy_batch=True
             ),
             dedup_packed,
-            num_partitions=num_partitions,
         ).materialize()
     except Exception as e:  # RayTaskError wraps the original
         if "PackedIdOverflow" not in repr(e) + str(e):
@@ -196,11 +187,10 @@ def _distinct_edges(edges, *, src_col: str, dst_col: str, num_partitions: int):
         edges.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True),
         dedup,
         keys="src",
-        num_partitions=num_partitions,
     ).materialize()
 
 
-def _node_states(dedup_edges, *, num_partitions: int):
+def _node_states(dedup_edges):
     """-> (materialized Dataset[(node, outdeg, _part)] over ALL endpoint
     nodes, node count N).  outdeg = distinct-dst out-degree, 0 for sinks."""
 
@@ -245,15 +235,17 @@ def _node_states(dedup_edges, *, num_partitions: int):
         ),
         fold,
         keys="node",
-        num_partitions=num_partitions,
     ).materialize()
     return states, states.count()
 
 
-def _pin_edge_slices(part_ds, columns: tuple, *, num_partitions: int) -> dict:
+def _pin_edge_slices(part_ds, columns: tuple, *, num_partitions: int | None = None) -> dict:
     """Split a materialized ``_part``-partitioned edge Dataset (``_part`` in
-    ``[0, num_partitions)``) into per-partition object-store tables of
-    ``columns`` sorted by ``dst`` — ``{part: [ObjectRef, ...]}``.
+    ``[0, P)``) into per-partition object-store tables of ``columns``
+    sorted by ``dst`` — ``{part: [ObjectRef, ...]}``.  P is
+    ``fold._PARTITIONS`` unless ``num_partitions`` is given: connected
+    components sizes its rounds by its edge count (``cc.py``), and this and
+    the round's two halves are the only helpers that carry its count.
 
     :func:`_scatter` gathers these slices BY REF inside its per-partition
     tasks, so each iteration exchanges only the O(nodes) state rows; the
@@ -290,10 +282,11 @@ def _pin_edge_slices(part_ds, columns: tuple, *, num_partitions: int) -> dict:
         ]
         return out[0] if P == 1 else tuple(out)
 
+    P = fold._PARTITIONS if num_partitions is None else num_partitions
     refs: dict[int, list] = {}
     for r in part_ds.to_arrow_refs():
-        slot_refs = split.options(num_returns=num_partitions).remote(r, num_partitions)
-        if num_partitions == 1:
+        slot_refs = split.options(num_returns=P).remote(r, P)
+        if P == 1:
             slot_refs = [slot_refs]
         for p, ref in enumerate(slot_refs):
             refs.setdefault(p, []).append(ref)
@@ -308,7 +301,7 @@ def _col(t: pa.Table, name: str) -> np.ndarray:
 _IDENTITY = {np.add: 0, np.minimum: np.iinfo(np.int64).max}
 
 
-def _scatter(state, edges, value, reduce, *, num_partitions: int):
+def _scatter(state, edges, value, reduce, *, num_partitions: int | None = None):
     """Scatter half of one vertex-program round: every node of ``state``
     sends ``value`` along its out-edges, and each partition reduces its
     messages per dst with the ufunc ``reduce`` before they leave it.
@@ -395,7 +388,7 @@ def _scatter(state, edges, value, reduce, *, num_partitions: int):
     return keyed_exchange(inputs, scatter, num_partitions=num_partitions)
 
 
-def _gather(msgs, state, old_col: str, reduce, update, *, num_partitions: int):
+def _gather(msgs, state, old_col: str, reduce, update, *, num_partitions: int | None = None):
     """Gather half of one vertex-program round: ONE keyed exchange on
     ``node`` of :func:`_scatter`'s messages and the old state rows.
 
@@ -453,7 +446,6 @@ def pagerank_pipeline(
     src_col: str = "src",
     dst_col: str = "dst",
     iters: int = 3,
-    num_partitions: int = 64,
     max_broadcast_nodes: int = _MAX_BROADCAST_NODES,
 ):
     """Dataset[(src, dst)] -> Dataset[(node, rank_fp)]: ``iters`` exact
@@ -489,9 +481,7 @@ def pagerank_pipeline(
         except _TooManyNodes:
             pass  # node table too large to broadcast -> shuffle plan
 
-    dedup = _distinct_edges(
-        edges, src_col=src_col, dst_col=dst_col, num_partitions=num_partitions
-    )
+    dedup = _distinct_edges(edges, src_col=src_col, dst_col=dst_col)
     n_edges = dedup.count()
     if n_edges == 0:
         return dedup.map_batches(
@@ -503,7 +493,7 @@ def pagerank_pipeline(
             ),
             batch_format="pyarrow",
         )
-    states, n_nodes = _node_states(dedup, num_partitions=num_partitions)
+    states, n_nodes = _node_states(dedup)
     base_share = PR_SCALE // n_nodes  # SCALE // N, reused everywhere
 
     # attach the initial rank
@@ -514,7 +504,7 @@ def pagerank_pipeline(
         batch_format="pyarrow",
         zero_copy_batch=True,
     ).materialize()
-    edge_refs = _pin_edge_slices(dedup, ("src", "dst"), num_partitions=num_partitions)
+    edge_refs = _pin_edge_slices(dedup, ("src", "dst"))
 
     def contribution(t: pa.Table) -> np.ndarray:
         # a node with outdeg 0 is no edge's src, so its value is never sent
@@ -532,9 +522,7 @@ def pagerank_pipeline(
             dangling, batch_format="pyarrow", zero_copy_batch=True
         ).sum("d")
         dang_share = int(dang) // n_nodes
-        msgs = _scatter(
-            ranks, edge_refs, contribution, np.add, num_partitions=num_partitions
-        )
+        msgs = _scatter(ranks, edge_refs, contribution, np.add)
         ranks = _gather(
             msgs,
             ranks,
@@ -544,7 +532,6 @@ def pagerank_pipeline(
                 "outdeg": outdeg,
                 "r": base + (85 * (in_sum + dang_share)) // 100,
             },
-            num_partitions=num_partitions,
         )
 
     return ranks.map_batches(
@@ -602,6 +589,8 @@ def _pagerank_broadcast(
     import ray
     import ray.data as rd
 
+    P = fold._PARTITIONS
+
     def norm_dst_part(t: pa.Table) -> pa.Table:
         s, d = _edge_ids(t, src_col, dst_col)
         return pa.table({"src": pa.array(s), "dst": pa.array(d)})
@@ -646,14 +635,14 @@ def _pagerank_broadcast(
         u = np.unique(_pack_pair(d, s))  # block-local dedup (sorted)
         dd = u >> np.int64(32)
         ss = u & _LO31
-        part_e = _node_part(dd, _PR_REDUCE_PARTS)
+        part_e = _node_part(dd, P)
         sn, cnt = np.unique(ss, return_counts=True)
         ppk = (
             (np.uint64(1) << np.uint64(63))
             | (sn.astype(np.uint64) << np.uint64(31))
             | cnt.astype(np.uint64)
         ).view(np.int64)
-        part_p = _node_part(sn, _PR_REDUCE_PARTS)
+        part_p = _node_part(sn, P)
         return pa.table(
             {
                 "pk": pa.array(np.concatenate([u, ppk])),
@@ -719,7 +708,6 @@ def _pagerank_broadcast(
                 norm_dst_packed, batch_format="pyarrow", zero_copy_batch=True
             ),
             dedup_sort_packed,
-            num_partitions=_PR_REDUCE_PARTS,
         ).materialize()  # pinned for every iteration
     except Exception as e:  # wide ids: fall back to the two-column exchange
         if "PackedIdOverflow" not in repr(e) + str(e):
@@ -732,7 +720,6 @@ def _pagerank_broadcast(
             ),
             dedup_sort,
             keys="dst",
-            num_partitions=_PR_REDUCE_PARTS,
         ).materialize()  # pinned for every iteration
 
     if packed_build:
@@ -829,7 +816,6 @@ def _pagerank_broadcast(
                 ),
                 meta_fold,
                 keys="node",
-                num_partitions=_PR_REDUCE_PARTS,
             ).to_arrow_refs()
         ]
         meta_tabs = [t for t in meta_tabs if t.num_rows]
@@ -939,7 +925,6 @@ def bfs_hops_pipeline(
     dst_col: str = "dst",
     seed_col: str = "node",
     max_hops: int = 4,
-    num_partitions: int = 64,
     max_broadcast_nodes: int = _MAX_BROADCAST_NODES,
 ):
     """Dataset[(src, dst)] x Dataset[seed nodes] -> Dataset[(node, hops)]:
@@ -966,7 +951,6 @@ def bfs_hops_pipeline(
         edges.map_batches(undirect, batch_format="pyarrow", zero_copy_batch=True),
         src_col="src",
         dst_col="dst",
-        num_partitions=num_partitions,
     )
     return _shortest_paths(
         pinned,
@@ -974,7 +958,6 @@ def bfs_hops_pipeline(
         out_col="hops",
         seed_col=seed_col,
         max_rounds=max_hops,
-        num_partitions=num_partitions,
         max_broadcast_nodes=max_broadcast_nodes,
     )
 
@@ -984,7 +967,6 @@ def triangle_count_pipeline(
     *,
     a_col: str = "a",
     b_col: str = "b",
-    num_partitions: int = 64,
 ):
     """Dataset[(a, b)] (undirected simple edges, a < b, distinct) ->
     Dataset[(n_triangles, n_wedges, transitivity)] — one row.
@@ -1014,6 +996,7 @@ def triangle_count_pipeline(
     import ray
     import ray.data as rd
 
+    P = fold._PARTITIONS
     _bound = np.int64(1) << np.int64(32)
 
     def norm(t: pa.Table) -> pa.Table:
@@ -1124,7 +1107,7 @@ def triangle_count_pipeline(
             {
                 "pk": pa.array(pk),
                 "kind": pa.array(kind),
-                "_part": pa.array(_node_part(lead, num_partitions)),
+                "_part": pa.array(_node_part(lead, P)),
             }
         )
 
@@ -1145,12 +1128,8 @@ def triangle_count_pipeline(
         e.map_batches(orient, batch_format="pyarrow", zero_copy_batch=True),
         wedges_and_edges,
         keys="u",
-        num_partitions=num_partitions,
     )
-    n_tri = int(
-        keyed_exchange(candidates, close_count, num_partitions=num_partitions).sum("n")
-        or 0
-    )
+    n_tri = int(keyed_exchange(candidates, close_count).sum("n") or 0)
     trans = float(3 * n_tri) / float(n_wedges) if n_wedges > 0 else 0.0
     return rd.from_arrow(
         pa.table(
@@ -1172,7 +1151,6 @@ def sssp_pipeline(
     weight_col: str = "w",
     seed_col: str = "node",
     max_rounds: int = 4,
-    num_partitions: int = 64,
     max_broadcast_nodes: int = _MAX_BROADCAST_NODES,
 ):
     """K-round Bellman-Ford single-source-set shortest paths over the
@@ -1218,7 +1196,6 @@ def sssp_pipeline(
         edges.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True),
         dedup_min,
         keys="src",
-        num_partitions=num_partitions,
     ).materialize()
     return _shortest_paths(
         pinned,
@@ -1226,7 +1203,6 @@ def sssp_pipeline(
         out_col="dist",
         seed_col=seed_col,
         max_rounds=max_rounds,
-        num_partitions=num_partitions,
         max_broadcast_nodes=max_broadcast_nodes,
     )
 
@@ -1238,7 +1214,6 @@ def _shortest_paths(
     out_col: str,
     seed_col: str,
     max_rounds: int,
-    num_partitions: int,
     max_broadcast_nodes: int,
 ):
     """The one frontier engine of ``sssp_pipeline`` and
@@ -1263,7 +1238,6 @@ def _shortest_paths(
         out_col=out_col,
         seed_col=seed_col,
         max_rounds=max_rounds,
-        num_partitions=num_partitions,
     )
 
 
@@ -1368,9 +1342,7 @@ def _sssp_broadcast(
     )
 
 
-def _sssp_shuffle(
-    pinned, seeds, *, out_col: str, seed_col: str, max_rounds: int, num_partitions: int
-):
+def _sssp_shuffle(pinned, seeds, *, out_col: str, seed_col: str, max_rounds: int):
     """Fully distributed min-plus Bellman-Ford: distance state lives in a
     hash-partitioned (node, dist, fresh, _part) table, never the driver.
     The edge table is pinned ONCE as per-partition dst-sorted object-store
@@ -1381,6 +1353,8 @@ def _sssp_shuffle(
     re-shuffle."""
     import ray.data as rd
 
+    P = fold._PARTITIONS
+
     def seed_states(t: pa.Table) -> pa.Table:
         n = np.unique(strict_key_int64(t.column(seed_col), name=seed_col))
         return pa.table(
@@ -1389,7 +1363,7 @@ def _sssp_shuffle(
                 "dist": pa.array(np.zeros(n.size, dtype=np.int64)),
                 "fresh": pa.array(np.ones(n.size, dtype=np.int8)),
                 # pre-tagged: each round's fresh-row exchange reads it as is
-                "_part": pa.array(_node_part(n, num_partitions)),
+                "_part": pa.array(_node_part(n, P)),
             }
         )
 
@@ -1402,9 +1376,7 @@ def _sssp_shuffle(
     state = seeds.map_batches(
         seed_states, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
-    state = keyed_exchange(
-        state, distinct_seeds, num_partitions=num_partitions
-    ).materialize()
+    state = keyed_exchange(state, distinct_seeds).materialize()
     if state.count() == 0:  # no seeds: nothing is reached (typed output)
         return rd.from_arrow(
             pa.table(
@@ -1414,11 +1386,7 @@ def _sssp_shuffle(
 
     schema = pinned.schema()
     weighted = bool(schema) and "w" in schema.names
-    edge_refs = _pin_edge_slices(
-        pinned,
-        ("src", "dst", "w") if weighted else ("src", "dst"),
-        num_partitions=num_partitions,
-    )
+    edge_refs = _pin_edge_slices(pinned, ("src", "dst", "w") if weighted else ("src", "dst"))
 
     def reach(t: pa.Table) -> np.ndarray:
         # a weighted slice adds its w column; BFS's unit weight is added here
@@ -1437,12 +1405,8 @@ def _sssp_shuffle(
         ).materialize()
         if fresh_rows.count() == 0:
             break  # fixed point: no distance improved last round
-        msgs = _scatter(
-            fresh_rows, edge_refs, reach, np.minimum, num_partitions=num_partitions
-        )
-        state = _gather(
-            msgs, state, "dist", np.minimum, lower, num_partitions=num_partitions
-        )
+        msgs = _scatter(fresh_rows, edge_refs, reach, np.minimum)
+        state = _gather(msgs, state, "dist", np.minimum, lower)
 
     return state.map_batches(
         lambda t: pa.table({"node": t.column("node"), out_col: t.column("dist")}),
@@ -1456,7 +1420,6 @@ def degree_histogram_pipeline(
     *,
     src_col: str = "src",
     dst_col: str = "dst",
-    num_partitions: int = 64,
 ):
     """Dataset[(src, dst)] -> Dataset[(degree, n_nodes)]: the distinct-
     neighbor OUT-degree histogram of the directed multigraph — the basic
@@ -1502,9 +1465,8 @@ def degree_histogram_pipeline(
         edges.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
         fold,
         keys="src",
-        num_partitions=num_partitions,
     )
-    summed = partitioned_group_sum(partials, "degree", "n_nodes", num_partitions=8)
+    summed = partitioned_group_sum(partials, "degree", "n_nodes")
     return summed.map_batches(
         lambda t: pa.table(
             {"degree": t.column("degree"), "n_nodes": t.column("sum(n_nodes)")}

@@ -70,7 +70,7 @@ def largest_remainder_quota_pipeline(ds, *, group_col: str, budget: int):
     )
 
 
-def gini_pipeline(ds, *, value_col: str, num_partitions: int = 32):
+def gini_pipeline(ds, *, value_col: str):
     """-> Dataset[(n, total, gini)] — one row; ``value_col`` must be
     non-negative integers (quantize currency upstream)."""
     import ray.data as rd
@@ -98,7 +98,6 @@ def gini_pipeline(ds, *, value_col: str, num_partitions: int = 32):
         ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
         fold,
         keys="v",
-        num_partitions=num_partitions,
     ).take_all()  # one row per DISTINCT value
     pairs = sorted((int(r["v"]), int(r["c"])) for r in table)
     n = sum(c for _, c in pairs)
@@ -132,7 +131,6 @@ def grouped_value_gini_pipeline(
     *,
     group_col: str,
     value_col: str,
-    num_partitions: int = 32,
 ):
     """-> Dataset[(group, n, total, gini)] — the per-GROUP Gini inequality
     coefficient of a non-negative INTEGER value column (the grouped
@@ -232,5 +230,4 @@ def grouped_value_gini_pipeline(
         ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
         fold,
         keys="g",
-        num_partitions=num_partitions,
     )

@@ -10,7 +10,7 @@ shuffle, with the partitioning assumption documented:
   1. both sides are normalized to a shared schema (side tag, int64 key,
      int64 microsecond timestamp, int64 tie-break, payload columns padded
      with nulls crosswise) inside ``map_batches``;
-  2. rows co-locate by ``hash(key) % num_partitions`` - ONE
+  2. rows co-locate by ``hash(key) % P`` - ONE
      :func:`~.fold.keyed_exchange` of only the carried columns;
   3. inside each partition a single lexsort + merge-rank computation
      resolves every left row's match(es) - no per-key Python, no per-row
@@ -18,7 +18,7 @@ shuffle, with the partitioning assumption documented:
 
 Partitioning assumption: a partition must hold ALL rows of the keys hashed
 to it (guaranteed by the hash co-partition); partition count bounds peak
-memory (size num_partitions ~ total_rows / target_partition_rows at scale).
+memory (one partition holds ~ total_rows / ``fold._PARTITIONS`` rows).
 Skewed keys cost only sort time, never quadratic blowup (as-of emits one
 row per left row; range join emits only true interval matches).
 
@@ -135,7 +135,6 @@ def asof_join_pipeline(
     left_cols: Sequence[str],
     right_payload: Sequence[str],
     tiebreak: str,
-    num_partitions: int = 64,
     direction: str = "backward",
 ):
     """LEFT as-of join -> Dataset[left_cols..., right_payload...(nullable)].
@@ -200,9 +199,7 @@ def asof_join_pipeline(
             out_cols[c] = pc.take(pt.column(c), r_indices)
         return pa.table(out_cols)
 
-    return keyed_exchange(
-        [ln, rn], per_partition, keys="_key", num_partitions=num_partitions
-    )
+    return keyed_exchange([ln, rn], per_partition, keys="_key")
 
 
 def hash_join_pipeline(
@@ -214,7 +211,6 @@ def hash_join_pipeline(
     left_cols: Sequence[str],
     right_payload: Sequence[str],
     how: str = "inner",
-    num_partitions: int = 64,
 ):
     """Large-large equi-join (``how`` = ``"inner"`` | ``"left"`` | ``"right"``
     | ``"full"`` | ``"semi"`` | ``"anti"``) on int64 keys.
@@ -378,9 +374,7 @@ def hash_join_pipeline(
             out_t = pa.concat_tables([out_t, extra])
         return out_t
 
-    return keyed_exchange(
-        [ln, rn], per_partition, keys="_key", num_partitions=num_partitions
-    )
+    return keyed_exchange([ln, rn], per_partition, keys="_key")
 
 
 def broadcast_hash_join_pipeline(
@@ -564,7 +558,6 @@ def range_join_pipeline(
     left_cols: Sequence[str],
     right_payload: Sequence[str],
     window_s: float,
-    num_partitions: int = 64,
 ):
     """INNER range join -> one row per (left, right) pair with the same key
     and ``left_ts - window_s <= right_ts <= left_ts`` (both ends inclusive).
@@ -618,9 +611,7 @@ def range_join_pipeline(
         out |= {c: pc.take(pt.column(c), r_take) for c in right_payload}
         return pa.table(out)
 
-    return keyed_exchange(
-        [ln, rn], per_partition, keys="_key", num_partitions=num_partitions
-    )
+    return keyed_exchange([ln, rn], per_partition, keys="_key")
 
 
 def interval_overlap_join_pipeline(
@@ -635,7 +626,6 @@ def interval_overlap_join_pipeline(
     left_cols: Sequence[str],
     right_payload: Sequence[str],
     max_right_duration_s: float,
-    num_partitions: int = 64,
 ):
     """INNER interval-OVERLAP join -> one row per (left, right) pair with
     the same key whose intervals intersect:
@@ -711,9 +701,7 @@ def interval_overlap_join_pipeline(
         out |= {c: pc.take(pt.column(c), r_take) for c in right_payload}
         return pa.table(out)
 
-    return keyed_exchange(
-        [ln, rn], per_partition, keys="_key", num_partitions=num_partitions
-    )
+    return keyed_exchange([ln, rn], per_partition, keys="_key")
 
 
 def bloom_prefilter_join_pipeline(
@@ -727,7 +715,6 @@ def bloom_prefilter_join_pipeline(
     how: str = "inner",
     m_bits: int = 1 << 23,
     k: int = 7,
-    num_partitions: int = 64,
 ):
     """Bloom-semi-join pushdown: a sketch as a PLANNER optimization.
 
@@ -785,5 +772,4 @@ def bloom_prefilter_join_pipeline(
         left_cols=left_cols,
         right_payload=right_payload,
         how=how,
-        num_partitions=num_partitions,
     )

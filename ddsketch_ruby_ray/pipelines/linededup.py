@@ -94,7 +94,6 @@ def line_dedup_pipeline(
     text_col: str,
     min_count: int = 3,
     max_broadcast_lines: int = MAX_BROADCAST_LINES,
-    num_partitions: int = 64,
 ):
     """-> Dataset[(key_col, n_lines, n_kept, kept_sig)] with corpus-wide
     duplicated lines (global occurrence count >= ``min_count``) removed.
@@ -256,9 +255,7 @@ def line_dedup_pipeline(
             }
         )
 
-    partials = keyed_exchange(
-        [lines_ds, heavy_side], anti_join_fold, keys="lh", num_partitions=num_partitions
-    )
+    partials = keyed_exchange([lines_ds, heavy_side], anti_join_fold, keys="lh")
 
     def final_fold(pt: pa.Table) -> pa.Table:
         keys = pt.column(key_col).to_numpy(zero_copy_only=False)
@@ -278,4 +275,4 @@ def line_dedup_pipeline(
             }
         )
 
-    return keyed_exchange(partials, final_fold, keys=key_col, num_partitions=num_partitions)
+    return keyed_exchange(partials, final_fold, keys=key_col)

@@ -36,7 +36,9 @@ def pack_sequences_pipeline(
     num_partitions: int = 64,
 ):
     """-> Dataset[(id, part, tokens, seq_first, seq_last)]; ``part`` is the
-    keyed-exchange partition of the id, ``hash64_int(id) % num_partitions``."""
+    keyed-exchange partition of the id, ``hash64_int(id) % num_partitions``.
+    Unlike other pipelines it takes its partition count: P is part of the
+    output (sequences pack within a partition), so a caller must name it."""
 
     def per_partition(pt: pa.Table) -> pa.Table:
         ids = pt.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)

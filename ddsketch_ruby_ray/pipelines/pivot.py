@@ -28,7 +28,6 @@ def pivot_counts_pipeline(
     group_col: str,
     pivot_col: str,
     values,
-    num_partitions: int = 16,
 ):
     """-> Dataset[(group_col, <v>: int64 for v in values)] - counts of each
     category per group.  Rows whose ``pivot_col`` is not in ``values`` are
@@ -77,4 +76,4 @@ def pivot_counts_pipeline(
             cols[nm] = pa.array(wide[:, j])
         return pa.table(cols)
 
-    return keyed_exchange(counted, widen, keys="g", num_partitions=num_partitions)
+    return keyed_exchange(counted, widen, keys="g")

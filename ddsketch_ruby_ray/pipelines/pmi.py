@@ -159,7 +159,7 @@ def token_frequency_spectrum_pipeline(ds, *, text_col: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    out = partitioned_group_agg(freq, "freq", [(None, "count")], num_partitions=1)
+    out = partitioned_group_agg(freq, "freq", [(None, "count")])
     return out.map_batches(
         lambda t: pa.table(
             {

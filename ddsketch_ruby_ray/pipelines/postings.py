@@ -55,7 +55,6 @@ def ngram_jaccard_pairs_pipeline(
     ngram: int = 3,
     df_cap: int = 5,
     thr_milli: int = 500,
-    num_partitions: int = 64,
 ):
     """-> Dataset[(a, b, jac1000)]: all doc pairs with df-capped shingle
     Jaccard >= thr_milli/1000, a < b, jac1000 = floor(1000*inter/union).
@@ -110,7 +109,7 @@ def ngram_jaccard_pairs_pipeline(
             }
         )
 
-    co = keyed_exchange(posted, expand, keys="sh", num_partitions=num_partitions)
+    co = keyed_exchange(posted, expand, keys="sh")
 
     def reduce_pairs(pt: pa.Table) -> pa.Table:
         a = pt.column("a").to_numpy(zero_copy_only=False)
@@ -141,7 +140,7 @@ def ngram_jaccard_pairs_pipeline(
             }
         )
 
-    return keyed_exchange(co, reduce_pairs, keys=["a", "b"], num_partitions=num_partitions)
+    return keyed_exchange(co, reduce_pairs, keys=["a", "b"])
 
 
 def dup_fraction_pipeline(
@@ -150,11 +149,10 @@ def dup_fraction_pipeline(
     key_col: str,
     text_col: str,
     ngram: int = 3,
-    num_partitions: int = 64,
 ):
     """See dup_fraction_stages (this is their composition)."""
     postings, reduce = dup_fraction_stages(
-        key_col=key_col, text_col=text_col, ngram=ngram, num_partitions=num_partitions
+        key_col=key_col, text_col=text_col, ngram=ngram
     )
     return reduce(ds.map_batches(postings, batch_format="pyarrow", zero_copy_batch=True))
 
@@ -164,7 +162,6 @@ def dup_fraction_stages(
     key_col: str,
     text_col: str,
     ngram: int = 3,
-    num_partitions: int = 64,
 ):
     """Per-document duplication score (the RefinedWeb-style curation signal):
     the fraction of a doc's distinct shingles that also appear in at least
@@ -255,8 +252,8 @@ def dup_fraction_stages(
         )
 
     def reduce(posted):
-        partials = keyed_exchange(posted, df_reduce, keys="sh", num_partitions=num_partitions)
-        return keyed_exchange(partials, finalize, keys="key", num_partitions=num_partitions)
+        partials = keyed_exchange(posted, df_reduce, keys="sh")
+        return keyed_exchange(partials, finalize, keys="key")
 
     return postings, reduce
 
@@ -269,7 +266,6 @@ def resumable_dup_fraction_job(
     key_col: str,
     text_col: str,
     ngram: int = 3,
-    num_partitions: int = 64,
     read_columns=None,
     max_shards: int | None = None,
 ):
@@ -281,7 +277,7 @@ def resumable_dup_fraction_job(
     from ..state.staged import staged_shuffle_job
 
     postings, reduce = dup_fraction_stages(
-        key_col=key_col, text_col=text_col, ngram=ngram, num_partitions=num_partitions
+        key_col=key_col, text_col=text_col, ngram=ngram
     )
 
     def phase_a(ds):

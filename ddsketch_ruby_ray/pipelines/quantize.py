@@ -160,4 +160,4 @@ def quantized_knn_pipeline(
             }
         )
 
-    return map_groups(local, "query_id", global_topk, num_partitions=4)
+    return map_groups(local, "query_id", global_topk)

@@ -7,13 +7,14 @@ level — has no key to partition by, which is exactly the shape Ray Data's
 Dataset API cannot express and a naive implementation serializes on the
 driver.  This is the classic two-phase distributed scan (Blelloch):
 
-  1. RANGE-partition by the order column: one exact min/max aggregate, then
-     uniform integer cut points.  Boundaries only affect balance, never the
-     result, so uniform cuts are safe even under time skew (a hot partition
-     costs sort time, not correctness).
+  1. RANGE-partition by the order column into P = ``fold._PARTITIONS``
+     ranges: one exact min/max aggregate, then uniform integer cut points.
+     Boundaries only affect balance, never the result, so uniform cuts are
+     safe even under time skew (a hot partition costs sort time, not
+     correctness).
   2. per-partition totals: a block-level vectorized pre-aggregate so the
-     driver sees O(num_partitions) scalars, whose exclusive cumsum is the
-     per-partition offset (the KB-sized broadcast).
+     driver sees O(P) scalars, whose exclusive cumsum is the per-partition
+     offset (the KB-sized broadcast).
   3. per-partition lexsort + local cumsum + offset — every row's global
      prefix value, no cross-partition row movement beyond the range
      exchange itself.
@@ -32,6 +33,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.numeric import run_starts
+from . import fold
 from .fold import keyed_exchange, partitioned_group_sum
 
 __all__ = [
@@ -47,7 +49,6 @@ def global_ordered_scan_pipeline(
     order_col: str,
     delta_col: str,
     out_col: str = "cum",
-    num_partitions: int = 64,
 ):
     """-> Dataset[(order_col, delta_col, out_col)] — the global running sum
     of ``delta_col`` in (order ASC, delta DESC) order.  Both columns must be
@@ -68,10 +69,8 @@ def global_ordered_scan_pipeline(
 
         return rd.from_arrow(empty)
     span = int(hi) - int(lo) + 1
-    cuts = np.array(
-        [int(lo) + (k * span) // num_partitions for k in range(1, num_partitions)],
-        dtype=np.int64,
-    )
+    P = fold._PARTITIONS
+    cuts = np.array([int(lo) + (k * span) // P for k in range(1, P)], dtype=np.int64)
 
     def range_cut(t: pa.Table) -> pa.Table:
         """Pre-tag ``_part`` by ORDER range (not a key hash): partition p
@@ -88,15 +87,15 @@ def global_ordered_scan_pipeline(
 
     parted = ds.map_batches(range_cut, batch_format="pyarrow", zero_copy_batch=True)
 
-    # phase 2: per-partition delta totals — O(num_partitions) scalars reach
+    # phase 2: per-partition delta totals — O(P) scalars reach
     # the driver regardless of row count
     ranges = parted.map_batches(
         lambda t: pa.table({"p": t.column("_part"), "d": t.column(delta_col)}),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    sums = np.zeros(num_partitions, dtype=np.int64)
-    for r in partitioned_group_sum(ranges, "p", "d").take_all():  # <= num_partitions rows
+    sums = np.zeros(P, dtype=np.int64)
+    for r in partitioned_group_sum(ranges, "p", "d").take_all():  # <= P rows
         sums[r["p"]] = r["sum(d)"]
     offsets = np.concatenate([[0], np.cumsum(sums)[:-1]])
 
@@ -114,7 +113,7 @@ def global_ordered_scan_pipeline(
             }
         )
 
-    return keyed_exchange(parted, per_partition, num_partitions=num_partitions)
+    return keyed_exchange(parted, per_partition, num_partitions=P)
 
 
 def session_intervals_pipeline(
@@ -123,7 +122,6 @@ def session_intervals_pipeline(
     key_col: str,
     ts_col: str,
     gap_s: int = 1800,
-    num_partitions: int = 64,
 ):
     """-> Dataset[(key, start_us, end_us)] — one row per gap-based session
     (same session rule as windows.py::sessionize_pipeline, integer µs)."""
@@ -161,7 +159,7 @@ def session_intervals_pipeline(
             }
         )
 
-    return keyed_exchange(projected, per_partition, keys=key_col, num_partitions=num_partitions)
+    return keyed_exchange(projected, per_partition, keys=key_col)
 
 
 def concurrency_sweep_pipeline(
@@ -169,7 +167,6 @@ def concurrency_sweep_pipeline(
     *,
     start_col: str = "start_us",
     end_col: str = "end_us",
-    num_partitions: int = 64,
 ):
     """-> Dataset[(us, delta, concurrency)] — the interval-overlap timeline:
     +1 at each start, −1 at each end (inclusive ends: a start ties before an
@@ -195,5 +192,4 @@ def concurrency_sweep_pipeline(
         order_col="us",
         delta_col="delta",
         out_col="concurrency",
-        num_partitions=num_partitions,
     )

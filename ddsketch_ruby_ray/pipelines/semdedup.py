@@ -104,4 +104,4 @@ def semdedup_pipeline(
             }
         )
 
-    return map_groups(joined, "cluster", prune, num_partitions=k)
+    return map_groups(joined, "cluster", prune)

@@ -37,7 +37,6 @@ def vocab_jaccard_pipeline(
     *,
     group_col: str,
     text_col: str,
-    num_partitions: int = 64,
 ):
     """-> Dataset[(group_a, group_b, n_a, n_b, n_inter, n_union, jaccard)]
     for every unordered group pair (group_a < group_b)."""
@@ -104,7 +103,6 @@ def vocab_jaccard_pipeline(
             ds.map_batches(incidences, batch_format="pyarrow", zero_copy_batch=True),
             mask_counts,
             keys="token",
-            num_partitions=num_partitions,
         ),
         "mask",
         "c",
@@ -156,7 +154,6 @@ def group_count_cosine_pipeline(
     *,
     group_col: str,
     token_col: str,
-    num_partitions: int = 32,
 ):
     """-> Dataset[(g_a, g_b, dot, cos)] for every UNORDERED group pair
     (g_a < g_b lexicographically): cosine similarity between the groups'
@@ -180,9 +177,7 @@ def group_count_cosine_pipeline(
 
     from .stats import _limb_cols, _umul128
 
-    counted = partitioned_group_agg(
-        ds, [group_col, token_col], [(None, "count")], num_partitions=num_partitions
-    )
+    counted = partitioned_group_agg(ds, [group_col, token_col], [(None, "count")])
 
     def by_token(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -244,11 +239,8 @@ def group_count_cosine_pipeline(
         counted.map_batches(by_token, batch_format="pyarrow", zero_copy_batch=True),
         pair_partials,
         keys="tok",
-        num_partitions=num_partitions,
     )
-    summed = partitioned_group_sum(
-        partials, ["ga", "gb"], [f"d_{k}" for k in range(8)], num_partitions=8
-    )
+    summed = partitioned_group_sum(partials, ["ga", "gb"], [f"d_{k}" for k in range(8)])
 
     def finalize(t: pa.Table) -> pa.Table:
         rows = t.to_pylist()  # G² rows — KB

@@ -137,7 +137,7 @@ def knn_bruteforce_pipeline(
         )
 
     # <= k rows per (query, block): a few fold tasks hold every query
-    return map_groups(partials, "query_id", reduce_topk, num_partitions=4)
+    return map_groups(partials, "query_id", reduce_topk)
 
 
 def cosine_neardup_pipeline(
@@ -419,7 +419,7 @@ def ivf_knn_pipeline(
             }
         )
 
-    return map_groups(partials, "query_id", reduce_topk, num_partitions=4)
+    return map_groups(partials, "query_id", reduce_topk)
 
 
 def srp_neardup_pipeline(
@@ -471,7 +471,7 @@ def srp_neardup_pipeline(
              "cos4": pa.array(cos4[ii, jj][keep], pa.int64())}
         )
 
-    return map_groups(bucketed, "bucket", verify, num_partitions=64)
+    return map_groups(bucketed, "bucket", verify)
 
 
 SRP_QUANT = 1_000_000.0  # vector/plane quantization scale (SQL mirror uses the same)

@@ -63,7 +63,6 @@ def duplicate_spans_pipeline(
     key_col: str,
     text_col: str,
     n: int = 8,
-    num_partitions: int = 64,
     max_broadcast_hashes: int = 8_000_000,
 ):
     """-> Dataset[(key_col, span_start, span_end)] - maximal duplicated token
@@ -94,13 +93,9 @@ def duplicate_spans_pipeline(
     linededup.py broadcast/join dual-path contract."""
     import ray
 
-    dups_m = _dup_hash_directory(
-        ds, text_col=text_col, n=n, num_partitions=num_partitions
-    ).materialize()
+    dups_m = _dup_hash_directory(ds, text_col=text_col, n=n).materialize()
     if dups_m.count() > max_broadcast_hashes:
-        postings, reduce = duplicate_spans_stages(
-            key_col=key_col, text_col=text_col, n=n, num_partitions=num_partitions
-        )
+        postings, reduce = duplicate_spans_stages(key_col=key_col, text_col=text_col, n=n)
         return reduce(
             ds.map_batches(postings, batch_format="pyarrow", zero_copy_batch=True)
         )
@@ -171,7 +166,7 @@ def duplicate_spans_pipeline(
     return ds.map_batches(dup_spans_map, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _dup_hash_directory(ds, *, text_col: str, n: int, num_partitions: int):
+def _dup_hash_directory(ds, *, text_col: str, n: int):
     """-> Dataset[(h,)] — the EXACT set of window hashes with global
     occurrence count >= 2, via per-block distinct clipped counts through one
     bounded keyed fold (see duplicate_spans_pipeline step 1)."""
@@ -212,11 +207,10 @@ def _dup_hash_directory(ds, *, text_col: str, n: int, num_partitions: int):
         ds.map_batches(distinct_pre, batch_format="pyarrow", zero_copy_batch=True),
         dup_fold,
         keys="h",
-        num_partitions=num_partitions,
     )
 
 
-def _doc_span_reduce(dup_instances, *, key_col: str, n: int, num_partitions: int):
+def _doc_span_reduce(dup_instances, *, key_col: str, n: int):
     """(key, p) duplicated window instances -> maximal spans via the single
     doc-keyed exchange (the classic plan's shuffle 2, unchanged)."""
 
@@ -247,7 +241,7 @@ def _doc_span_reduce(dup_instances, *, key_col: str, n: int, num_partitions: int
             }
         )
 
-    return keyed_exchange(dup_instances, spans, keys="key", num_partitions=num_partitions)
+    return keyed_exchange(dup_instances, spans, keys="key")
 
 
 def duplicate_spans_stages(
@@ -255,7 +249,6 @@ def duplicate_spans_stages(
     key_col: str,
     text_col: str,
     n: int = 8,
-    num_partitions: int = 64,
 ):
     """The pipeline split at its stage boundary: ``(postings, reduce)``.
 
@@ -297,10 +290,8 @@ def duplicate_spans_stages(
         return pa.table({"key": pa.array(key[kept]), "p": pa.array(p[kept])})
 
     def reduce(posted):
-        dups = keyed_exchange(posted, dup_reduce, keys="h", num_partitions=num_partitions)
-        return _doc_span_reduce(
-            dups, key_col=key_col, n=n, num_partitions=num_partitions
-        )
+        dups = keyed_exchange(posted, dup_reduce, keys="h")
+        return _doc_span_reduce(dups, key_col=key_col, n=n)
 
     return postings, reduce
 
@@ -313,7 +304,6 @@ def resumable_duplicate_spans_job(
     key_col: str,
     text_col: str,
     n: int = 8,
-    num_partitions: int = 64,
     read_columns=None,
     max_shards: int | None = None,
 ):
@@ -326,9 +316,7 @@ def resumable_duplicate_spans_job(
     pure (stateless derivation, e.g. doc id from path hash)."""
     from ..state.staged import staged_shuffle_job
 
-    postings, reduce = duplicate_spans_stages(
-        key_col=key_col, text_col=text_col, n=n, num_partitions=num_partitions
-    )
+    postings, reduce = duplicate_spans_stages(key_col=key_col, text_col=text_col, n=n)
 
     def phase_a(ds):
         return prepare(ds).map_batches(

@@ -49,7 +49,6 @@ def grouped_corr_pipeline(
     x_col: str,
     y_col: str,
     derive=None,
-    num_partitions: int = 16,
 ):
     """-> Dataset[(group_col, n, r, slope, intercept)] - count, Pearson
     correlation and the OLS fit y ~ slope*x + intercept of two INTEGER-valued
@@ -131,7 +130,7 @@ def grouped_corr_pipeline(
         )
 
     partials = ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True)
-    return keyed_exchange(partials, finalize, keys=group_col, num_partitions=num_partitions)
+    return keyed_exchange(partials, finalize, keys=group_col)
 
 
 def grouped_zscore_pipeline(
@@ -207,7 +206,6 @@ def grouped_zscore_pipeline(
         ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True),
         group_col,
         ["n"] + limb_cols,
-        num_partitions=8,
     ).take_all()
     stats: dict = {}
     for r in summed:
@@ -475,7 +473,6 @@ def grouped_moments_pipeline(
     group_col: str,
     value_col: str,
     derive=None,
-    num_partitions: int = 16,
 ):
     """-> Dataset[(group, n, mean, var_pop, skewness, kurtosis)] — exact
     population moments of an INTEGER column per group: the power sums
@@ -519,7 +516,6 @@ def grouped_moments_pipeline(
         parts,
         group_col,
         ["n"] + _MOMENT_COLS,
-        num_partitions=num_partitions,
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -572,7 +568,6 @@ def mannwhitney_u_pipeline(
     value_col: str,
     group_a,
     group_b,
-    num_partitions: int = 16,
 ):
     """-> 1-row Dataset[(n1, n2, u1_x2, z_stat)] — Mann–Whitney U between
     two groups of an INTEGER column, tie-aware (midranks), normal
@@ -611,7 +606,6 @@ def mannwhitney_u_pipeline(
         ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True),
         "_v",
         ["c1", "c"],
-        num_partitions=num_partitions,
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -678,7 +672,6 @@ def ks_exact_pipeline(
     value_col: str,
     group_a,
     group_b,
-    num_partitions: int = 16,
 ):
     """-> 1-row Dataset[(n1, n2, d_num, d_stat)] — the EXACT two-sample
     Kolmogorov–Smirnov statistic between two groups of an INTEGER column
@@ -712,7 +705,6 @@ def ks_exact_pipeline(
         ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True),
         "_v",
         ["c1", "c"],
-        num_partitions=num_partitions,
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -757,7 +749,6 @@ def spearman_rho_pipeline(
     x_col: str,
     y_col: str,
     derive=None,
-    num_partitions: int = 16,
     max_distinct: int = 50_000_000,
 ):
     """-> 1-row Dataset[(n, rho)] — EXACT Spearman rank correlation of two
@@ -798,7 +789,6 @@ def spearman_rho_pipeline(
         ds.map_batches(marginals, batch_format="pyarrow", zero_copy_batch=True),
         ["kind", "_v"],
         [(None, "count")],
-        num_partitions=num_partitions,
     )
     tabs = [ray.get(r) for r in counts.to_arrow_refs()]
     tabs = [t for t in tabs if t.num_rows]
@@ -881,7 +871,7 @@ _NS_COLS = [f"s1p_{k}" for k in range(2)] + [f"s1n_{k}" for k in range(2)] + [
 ]
 
 
-def _group_n_s1_s2(ds, *, group_col: str, value_col: str, num_partitions: int = 16):
+def _group_n_s1_s2(ds, *, group_col: str, value_col: str):
     """Shared exact per-group (n, Σx, Σx²) fold on 16-bit limb LANES (the
     grouped_moments device): exact at any corpus size up to 2^47 rows per
     group with no cross-block int64 wrap anywhere; gates |x| < 2^31."""
@@ -923,7 +913,6 @@ def _group_n_s1_s2(ds, *, group_col: str, value_col: str, num_partitions: int = 
         ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True),
         group_col,
         ["n"] + _NS_COLS,
-        num_partitions=num_partitions,
     )
 
 
@@ -934,7 +923,6 @@ def welch_t_pipeline(
     value_col: str,
     group_a,
     group_b,
-    num_partitions: int = 16,
 ):
     """-> 1-row Dataset[(n1, n2, t_stat, df)] — Welch's unequal-variance
     t-test between two groups of an INTEGER column, with the
@@ -955,7 +943,6 @@ def welch_t_pipeline(
         ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True),
         group_col=group_col,
         value_col=value_col,
-        num_partitions=num_partitions,
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -999,7 +986,6 @@ def anova_f_pipeline(
     *,
     group_col: str,
     value_col: str,
-    num_partitions: int = 16,
 ):
     """-> 1-row Dataset[(k, n, f_stat)] — one-way ANOVA F across ALL
     groups of an INTEGER column.
@@ -1015,9 +1001,7 @@ def anova_f_pipeline(
     sides (SQL: sum() OVER an ordered frame is not needed — the per-group
     terms are combined via a deterministic ordered aggregation CTE)."""
 
-    summed = _group_n_s1_s2(
-        ds, group_col=group_col, value_col=value_col, num_partitions=num_partitions
-    )
+    summed = _group_n_s1_s2(ds, group_col=group_col, value_col=value_col)
 
     def finalize(t: pa.Table) -> pa.Table:
         acc = {}
@@ -1065,7 +1049,6 @@ def grouped_ks_exact_pipeline(
     split_col: str,
     split_a,
     split_b,
-    num_partitions: int = 16,
 ):
     """-> Dataset[(group, n1, n2, d_num, d_stat)] — the exact two-sample
     KS statistic PER GROUP between two splits of an INTEGER column (the
@@ -1095,7 +1078,6 @@ def grouped_ks_exact_pipeline(
         ds.map_batches(preagg, batch_format="pyarrow", zero_copy_batch=True),
         ["g", "_v"],
         ["c1", "c"],
-        num_partitions=num_partitions,
     )
 
     def finalize(t: pa.Table) -> pa.Table:

@@ -234,7 +234,6 @@ def ohlc_pipeline(
     value_col: str,
     id_col: str,
     window_s: int = 3600,
-    num_partitions: int = 32,
 ):
     """Per-tumbling-window OHLC bars: -> Dataset[(w, open_value, high,
     low, close_value, n)].
@@ -292,7 +291,7 @@ def ohlc_pipeline(
             }
         )
 
-    return keyed_exchange(projected, per_partition, keys="w", num_partitions=num_partitions)
+    return keyed_exchange(projected, per_partition, keys="w")
 
 
 def locf_daily_pipeline(
@@ -302,7 +301,6 @@ def locf_daily_pipeline(
     ts_col: str,
     value_col: str,
     id_col: str,
-    num_partitions: int = 64,
     max_fill_rows: int = 50_000_000,
 ):
     """-> Dataset[(key, day, value)] — per key, one row for EVERY calendar
@@ -391,7 +389,6 @@ def locf_daily_pipeline(
         ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
         fold,
         keys="key",
-        num_partitions=num_partitions,
     )
 
 

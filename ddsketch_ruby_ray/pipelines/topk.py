@@ -4,7 +4,7 @@ Ray Data's ``sort().limit()`` gives a GLOBAL top-k; per-group top-k (top
 tokens per language, top products per region, ...) needs a rank within each
 group.  The scale shape mirrors `pipelines/windows.py` sessionization:
 
-  1. candidate rows co-locate by ``hash(group) % num_partitions`` - one
+  1. candidate rows co-locate by ``hash(group) % P`` - one
      shuffle of the (already pre-aggregated) candidate rows, never raw data;
   2. inside each partition ONE lexsort (group, -value, tiebreak) plus a
      boundary cummax computes every group's rank vector; rows with
@@ -35,7 +35,6 @@ def per_group_topk(
     value_col: str,
     tiebreak_col: str,
     k: int | dict,
-    num_partitions: int = 64,
     ascending: bool = False,
 ):
     """Keep the k rows with the largest (``ascending=False``, default) or
@@ -87,7 +86,7 @@ def per_group_topk(
     def per_partition(pt: pa.Table) -> pa.Table:
         return _topk_rows(pt.drop_columns(["_part"]))
 
-    return keyed_exchange(local, per_partition, keys=group_col, num_partitions=num_partitions)
+    return keyed_exchange(local, per_partition, keys=group_col)
 
 
 def grouped_sum_global_topk(
@@ -97,7 +96,6 @@ def grouped_sum_global_topk(
     value_col: str,
     carry_cols: Sequence[str] = (),
     k: int,
-    num_partitions: int = 64,
 ):
     """SUM(``value_col``) per int64 group, then the GLOBAL top-k groups by
     that sum (ties -> smallest group key).  ``carry_cols`` must be
@@ -167,9 +165,7 @@ def grouped_sum_global_topk(
             cols[c] = pt.column(c).take(first)
         return pa.table(cols)
 
-    local = keyed_exchange(
-        combined, per_partition, keys=group_col, num_partitions=num_partitions
-    )
+    local = keyed_exchange(combined, per_partition, keys=group_col)
     return local.sort([value_col, group_col], descending=[True, False]).limit(k)
 
 

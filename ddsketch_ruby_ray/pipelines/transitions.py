@@ -33,7 +33,6 @@ def keyed_transition_counts_pipeline(
     ts_col: str,
     tiebreak_col: str,
     state_col: str,
-    num_partitions: int = 64,
 ):
     """-> Dataset[(from_state, to_state, n_pair: int64)] — counts of each
     ordered adjacent (state, next state) pair within a key's timeline.
@@ -84,9 +83,7 @@ def keyed_transition_counts_pipeline(
         g = pairs.group_by(["from_state", "to_state"]).aggregate([([], "count_all")])
         return g.rename_columns(["from_state", "to_state", "c"]).cast(empty.schema)
 
-    parts = keyed_exchange(
-        projected, per_partition, keys="_key", num_partitions=num_partitions
-    )
+    parts = keyed_exchange(projected, per_partition, keys="_key")
     out = partitioned_group_sum(parts, ["from_state", "to_state"], "c")
     return out.map_batches(
         lambda t: pa.table(

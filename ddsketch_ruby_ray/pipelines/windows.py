@@ -9,7 +9,7 @@ recipe these are expressed as batch transforms:
   inside ``map_batches`` (vectorized np.repeat), then the usual grouped
   sketch pipeline;
 * session windows   - one :func:`~.fold.keyed_exchange` on the key
-  (~num_partitions reduce calls, never one per key); inside a partition
+  (~``fold._PARTITIONS`` reduce calls, never one per key); inside a partition
   one lexsort(ts, key) + boundary reduceat yields every key's gap-based
   session stats.  Ordering assumption: within one call we sort; ACROSS
   calls nothing is needed because partitioning is by key hash.
@@ -24,7 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core.numeric import round_half_away, run_starts
-from .fold import keyed_exchange, partitioned_group_sum
+from .fold import keyed_exchange
 
 __all__ = [
     "assign_sliding_windows",
@@ -74,7 +74,6 @@ def sessionize_pipeline(
     key_col: str,
     ts_col: str,
     gap_s: int = 1800,
-    num_partitions: int = 64,
 ):
     """-> Dataset[(key, n_sessions, longest_s, total_events)].
 
@@ -117,7 +116,7 @@ def sessionize_pipeline(
             }
         )
 
-    return keyed_exchange(ds, per_partition, keys=key_col, num_partitions=num_partitions)
+    return keyed_exchange(ds, per_partition, keys=key_col)
 
 
 def _int32_lane(a: np.ndarray, what: str) -> np.ndarray:
@@ -139,7 +138,6 @@ def ordered_analytics_pipeline(
     value_col: str | None = None,
     value_scale: float = 1e6,
     carry_cols=(),
-    num_partitions: int = 64,
     compact_lanes: bool = False,
 ):
     """Per-key ordered window analytics: row_number, running sum, lag gap.
@@ -216,9 +214,7 @@ def ordered_analytics_pipeline(
         out["prev_gap_us"] = pa.array(gap, pa.int64(), mask=new_key)
         return pa.table(out)
 
-    return keyed_exchange(
-        projected, per_partition, keys=key_col, num_partitions=num_partitions
-    )
+    return keyed_exchange(projected, per_partition, keys=key_col)
 
 
 def moving_window_pipeline(
@@ -231,7 +227,6 @@ def moving_window_pipeline(
     frame: int,
     value_scale: float = 1e6,
     carry_cols=(),
-    num_partitions: int = 64,
 ):
     """Per-key FRAME-based moving aggregates: sum / min / max / count over
     ``ROWS BETWEEN frame-1 PRECEDING AND CURRENT ROW`` (the feature-
@@ -308,9 +303,7 @@ def moving_window_pipeline(
         out["mov_max"] = pa.array(mmax)
         return pa.table(out)
 
-    return keyed_exchange(
-        projected, per_partition, keys=key_col, num_partitions=num_partitions
-    )
+    return keyed_exchange(projected, per_partition, keys=key_col)
 
 
 def ranked_analytics_pipeline(
@@ -321,7 +314,6 @@ def ranked_analytics_pipeline(
     tiebreak_col: str,
     carry_cols=(),
     ntile: int = 4,
-    num_partitions: int = 64,
 ):
     """Tie-aware per-key ranks: ``rank()``, ``dense_rank()``, ``ntile(B)``
     OVER (PARTITION BY key ORDER BY value DESC, tiebreak ASC).
@@ -399,9 +391,7 @@ def ranked_analytics_pipeline(
         out["cume"] = pa.array(cume, pa.float64())
         return pa.table(out)
 
-    return keyed_exchange(
-        projected, per_partition, keys=key_col, num_partitions=num_partitions
-    )
+    return keyed_exchange(projected, per_partition, keys=key_col)
 
 
 def funnel_pipeline(
@@ -413,7 +403,6 @@ def funnel_pipeline(
     first_type: str,
     next_type: str,
     window_s: int,
-    num_partitions: int = 64,
 ):
     """Two-stage event funnel: of the users whose stream contains
     ``first_type``, how many performed ``next_type`` within ``window_s``
@@ -479,9 +468,7 @@ def funnel_pipeline(
             }
         )
 
-    partials = keyed_exchange(
-        projected, per_partition, keys=user_col, num_partitions=num_partitions
-    )
+    partials = keyed_exchange(projected, per_partition, keys=user_col)
     # KB-sized: one (s1, s2) row per partition
     agg = partials.sum(["stage1_users", "stage2_users"])
     return pd.DataFrame(
@@ -502,7 +489,6 @@ def ordered_concat_pipeline(
     tiebreak_col: str,
     value_col: str,
     sep: str = "|",
-    num_partitions: int = 64,
 ):
     """Per-key ORDERED string aggregation — SQL's ``string_agg(value, sep
     ORDER BY ts, tiebreak)`` — the clickstream/session-path op ("what
@@ -564,9 +550,7 @@ def ordered_concat_pipeline(
             }
         )
 
-    return keyed_exchange(
-        projected, per_partition, keys=key_col, num_partitions=num_partitions
-    )
+    return keyed_exchange(projected, per_partition, keys=key_col)
 
 
 def multi_funnel_pipeline(
@@ -577,7 +561,6 @@ def multi_funnel_pipeline(
     type_col: str,
     steps,
     window_s: int,
-    num_partitions: int = 64,
 ):
     """K-stage ordered funnel: -> Dataset[(step, event_type, users)].
 
@@ -650,33 +633,29 @@ def multi_funnel_pipeline(
             }
         )
 
-    summed = partitioned_group_sum(
-        keyed_exchange(
-            ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
-            per_partition,
-            keys="u",
-            num_partitions=num_partitions,
-        ),
-        "step",
-        "users",
-        num_partitions=1,
+    counts = keyed_exchange(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        per_partition,
+        keys="u",
     )
 
     def finalize(t: pa.Table) -> pa.Table:
-        # one fold partition: sorting the batch puts the steps in order
-        t = t.sort_by("step")
-        st = t.column("step").to_numpy(zero_copy_only=False)
+        users = np.zeros(len(steps), dtype=np.int64)
+        np.add.at(
+            users,
+            t.column("step").to_numpy(zero_copy_only=False),
+            t.column("users").to_numpy(zero_copy_only=False),
+        )
         return pa.table(
             {
-                "step": pa.array(st),
-                "event_type": pa.array([steps[int(x)] for x in st], pa.string()),
-                "users": pa.array(
-                    t.column("sum(users)").to_numpy(zero_copy_only=False)
-                ),
+                "step": pa.array(np.arange(len(steps), dtype=np.int64)),
+                "event_type": pa.array(steps, pa.string()),
+                "users": pa.array(users),
             }
         )
 
-    return summed.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
+    # no keys: every partition's K counts meet in one fold, steps in order
+    return keyed_exchange(counts, finalize, keys=[])
 
 
 def _gap_islands(k_sorted: np.ndarray, us_sorted: np.ndarray, gap: int):
@@ -703,7 +682,6 @@ def longest_streak_pipeline(
     *,
     key_col: str,
     day_col: str,
-    num_partitions: int = 64,
 ):
     """-> Dataset[(key, n_active_days, longest_streak)] — per key, the
     count of DISTINCT active days and the longest run of CONSECUTIVE days
@@ -772,7 +750,6 @@ def longest_streak_pipeline(
         ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
         fold,
         keys="key",
-        num_partitions=num_partitions,
     )
 
 
@@ -782,7 +759,6 @@ def session_table_pipeline(
     key_col: str,
     ts_col: str,
     gap_us: int = 1_800_000_000,
-    num_partitions: int = 64,
 ):
     """-> Dataset[(key, session_idx, n_events, duration_us)] — one row PER
     SESSION (the session TABLE, vs :func:`sessionize_pipeline`'s per-key
@@ -847,5 +823,4 @@ def session_table_pipeline(
         ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
         fold,
         keys=key_col,
-        num_partitions=num_partitions,
     )

@@ -3931,10 +3931,8 @@ def new_vs_returning_daily(sf_dir: str):
             }
         )
 
-    parts = keyed_exchange(
-        _user_day_distinct(sf_dir), fold, keys="user_id", num_partitions=64
-    )
-    summed = partitioned_group_sum(parts, "day", ["n_new", "n_returning"], num_partitions=8)
+    parts = keyed_exchange(_user_day_distinct(sf_dir), fold, keys="user_id")
+    summed = partitioned_group_sum(parts, "day", ["n_new", "n_returning"])
     return summed.map_batches(
         lambda t: pa.table(
             {
@@ -3972,7 +3970,6 @@ def cumulative_unique_users_daily(sf_dir: str):
         mins.map_batches(day_counts, batch_format="pyarrow", zero_copy_batch=True),
         "day",
         "n_new",
-        num_partitions=8,
     )
 
     def finalize(t: pa.Table) -> pa.Table:
@@ -4196,7 +4193,7 @@ def metric_corr_matrix_by_lang(sf_dir: str):
             }
         )
 
-    return keyed_exchange(partials, finalize, keys="lang", num_partitions=8)
+    return keyed_exchange(partials, finalize, keys="lang")
 
 
 def interp_p90_chars_by_lang(sf_dir: str):
@@ -4283,7 +4280,6 @@ def session_event_pairs(sf_dir: str):
         ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
         assign,
         keys="u",
-        num_partitions=64,
     )
     pairs = frequent_pairs_pipeline(
         baskets, basket_col="basket", item_col="item", min_support=3
@@ -4348,7 +4344,6 @@ def exact_users_per_window(sf_dir: str):
         dist.map_batches(ones, batch_format="pyarrow", zero_copy_batch=True),
         ["hour", "event_type"],
         "u",
-        num_partitions=16,
     )
     return summed.map_batches(
         lambda t: pa.table(
@@ -4485,7 +4480,7 @@ def weighted_avg_price_by_flag(sf_dir: str):
             }
         )
 
-    return keyed_exchange(partials, finalize, keys="flag", num_partitions=8)
+    return keyed_exchange(partials, finalize, keys="flag")
 
 
 QUERIES = {

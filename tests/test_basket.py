@@ -9,6 +9,7 @@ import numpy as np
 import pyarrow as pa
 
 from ddsketch_ruby_ray.pipelines.basket import frequent_pairs_pipeline
+from .partitions import partitions
 
 
 def _brute(baskets, items, min_support):
@@ -39,13 +40,13 @@ def _run(baskets, items, min_support=3):
             "i": pa.array(np.asarray(items, np.int64)),
         }
     )
-    df = frequent_pairs_pipeline(
-        rd.from_arrow(tbl).repartition(4),
-        basket_col="b",
-        item_col="i",
-        min_support=min_support,
-        num_partitions=8,
-    ).to_pandas()
+    with partitions(8):
+        df = frequent_pairs_pipeline(
+            rd.from_arrow(tbl).repartition(4),
+            basket_col="b",
+            item_col="i",
+            min_support=min_support,
+        ).to_pandas()
     return {
         (int(r.item_a), int(r.item_b)): (int(r.support), float(r.lift))
         for r in df.itertuples()

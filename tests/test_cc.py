@@ -13,15 +13,16 @@ import pytest
 
 import ddsketch_ruby_ray
 
+from .partitions import partitions
+
 
 def _run(pairs, parts=4, **kw):
     import ray.data as rd
 
     from ddsketch_ruby_ray.pipelines.cc import connected_components_pipeline
 
-    out = connected_components_pipeline(
-        rd.from_arrow(pairs), num_partitions=parts, **kw
-    ).to_pandas()
+    with partitions(parts):
+        out = connected_components_pipeline(rd.from_arrow(pairs), **kw).to_pandas()
     if out.empty:
         return {}
     return dict(zip(out.node, out.cluster))
@@ -73,7 +74,7 @@ class TestConnectedComponents:
 
 @pytest.fixture
 def one_partition_per_edge_row(monkeypatch):
-    """``num_partitions`` is then the partition count: the edge-row rule
+    """``fold._PARTITIONS`` is then the partition count: the edge-row rule
     would put every small graph in one partition, which contracts all of
     it before the first round."""
     from ddsketch_ruby_ray.pipelines import cc

@@ -5,23 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .partitions import partitions
+
 
 def _run(t, parts=5):
     import ray.data as rd
 
     from ddsketch_ruby_ray.pipelines.distinct import exact_distinct_pipeline
 
-    return (
-        exact_distinct_pipeline(
-            rd.from_arrow(t).repartition(6),
-            group_col="g",
-            value_col="v",
-            num_partitions=parts,
+    with partitions(parts):
+        return (
+            exact_distinct_pipeline(rd.from_arrow(t).repartition(6), group_col="g", value_col="v")
+            .to_pandas()
+            .sort_values("g")
+            .reset_index(drop=True)
         )
-        .to_pandas()
-        .sort_values("g")
-        .reset_index(drop=True)
-    )
 
 
 class TestExactDistinct:

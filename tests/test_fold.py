@@ -143,9 +143,10 @@ class TestMapGroups:
         )
 
     @pytest.mark.parametrize("lazy", [False, True])
-    def test_fn_once_per_key_without_part(self, ray_session, lazy):
+    def test_fn_once_per_key_without_part(self, ray_session, monkeypatch, lazy):
         import ray.data as rd
 
+        from ddsketch_ruby_ray.pipelines import fold
         from ddsketch_ruby_ray.pipelines.fold import _ONE_TASK_ROWS, map_groups
         from ddsketch_ruby_ray.state.metrics import parse_stage_metrics
 
@@ -156,7 +157,8 @@ class TestMapGroups:
         if lazy:
             ds = ds.map_batches(lambda b: b, batch_format="pyarrow")
         assert n <= _ONE_TASK_ROWS
-        out = map_groups(ds, "k", self._record, num_partitions=4).materialize()
+        monkeypatch.setattr(fold, "_PARTITIONS", 4)
+        out = map_groups(ds, "k", self._record).materialize()
         ops = parse_stage_metrics(out.stats())
         # one task, or the direct exchange: no all-to-all operator either way
         assert [op["name"] for op in ops if op["tasks"] is None] == [], ops
@@ -174,14 +176,16 @@ class TestMapGroups:
         "key, typ", [(["a", None, "", "a", None, ""], pa.string()),
                      ([7, None, 0, 7, None, 0], pa.int64())]
     )
-    def test_null_key_is_its_own_group(self, ray_session, key, typ):
+    def test_null_key_is_its_own_group(self, ray_session, monkeypatch, key, typ):
         import ray.data as rd
 
+        from ddsketch_ruby_ray.pipelines import fold
         from ddsketch_ruby_ray.pipelines.fold import map_groups
 
         t = pa.table({"k": pa.array(key, typ), "v": pa.array([1, 2, 3, 4, 5, 6])})
         ds = rd.from_arrow(t).repartition(2)
-        rows = map_groups(ds, "k", self._record, num_partitions=3).take_all()
+        monkeypatch.setattr(fold, "_PARTITIONS", 3)
+        rows = map_groups(ds, "k", self._record).take_all()
         assert {r["k"]: r["rows"] for r in rows} == {
             key[0]: "[1, 4]", None: "[2, 5]", key[2]: "[3, 6]"
         }
@@ -457,4 +461,45 @@ def test_every_library_groupby_runs_through_fold():
                 visit(child, func)
 
         visit(ast.parse(path.read_text()), None)
+    assert not found, found
+
+
+def test_partition_count_is_no_pipeline_option():
+    """``fold._PARTITIONS`` is the library's one partition count: no function
+    in ``ddsketch_ruby_ray`` takes ``num_partitions`` or
+    ``reduce_partitions`` but ``keyed_exchange`` with its private helpers and
+    the named functions."""
+    import ast
+    from pathlib import Path
+
+    import ddsketch_ruby_ray
+
+    root = Path(ddsketch_ruby_ray.__file__).parent
+    allowed = {
+        # a benchmark layer reads this default
+        ("pipelines/dedup.py", "exact_dedup_pipeline"),
+        # P defines the output column ``part``
+        ("pipelines/packing.py", "pack_sequences_pipeline"),
+        # connected components sizes its rounds by its edge count
+        ("pipelines/graph.py", "_pin_edge_slices"),
+        ("pipelines/graph.py", "_scatter"),
+        ("pipelines/graph.py", "_gather"),
+    }
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+            if not names & {"num_partitions", "reduce_partitions"}:
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if rel == "pipelines/fold.py" and (
+                name == "keyed_exchange" or name.startswith("_")
+            ):
+                continue
+            if (rel, name) not in allowed:
+                found.append(f"{rel}:{node.lineno} {name}")
     assert not found, found

@@ -9,11 +9,14 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from ddsketch_ruby_ray.pipelines import fold
 from ddsketch_ruby_ray.pipelines.graph import (
     PR_SCALE,
     bfs_hops_pipeline,
     pagerank_pipeline,
 )
+
+from .partitions import partitions
 
 
 def _random_graph(seed: int, n_edges: int = 4000):
@@ -47,7 +50,7 @@ def _brute_pagerank(pairs, iters=3):
 
 
 class TestPageRank:
-    def test_vs_brute(self, ray_session):
+    def test_vs_brute(self, ray_session, monkeypatch):
         import ray.data as rd
 
         s, d = _random_graph(7)
@@ -55,8 +58,9 @@ class TestPageRank:
         tbl = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
         pairs = sorted(set(zip(s.tolist(), d.tolist())))
         expect = _brute_pagerank(pairs)
+        monkeypatch.setattr(fold, "_PARTITIONS", 8)
         got = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(4), num_partitions=8
+            rd.from_arrow(tbl).repartition(4)
         ).to_pandas()
         gm = dict(zip(got.node, got.rank_fp))
         assert gm == expect
@@ -66,8 +70,10 @@ class TestPageRank:
 
         s, d = _random_graph(13, 1500)
         tbl = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
-        a = pagerank_pipeline(rd.from_arrow(tbl).repartition(2), num_partitions=4).to_pandas()
-        b = pagerank_pipeline(rd.from_arrow(tbl).repartition(7), num_partitions=16).to_pandas()
+        with partitions(4):
+            a = pagerank_pipeline(rd.from_arrow(tbl).repartition(2)).to_pandas()
+        with partitions(16):
+            b = pagerank_pipeline(rd.from_arrow(tbl).repartition(7)).to_pandas()
         # bit-identical under any partitioning (exact integer arithmetic)
         assert dict(zip(a.node, a.rank_fp)) == dict(zip(b.node, b.rank_fp))
         # total mass stays within the accumulated floor loss: each iteration
@@ -77,18 +83,19 @@ class TestPageRank:
         n_edges = len({(x, y) for x, y in zip(s.tolist(), d.tolist())})
         assert 0 <= PR_SCALE - int(a.rank_fp.sum()) <= 3 * (n_edges + 3 * n)
 
-    def test_empty(self, ray_session):
+    def test_empty(self, ray_session, monkeypatch):
         import ray.data as rd
 
         tbl = pa.table(
             {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())}
         )
-        got = pagerank_pipeline(rd.from_arrow(tbl), num_partitions=4).to_pandas()
+        monkeypatch.setattr(fold, "_PARTITIONS", 4)
+        got = pagerank_pipeline(rd.from_arrow(tbl)).to_pandas()
         assert len(got) == 0
 
 
 class TestBfsHops:
-    def test_vs_brute(self, ray_session):
+    def test_vs_brute(self, ray_session, monkeypatch):
         import ray.data as rd
 
         s, d = _random_graph(11, 2000)
@@ -109,32 +116,32 @@ class TestBfsHops:
                         dist[v] = h
                         nxt.append(v)
             frontier = nxt
+        monkeypatch.setattr(fold, "_PARTITIONS", 8)
         got = bfs_hops_pipeline(
             rd.from_arrow(tbl).repartition(4),
             rd.from_arrow(pa.table({"node": pa.array(seeds, pa.int64())})),
             max_hops=3,
-            num_partitions=8,
         ).to_pandas()
         assert dict(zip(got.node, got.hops)) == dist
 
-    def test_isolated_seed_kept(self, ray_session):
+    def test_isolated_seed_kept(self, ray_session, monkeypatch):
         import ray.data as rd
 
         tbl = pa.table(
             {"src": pa.array([1], pa.int64()), "dst": pa.array([2], pa.int64())}
         )
+        monkeypatch.setattr(fold, "_PARTITIONS", 2)
         got = bfs_hops_pipeline(
             rd.from_arrow(tbl),
             rd.from_arrow(pa.table({"node": pa.array([99], pa.int64())})),
             max_hops=2,
-            num_partitions=2,
         ).to_pandas()
         # a seed outside the graph stays at hop 0; nothing else is reached
         assert dict(zip(got.node, got.hops)) == {99: 0}
 
 
 class TestTriangles:
-    def test_vs_brute(self, ray_session):
+    def test_vs_brute(self, ray_session, monkeypatch):
         import itertools
 
         import ray.data as rd
@@ -167,8 +174,9 @@ class TestTriangles:
                 "b": pa.array([e[1] for e in edges], pa.int64()),
             }
         )
+        monkeypatch.setattr(fold, "_PARTITIONS", 8)
         got = triangle_count_pipeline(
-            rd.from_arrow(tbl).repartition(4), num_partitions=8
+            rd.from_arrow(tbl).repartition(4)
         ).to_pandas()
         assert int(got.n_triangles[0]) == tri
         assert int(got.n_wedges[0]) == wedges
@@ -209,16 +217,17 @@ class TestTriangles:
 
 
 class TestPageRankModes:
-    def test_broadcast_equals_shuffle(self, ray_session):
+    def test_broadcast_equals_shuffle(self, ray_session, monkeypatch):
         import ray.data as rd
 
         s, d = _random_graph(31, 2500)
         tbl = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
+        monkeypatch.setattr(fold, "_PARTITIONS", 8)
         a = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(3), num_partitions=8, max_broadcast_nodes=1 << 62
+            rd.from_arrow(tbl).repartition(3), max_broadcast_nodes=1 << 62
         ).to_pandas()
         b = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(3), num_partitions=8, max_broadcast_nodes=0
+            rd.from_arrow(tbl).repartition(3), max_broadcast_nodes=0
         ).to_pandas()
         assert dict(zip(a.node, a.rank_fp)) == dict(zip(b.node, b.rank_fp))
 
@@ -244,7 +253,7 @@ class TestPageRankModes:
         ).to_pandas()
         assert dict(zip(a.node, a.rank_fp)) == dict(zip(b.node, b.rank_fp))
 
-    def test_shuffle_survives_schemaless_empty_blocks(self, ray_session):
+    def test_shuffle_survives_schemaless_empty_blocks(self, ray_session, monkeypatch):
         """Far more input blocks than rows and more partitions than
         nodes: empty input blocks and empty partitions, whose pinned edge
         slices must be typed empty tables (an early shuffle emitted
@@ -258,35 +267,37 @@ class TestPageRankModes:
                 "dst": pa.array([2, 3, 4, 1, 3], pa.int64()),
             }
         )
+        monkeypatch.setattr(fold, "_PARTITIONS", 8)
         a = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(16), num_partitions=8, max_broadcast_nodes=0
+            rd.from_arrow(tbl).repartition(16), max_broadcast_nodes=0
         ).to_pandas()
         b = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(16), num_partitions=8, max_broadcast_nodes=1 << 62
+            rd.from_arrow(tbl).repartition(16), max_broadcast_nodes=1 << 62
         ).to_pandas()
         assert dict(zip(a.node, a.rank_fp)) == dict(zip(b.node, b.rank_fp))
 
 
 class TestBfsModes:
-    def test_broadcast_equals_shuffle(self, ray_session):
+    def test_broadcast_equals_shuffle(self, ray_session, monkeypatch):
         import ray.data as rd
 
         s, d = _random_graph(37, 1500)
         tbl = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
         seeds = rd.from_arrow(pa.table({"node": pa.array([0, 1, 2], pa.int64())}))
+        monkeypatch.setattr(fold, "_PARTITIONS", 8)
         a = bfs_hops_pipeline(
             rd.from_arrow(tbl).repartition(3), seeds, max_hops=3,
-            num_partitions=8, max_broadcast_nodes=1 << 62,
+            max_broadcast_nodes=1 << 62,
         ).to_pandas()
         b = bfs_hops_pipeline(
             rd.from_arrow(tbl).repartition(3), seeds, max_hops=3,
-            num_partitions=8, max_broadcast_nodes=0,
+            max_broadcast_nodes=0,
         ).to_pandas()
         assert dict(zip(a.node, a.hops)) == dict(zip(b.node, b.hops))
 
 
 class TestSssp:
-    def test_vs_brute(self, ray_session):
+    def test_vs_brute(self, ray_session, monkeypatch):
         import ray.data as rd
 
         from ddsketch_ruby_ray.pipelines.graph import sssp_pipeline
@@ -322,11 +333,11 @@ class TestSssp:
                 if b in dist and dist[b] + x < new.get(a, INF):
                     new[a] = dist[b] + x
             dist = new
+        monkeypatch.setattr(fold, "_PARTITIONS", 8)
         got = sssp_pipeline(
             rd.from_arrow(tbl).repartition(4),
             rd.from_arrow(pa.table({"node": pa.array(seeds, pa.int64())})),
             max_rounds=K,
-            num_partitions=8,
         ).to_pandas()
         assert dict(zip(got.node, got.dist)) == dist
 
@@ -351,7 +362,7 @@ class TestSssp:
 
 
 class TestSsspModes:
-    def test_broadcast_equals_shuffle(self, ray_session):
+    def test_broadcast_equals_shuffle(self, ray_session, monkeypatch):
         import ray.data as rd
 
         from ddsketch_ruby_ray.pipelines.graph import sssp_pipeline
@@ -369,13 +380,14 @@ class TestSsspModes:
             }
         )
         seeds = rd.from_arrow(pa.table({"node": pa.array([0, 5], pa.int64())}))
+        monkeypatch.setattr(fold, "_PARTITIONS", 8)
         a = sssp_pipeline(
             rd.from_arrow(tbl).repartition(4), seeds, max_rounds=4,
-            num_partitions=8, max_broadcast_nodes=1 << 62,
+            max_broadcast_nodes=1 << 62,
         ).to_pandas()
         b = sssp_pipeline(
             rd.from_arrow(tbl).repartition(4), seeds, max_rounds=4,
-            num_partitions=8, max_broadcast_nodes=0,
+            max_broadcast_nodes=0,
         ).to_pandas()
         assert len(a) == len(b) > 2
         assert dict(zip(a.node, a.dist)) == dict(zip(b.node, b.dist))
@@ -432,7 +444,7 @@ class TestPackedIdFallback:
     """Wide ids (>= 2^31) must fall back to the two-column exchange and
     produce results identical to the same graph under small ids."""
 
-    def test_pagerank_wide_ids_match_shifted(self, ray_session):
+    def test_pagerank_wide_ids_match_shifted(self, ray_session, monkeypatch):
         import ray.data as rd
 
         s, d = _random_graph(43, 1200)
@@ -446,15 +458,16 @@ class TestPackedIdFallback:
                 "dst": pa.array(d + OFF, pa.int64()),
             }
         )
+        monkeypatch.setattr(fold, "_PARTITIONS", 8)
         a = pagerank_pipeline(
-            rd.from_arrow(tbl_small).repartition(3), num_partitions=8
+            rd.from_arrow(tbl_small).repartition(3)
         ).to_pandas()
         b = pagerank_pipeline(
-            rd.from_arrow(tbl_wide).repartition(3), num_partitions=8
+            rd.from_arrow(tbl_wide).repartition(3)
         ).to_pandas()
         assert dict(zip(a.node + OFF, a.rank_fp)) == dict(zip(b.node, b.rank_fp))
 
-    def test_bfs_wide_ids_match_shifted(self, ray_session):
+    def test_bfs_wide_ids_match_shifted(self, ray_session, monkeypatch):
         import ray.data as rd
 
         from ddsketch_ruby_ray.pipelines.graph import bfs_hops_pipeline
@@ -472,13 +485,14 @@ class TestPackedIdFallback:
                 "dst": pa.array(d + OFF, pa.int64()),
             }
         )
+        monkeypatch.setattr(fold, "_PARTITIONS", 8)
         a = bfs_hops_pipeline(
             rd.from_arrow(tbl_small), rd.from_arrow(seeds_small),
-            seed_col="n", max_hops=4, num_partitions=8,
+            seed_col="n", max_hops=4,
         ).to_pandas()
         b = bfs_hops_pipeline(
             rd.from_arrow(tbl_wide), rd.from_arrow(seeds_wide),
-            seed_col="n", max_hops=4, num_partitions=8,
+            seed_col="n", max_hops=4,
         ).to_pandas()
         assert dict(zip(a.node + OFF, a.hops)) == dict(zip(b.node, b.hops))
 
@@ -508,23 +522,24 @@ class TestBfsIsUnitSssp:
         seed_tbl = pa.table({"node": pa.array(seeds, pa.int64())})
         bfs = bfs_hops_pipeline(
             rd.from_arrow(edges).repartition(3), rd.from_arrow(seed_tbl),
-            max_hops=3, num_partitions=8, max_broadcast_nodes=cap, **kw,
+            max_hops=3, max_broadcast_nodes=cap, **kw,
         )
         ones = edges.append_column(
             "w", pa.array(np.ones(edges.num_rows, np.int64))
         )
         sssp = sssp_pipeline(
             rd.from_arrow(ones).repartition(3), rd.from_arrow(seed_tbl),
-            max_rounds=3, num_partitions=8, max_broadcast_nodes=cap, **kw,
+            max_rounds=3, max_broadcast_nodes=cap, **kw,
         )
         return bfs, sssp
 
     @pytest.mark.parametrize("cap", [1 << 62, 0], ids=["broadcast", "shuffle"])
     @pytest.mark.parametrize("graph_seed", [61, 62])
-    def test_hops_equal_unit_weight_dist(self, ray_session, cap, graph_seed):
+    def test_hops_equal_unit_weight_dist(self, ray_session, monkeypatch, cap, graph_seed):
         s, d = _simple_graph(graph_seed)
         edges = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
         # 10**6 is an isolated seed: kept at 0, reaches nothing
+        monkeypatch.setattr(fold, "_PARTITIONS", 8)
         bfs, sssp = self._both(edges, [0, 7, 10**6], cap)
         got = _as_dict(bfs.to_pandas(), "hops")
         assert got == _as_dict(sssp.to_pandas(), "dist")
@@ -532,12 +547,13 @@ class TestBfsIsUnitSssp:
 
     @pytest.mark.parametrize("cap", [1 << 62, 0], ids=["broadcast", "shuffle"])
     @pytest.mark.parametrize("case", ["no_seeds", "no_edges", "neither"])
-    def test_empty_inputs_give_typed_output(self, ray_session, cap, case):
+    def test_empty_inputs_give_typed_output(self, ray_session, monkeypatch, cap, case):
         s, d = _simple_graph(63)
         if case != "no_seeds":
             s, d = s[:0], d[:0]
         seeds = [] if case != "no_edges" else [3, 4]
         edges = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
+        monkeypatch.setattr(fold, "_PARTITIONS", 8)
         bfs, sssp = self._both(edges, seeds, cap)
         for ds, col in ((bfs, "hops"), (sssp, "dist")):
             schema = ds.schema()
@@ -566,7 +582,7 @@ class TestBfsIsUnitSssp:
 
 class TestSsspImprovesReachedNode:
     @pytest.mark.parametrize("cap", [1 << 62, 0], ids=["broadcast", "shuffle"])
-    def test_round_two_lowers_round_one_distance(self, ray_session, cap):
+    def test_round_two_lowers_round_one_distance(self, ray_session, monkeypatch, cap):
         """Round 1 reaches a (node 1) over the weight-10 edge; round 2
         finds seed -> b -> a at 2.  The driver fold must lower a node it
         already holds, not only insert new ones."""
@@ -583,11 +599,12 @@ class TestSsspImprovesReachedNode:
         )
         seeds = rd.from_arrow(pa.table({"node": pa.array([0], pa.int64())}))
 
+        monkeypatch.setattr(fold, "_PARTITIONS", 4)
         def run(rounds):
             return _as_dict(
                 sssp_pipeline(
                     rd.from_arrow(edges), seeds, max_rounds=rounds,
-                    num_partitions=4, max_broadcast_nodes=cap,
+                    max_broadcast_nodes=cap,
                 ).to_pandas(),
                 "dist",
             )
@@ -599,7 +616,7 @@ class TestSsspImprovesReachedNode:
 class TestSeedInSeveralBlocks:
     @pytest.mark.parametrize("cap", [1 << 62, 0], ids=["broadcast", "shuffle"])
     @pytest.mark.parametrize("rounds", [0, 1])
-    def test_seed_is_one_row(self, ray_session, cap, rounds):
+    def test_seed_is_one_row(self, ray_session, monkeypatch, cap, rounds):
         """Seed 1 listed in two seed blocks is one result row in both
         pipelines and both plans, also when no round runs."""
         import ray.data as rd
@@ -617,13 +634,14 @@ class TestSeedInSeveralBlocks:
         seeds = rd.from_arrow([one, one])
         assert seeds.num_blocks() == 2
         want = [(1, 0)] if rounds == 0 else [(1, 0), (2, 1)]
+        monkeypatch.setattr(fold, "_PARTITIONS", 4)
         sssp = sssp_pipeline(
-            rd.from_arrow(edges), seeds, max_rounds=rounds, num_partitions=4,
+            rd.from_arrow(edges), seeds, max_rounds=rounds,
             max_broadcast_nodes=cap,
         ).to_pandas()
         bfs = bfs_hops_pipeline(
             rd.from_arrow(edges.drop_columns(["w"])), seeds, max_hops=rounds,
-            num_partitions=4, max_broadcast_nodes=cap,
+            max_broadcast_nodes=cap,
         ).to_pandas()
         assert sorted(zip(sssp.node, sssp.dist)) == want
         assert sorted(zip(bfs.node, bfs.hops)) == want
@@ -642,7 +660,7 @@ class TestNullEdges:
             ("pagerank", "a"), ("pagerank", "b"),
         ],
     )
-    def test_null_raises_naming_column(self, ray_session, cap, pipeline, null_col):
+    def test_null_raises_naming_column(self, ray_session, monkeypatch, cap, pipeline, null_col):
         import ray.data as rd
         from ray.exceptions import RayTaskError
 
@@ -654,19 +672,20 @@ class TestNullEdges:
             pa.table({k: pa.array(v, pa.int64()) for k, v in cols.items()})
         )
         seeds = rd.from_arrow(pa.table({"node": pa.array([1], pa.int64())}))
+        monkeypatch.setattr(fold, "_PARTITIONS", 4)
         if pipeline == "bfs":
             run = lambda: bfs_hops_pipeline(  # noqa: E731
-                edges, seeds, src_col="a", dst_col="b", num_partitions=4,
+                edges, seeds, src_col="a", dst_col="b",
                 max_broadcast_nodes=cap,
             )
         elif pipeline == "sssp":
             run = lambda: sssp_pipeline(  # noqa: E731
                 edges, seeds, src_col="a", dst_col="b", weight_col="lat",
-                num_partitions=4, max_broadcast_nodes=cap,
+                max_broadcast_nodes=cap,
             )
         else:
             run = lambda: pagerank_pipeline(  # noqa: E731
-                edges, src_col="a", dst_col="b", num_partitions=4,
+                edges, src_col="a", dst_col="b",
                 max_broadcast_nodes=cap,
             )
         with pytest.raises(

@@ -9,6 +9,7 @@ from ddsketch_ruby_ray.pipelines.inequality import (
     gini_pipeline,
     largest_remainder_quota_pipeline,
 )
+from .partitions import partitions
 
 
 class TestApportionment:
@@ -55,9 +56,8 @@ class TestGini:
         import ray.data as rd
 
         tbl = pa.table({"x": pa.array(np.asarray(vals, np.int64))})
-        df = gini_pipeline(
-            rd.from_arrow(tbl).repartition(4), value_col="x", num_partitions=8
-        ).to_pandas()
+        with partitions(8):
+            df = gini_pipeline(rd.from_arrow(tbl).repartition(4), value_col="x").to_pandas()
         return int(df.n[0]), int(df.total[0]), float(df.gini[0])
 
     def test_vs_brute(self, ray_session):

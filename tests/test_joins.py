@@ -11,6 +11,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from .partitions import partitions
+
 
 def _us(seconds):
     return pa.array(np.asarray(seconds, dtype=np.int64) * 1_000_000, pa.timestamp("us"))
@@ -36,24 +38,25 @@ def _right(keys, ts_s, payload):
     )
 
 
-def _asof(lt, rt, **kw):
+def _asof(lt, rt, parts=64, **kw):
     import ray.data as rd
 
     from ddsketch_ruby_ray.pipelines.joins import asof_join_pipeline
 
-    out = asof_join_pipeline(
-        rd.from_arrow(lt),
-        rd.from_arrow(rt),
-        left_key="k",
-        left_ts="ts",
-        right_key="k2",
-        right_ts="ts2",
-        left_cols=["lid", "k"],
-        right_payload=["pay"],
-        tiebreak="pay",
-        **kw,
-    )
-    return out.to_pandas().sort_values("lid").reset_index(drop=True)
+    with partitions(parts):
+        out = asof_join_pipeline(
+            rd.from_arrow(lt),
+            rd.from_arrow(rt),
+            left_key="k",
+            left_ts="ts",
+            right_key="k2",
+            right_ts="ts2",
+            left_cols=["lid", "k"],
+            right_payload=["pay"],
+            tiebreak="pay",
+            **kw,
+        )
+        return out.to_pandas().sort_values("lid").reset_index(drop=True)
 
 
 class TestAsofJoin:
@@ -75,7 +78,7 @@ class TestAsofJoin:
         n, m = 300, 400
         lt = _left(rng.integers(0, 20, n), rng.integers(0, 1000, n))
         rt = _right(rng.integers(0, 20, m), rng.integers(0, 1000, m), rng.permutation(m))
-        df = _asof(lt, rt, num_partitions=7)
+        df = _asof(lt, rt, parts=7)
         lk = lt["k"].to_numpy()
         lts = lt["ts"].cast(pa.int64()).to_numpy() // 1_000_000
         rk = rt["k2"].to_numpy()
@@ -109,7 +112,7 @@ class TestAsofJoinForward:
         n, m = 300, 400
         lt = _left(rng.integers(0, 20, n), rng.integers(0, 1000, n))
         rt = _right(rng.integers(0, 20, m), rng.integers(0, 1000, m), rng.permutation(m))
-        df = _asof(lt, rt, num_partitions=7, direction="forward")
+        df = _asof(lt, rt, parts=7, direction="forward")
         lk = lt["k"].to_numpy()
         lts = lt["ts"].cast(pa.int64()).to_numpy() // 1_000_000
         rk = rt["k2"].to_numpy()
@@ -131,22 +134,22 @@ class TestAsofJoinForward:
 
 
 class TestHashJoin:
-    def _join(self, lt, rt, how, **kw):
+    def _join(self, lt, rt, how, parts=64):
         import ray.data as rd
 
         from ddsketch_ruby_ray.pipelines.joins import hash_join_pipeline
 
-        out = hash_join_pipeline(
-            rd.from_arrow(lt),
-            rd.from_arrow(rt),
-            left_key="k",
-            right_key="k2",
-            left_cols=["lid", "k"],
-            right_payload=["pay"],
-            how=how,
-            **kw,
-        )
-        return out.to_pandas()
+        with partitions(parts):
+            out = hash_join_pipeline(
+                rd.from_arrow(lt),
+                rd.from_arrow(rt),
+                left_key="k",
+                right_key="k2",
+                left_cols=["lid", "k"],
+                right_payload=["pay"],
+                how=how,
+            )
+            return out.to_pandas()
 
     def test_inner_duplicates_multiply(self, ray_session):
         lt = _left([1, 1, 2, 3], [0, 0, 0, 0])
@@ -185,22 +188,22 @@ class TestHashJoin:
         df = self._join(_left([1], [0]), _right([], [], []), "left")
         assert len(df) == 1 and np.isnan(df["pay"][0])
 
-    def _join_cols(self, lt, rt, how, **kw):
+    def _join_cols(self, lt, rt, how, parts=64):
         import ray.data as rd
 
         from ddsketch_ruby_ray.pipelines.joins import hash_join_pipeline
 
-        out = hash_join_pipeline(
-            rd.from_arrow(lt),
-            rd.from_arrow(rt),
-            left_key="k",
-            right_key="k2",
-            left_cols=["lid", "k"],
-            right_payload=(),
-            how=how,
-            **kw,
-        )
-        return out.to_pandas()
+        with partitions(parts):
+            out = hash_join_pipeline(
+                rd.from_arrow(lt),
+                rd.from_arrow(rt),
+                left_key="k",
+                right_key="k2",
+                left_cols=["lid", "k"],
+                right_payload=(),
+                how=how,
+            )
+            return out.to_pandas()
 
     def test_semi_anti_basic(self, ray_session):
         lt = _left([1, 1, 2, 3], [0, 0, 0, 0])
@@ -243,7 +246,7 @@ class TestHashJoin:
         con.register("l", lt.select(["lid", "k"]).to_pandas())
         con.register("r", rt.select(["k2"]).to_pandas())
         for how, pred in [("semi", "EXISTS"), ("anti", "NOT EXISTS")]:
-            got = sorted(self._join_cols(lt, rt, how, num_partitions=7)["lid"])
+            got = sorted(self._join_cols(lt, rt, how, parts=7)["lid"])
             exp = sorted(
                 x[0]
                 for x in con.execute(
@@ -322,7 +325,7 @@ class TestHashJoin:
         con.register("l", lt.select(["lid", "k"]).to_pandas())
         con.register("r", rt.select(["k2", "pay"]).to_pandas())
         for how, sqljoin in [("right", "RIGHT JOIN"), ("full", "FULL JOIN")]:
-            df = self._join(lt, rt, how, num_partitions=7)
+            df = self._join(lt, rt, how, parts=7)
             got = sorted(
                 (
                     -1 if np.isnan(l) else int(l),
@@ -346,7 +349,7 @@ class TestHashJoin:
         lt = _left(rng.integers(0, 25, n), np.zeros(n, dtype=np.int64))
         rt = _right(rng.integers(0, 25, m), np.zeros(m, dtype=np.int64), np.arange(m))
         for how, sql_how in [("inner", "JOIN"), ("left", "LEFT JOIN")]:
-            df = self._join(lt, rt, how, num_partitions=7)
+            df = self._join(lt, rt, how, parts=7)
             got = sorted(
                 (int(a), -1 if np.isnan(b) else int(b))
                 for a, b in zip(df["lid"], df["pay"])
@@ -361,24 +364,24 @@ class TestHashJoin:
 
 
 class TestRangeJoin:
-    def _range(self, lt, rt, window_s, **kw):
+    def _range(self, lt, rt, window_s, parts=64):
         import ray.data as rd
 
         from ddsketch_ruby_ray.pipelines.joins import range_join_pipeline
 
-        out = range_join_pipeline(
-            rd.from_arrow(lt),
-            rd.from_arrow(rt),
-            left_key="k",
-            left_ts="ts",
-            right_key="k2",
-            right_ts="ts2",
-            left_cols=["lid", "k"],
-            right_payload=["pay"],
-            window_s=window_s,
-            **kw,
-        )
-        return out.to_pandas()
+        with partitions(parts):
+            out = range_join_pipeline(
+                rd.from_arrow(lt),
+                rd.from_arrow(rt),
+                left_key="k",
+                left_ts="ts",
+                right_key="k2",
+                right_ts="ts2",
+                left_cols=["lid", "k"],
+                right_payload=["pay"],
+                window_s=window_s,
+            )
+            return out.to_pandas()
 
     def test_boundaries_inclusive_both_ends(self, ray_session):
         lt = _left([1], [100])
@@ -398,7 +401,7 @@ class TestRangeJoin:
         n, m = 200, 300
         lt = _left(rng.integers(0, 10, n), rng.integers(0, 500, n))
         rt = _right(rng.integers(0, 10, m), rng.integers(0, 500, m), np.arange(m))
-        df = self._range(lt, rt, window_s=50, num_partitions=5)
+        df = self._range(lt, rt, window_s=50, parts=5)
         lk = lt["k"].to_numpy()
         lts = lt["ts"].cast(pa.int64()).to_numpy() // 1_000_000
         rk = rt["k2"].to_numpy()
@@ -596,14 +599,14 @@ class TestBroadcastAsofJoin:
             left_key="k", left_ts="ts", right_key="k2", right_ts="rts",
             left_cols=["eid", "k"], right_payload=["oid", "pay"], tiebreak="oid",
         )
-        a = (
-            asof_join_pipeline(
-                rd.from_arrow(left).repartition(4),
-                rd.from_arrow(right).repartition(3),
-                num_partitions=8, **kw,
+        with partitions(8):
+            a = (
+                asof_join_pipeline(
+                    rd.from_arrow(left).repartition(4),
+                    rd.from_arrow(right).repartition(3), **kw,
+                )
+                .to_pandas().sort_values("eid").reset_index(drop=True)
             )
-            .to_pandas().sort_values("eid").reset_index(drop=True)
-        )
         b = (
             broadcast_asof_join_pipeline(
                 rd.from_arrow(left).repartition(4),
@@ -648,20 +651,20 @@ class TestIntervalOverlapJoin:
 
         from ddsketch_ruby_ray.pipelines.joins import interval_overlap_join_pipeline
 
-        out = interval_overlap_join_pipeline(
-            rd.from_arrow(lt),
-            rd.from_arrow(rt),
-            key_cols=("k", "k2"),
-            left_start="ls",
-            left_end="le",
-            right_start="rs",
-            right_end="re",
-            left_cols=["lid", "k"],
-            right_payload=["rid"],
-            max_right_duration_s=D,
-            num_partitions=parts,
-        )
-        return out.to_pandas().sort_values(["lid", "rid"]).reset_index(drop=True)
+        with partitions(parts):
+            out = interval_overlap_join_pipeline(
+                rd.from_arrow(lt),
+                rd.from_arrow(rt),
+                key_cols=("k", "k2"),
+                left_start="ls",
+                left_end="le",
+                right_start="rs",
+                right_end="re",
+                left_cols=["lid", "k"],
+                right_payload=["rid"],
+                max_right_duration_s=D,
+            )
+            return out.to_pandas().sort_values(["lid", "rid"]).reset_index(drop=True)
 
     def _mk(self, keys, starts, ends, side):
         us = 1_000_000

@@ -6,6 +6,7 @@ import numpy as np
 import pyarrow as pa
 
 from ddsketch_ruby_ray.pipelines.windows import multi_funnel_pipeline
+from .partitions import partitions
 
 
 def _brute(users, ts, types, steps, win_us):
@@ -41,19 +42,19 @@ def _run(users, ts, types, steps, window_s):
             "ty": pa.array(list(types), pa.string()),
         }
     )
-    df = (
-        multi_funnel_pipeline(
-            rd.from_arrow(tbl).repartition(4),
-            user_col="u",
-            ts_col="ts",
-            type_col="ty",
-            steps=steps,
-            window_s=window_s,
-            num_partitions=8,
+    with partitions(8):
+        df = (
+            multi_funnel_pipeline(
+                rd.from_arrow(tbl).repartition(4),
+                user_col="u",
+                ts_col="ts",
+                type_col="ty",
+                steps=steps,
+                window_s=window_s,
+            )
+            .to_pandas()
+            .sort_values("step")
         )
-        .to_pandas()
-        .sort_values("step")
-    )
     return df.users.tolist()
 
 

@@ -5,18 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .partitions import partitions
 
-def _scan(tbl, num_partitions=16):
+
+def _scan(tbl, parts=16):
     import ray.data as rd
 
     from ddsketch_ruby_ray.pipelines.scan import global_ordered_scan_pipeline
 
-    return global_ordered_scan_pipeline(
-        rd.from_arrow(tbl).repartition(4),
-        order_col="o",
-        delta_col="d",
-        num_partitions=num_partitions,
-    ).to_pandas()
+    with partitions(parts):
+        return global_ordered_scan_pipeline(
+            rd.from_arrow(tbl).repartition(4), order_col="o", delta_col="d"
+        ).to_pandas()
 
 
 def _brute(o, d):

@@ -11,6 +11,7 @@ from ddsketch_ruby_ray.pipelines.timeseries import (
     US_PER_DAY,
     daily_count_autocorr_pipeline,
 )
+from .partitions import partitions
 
 
 def _brute(days, lag):
@@ -177,16 +178,16 @@ class TestOhlc:
                 "v": pa.array(v, pa.float64()),
             }
         )
-        df = (
-            ohlc_pipeline(
-                rd.from_arrow(tbl).repartition(5),
-                ts_col="ts", value_col="v", id_col="eid", window_s=3600,
-                num_partitions=8,
+        with partitions(8):
+            df = (
+                ohlc_pipeline(
+                    rd.from_arrow(tbl).repartition(5),
+                    ts_col="ts", value_col="v", id_col="eid", window_s=3600,
+                )
+                .to_pandas()
+                .sort_values("w")
+                .reset_index(drop=True)
             )
-            .to_pandas()
-            .sort_values("w")
-            .reset_index(drop=True)
-        )
         rows = sorted(zip(us // 3_600_000_000, us, eid, v))
         by_w: dict = {}
         for w, t, i, x in rows:

@@ -5,21 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .partitions import partitions
+
 
 def _run(t, k, parts=4, **kw):
     import ray.data as rd
 
     from ddsketch_ruby_ray.pipelines.topk import per_group_topk
 
-    return (
-        per_group_topk(
-            rd.from_arrow(t), group_col="g", value_col="v", tiebreak_col="t",
-            k=k, num_partitions=parts, **kw,
+    with partitions(parts):
+        return (
+            per_group_topk(
+                rd.from_arrow(t), group_col="g", value_col="v", tiebreak_col="t", k=k, **kw
+            )
+            .to_pandas()
+            .sort_values(["g", "v", "t"], ascending=[True, False, True])
+            .reset_index(drop=True)
         )
-        .to_pandas()
-        .sort_values(["g", "v", "t"], ascending=[True, False, True])
-        .reset_index(drop=True)
-    )
 
 
 class TestPerGroupTopk:
@@ -69,18 +71,18 @@ class TestGroupedSumGlobalTopk:
                 "label": pa.array(carry.tolist(), pa.string()),
             }
         )
-        got = (
-            grouped_sum_global_topk(
-                rd.from_arrow(t).repartition(8),
-                group_col="g",
-                value_col="v",
-                carry_cols=["label"],
-                k=12,
-                num_partitions=5,
+        with partitions(5):
+            got = (
+                grouped_sum_global_topk(
+                    rd.from_arrow(t).repartition(8),
+                    group_col="g",
+                    value_col="v",
+                    carry_cols=["label"],
+                    k=12,
+                )
+                .to_pandas()
+                .reset_index(drop=True)
             )
-            .to_pandas()
-            .reset_index(drop=True)
-        )
         df = t.to_pandas().groupby("g", as_index=False).agg(v=("v", "sum"), label=("label", "first"))
         want = (
             df.sort_values(["v", "g"], ascending=[False, True])
@@ -100,9 +102,10 @@ class TestGroupedSumGlobalTopk:
                 "v": pa.array([10, 4, 10, 6], pa.int64()),
             }
         )
-        got = grouped_sum_global_topk(
-            rd.from_arrow(t), group_col="g", value_col="v", k=2, num_partitions=3
-        ).to_pandas()
+        with partitions(3):
+            got = grouped_sum_global_topk(
+                rd.from_arrow(t), group_col="g", value_col="v", k=2
+            ).to_pandas()
         # sums: g3=10, g5=10, g7=10 -> tie on 10, smallest keys win
         assert list(got.g) == [3, 5]
         assert list(got.v) == [10, 10]

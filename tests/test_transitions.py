@@ -12,20 +12,22 @@ from collections import Counter
 import numpy as np
 import pyarrow as pa
 
+from .partitions import partitions
 
-def _run(tbl, num_partitions=8):
+
+def _run(tbl, parts=8):
     import ray.data as rd
 
     from ddsketch_ruby_ray.pipelines.transitions import keyed_transition_counts_pipeline
 
-    out = keyed_transition_counts_pipeline(
-        rd.from_arrow(tbl).repartition(4),
-        key_col="k",
-        ts_col="ts",
-        tiebreak_col="tb",
-        state_col="s",
-        num_partitions=num_partitions,
-    ).to_pandas()
+    with partitions(parts):
+        out = keyed_transition_counts_pipeline(
+            rd.from_arrow(tbl).repartition(4),
+            key_col="k",
+            ts_col="ts",
+            tiebreak_col="tb",
+            state_col="s",
+        ).to_pandas()
     return {
         (r.from_state, r.to_state): int(r.n_pair)
         for r in out.itertuples(index=False)
@@ -78,7 +80,7 @@ class TestTransitionCounts:
             np.arange(n),
             np.array(["s%d" % x for x in rng.integers(0, 5, n)]),
         )
-        assert _run(t, num_partitions=16) == _brute(t)
+        assert _run(t, parts=16) == _brute(t)
 
     def test_empty(self, ray_session):
         t = _tbl([], [], [], [])

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .partitions import partitions
+
 
 def _events(ts_seconds, users=None):
     n = len(ts_seconds)
@@ -84,16 +86,16 @@ class TestOrderedAnalytics:
 
         from ddsketch_ruby_ray.pipelines.windows import ordered_analytics_pipeline
 
-        out = ordered_analytics_pipeline(
-            rd.from_arrow(tbl).repartition(3),
-            key_col="k",
-            ts_col="ts",
-            tiebreak_col="eid",
-            carry_cols=["eid"],
-            num_partitions=parts,
-            **kw,
-        )
-        return out.to_pandas().sort_values("eid").reset_index(drop=True)
+        with partitions(parts):
+            out = ordered_analytics_pipeline(
+                rd.from_arrow(tbl).repartition(3),
+                key_col="k",
+                ts_col="ts",
+                tiebreak_col="eid",
+                carry_cols=["eid"],
+                **kw,
+            )
+            return out.to_pandas().sort_values("eid").reset_index(drop=True)
 
     def _tbl(self, n, seed, with_value=True):
         import numpy as np
@@ -208,16 +210,16 @@ class TestRankedAnalytics:
 
         from ddsketch_ruby_ray.pipelines.windows import ranked_analytics_pipeline
 
-        out = ranked_analytics_pipeline(
-            rd.from_arrow(tbl).repartition(3),
-            key_col="k",
-            value_col="v",
-            tiebreak_col="eid",
-            carry_cols=["eid"],
-            ntile=ntile,
-            num_partitions=parts,
-        )
-        return out.to_pandas().sort_values("eid").reset_index(drop=True)
+        with partitions(parts):
+            out = ranked_analytics_pipeline(
+                rd.from_arrow(tbl).repartition(3),
+                key_col="k",
+                value_col="v",
+                tiebreak_col="eid",
+                carry_cols=["eid"],
+                ntile=ntile,
+            )
+            return out.to_pandas().sort_values("eid").reset_index(drop=True)
 
     def _tbl(self, n, seed):
         import numpy as np
@@ -280,16 +282,16 @@ class TestFunnel:
 
         from ddsketch_ruby_ray.pipelines.windows import funnel_pipeline
 
-        return funnel_pipeline(
-            rd.from_arrow(tbl).repartition(3),
-            user_col="u",
-            ts_col="ts",
-            type_col="et",
-            first_type="A",
-            next_type="B",
-            window_s=window_s,
-            num_partitions=parts,
-        )
+        with partitions(parts):
+            return funnel_pipeline(
+                rd.from_arrow(tbl).repartition(3),
+                user_col="u",
+                ts_col="ts",
+                type_col="et",
+                first_type="A",
+                next_type="B",
+                window_s=window_s,
+            )
 
     @staticmethod
     def _tbl(rows):
