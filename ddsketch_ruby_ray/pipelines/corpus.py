@@ -49,7 +49,6 @@ def sketch_states(
     group_keys: Sequence[str] = (),
     *,
     derive=None,
-    batch_size: int | None = None,
     concurrency=None,
 ):
     """Stage 1: rows -> per-(batch, group) sketch-state rows (no shuffle).
@@ -70,7 +69,7 @@ def sketch_states(
     # one KB-sized state row per (1024-row batch x group x spec): a 1000x
     # state blow-up that turns the "tiny" state table into gigabytes.
     return ds.map_batches(
-        acc, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size, **kwargs
+        acc, batch_format="pyarrow", zero_copy_batch=True, batch_size=None, **kwargs
     )
 
 
@@ -164,7 +163,6 @@ def grouped_sketch_pipeline(
     group_keys: Sequence[str] = (),
     *,
     derive=None,
-    batch_size: int | None = None,
     concurrency=None,
     prefixes: dict | None = None,
 ):
@@ -180,9 +178,7 @@ def grouped_sketch_pipeline(
     ``prefixes`` maps spec name -> output column prefix for the unnested
     result struct (default: no prefix).
     """
-    states = sketch_states(
-        ds, specs, group_keys, derive=derive, batch_size=batch_size, concurrency=concurrency
-    )
+    states = sketch_states(ds, specs, group_keys, derive=derive, concurrency=concurrency)
     out = merge_sketch_states(states, specs, group_keys)
     for spec in specs:
         prefix = (prefixes or {}).get(spec.name)
@@ -197,7 +193,6 @@ def corpus_sketch_pipeline(
     alpha: float = 0.01,
     quantiles=(0.5, 0.9, 0.99),
     content_col: str = "content",
-    batch_size: int | None = None,
     concurrency=None,
     verify_sha256: bool = False,
     strategy: str = "states",
@@ -244,7 +239,6 @@ def corpus_sketch_pipeline(
         specs,
         group_keys,
         derive=derive,
-        batch_size=batch_size,
         concurrency=concurrency,
         prefixes=prefixes,
     )

@@ -9,9 +9,9 @@ seed-expansion (multi-source shortest paths: "everything within k hops of
 a trusted set") — plus the two one-shot structure diagnostics.
 
 Ray Data has no iterative primitive.  The iterative algorithms have two
-plans each, picked by one argument, ``max_broadcast_nodes``: the node
-state lives on the driver while the node count fits it (``0`` forces the
-shuffle plan).
+plans each with bit-identical output: the node state lives on the driver
+while the node count fits ``_MAX_BROADCAST_NODES``, read at call time
+(``0`` forces the shuffle plan).
 
 * Broadcast: the edge table is pinned once, and each iteration is one
   map over the pinned blocks against the broadcast node state.
@@ -68,7 +68,8 @@ __all__ = [
 
 PR_SCALE = 10**12
 
-# default broadcast cap, MEASURED (tools/graph_crossover.py, 32M edges,
+# broadcast cap of PageRank and SSSP/BFS, read when a pipeline is called
+# (0 forces the shuffle plan).  MEASURED (tools/graph_crossover.py, 32M edges,
 # 16 cpus, best-of-2 fresh children): broadcast beats the shuffle plan at
 # EVERY swept node count — 2.89x at 1M nodes decaying ~0.2x per doubling to
 # 1.91x at 16M with the round-4 build; the round-5 fused-meta build WIDENS
@@ -446,7 +447,6 @@ def pagerank_pipeline(
     src_col: str = "src",
     dst_col: str = "dst",
     iters: int = 3,
-    max_broadcast_nodes: int = _MAX_BROADCAST_NODES,
 ):
     """Dataset[(src, dst)] -> Dataset[(node, rank_fp)]: ``iters`` exact
     fixed-point PageRank iterations (damping 0.85, SCALE=1e12, dangling
@@ -454,29 +454,25 @@ def pagerank_pipeline(
 
     Two physical plans with BIT-IDENTICAL output (exact integers):
 
-    * broadcast, while the node count is at most ``max_broadcast_nodes`` —
+    * broadcast, while the node count is at most ``_MAX_BROADCAST_NODES`` —
       the Spark-classic shape: the (node, rank//outdeg) table broadcasts
       each iteration, the PINNED edge blocks emit block-pre-aggregated
       (dst, contribution) partials, and one thin keyed sum folds them.
       The edge table is NEVER re-shuffled.  Rank state is O(nodes) on the
       driver — right while the node table fits (a 2M-node rank array is
       48 MB).
-    * shuffle, past the cap (``max_broadcast_nodes=0`` forces it) — fully
+    * shuffle, past the cap (``_MAX_BROADCAST_NODES = 0`` forces it) — fully
       distributed state: each iteration is one :func:`_scatter` of the
       rank rows over the PINNED per-partition edge slices and one
       :func:`_gather` that sums the contributions per node.  No per-node
       driver state."""
-    if max_broadcast_nodes > 0:
+    if _MAX_BROADCAST_NODES > 0:
         try:
             # fused build: dedup + dst-pinning in ONE full-edge exchange
             # (no _distinct_edges pass) — the fallback below rebuilds from
             # the raw edges, an acceptable cost for the exceptional path
             return _pagerank_broadcast(
-                edges,
-                src_col=src_col,
-                dst_col=dst_col,
-                iters=iters,
-                max_nodes=max_broadcast_nodes,
+                edges, src_col=src_col, dst_col=dst_col, iters=iters
             )
         except _TooManyNodes:
             pass  # node table too large to broadcast -> shuffle plan
@@ -544,12 +540,10 @@ def pagerank_pipeline(
 
 
 class _TooManyNodes(Exception):
-    """A broadcast plan's driver-side node table outgrew the caller's cap."""
+    """A broadcast plan's driver-side node table outgrew ``_MAX_BROADCAST_NODES``."""
 
 
-def _pagerank_broadcast(
-    edges, *, src_col: str, dst_col: str, iters: int, max_nodes: int
-):
+def _pagerank_broadcast(edges, *, src_col: str, dst_col: str, iters: int):
     """Broadcast-rank PageRank (see pagerank_pipeline docstring).
 
     ONE full-edge exchange total, then shuffle-free iterations:
@@ -583,8 +577,9 @@ def _pagerank_broadcast(
     shuffle and an int32-index rewrite pass each added a barrier that
     cost more than it saved.)
 
-    Raises :class:`_TooManyNodes` if the node table exceeds ``max_nodes``
-    (rank state is O(nodes) on the driver and broadcast per iteration).
+    Raises :class:`_TooManyNodes` if the node table exceeds
+    ``_MAX_BROADCAST_NODES`` (rank state is O(nodes) on the driver and
+    broadcast per iteration).
     """
     import ray
     import ray.data as rd
@@ -766,7 +761,7 @@ def _pagerank_broadcast(
         m_node = meta.column("node").to_numpy(zero_copy_only=False)[is_node]
         m_deg = meta.column("deg").to_numpy(zero_copy_only=False)[is_node]
         n_nodes = int(m_node.size)  # each node emitted by exactly one fold
-        if n_nodes > max_nodes:
+        if n_nodes > _MAX_BROADCAST_NODES:
             raise _TooManyNodes(n_nodes)
         order = np.argsort(m_node, kind="stable")
         nodes_arr = m_node[order]
@@ -832,7 +827,7 @@ def _pagerank_broadcast(
         m_node = meta.column("node").to_numpy(zero_copy_only=False)
         m_deg = meta.column("deg").to_numpy(zero_copy_only=False)
         n_nodes = int(m_node.size)  # fold emits each node exactly once
-        if n_nodes > max_nodes:
+        if n_nodes > _MAX_BROADCAST_NODES:
             raise _TooManyNodes(n_nodes)
         order = np.argsort(m_node, kind="stable")
         nodes_arr = m_node[order]
@@ -852,7 +847,7 @@ def _pagerank_broadcast(
     # iteration's CPU at 32M edges) — and the pinned bytes drop from
     # 17 B/edge (2x int64 + int8) to 8 B/edge, halving the block-read
     # bandwidth the iterations consume.  int32 is safe: indices are
-    # positions in nodes_arr, and n_nodes <= max_nodes << 2^31.
+    # positions in nodes_arr, and n_nodes <= _MAX_BROADCAST_NODES << 2^31.
     def reindex(t: pa.Table) -> pa.Table:
         ns = ray.get(nodes_ref)
         isd = t.column("is_deg").to_numpy(zero_copy_only=False)
@@ -925,7 +920,6 @@ def bfs_hops_pipeline(
     dst_col: str = "dst",
     seed_col: str = "node",
     max_hops: int = 4,
-    max_broadcast_nodes: int = _MAX_BROADCAST_NODES,
 ):
     """Dataset[(src, dst)] x Dataset[seed nodes] -> Dataset[(node, hops)]:
     minimum hop count (<= max_hops) from ANY seed over the UNDIRECTED edge
@@ -934,7 +928,7 @@ def bfs_hops_pipeline(
     BFS is ``sssp_pipeline`` with every edge weighing 1: the distinct
     undirected edges (built by :func:`_distinct_edges`' packed exchange)
     carry no ``w`` column, and the same two frontier plans run over them —
-    broadcast while the reached set fits ``max_broadcast_nodes``, with the
+    broadcast while the reached set fits ``_MAX_BROADCAST_NODES``, with the
     hop table on the driver, and shuffle past it (``0`` forces it) as the
     unbounded-reach path."""
 
@@ -958,7 +952,6 @@ def bfs_hops_pipeline(
         out_col="hops",
         seed_col=seed_col,
         max_rounds=max_hops,
-        max_broadcast_nodes=max_broadcast_nodes,
     )
 
 
@@ -1151,7 +1144,6 @@ def sssp_pipeline(
     weight_col: str = "w",
     seed_col: str = "node",
     max_rounds: int = 4,
-    max_broadcast_nodes: int = _MAX_BROADCAST_NODES,
 ):
     """K-round Bellman-Ford single-source-set shortest paths over the
     UNDIRECTED weighted edge set: -> Dataset[(node, dist)] — the minimum
@@ -1162,7 +1154,7 @@ def sssp_pipeline(
     One build exchange symmetrizes the edges, keeps the MINIMUM weight per
     (src, dst) pair and partitions them by hash(src) (``_part``).  Then
     :func:`_sssp_broadcast` runs while the reached set fits
-    ``max_broadcast_nodes`` — the distance table lives on the driver, the
+    ``_MAX_BROADCAST_NODES`` — the distance table lives on the driver, the
     BFS/PageRank contract — and :func:`_sssp_shuffle` past it (``0``
     forces it), with no driver-side state: the unbounded-reach path."""
 
@@ -1203,32 +1195,18 @@ def sssp_pipeline(
         out_col="dist",
         seed_col=seed_col,
         max_rounds=max_rounds,
-        max_broadcast_nodes=max_broadcast_nodes,
     )
 
 
-def _shortest_paths(
-    pinned,
-    seeds,
-    *,
-    out_col: str,
-    seed_col: str,
-    max_rounds: int,
-    max_broadcast_nodes: int,
-):
+def _shortest_paths(pinned, seeds, *, out_col: str, seed_col: str, max_rounds: int):
     """The one frontier engine of ``sssp_pipeline`` and
     ``bfs_hops_pipeline``: ``pinned`` is the materialized distinct
     (src, dst[, w], _part) edge table partitioned by hash(src) — no ``w``
     means unit weights — and the result is Dataset[(node, out_col)]."""
-    if max_broadcast_nodes > 0:
+    if _MAX_BROADCAST_NODES > 0:
         try:
             return _sssp_broadcast(
-                pinned,
-                seeds,
-                out_col=out_col,
-                seed_col=seed_col,
-                max_rounds=max_rounds,
-                max_nodes=max_broadcast_nodes,
+                pinned, seeds, out_col=out_col, seed_col=seed_col, max_rounds=max_rounds
             )
         except _TooManyNodes:
             pass  # reached set outgrew the driver -> shuffle plan
@@ -1259,9 +1237,7 @@ def _min_per_node(node: np.ndarray, val: np.ndarray):
     return node[starts], np.minimum.reduceat(val, starts)
 
 
-def _sssp_broadcast(
-    pinned, seeds, *, out_col: str, seed_col: str, max_rounds: int, max_nodes: int
-):
+def _sssp_broadcast(pinned, seeds, *, out_col: str, seed_col: str, max_rounds: int):
     """Broadcast-frontier Bellman-Ford over the pinned edge table.  Per
     round, ONE map relaxes the edges whose src improved last round
     (searchsorted against the broadcast sorted frontier) and emits each
@@ -1269,7 +1245,7 @@ def _sssp_broadcast(
     (node, dist) arrays with one searchsorted, an in-place update of the
     improved nodes and one merge of the new ones.  Rounds after the
     frontier empties are free.  Raises ``_TooManyNodes`` when the reached
-    table outgrows ``max_nodes``."""
+    table outgrows ``_MAX_BROADCAST_NODES``."""
     import ray
     import ray.data as rd
 
@@ -1293,7 +1269,7 @@ def _sssp_broadcast(
     for _ in range(max_rounds):
         if not frontier.size:
             break
-        if nodes.size > max_nodes:
+        if nodes.size > _MAX_BROADCAST_NODES:
             raise _TooManyNodes(int(nodes.size))
         ref = ray.put((frontier, f_dist))  # frontier sorted
 

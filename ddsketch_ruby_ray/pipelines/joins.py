@@ -202,6 +202,24 @@ def asof_join_pipeline(
     return keyed_exchange([ln, rn], per_partition, keys="_key")
 
 
+def _match_expand(rk: np.ndarray, lk: np.ndarray, kvalid: np.ndarray, how: str):
+    """Probe the sorted build keys ``rk`` with the left keys ``lk`` (a row
+    whose ``kvalid`` is False matches nothing).  semi/anti -> mask of the left
+    rows kept; else ``(li, ri, matched)`` per output row: left row, build
+    position (clipped; meaningless unless matched), and whether it matched."""
+    lo = np.searchsorted(rk, lk, "left")
+    hi = np.searchsorted(rk, lk, "right")
+    counts = np.where(kvalid, hi - lo, 0)
+    if how in ("semi", "anti"):
+        return counts > 0 if how == "semi" else counts == 0
+    out_counts = np.maximum(counts, 1) if how in ("left", "full") else counts
+    li = np.repeat(np.arange(lk.size), out_counts)
+    starts = np.cumsum(out_counts) - out_counts
+    offset = np.arange(li.size) - np.repeat(starts, out_counts)
+    ri = np.minimum(np.repeat(lo, out_counts) + offset, max(rk.size - 1, 0))
+    return li, ri, np.repeat(counts > 0, out_counts)
+
+
 def hash_join_pipeline(
     left,
     right,
@@ -344,31 +362,21 @@ def hash_join_pipeline(
                 extra = _unmatched_right()
                 return extra if extra is not None else empty
             return empty
-        lk = key[l_idx]
-        lo = np.searchsorted(rk, lk, "left")
-        hi = np.searchsorted(rk, lk, "right")
-        counts = np.where(kvalid[l_idx], hi - lo, 0)
+        m = _match_expand(rk, key[l_idx], kvalid[l_idx], how)
         if how in ("semi", "anti"):
-            sel = counts > 0 if how == "semi" else counts == 0
-            l_take = pa.array(l_idx[sel])
+            l_take = pa.array(l_idx[m])
             return pa.table({c: pc.take(pt.column(c), l_take) for c in left_cols})
-        out_counts = np.maximum(counts, 1) if how in ("left", "full") else counts
-        total = int(out_counts.sum())
+        li, ri, matched = m
         extra = _unmatched_right() if how in ("right", "full") else None
-        if total == 0:
+        if li.size == 0:
             return extra if extra is not None else empty
-        li = np.repeat(np.arange(l_idx.size), out_counts)
-        starts = np.cumsum(out_counts) - out_counts
-        offset = np.arange(total) - np.repeat(starts, out_counts)
-        ri = np.repeat(lo, out_counts) + offset
-        matched = np.repeat(counts > 0, out_counts)
         l_take = pa.array(l_idx[li])
         out = {c: pc.take(pt.column(c), l_take) for c in left_cols}
         if rk.size:
-            r_take = pa.array(r_order[np.minimum(ri, rk.size - 1)], mask=~matched)
+            r_take = pa.array(r_order[ri], mask=~matched)
             out |= {c: pc.take(pt.column(c), r_take) for c in right_payload}
         else:
-            out |= {c: pa.nulls(total, type=rtypes[c]) for c in right_payload}
+            out |= {c: pa.nulls(li.size, type=rtypes[c]) for c in right_payload}
         out_t = pa.table(out)
         if extra is not None:
             out_t = pa.concat_tables([out_t, extra])
@@ -400,9 +408,8 @@ def broadcast_hash_join_pipeline(
 
     Semantics are identical to ``hash_join_pipeline`` (same duplicate-key
     multiplication, null-keys-never-match, left/semi/anti row policies), so
-    the two share one SQL oracle; the probe math is the same searchsorted +
-    repeat/arange expansion, just against the broadcast build instead of a
-    co-partitioned slice.
+    the two share one SQL oracle; both probe with :func:`_match_expand`,
+    here against the broadcast build instead of a co-partitioned slice.
     """
     import ray
 
@@ -443,31 +450,22 @@ def broadcast_hash_join_pipeline(
         else:
             kvalid = np.ones(n, dtype=bool)
             lk = kcol.to_numpy(zero_copy_only=False).astype(np.int64)
-        lo = np.searchsorted(rk, lk, "left")
-        hi = np.searchsorted(rk, lk, "right")
-        counts = np.where(kvalid, hi - lo, 0)
+        m = _match_expand(rk, lk, kvalid, how)
         if how in ("semi", "anti"):
-            sel = counts > 0 if how == "semi" else counts == 0
-            take = pa.array(np.flatnonzero(sel))
+            take = pa.array(np.flatnonzero(m))
             return pa.table({c: pc.take(t.column(c), take) for c in left_cols})
-        out_counts = np.maximum(counts, 1) if how == "left" else counts
-        total = int(out_counts.sum())
-        if total == 0:
+        li, ri, matched = m
+        if li.size == 0:
             return pa.table(
                 {c: pa.array([], type=t.schema.field(c).type) for c in left_cols}
                 | {c: pa.array([], type=rtypes[c]) for c in right_payload}
             )
-        li = np.repeat(np.arange(n), out_counts)
-        starts = np.cumsum(out_counts) - out_counts
-        offs = np.arange(total) - np.repeat(starts, out_counts)
-        ri = np.repeat(lo, out_counts) + offs
-        matched = np.repeat(counts > 0, out_counts)
         out = {c: pc.take(t.column(c), pa.array(li)) for c in left_cols}
         if rk.size:
-            r_take = pa.array(np.minimum(ri, rk.size - 1), mask=~matched)
+            r_take = pa.array(ri, mask=~matched)
             out |= {c: pc.take(payload.column(c), r_take) for c in right_payload}
         else:
-            out |= {c: pa.nulls(total, type=rtypes[c]) for c in right_payload}
+            out |= {c: pa.nulls(li.size, type=rtypes[c]) for c in right_payload}
         return pa.table(out)
 
     return left.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)

@@ -49,7 +49,8 @@ from .fold import keyed_exchange
 
 # Above this many heavy hashes the broadcast plan would ship/hold an
 # ever-growing array on every worker; switch to the co-partitioned join.
-# 4M hashes = 32 MB broadcast — comfortably cheap; 10x that is not.
+# 4M hashes = 32 MB broadcast — comfortably cheap; 10x that is not.  Read
+# when the pipeline is called; 0 forces the join plan.
 MAX_BROADCAST_LINES = 4_000_000
 
 
@@ -93,13 +94,12 @@ def line_dedup_pipeline(
     key_col: str,
     text_col: str,
     min_count: int = 3,
-    max_broadcast_lines: int = MAX_BROADCAST_LINES,
 ):
     """-> Dataset[(key_col, n_lines, n_kept, kept_sig)] with corpus-wide
     duplicated lines (global occurrence count >= ``min_count``) removed.
 
     The broadcast plan runs while the measured heavy-set count is at most
-    ``max_broadcast_lines``, the co-partitioned join plan past it (``0``
+    ``MAX_BROADCAST_LINES``, the co-partitioned join plan past it (``0``
     forces it) — both plans are bit-identical by construction.
 
     ``ds`` is consumed twice (count pass + filter pass); pass an already
@@ -135,12 +135,13 @@ def line_dedup_pipeline(
     # object-store-resident heavy set (hashes only, 8 B each); its COUNT
     # decides the pass-2 plan without pulling a single row to the driver
     heavy_ds = counts.map_batches(heavy_only, batch_format="pyarrow").materialize()
-    if max_broadcast_lines > 0 and heavy_ds.count() <= max_broadcast_lines:
-        heavy_tbls = heavy_ds.take_all()
+    if MAX_BROADCAST_LINES > 0 and heavy_ds.count() <= MAX_BROADCAST_LINES:
+        tables = ray.get(heavy_ds.to_arrow_refs())
         heavy = np.sort(
-            np.asarray([r["lh"] for r in heavy_tbls], dtype=np.int64)
-            if heavy_tbls
-            else np.empty(0, dtype=np.int64)
+            np.concatenate(
+                [t.column("lh").to_numpy(zero_copy_only=False) for t in tables if t.num_rows]
+                or [np.empty(0, np.int64)]
+            )
         )
         heavy_ref = ray.put(heavy)
 

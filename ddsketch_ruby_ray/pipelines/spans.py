@@ -43,6 +43,10 @@ __all__ = [
     "resumable_duplicate_spans_job",
 ]
 
+# Broadcast bound of the dup-hash set: 8M hashes hold 64 MB of uint64 on
+# every worker.  Not measured; read when the pipeline is called.
+_MAX_BROADCAST_HASHES = 8_000_000
+
 
 def _doc_window_hashes(batch: pa.Table, text_col: str, n: int):
     """Flat positional window-hash array + per-doc boundaries (no dedup).
@@ -63,7 +67,6 @@ def duplicate_spans_pipeline(
     key_col: str,
     text_col: str,
     n: int = 8,
-    max_broadcast_hashes: int = 8_000_000,
 ):
     """-> Dataset[(key_col, span_start, span_end)] - maximal duplicated token
     spans, 1-based inclusive positions.
@@ -87,14 +90,14 @@ def duplicate_spans_pipeline(
        is deliberate: map compute scales ~1.0 on this box while the
        object-store exchange path retains 0.62 (tools/membench.py).
 
-    Past ``max_broadcast_hashes`` actual duplicated hashes the broadcast is
+    Past ``_MAX_BROADCAST_HASHES`` actual duplicated hashes the broadcast is
     no longer small-side and the classic two-shuffle co-partition plan
     (:func:`duplicate_spans_stages`) runs instead — same output, the
     linededup.py broadcast/join dual-path contract."""
     import ray
 
     dups_m = _dup_hash_directory(ds, text_col=text_col, n=n).materialize()
-    if dups_m.count() > max_broadcast_hashes:
+    if dups_m.count() > _MAX_BROADCAST_HASHES:
         postings, reduce = duplicate_spans_stages(key_col=key_col, text_col=text_col, n=n)
         return reduce(
             ds.map_batches(postings, batch_format="pyarrow", zero_copy_batch=True)

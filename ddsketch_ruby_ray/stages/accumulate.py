@@ -11,7 +11,7 @@ Usage::
     specs = [DDSketchSpec(on="content_bytes", name="bytes"), ...]
     acc = SketchStateAccumulator(specs, group_keys=("lang",), derive=fn)
     states = ds.map_batches(acc, batch_format="pyarrow", zero_copy_batch=True,
-                            batch_size=..., concurrency=...)
+                            batch_size=None, concurrency=...)
     merged = merge_sketch_states(states, specs, group_keys)   # one keyed exchange
 
 The accumulator is a callable CLASS so ``map_batches(..., concurrency=N)``

@@ -12,6 +12,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from .partitions import setting
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -1358,10 +1360,10 @@ class TestLineDedupJoinPlan:
     """The hash-co-partitioned join plan must be bit-identical to the
     broadcast plan (VERDICT r3 #4: the heavy set is unbounded at 100 TB)."""
 
-    def _run(self, docs, *, max_broadcast_lines, min_count=3, blocks=4):
+    def _run(self, docs, *, cap, min_count=3, blocks=4):
         import ray.data as rd
 
-        from ddsketch_ruby_ray.pipelines.linededup import line_dedup_pipeline
+        from ddsketch_ruby_ray.pipelines import linededup
 
         t = pa.table(
             {
@@ -1369,18 +1371,14 @@ class TestLineDedupJoinPlan:
                 "text": pa.array(docs, pa.string()),
             }
         )
-        return (
-            line_dedup_pipeline(
+        with setting(linededup, "MAX_BROADCAST_LINES", cap):
+            got = linededup.line_dedup_pipeline(
                 rd.from_arrow(t).repartition(blocks),
                 key_col="doc_id",
                 text_col="text",
                 min_count=min_count,
-                max_broadcast_lines=max_broadcast_lines,
-            )
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
+            ).to_pandas()
+        return got.sort_values("doc_id").reset_index(drop=True)
 
     DOCS = TestLineDedup.DOCS + [
         "cookie banner\ncookie banner\nunique delta",
@@ -1389,16 +1387,16 @@ class TestLineDedupJoinPlan:
     ]
 
     def test_join_equals_broadcast(self, ray_session):
-        a = self._run(self.DOCS, max_broadcast_lines=1 << 62)
-        b = self._run(self.DOCS, max_broadcast_lines=0)
+        a = self._run(self.DOCS, cap=1 << 62)
+        b = self._run(self.DOCS, cap=0)
         assert a.equals(b)
 
     def test_auto_switches_to_join(self, ray_session):
         # a cap below the heavy-set count switches plans; 0 forces the join
-        a = self._run(self.DOCS, max_broadcast_lines=1 << 62)
-        b = self._run(self.DOCS, max_broadcast_lines=1)
+        a = self._run(self.DOCS, cap=1 << 62)
+        b = self._run(self.DOCS, cap=1)
         assert a.equals(b)
 
     def test_join_with_no_heavy_lines(self, ray_session):
-        got = self._run(self.DOCS, max_broadcast_lines=0, min_count=10**6)
+        got = self._run(self.DOCS, cap=0, min_count=10**6)
         assert (got.n_kept == got.n_lines).all()

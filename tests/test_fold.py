@@ -465,25 +465,39 @@ def test_every_library_groupby_runs_through_fold():
 
 
 def test_partition_count_is_no_pipeline_option():
-    """``fold._PARTITIONS`` is the library's one partition count: no function
-    in ``ddsketch_ruby_ray`` takes ``num_partitions`` or
-    ``reduce_partitions`` but ``keyed_exchange`` with its private helpers and
-    the named functions."""
+    """Plans are the library's choice: ``fold._PARTITIONS`` is the one
+    partition count and each broadcast cap is a module constant read at call
+    time (``graph._MAX_BROADCAST_NODES``, ``linededup.MAX_BROADCAST_LINES``,
+    ``spans._MAX_BROADCAST_HASHES``), so no function in
+    ``ddsketch_ruby_ray`` takes a partition count, a broadcast cap, a
+    ``batch_size`` or a ``strategy`` but ``keyed_exchange`` with its private
+    helpers and the named functions."""
     import ast
     from pathlib import Path
 
     import ddsketch_ruby_ray
 
     root = Path(ddsketch_ruby_ray.__file__).parent
+    options = {
+        "num_partitions",
+        "reduce_partitions",
+        "max_broadcast_nodes",
+        "max_broadcast_lines",
+        "max_broadcast_hashes",
+        "max_nodes",
+        "batch_size",
+        "strategy",
+    }
     allowed = {
-        # a benchmark layer reads this default
-        ("pipelines/dedup.py", "exact_dedup_pipeline"),
+        # a benchmark layer reads these defaults
+        ("pipelines/dedup.py", "exact_dedup_pipeline", "num_partitions"),
+        ("pipelines/corpus.py", "corpus_sketch_pipeline", "strategy"),
         # P defines the output column ``part``
-        ("pipelines/packing.py", "pack_sequences_pipeline"),
+        ("pipelines/packing.py", "pack_sequences_pipeline", "num_partitions"),
         # connected components sizes its rounds by its edge count
-        ("pipelines/graph.py", "_pin_edge_slices"),
-        ("pipelines/graph.py", "_scatter"),
-        ("pipelines/graph.py", "_gather"),
+        ("pipelines/graph.py", "_pin_edge_slices", "num_partitions"),
+        ("pipelines/graph.py", "_scatter", "num_partitions"),
+        ("pipelines/graph.py", "_gather", "num_partitions"),
     }
     found = []
     for path in sorted(root.rglob("*.py")):
@@ -493,13 +507,14 @@ def test_partition_count_is_no_pipeline_option():
                 continue
             a = node.args
             names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
-            if not names & {"num_partitions", "reduce_partitions"}:
-                continue
             name = getattr(node, "name", "<lambda>")
-            if rel == "pipelines/fold.py" and (
-                name == "keyed_exchange" or name.startswith("_")
-            ):
-                continue
-            if (rel, name) not in allowed:
-                found.append(f"{rel}:{node.lineno} {name}")
+            for opt in sorted(names & options):
+                if (
+                    rel == "pipelines/fold.py"
+                    and opt in ("num_partitions", "reduce_partitions")
+                    and (name == "keyed_exchange" or name.startswith("_"))
+                ):
+                    continue
+                if (rel, name, opt) not in allowed:
+                    found.append(f"{rel}:{node.lineno} {name}({opt})")
     assert not found, found

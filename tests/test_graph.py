@@ -9,14 +9,20 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from ddsketch_ruby_ray.pipelines import fold
+from ddsketch_ruby_ray.pipelines import fold, graph
 from ddsketch_ruby_ray.pipelines.graph import (
     PR_SCALE,
     bfs_hops_pipeline,
     pagerank_pipeline,
 )
 
-from .partitions import partitions
+from .partitions import partitions, setting
+
+
+def broadcast_nodes(n: int):
+    """``graph._MAX_BROADCAST_NODES = n`` inside the block: ``1 << 62``
+    forces the broadcast plans, ``0`` the shuffle plans."""
+    return setting(graph, "_MAX_BROADCAST_NODES", n)
 
 
 def _random_graph(seed: int, n_edges: int = 4000):
@@ -223,12 +229,10 @@ class TestPageRankModes:
         s, d = _random_graph(31, 2500)
         tbl = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
         monkeypatch.setattr(fold, "_PARTITIONS", 8)
-        a = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(3), max_broadcast_nodes=1 << 62
-        ).to_pandas()
-        b = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(3), max_broadcast_nodes=0
-        ).to_pandas()
+        with broadcast_nodes(1 << 62):
+            a = pagerank_pipeline(rd.from_arrow(tbl).repartition(3)).to_pandas()
+        with broadcast_nodes(0):
+            b = pagerank_pipeline(rd.from_arrow(tbl).repartition(3)).to_pandas()
         assert dict(zip(a.node, a.rank_fp)) == dict(zip(b.node, b.rank_fp))
 
     def test_duplicate_heavy_multigraph_corrections_exact(self, ray_session):
@@ -245,12 +249,10 @@ class TestPageRankModes:
         tbl = pa.table(
             {"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())}
         )
-        a = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(9), iters=3, max_broadcast_nodes=1 << 62
-        ).to_pandas()
-        b = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(9), iters=3, max_broadcast_nodes=0
-        ).to_pandas()
+        with broadcast_nodes(1 << 62):
+            a = pagerank_pipeline(rd.from_arrow(tbl).repartition(9), iters=3).to_pandas()
+        with broadcast_nodes(0):
+            b = pagerank_pipeline(rd.from_arrow(tbl).repartition(9), iters=3).to_pandas()
         assert dict(zip(a.node, a.rank_fp)) == dict(zip(b.node, b.rank_fp))
 
     def test_shuffle_survives_schemaless_empty_blocks(self, ray_session, monkeypatch):
@@ -268,12 +270,10 @@ class TestPageRankModes:
             }
         )
         monkeypatch.setattr(fold, "_PARTITIONS", 8)
-        a = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(16), max_broadcast_nodes=0
-        ).to_pandas()
-        b = pagerank_pipeline(
-            rd.from_arrow(tbl).repartition(16), max_broadcast_nodes=1 << 62
-        ).to_pandas()
+        with broadcast_nodes(0):
+            a = pagerank_pipeline(rd.from_arrow(tbl).repartition(16)).to_pandas()
+        with broadcast_nodes(1 << 62):
+            b = pagerank_pipeline(rd.from_arrow(tbl).repartition(16)).to_pandas()
         assert dict(zip(a.node, a.rank_fp)) == dict(zip(b.node, b.rank_fp))
 
 
@@ -285,14 +285,14 @@ class TestBfsModes:
         tbl = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
         seeds = rd.from_arrow(pa.table({"node": pa.array([0, 1, 2], pa.int64())}))
         monkeypatch.setattr(fold, "_PARTITIONS", 8)
-        a = bfs_hops_pipeline(
-            rd.from_arrow(tbl).repartition(3), seeds, max_hops=3,
-            max_broadcast_nodes=1 << 62,
-        ).to_pandas()
-        b = bfs_hops_pipeline(
-            rd.from_arrow(tbl).repartition(3), seeds, max_hops=3,
-            max_broadcast_nodes=0,
-        ).to_pandas()
+        with broadcast_nodes(1 << 62):
+            a = bfs_hops_pipeline(
+                rd.from_arrow(tbl).repartition(3), seeds, max_hops=3
+            ).to_pandas()
+        with broadcast_nodes(0):
+            b = bfs_hops_pipeline(
+                rd.from_arrow(tbl).repartition(3), seeds, max_hops=3
+            ).to_pandas()
         assert dict(zip(a.node, a.hops)) == dict(zip(b.node, b.hops))
 
 
@@ -381,14 +381,14 @@ class TestSsspModes:
         )
         seeds = rd.from_arrow(pa.table({"node": pa.array([0, 5], pa.int64())}))
         monkeypatch.setattr(fold, "_PARTITIONS", 8)
-        a = sssp_pipeline(
-            rd.from_arrow(tbl).repartition(4), seeds, max_rounds=4,
-            max_broadcast_nodes=1 << 62,
-        ).to_pandas()
-        b = sssp_pipeline(
-            rd.from_arrow(tbl).repartition(4), seeds, max_rounds=4,
-            max_broadcast_nodes=0,
-        ).to_pandas()
+        with broadcast_nodes(1 << 62):
+            a = sssp_pipeline(
+                rd.from_arrow(tbl).repartition(4), seeds, max_rounds=4
+            ).to_pandas()
+        with broadcast_nodes(0):
+            b = sssp_pipeline(
+                rd.from_arrow(tbl).repartition(4), seeds, max_rounds=4
+            ).to_pandas()
         assert len(a) == len(b) > 2
         assert dict(zip(a.node, a.dist)) == dict(zip(b.node, b.dist))
 
@@ -412,13 +412,10 @@ class TestSsspModes:
             }
         )
         seeds = rd.from_arrow(pa.table({"node": pa.array([0], pa.int64())}))
-        ref = sssp_pipeline(
-            rd.from_arrow(tbl), seeds, max_rounds=3, max_broadcast_nodes=1 << 62
-        ).to_pandas()
-        got = sssp_pipeline(
-            rd.from_arrow(tbl), seeds, max_rounds=3,
-            max_broadcast_nodes=2,
-        ).to_pandas()
+        with broadcast_nodes(1 << 62):
+            ref = sssp_pipeline(rd.from_arrow(tbl), seeds, max_rounds=3).to_pandas()
+        with broadcast_nodes(2):
+            got = sssp_pipeline(rd.from_arrow(tbl), seeds, max_rounds=3).to_pandas()
         assert dict(zip(got.node, got.dist)) == dict(zip(ref.node, ref.dist))
 
 
@@ -514,7 +511,7 @@ class TestBfsIsUnitSssp:
     whenever every ``w`` is 1, in either plan."""
 
     @staticmethod
-    def _both(edges: pa.Table, seeds: list, cap: int, **kw):
+    def _both(edges: pa.Table, seeds: list, **kw):
         import ray.data as rd
 
         from ddsketch_ruby_ray.pipelines.graph import sssp_pipeline
@@ -522,14 +519,14 @@ class TestBfsIsUnitSssp:
         seed_tbl = pa.table({"node": pa.array(seeds, pa.int64())})
         bfs = bfs_hops_pipeline(
             rd.from_arrow(edges).repartition(3), rd.from_arrow(seed_tbl),
-            max_hops=3, max_broadcast_nodes=cap, **kw,
+            max_hops=3, **kw,
         )
         ones = edges.append_column(
             "w", pa.array(np.ones(edges.num_rows, np.int64))
         )
         sssp = sssp_pipeline(
             rd.from_arrow(ones).repartition(3), rd.from_arrow(seed_tbl),
-            max_rounds=3, max_broadcast_nodes=cap, **kw,
+            max_rounds=3, **kw,
         )
         return bfs, sssp
 
@@ -540,7 +537,8 @@ class TestBfsIsUnitSssp:
         edges = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
         # 10**6 is an isolated seed: kept at 0, reaches nothing
         monkeypatch.setattr(fold, "_PARTITIONS", 8)
-        bfs, sssp = self._both(edges, [0, 7, 10**6], cap)
+        monkeypatch.setattr(graph, "_MAX_BROADCAST_NODES", cap)
+        bfs, sssp = self._both(edges, [0, 7, 10**6])
         got = _as_dict(bfs.to_pandas(), "hops")
         assert got == _as_dict(sssp.to_pandas(), "dist")
         assert got[10**6] == 0 and len(got) > 10
@@ -554,7 +552,8 @@ class TestBfsIsUnitSssp:
         seeds = [] if case != "no_edges" else [3, 4]
         edges = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
         monkeypatch.setattr(fold, "_PARTITIONS", 8)
-        bfs, sssp = self._both(edges, seeds, cap)
+        monkeypatch.setattr(graph, "_MAX_BROADCAST_NODES", cap)
+        bfs, sssp = self._both(edges, seeds)
         for ds, col in ((bfs, "hops"), (sssp, "dist")):
             schema = ds.schema()
             assert list(schema.names) == ["node", col]
@@ -569,13 +568,10 @@ class TestBfsIsUnitSssp:
         s, d = _simple_graph(64, n_nodes=60, n_edges=300)
         edges = pa.table({"src": pa.array(s, pa.int64()), "dst": pa.array(d, pa.int64())})
         seeds = rd.from_arrow(pa.table({"node": pa.array([0], pa.int64())}))
-        ref = bfs_hops_pipeline(
-            rd.from_arrow(edges), seeds, max_hops=3, max_broadcast_nodes=1 << 62
-        ).to_pandas()
-        got = bfs_hops_pipeline(
-            rd.from_arrow(edges), seeds, max_hops=3,
-            max_broadcast_nodes=2,
-        ).to_pandas()
+        with broadcast_nodes(1 << 62):
+            ref = bfs_hops_pipeline(rd.from_arrow(edges), seeds, max_hops=3).to_pandas()
+        with broadcast_nodes(2):
+            got = bfs_hops_pipeline(rd.from_arrow(edges), seeds, max_hops=3).to_pandas()
         assert len(ref) > 2
         assert _as_dict(got, "hops") == _as_dict(ref, "hops")
 
@@ -600,12 +596,11 @@ class TestSsspImprovesReachedNode:
         seeds = rd.from_arrow(pa.table({"node": pa.array([0], pa.int64())}))
 
         monkeypatch.setattr(fold, "_PARTITIONS", 4)
+        monkeypatch.setattr(graph, "_MAX_BROADCAST_NODES", cap)
+
         def run(rounds):
             return _as_dict(
-                sssp_pipeline(
-                    rd.from_arrow(edges), seeds, max_rounds=rounds,
-                    max_broadcast_nodes=cap,
-                ).to_pandas(),
+                sssp_pipeline(rd.from_arrow(edges), seeds, max_rounds=rounds).to_pandas(),
                 "dist",
             )
 
@@ -635,13 +630,10 @@ class TestSeedInSeveralBlocks:
         assert seeds.num_blocks() == 2
         want = [(1, 0)] if rounds == 0 else [(1, 0), (2, 1)]
         monkeypatch.setattr(fold, "_PARTITIONS", 4)
-        sssp = sssp_pipeline(
-            rd.from_arrow(edges), seeds, max_rounds=rounds,
-            max_broadcast_nodes=cap,
-        ).to_pandas()
+        monkeypatch.setattr(graph, "_MAX_BROADCAST_NODES", cap)
+        sssp = sssp_pipeline(rd.from_arrow(edges), seeds, max_rounds=rounds).to_pandas()
         bfs = bfs_hops_pipeline(
-            rd.from_arrow(edges.drop_columns(["w"])), seeds, max_hops=rounds,
-            max_broadcast_nodes=cap,
+            rd.from_arrow(edges.drop_columns(["w"])), seeds, max_hops=rounds
         ).to_pandas()
         assert sorted(zip(sssp.node, sssp.dist)) == want
         assert sorted(zip(bfs.node, bfs.hops)) == want
@@ -673,21 +665,17 @@ class TestNullEdges:
         )
         seeds = rd.from_arrow(pa.table({"node": pa.array([1], pa.int64())}))
         monkeypatch.setattr(fold, "_PARTITIONS", 4)
+        monkeypatch.setattr(graph, "_MAX_BROADCAST_NODES", cap)
         if pipeline == "bfs":
             run = lambda: bfs_hops_pipeline(  # noqa: E731
-                edges, seeds, src_col="a", dst_col="b",
-                max_broadcast_nodes=cap,
+                edges, seeds, src_col="a", dst_col="b"
             )
         elif pipeline == "sssp":
             run = lambda: sssp_pipeline(  # noqa: E731
-                edges, seeds, src_col="a", dst_col="b", weight_col="lat",
-                max_broadcast_nodes=cap,
+                edges, seeds, src_col="a", dst_col="b", weight_col="lat"
             )
         else:
-            run = lambda: pagerank_pipeline(  # noqa: E731
-                edges, src_col="a", dst_col="b",
-                max_broadcast_nodes=cap,
-            )
+            run = lambda: pagerank_pipeline(edges, src_col="a", dst_col="b")  # noqa: E731
         with pytest.raises(
             (RayTaskError, ValueError), match=f"column '{null_col}' contains 1 NULL"
         ):

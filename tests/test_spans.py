@@ -5,6 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ddsketch_ruby_ray.pipelines import spans
+
+from .partitions import setting
+
 
 def _run(t, n=3, repartition=None):
     import ray.data as rd
@@ -146,7 +150,7 @@ class TestDuplicateSpans:
         assert got == want
 
     def test_forced_classic_path_matches_broadcast_plan(self, ray_session):
-        """max_broadcast_hashes=0 forces the two-shuffle co-partition
+        """_MAX_BROADCAST_HASHES = 0 forces the two-shuffle co-partition
         fallback; its spans must be identical to the broadcast plan's."""
         import ray.data as rd
 
@@ -161,17 +165,17 @@ class TestDuplicateSpans:
             {"doc_id": pa.array(range(60), pa.int64()), "text": pa.array(texts)}
         )
 
-        def run(**kw):
-            df = duplicate_spans_pipeline(
-                rd.from_arrow(t).repartition(5),
-                key_col="doc_id",
-                text_col="text",
-                n=3,
-                **kw,
-            ).to_pandas()
+        def run(cap=spans._MAX_BROADCAST_HASHES):
+            with setting(spans, "_MAX_BROADCAST_HASHES", cap):
+                df = duplicate_spans_pipeline(
+                    rd.from_arrow(t).repartition(5),
+                    key_col="doc_id",
+                    text_col="text",
+                    n=3,
+                ).to_pandas()
             return sorted(map(tuple, df.to_numpy().tolist()))
 
-        assert run(max_broadcast_hashes=0) == run()
+        assert run(0) == run()
 
     def test_multi_seed_paths_match_bruteforce(self, ray_session):
         """Fuzz: broadcast plan == classic plan == brute force across seeds
@@ -194,18 +198,18 @@ class TestDuplicateSpans:
                 {"doc_id": pa.array(range(30), pa.int64()), "text": pa.array(texts)}
             )
 
-            def run(**kw):
-                df = duplicate_spans_pipeline(
-                    rd.from_arrow(t).repartition(4),
-                    key_col="doc_id",
-                    text_col="text",
-                    n=n_win,
-                    **kw,
-                ).to_pandas()
+            def run(cap=spans._MAX_BROADCAST_HASHES):
+                with setting(spans, "_MAX_BROADCAST_HASHES", cap):
+                    df = duplicate_spans_pipeline(
+                        rd.from_arrow(t).repartition(4),
+                        key_col="doc_id",
+                        text_col="text",
+                        n=n_win,
+                    ).to_pandas()
                 return sorted(map(tuple, df.to_numpy().tolist()))
 
             got = run()
-            assert got == run(max_broadcast_hashes=0), (seed, n_win)
+            assert got == run(0), (seed, n_win)
             # brute force
             counts: Counter = Counter()
             wins = {}

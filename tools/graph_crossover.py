@@ -3,10 +3,11 @@
 
 ``pagerank_pipeline`` flips from the broadcast plan (rank state
 on the driver, shuffle-free iterations) to the fully-distributed shuffle plan
-at ``max_broadcast_nodes``.  Round 4 asserted that constant; this tool
-MEASURES it: fixed 32M-edge graphs over a sweep of node-id domains, both
+past ``graph._MAX_BROADCAST_NODES``.  Round 4 asserted that constant; this
+tool MEASURES it: fixed 32M-edge graphs over a sweep of node-id domains, both
 plans timed in fresh Ray child processes at the 16-cpu level of the scaling
-protocol, best-of-2 each.
+protocol, best-of-2 each.  Each child forces its plan by setting
+``graph._MAX_BROADCAST_NODES`` before the call.
 
 Usage:
     python tools/graph_crossover.py               # sweep + summary JSON
@@ -35,7 +36,7 @@ NODE_SWEEP = tuple(
 )
 
 
-# max_broadcast_nodes that forces each plan
+# graph._MAX_BROADCAST_NODES that forces each plan
 _CAP = {"broadcast": 1 << 62, "shuffle": 0}
 
 
@@ -60,7 +61,7 @@ def _child(mode: str, n_nodes: int, cpus: int) -> None:
 
     from ddsketch_ruby_ray.core.hashing import hash64_int
     from ddsketch_ruby_ray.pipelines.corpus import read_corpus
-    from ddsketch_ruby_ray.pipelines.graph import pagerank_pipeline
+    from ddsketch_ruby_ray.pipelines import graph
 
     # warm the worker pool off the clock (bench.py convention)
     import ray.data as rd
@@ -83,6 +84,7 @@ def _child(mode: str, n_nodes: int, cpus: int) -> None:
         dst = np.concatenate([h2 % nodes_u, h3 % nodes_u]).astype(np.int64)
         return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
 
+    graph._MAX_BROADCAST_NODES = _CAP[mode]
     best = float("inf")
     out_rows = 0
     for _ in range(2):  # best-of-2 (CPU-steal variance)
@@ -90,7 +92,7 @@ def _child(mode: str, n_nodes: int, cpus: int) -> None:
             to_edges, batch_format="pyarrow", zero_copy_batch=True
         )
         t0 = time.perf_counter()
-        out_rows = pagerank_pipeline(edges, iters=3, max_broadcast_nodes=_CAP[mode]).count()
+        out_rows = graph.pagerank_pipeline(edges, iters=3).count()
         best = min(best, time.perf_counter() - t0)
     ray.shutdown()
     print(json.dumps({"sec": best, "out_rows": out_rows}))
